@@ -139,15 +139,18 @@ def _tilted_rows(log_phi, log_nu, log_mu):
 
     Z_i normalizes row i of the tilted coupling; c_j is the multiplicative
     Blahut-Arimoto update factor for nu_j (also the dual constraint value).
+    Rows of zero source mass get their Z_i but take no part in c: a row
+    whose Z_i is zero would otherwise turn c into nan.
     """
     log_z = logsumexp(log_phi + log_nu[None, :], axis=1)
-    if np.any(np.isneginf(log_z[np.isfinite(log_mu)])):
-        bad = int(np.flatnonzero(np.isneginf(log_z) & np.isfinite(log_mu))[0])
+    live = np.isfinite(log_mu)
+    if np.any(np.isneginf(log_z[live])):
+        bad = int(np.flatnonzero(np.isneginf(log_z) & live)[0])
         raise InvalidInputError(
             f"source row {bad} has zero partition mass: every reconstruction "
             "with positive nu weight is forbidden for it"
         )
-    log_c = logsumexp(log_mu[:, None] + log_phi - log_z[:, None], axis=0)
+    log_c = logsumexp(log_mu[live, None] + log_phi[live] - log_z[live, None], axis=0)
     return log_z, log_c
 
 
@@ -179,6 +182,40 @@ def _shifted_kernel(log_phi: np.ndarray, log_domain: bool) -> tuple[np.ndarray, 
     return shift, ker
 
 
+def _tilted_state(
+    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu: ProbabilityVector
+) -> tuple[np.ndarray, float, float, float, float]:
+    """One pass over the tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i.
+
+    Returns (log Z_i over all rows, D, R, slack, dual_value): the values
+    ``rd_value_from_nu`` and ``dual_certificate`` document.
+    """
+    _check_compat(mu, dist, beta)
+    if len(nu) != dist.shape[1]:
+        raise InvalidInputError(f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns")
+    log_phi = _log_kernel(dist, beta)
+    log_nu = _log_weights(nu.weights)
+    log_z, log_c = _tilted_rows(log_phi, log_nu, _log_weights(mu.weights))
+    with np.errstate(over="ignore"):
+        slack = float(np.exp(log_c).max() - 1.0)
+    live = mu.weights > 0
+    rho = dist.rho[live]
+    pi = np.exp(log_phi[live] + log_nu[None, :] - log_z[live, None])
+    # 0 * inf guard: a positive pi entry can only sit on finite rho.
+    contrib = np.where(pi > 0, pi * np.where(np.isfinite(rho), rho, 0.0), 0.0)
+    distortion = float(mu.weights[live] @ contrib.sum(axis=1))
+    if np.any(np.isposinf(rho) & (pi > 0)):
+        distortion = float("inf")
+    neg_log_z = -(mu.weights[live] @ log_z[live])
+    # At beta = 0 the kernel ignores the loss, so D can be infinite while
+    # the beta D term is still zero.
+    tilt = beta * distortion if beta else 0.0
+    # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
+    rate = float(neg_log_z - tilt) + 0.0
+    dual_value = float(neg_log_z - np.log1p(max(slack, 0.0)) - tilt)
+    return log_z, distortion, rate, slack, dual_value
+
+
 def rd_value_from_nu(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -191,25 +228,7 @@ def rd_value_from_nu(
     is the parametric value R = -sum_i mu_i ln Z_i - beta D, which upper
     bounds R(D) for any nu and matches it at the optimum.
     """
-    _check_compat(mu, dist, beta)
-    if len(nu) != dist.shape[1]:
-        raise InvalidInputError(
-            f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns"
-        )
-    log_phi = _log_kernel(dist, beta)
-    log_mu = _log_weights(mu.weights)
-    log_nu = _log_weights(nu.weights)
-    log_z, _ = _tilted_rows(log_phi, log_nu, log_mu)
-    live = mu.weights > 0
-    log_pi = log_phi[live] + log_nu[None, :] - log_z[live, None]
-    pi = np.exp(log_pi)
-    # 0 * inf guard: a positive pi entry can only sit on finite rho.
-    contrib = np.where(pi > 0, pi * np.where(np.isfinite(dist.rho[live]), dist.rho[live], 0.0), 0.0)
-    distortion = float(mu.weights[live] @ contrib.sum(axis=1))
-    if np.any(np.isposinf(dist.rho[live]) & (pi > 0)):
-        distortion = float("inf")
-    # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
-    rate = float(-(mu.weights[live] @ log_z[live]) - beta * distortion) + 0.0
+    _, distortion, rate, _, _ = _tilted_state(mu, dist, beta, nu)
     return distortion, rate
 
 
@@ -237,20 +256,7 @@ def dual_certificate(
             "dual certificate requires a normalized loss (zero row minima); "
             "apply normalize_loss first"
         )
-    _check_compat(mu, dist, beta)
-    log_phi = _log_kernel(dist, beta)
-    log_mu = _log_weights(mu.weights)
-    log_nu = _log_weights(nu.weights)
-    log_z, log_c = _tilted_rows(log_phi, log_nu, log_mu)
-    with np.errstate(over="ignore"):
-        slack = float(np.exp(log_c).max() - 1.0)
-    distortion, _ = rd_value_from_nu(mu, dist, beta, nu)
-    live = mu.weights > 0
-    dual_value = float(
-        -(mu.weights[live] @ log_z[live])
-        - np.log1p(max(slack, 0.0))
-        - beta * distortion
-    )
+    log_z, _, _, slack, dual_value = _tilted_state(mu, dist, beta, nu)
     return np.exp(-log_z), slack, dual_value
 
 
@@ -436,10 +442,7 @@ def ba_fixed_point(
             if final:
                 break
     nu_star = ProbabilityVector(nu / nu.sum(), labels=nu0.labels)
-    distortion, rate = rd_value_from_nu(mu, dist, beta, nu_star)
-    _, log_c = _tilted_rows(log_phi, _log_weights(nu_star.weights), log_mu)
-    with np.errstate(over="ignore"):
-        slack_final = float(np.exp(log_c).max() - 1.0)
+    _, distortion, rate, slack_final, _ = _tilted_state(mu, dist, beta, nu_star)
     if shrunk:
         logger.debug("support shrank by %d atoms in total", shrunk)
     point = RDPoint(
@@ -449,7 +452,7 @@ def ba_fixed_point(
         nu_star=nu_star,
         iterations=iterations,
         fixpoint_residual=residual,
-        certificate_slack=float(slack_final),
+        certificate_slack=slack_final,
         converged=residual <= tol and slack <= tol,
     )
     if not point.converged:
@@ -459,6 +462,12 @@ def ba_fixed_point(
             partial=point,
         )
     return point
+
+
+def warm_start_law(nu: ProbabilityVector) -> ProbabilityVector:
+    """nu mixed with ``WARM_START_MIX`` uniform mass, to start the next solve from."""
+    mixed = (1.0 - WARM_START_MIX) * nu.weights + WARM_START_MIX / len(nu)
+    return ProbabilityVector(mixed / mixed.sum(), labels=nu.labels)
 
 
 def rd_curve(
@@ -506,9 +515,7 @@ def rd_curve(
         for beta in betas:
             point = solve(float(beta), start)
             points.append(point)
-            n = len(point.nu_star)
-            mixed = (1.0 - WARM_START_MIX) * point.nu_star.weights + WARM_START_MIX / n
-            start = ProbabilityVector(mixed / mixed.sum(), labels=point.nu_star.labels)
+            start = warm_start_law(point.nu_star)
     elif threads == 1:
         points = [solve(float(beta), nu0) for beta in betas]
     else:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blahut import RDCurve, RDPoint, ba_fixed_point, rd_curve, rd_value_from_nu
+from .blahut import RDCurve, RDPoint, ba_fixed_point, rd_curve, rd_value_from_nu, warm_start_law
 from .distortion import (
     DistortionMatrix,
     SourceSpec,
@@ -100,7 +100,6 @@ _SCHEMA: dict[str, tuple] = {
     "max_iter": (int, 100000),
     "min_iter": (int, 1),
     "units": (str, "nats"),
-    "deterministic": (_parse_bool, True),
     "warm_start": (_parse_bool, True),
     "compare.bound": (float, 1e-6),
     "compare.d_lo": (float, 0.0),
@@ -306,9 +305,7 @@ def solve_point_for_distortion(
             point = ba_fixed_point(mu, dist, beta, nu0=warm, tol=tol, max_iter=max_iter)
         except ConvergenceError as err:
             point = err.partial
-        n = len(point.nu_star)
-        mixed = (1.0 - 1e-6) * point.nu_star.weights + 1e-6 / n
-        warm = ProbabilityVector(mixed / mixed.sum(), labels=point.nu_star.labels)
+        warm = warm_start_law(point.nu_star)
         return point
 
     lo = 0.0
@@ -445,10 +442,9 @@ def _beta_schedule(cfg: RunConfig) -> np.ndarray:
     return np.geomspace(cfg["betas.lo"], cfg["betas.hi"], cfg["betas.count"])
 
 
-def _cmd_curve(cfg: RunConfig, args) -> int:
-    mu, dist, labels, _ = build_problem(cfg)
-    threads = resolve_threads()
-    curve = rd_curve(
+def _sweep(cfg: RunConfig, mu: ProbabilityVector, dist: DistortionMatrix, labels) -> RDCurve:
+    """The configured beta schedule, swept from the uniform law."""
+    return rd_curve(
         mu,
         dist,
         _beta_schedule(cfg),
@@ -456,8 +452,13 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
         max_iter=cfg["max_iter"],
         nu0=_uniform_start(dist.shape[1], labels),
         warm_start=cfg["warm_start"],
-        threads=threads,
+        threads=resolve_threads(),
     )
+
+
+def _cmd_curve(cfg: RunConfig, args) -> int:
+    mu, dist, labels, _ = build_problem(cfg)
+    curve = _sweep(cfg, mu, dist, labels)
     _emit(_curve_csv(curve, cfg["units"]), args.out)
     return 0 if all(p.converged for p in curve.points) else 2
 
@@ -540,11 +541,12 @@ def _cmd_point(cfg: RunConfig, args) -> int:
     return exit_code
 
 
-def _cmd_check(cfg: RunConfig, args) -> int:
+def _candidate(cfg: RunConfig, args, command: str):
+    """(mu, rho, nu) for a command that takes --beta and a --nu law file."""
     if args.beta is None:
-        raise InvalidInputError("check needs --beta")
+        raise InvalidInputError(f"{command} needs --beta")
     if args.nu is None:
-        raise InvalidInputError("check needs --nu FILE")
+        raise InvalidInputError(f"{command} needs --nu FILE")
     mu, dist, labels, _ = build_problem(cfg)
     nu = load_nu(args.nu, labels=labels)
     if len(nu) != dist.shape[1]:
@@ -552,6 +554,11 @@ def _cmd_check(cfg: RunConfig, args) -> int:
             f"nu has {len(nu)} atoms but the reconstruction alphabet has "
             f"{dist.shape[1]}"
         )
+    return mu, dist, nu
+
+
+def _cmd_check(cfg: RunConfig, args) -> int:
+    mu, dist, nu = _candidate(cfg, args, "check")
     report = check_optimality(mu, dist, args.beta, nu)
     doc = {"config": cfg.as_dict(), "report": _report_dict(report)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -559,17 +566,7 @@ def _cmd_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_sinkhorn(cfg: RunConfig, args) -> int:
-    if args.beta is None:
-        raise InvalidInputError("sinkhorn needs --beta")
-    if args.nu is None:
-        raise InvalidInputError("sinkhorn needs --nu FILE")
-    mu, dist, labels, _ = build_problem(cfg)
-    nu = load_nu(args.nu, labels=labels)
-    if len(nu) != dist.shape[1]:
-        raise InvalidInputError(
-            f"nu has {len(nu)} atoms but the reconstruction alphabet has "
-            f"{dist.shape[1]}"
-        )
+    mu, dist, nu = _candidate(cfg, args, "sinkhorn")
     exit_code = 0
     try:
         pair, coupling = sinkhorn(mu, nu, dist, args.beta, tol=min(cfg["tol"], 1e-10))
@@ -621,17 +618,7 @@ def _cmd_compare(cfg: RunConfig, args) -> int:
     else:
         raise InvalidInputError(f"unknown oracle {args.oracle!r}")
 
-    threads = resolve_threads()
-    curve = rd_curve(
-        mu,
-        dist,
-        _beta_schedule(cfg),
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        nu0=_uniform_start(dist.shape[1], labels),
-        warm_start=cfg["warm_start"],
-        threads=threads,
-    )
+    curve = _sweep(cfg, mu, dist, labels)
     max_err, table = compare_curve(curve, oracle, cfg["compare.d_lo"], cfg["compare.d_hi"])
     scale = _rate_scale(cfg["units"])
     lines = ["distortion,rate,rate_oracle,abs_err"]

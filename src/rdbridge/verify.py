@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import RDCurve, RDPoint, dual_certificate, rd_value_from_nu
+from .blahut import RDCurve, RDPoint, _tilted_state
 from .distortion import DistortionMatrix, SourceSpec, normalize_loss, slb_mse
 from .errors import ConvergenceError, EmptyComparisonError, InvalidInputError
 from .measures import ProbabilityVector, entropy
@@ -133,8 +133,7 @@ def check_optimality(
     """
     cfg = config if config is not None else ToleranceConfig()
     work = dist if dist.normalized else normalize_loss(dist)[0]
-    _, slack, dual_value = dual_certificate(mu, work, beta, nu)
-    _, rate = rd_value_from_nu(mu, work, beta, nu)
+    _, _, rate, slack, dual_value = _tilted_state(mu, work, beta, nu)
     dual_gap = rate - dual_value
 
     effective = nu.weights >= cfg.mass_threshold

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdbridge.blahut import (
     RELAXATION,
@@ -16,7 +18,7 @@ from rdbridge.blahut import (
 )
 from rdbridge.distortion import DistortionMatrix, expected_loss, hamming
 from rdbridge.errors import ConvergenceError, InvalidInputError
-from rdbridge.measures import Coupling, ProbabilityVector, mutual_information
+from rdbridge.measures import Coupling, ProbabilityVector, kl_divergence, mutual_information
 
 
 def binary_entropy(q: float) -> float:
@@ -272,6 +274,84 @@ def test_dual_certificate_requires_normalized_loss():
         dual_certificate(mu, raw, 1.0, ProbabilityVector([0.5, 0.5]))
 
 
+def test_zero_mass_row_outside_the_support_keeps_the_certificate_finite():
+    # The empty source row reaches only a column outside supp(nu), so its
+    # partition mass is zero; it must not enter the update factor c.
+    inf = math.inf
+    mu = ProbabilityVector([0.5, 0.5, 0.0])
+    dist = DistortionMatrix(np.array([[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]))
+    nu = ProbabilityVector([0.5, 0.5, 0.0])
+    _, slack, dual_value = dual_certificate(mu, dist, 1.0, nu)
+    assert abs(slack) <= 1e-15
+    _, rate = rd_value_from_nu(mu, dist, 1.0, nu)
+    assert 0.0 <= rate - dual_value <= 1e-15
+    # The solver certifies the same law, and the problem without the
+    # empty row has the same certificate.
+    point = ba_fixed_point(mu, dist, 1.0)
+    assert np.allclose(point.nu_star.weights, nu.weights, rtol=0.0, atol=1e-15)
+    assert abs(point.certificate_slack) <= 1e-15
+    half = ProbabilityVector([0.5, 0.5])
+    _, slack_2, dual_2 = dual_certificate(half, hamming(2), 1.0, half)
+    assert slack == pytest.approx(slack_2, abs=1e-15)
+    assert dual_value == pytest.approx(dual_2, abs=1e-15)
+
+
+# Small problems with the hard cases: zero-mass source and reconstruction
+# atoms, forbidden (+inf) pairs, and slopes deep in the log domain.
+@st.composite
+def tilted_problems(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    mu = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+    if mu.sum() == 0:
+        mu[0] = 1.0
+    loss = st.one_of(st.just(math.inf), st.floats(0.0, 4.0))
+    rho = np.array(draw(st.lists(st.lists(loss, min_size=m, max_size=m), min_size=n, max_size=n)))
+    rho[np.arange(n), draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))] = 0.0
+    nu = np.array(draw(st.lists(mass, min_size=m, max_size=m)))
+    # Every row of positive mass must reach some column of positive nu.
+    reach = np.isfinite(rho[mu > 0]) & (nu > 0)
+    if not reach.any(axis=1).all():
+        nu[np.argmin(rho[mu > 0], axis=1)] = 0.5
+    beta = draw(st.floats(0.0, 50.0))
+    return (
+        ProbabilityVector(mu / mu.sum()),
+        DistortionMatrix(rho),
+        ProbabilityVector(nu / nu.sum()),
+        beta,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tilted_problems())
+def test_certificate_matches_the_explicit_tilted_coupling(problem):
+    mu, dist, nu, beta = problem
+    distortion, rate = rd_value_from_nu(mu, dist, beta, nu)
+    _, slack, dual_value = dual_certificate(mu, dist, beta, nu)
+    assert not any(math.isnan(v) for v in (distortion, rate, slack, dual_value))
+    assert dual_value <= rate
+
+    # At beta = 0 the kernel is identically 1, forbidden pairs included.
+    phi = np.exp(-beta * dist.rho) if beta > 0 else np.ones(dist.shape)
+    live = mu.weights > 0
+    kernel = nu.weights[None, :] * phi[live]
+    joint = np.zeros(dist.shape)
+    joint[live] = mu.weights[live, None] * kernel / kernel.sum(axis=1, keepdims=True)
+    assert distortion == pytest.approx(expected_loss(joint, dist), rel=1e-12, abs=1e-12)
+    product = ProbabilityVector(np.outer(mu.weights, nu.weights).ravel())
+    info = kl_divergence(ProbabilityVector(joint.ravel()), product)
+    assert rate == pytest.approx(info, rel=1e-12, abs=1e-12)
+
+    try:
+        point = ba_fixed_point(mu, dist, beta, tol=1e-9, max_iter=500)
+    except ConvergenceError as err:
+        point = err.partial
+    assert not any(math.isnan(v) for v in (point.distortion, point.rate, point.certificate_slack))
+    assert rd_value_from_nu(mu, dist, beta, point.nu_star) == (point.distortion, point.rate)
+    assert dual_certificate(mu, dist, beta, point.nu_star)[1] == point.certificate_slack
+
+
 # --- invariances and validation --------------------------------------------
 
 
@@ -323,6 +403,8 @@ def test_rd_value_from_nu_validates_length():
     mu = ProbabilityVector([0.5, 0.5])
     with pytest.raises(InvalidInputError):
         rd_value_from_nu(mu, hamming(2), 1.0, ProbabilityVector([1.0]))
+    with pytest.raises(InvalidInputError):
+        dual_certificate(mu, hamming(2), 1.0, ProbabilityVector([1.0]))
 
 
 # --- curve sweeps -----------------------------------------------------------

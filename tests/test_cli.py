@@ -51,6 +51,8 @@ def test_resolve_config_layers_and_unknown_key():
     assert cfg["tol"] == 1e-9
     with pytest.raises(InvalidInputError):
         resolve_config({"source.q": "0.25"}, None)
+    with pytest.raises(InvalidInputError, match="unknown config key"):
+        resolve_config({"deterministic": "true"}, None)
 
 
 def test_resolve_config_validation():
@@ -283,6 +285,31 @@ def test_check_length_mismatch(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_check_zero_mass_row_outside_the_support(tmp_path, capsys):
+    # A zero-mass source atom that reaches only a column outside supp(nu)
+    # once made the slack NaN (a bare NaN token in the JSON) and exit 3.
+    loss = tmp_path / "loss.txt"
+    loss.write_text("0 1 inf\n1 0 inf\ninf inf 0\n")
+    nu_file = tmp_path / "law.txt"
+    nu_file.write_text("0.5\n0.5\n0\n")
+    argv = ["check", "--source.kind", "custom", "--source.weights", "0.5 0.5 0"]
+    argv += ["--distortion.kind", "custom", "--distortion.file", str(loss)]
+    code, out, _ = run_cli(capsys, argv + ["--beta", "1.0", "--nu", str(nu_file)])
+    assert code == 0
+    assert "NaN" not in out
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "optimal"
+    assert abs(report["certificate_slack"]) <= 1e-15
+
+
+def test_commands_with_a_law_need_beta_and_nu(capsys):
+    for command in ("check", "sinkhorn"):
+        code, _, err = run_cli(capsys, [command, "--nu", "law.txt"])
+        assert code == 1 and f"{command} needs --beta" in err
+        code, _, err = run_cli(capsys, [command, "--beta", "1.0"])
+        assert code == 1 and f"{command} needs --nu FILE" in err
 
 
 # --- sinkhorn ---------------------------------------------------------------

@@ -132,6 +132,18 @@ def test_beta_zero_any_law_is_optimal():
     assert report.dual_gap == pytest.approx(0.0, abs=1e-14)
 
 
+def test_zero_mass_row_outside_the_support_is_optimal():
+    # The empty source row has zero partition mass under nu; it must not
+    # turn the dual gap into nan and the verdict into "suboptimal".
+    inf = math.inf
+    mu = ProbabilityVector([0.5, 0.5, 0.0])
+    dist = DistortionMatrix(np.array([[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]))
+    report = check_optimality(mu, dist, 1.0, ProbabilityVector([0.5, 0.5, 0.0]))
+    assert report.verdict == "optimal"
+    assert 0.0 <= report.dual_gap <= 1e-15
+    assert abs(report.certificate_slack) <= 1e-15
+
+
 def test_failed_inner_solve_gives_inconclusive():
     mu = ProbabilityVector([0.7, 0.3])
     cfg = ToleranceConfig(sinkhorn_max_iter=1)
