@@ -590,6 +590,8 @@ def _cmd_sinkhorn(cfg: RunConfig, args) -> int:
         "logG": [float(v) for v in pair.logG],
         "logK": pair.logK,
         "residuals": {"row": row_res, "col": col_res, "eq8": eq8_res},
+        "iterations": pair.iterations,
+        "converged": pair.converged,
         "distortion": distortion,
         "J": j_value,
         "L": l_value,

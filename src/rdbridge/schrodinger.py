@@ -4,7 +4,9 @@ For marginals (mu, nu) and reference gamma_ij = K mu_i nu_j exp(-beta
 rho_ij) (K normalizes gamma to a probability measure), the minimizer of
 D_KL(pi || gamma) over couplings of (mu, nu) has density f(x) g(y) with
 respect to gamma.  The log-potentials solve the Schrodinger system and
-are computed by Sinkhorn iteration in the log domain.
+are computed by Sinkhorn iteration in the scaling domain, on a cached
+kernel into which large scalings are absorbed in the log domain
+(Schmitzer, SIAM J. Sci. Comput. 2019).
 
 The dual quantities J(nu, beta) and L(nu, beta) derived from the
 potentials measure how far a candidate reconstruction law nu sits from
@@ -28,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 2000
+# Scalings u, v are folded into the cached kernel once some |ln u_i| or
+# |ln v_j| passes this, so the kernel stays near the current coupling.
+ABSORB_LOG_SCALE = 30.0
 
 
 @dataclass
@@ -90,6 +95,28 @@ def _coupling_matrix(
     return pi
 
 
+def _absorbed_kernel(log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(a_i + log_phi_s_ij + b_j), subnormal entries flushed to zero.
+
+    A subnormal entry moves a product by less than its rounding error
+    unless a whole row or column is subnormal, and then the product falls
+    below the smallest normal number and the caller takes a log-domain
+    half-step instead.  Kept, such entries make the matrix-vector
+    products slow.
+    """
+    kernel = np.exp(log_phi_s + a[:, None] + b[None, :])
+    kernel[kernel < np.finfo(float).tiny] = 0.0
+    return kernel
+
+
+def _normal(x: np.ndarray) -> bool:
+    """True when every entry of x is a finite, normal positive number.
+
+    Subnormal values carry too few significant bits to divide by.
+    """
+    return bool(x.min() >= np.finfo(float).tiny and x.max() < np.inf)
+
+
 def sinkhorn(
     mu: ProbabilityVector,
     nu: ProbabilityVector,
@@ -100,7 +127,7 @@ def sinkhorn(
     logf0: np.ndarray | None = None,
     logg0: np.ndarray | None = None,
 ) -> tuple[ScalingPair, Coupling]:
-    """Solve the two-marginal scaling problem by log-domain Sinkhorn.
+    """Solve the two-marginal scaling problem by Sinkhorn iteration.
 
     Alternates
 
@@ -108,10 +135,15 @@ def sinkhorn(
         logG_j <- -ln sum_i mu_i exp(logF_i - beta rho_ij) - logK
 
     until the coupling marginals match (mu, nu) to ``tol`` in sup norm.
-    Atoms with zero mass take no part in the updates.  The default
-    initialization logF = logG = 0 is deterministic; alternative starting
-    points converge to the same gauge-fixed potentials and exist mainly
-    to make that uniqueness testable.
+    Each update is one matrix-vector product with a cached kernel
+    (u <- mu / (M v), v <- nu / (M^T u)), and the same products give the
+    marginal residuals.  Scalings are absorbed into the kernel before they
+    grow large, and an update whose product leaves the normal floating
+    point range is taken in the log domain instead.  Atoms with zero mass
+    take no part in the updates.  The default initialization
+    logF = logG = 0 is deterministic; alternative starting points
+    converge to the same gauge-fixed potentials and exist mainly to make
+    that uniqueness testable.
 
     Returns:
         (ScalingPair, Coupling), gauge-fixed so sum_j nu_j logG_j = 0.
@@ -134,49 +166,88 @@ def sinkhorn(
     log_nu = _log_weights(nu.weights)
     rows = mu.support
     cols = nu.support
+    mu_w = mu.weights[rows]
+    nu_w = nu.weights[cols]
+    log_phi_s = log_phi[np.ix_(rows, cols)]
+    log_mu_s = log_mu[rows]
+    log_nu_s = log_nu[cols]
 
     with np.errstate(divide="ignore"):
-        row_reach = logsumexp(log_phi + log_nu[None, :], axis=1)
-        col_reach = logsumexp(log_phi + log_mu[:, None], axis=0)
-    if np.any(np.isneginf(row_reach[rows])):
-        bad = int(rows[np.isneginf(row_reach[rows])][0])
+        row_reach = logsumexp(log_phi_s + log_nu_s, axis=1)
+    if np.any(np.isneginf(row_reach)):
+        bad = int(rows[np.isneginf(row_reach)][0])
         raise InvalidInputError(
             f"source atom {bad} carries mass but every reconstruction in "
             "supp(nu) has infinite loss for it: reference is infeasible"
         )
-    if np.any(np.isneginf(col_reach[cols])):
-        bad = int(cols[np.isneginf(col_reach[cols])][0])
+    col_dead = np.all(np.isneginf(log_phi_s), axis=0)
+    if np.any(col_dead):
+        bad = int(cols[col_dead][0])
         raise InvalidInputError(
             f"reconstruction atom {bad} carries mass but no source in "
             "supp(mu) can reach it: reference is infeasible"
         )
-    logK = float(-logsumexp(log_phi + log_mu[:, None] + log_nu[None, :]))
+    logK = float(-logsumexp(log_mu_s + row_reach))
+
+    # Standard Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(e^b v),
+    # with a = ln mu + logK + logF and b = ln nu + logG.  The log-scalings
+    # (a, b) are absorbed into the cached kernel, which is the coupling at
+    # u = v = 1; u and v are folded into them when they grow past
+    # ABSORB_LOG_SCALE or a kernel product leaves the normal range.
+    # Iteration 1's F-update is taken in the log domain, so every kernel
+    # row starts with exactly its source mass; it overwrites any logf0.
+    b = log_nu_s.copy() if logg0 is None else log_nu_s + np.asarray(logg0, dtype=float)[cols]
+    a = log_mu_s - (row_reach if logg0 is None else logsumexp(log_phi_s + b, axis=1))
+    kernel = _absorbed_kernel(log_phi_s, a, b)
+    u = np.ones(len(rows))
+    v = np.ones(len(cols))
+
+    for iterations in range(1, max_iter + 1):
+        col_sum = kernel.T @ u
+        if _normal(col_sum):
+            np.divide(nu_w, col_sum, out=v)
+            col_res = np.abs(v * col_sum - nu_w).max()
+        else:
+            # A log-domain G-update matches the columns by construction.
+            a += np.log(u)
+            u[:] = 1.0
+            b = log_nu_s - logsumexp(log_phi_s + a[:, None], axis=0)
+            v[:] = 1.0
+            kernel = _absorbed_kernel(log_phi_s, a, b)
+            col_res = 0.0
+
+        # The row marginals u * (kernel v) come from the product the next
+        # F-update needs anyway.
+        row_sum = kernel @ v
+        scaled = _normal(row_sum)
+        if scaled:
+            row_res = np.abs(u * row_sum - mu_w).max()
+        else:
+            b += np.log(v)
+            v[:] = 1.0
+            a_next = log_mu_s - logsumexp(log_phi_s + b, axis=1)
+            row_res = np.abs(np.exp(log_mu_s + a + np.log(u) - a_next) - mu_w).max()
+        residual = float(max(row_res, col_res))
+        if residual <= tol or iterations == max_iter:
+            break
+
+        if scaled:
+            np.divide(mu_w, row_sum, out=u)
+        else:
+            a = a_next
+            u[:] = 1.0
+            kernel = _absorbed_kernel(log_phi_s, a, b)
+        if max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max()) > ABSORB_LOG_SCALE:
+            a += np.log(u)
+            b += np.log(v)
+            u[:] = 1.0
+            v[:] = 1.0
+            kernel = _absorbed_kernel(log_phi_s, a, b)
 
     logF = np.zeros(len(mu))
     logG = np.zeros(len(nu))
-    if logf0 is not None:
-        logF[rows] = np.asarray(logf0, dtype=float)[rows]
-    if logg0 is not None:
-        logG[cols] = np.asarray(logg0, dtype=float)[cols]
-
-    residual = float("inf")
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        logF[rows] = -logK - logsumexp(
-            log_phi[rows] + (log_nu + logG)[None, :], axis=1
-        )
-        logG[cols] = -logK - logsumexp(
-            log_phi[:, cols] + (log_mu + logF)[:, None], axis=0
-        )
-        pi = _coupling_matrix(logF, logG, logK, log_phi, log_mu, log_nu)
-        residual = float(
-            max(
-                np.abs(pi.sum(axis=1) - mu.weights).max(),
-                np.abs(pi.sum(axis=0) - nu.weights).max(),
-            )
-        )
-        if residual <= tol:
-            break
+    logF[rows] = a + np.log(u) - log_mu_s - logK
+    logG[cols] = b + np.log(v) - log_nu_s
 
     # Gauge fix: shift the shared constant so sum_j nu_j logG_j = 0.
     shift = float(nu.weights[cols] @ logG[cols])

@@ -331,11 +331,15 @@ def test_sinkhorn_json_contract(tmp_path, capsys):
         "logG",
         "logK",
         "residuals",
+        "iterations",
+        "converged",
         "distortion",
         "J",
         "L",
     }
     assert set(doc["residuals"]) == {"row", "col", "eq8"}
+    assert doc["converged"] is True
+    assert doc["iterations"] >= 1
     assert max(doc["residuals"].values()) <= 1e-10
     # Rebuild the corner of the coupling from the emitted potentials.
     p00 = math.exp(doc["logK"] + doc["logF"][0] + doc["logG"][0]) * 0.25

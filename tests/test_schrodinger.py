@@ -1,11 +1,16 @@
 """Tests for the two-marginal scaling solver and its dual evaluators."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from rdbridge.blahut import ba_fixed_point
-from rdbridge.distortion import DistortionMatrix, expected_loss, hamming
+from rdbridge import discretize_gaussian
+from rdbridge.blahut import _log_kernel, _log_weights, ba_fixed_point
+from rdbridge.distortion import DistortionMatrix, expected_loss, hamming, squared_error
 from rdbridge.errors import (
     ConvergenceError,
     InvalidInputError,
@@ -17,6 +22,7 @@ from rdbridge.measures import (
     mutual_information,
 )
 from rdbridge.schrodinger import (
+    DEFAULT_MAX_ITER,
     ScalingPair,
     eval_J,
     eval_L,
@@ -47,6 +53,45 @@ def brute_projection_gap(mu, nu, dist, beta, coupling, points=10001):
             continue
         best = min(best, kl(joint))
     return best, kl(coupling.joint)
+
+
+def log_domain_sinkhorn(mu, nu, dist, beta, tol, max_iter):
+    """Reference Sinkhorn: two logsumexp updates and an explicit coupling per step.
+
+    The same updates, stop rule and gauge as ``sinkhorn``, written in the
+    log domain throughout.  Returns (logF, logG, logK, iterations,
+    residual); raises InvalidInputError where ``sinkhorn`` does.
+    """
+    log_phi = _log_kernel(dist, beta)
+    log_mu = _log_weights(mu.weights)
+    log_nu = _log_weights(nu.weights)
+    rows, cols = mu.support, nu.support
+    with np.errstate(divide="ignore"):
+        row_reach = logsumexp(log_phi + log_nu[None, :], axis=1)
+        col_reach = logsumexp(log_phi + log_mu[:, None], axis=0)
+    if np.any(np.isneginf(row_reach[rows])) or np.any(np.isneginf(col_reach[cols])):
+        raise InvalidInputError("reference is infeasible")
+    logK = float(-logsumexp(log_phi + log_mu[:, None] + log_nu[None, :]))
+    logF = np.zeros(len(mu))
+    logG = np.zeros(len(nu))
+    residual = math.inf
+    for iterations in range(1, max_iter + 1):
+        logF[rows] = -logK - logsumexp(log_phi[rows] + (log_nu + logG)[None, :], axis=1)
+        logG[cols] = -logK - logsumexp(log_phi[:, cols] + (log_mu + logF)[:, None], axis=0)
+        with np.errstate(invalid="ignore"):
+            pi = np.exp(logK + (logF + log_mu)[:, None] + (logG + log_nu)[None, :] + log_phi)
+        pi[np.isnan(pi)] = 0.0
+        residual = max(
+            np.abs(pi.sum(axis=1) - mu.weights).max(),
+            np.abs(pi.sum(axis=0) - nu.weights).max(),
+        )
+        if residual <= tol:
+            break
+    shift = float(nu.weights[cols] @ logG[cols])
+    logG[cols] -= shift
+    logF[rows] += shift
+    Coupling(pi)  # rejects a final iterate whose mass is off by rounding
+    return logF, logG, logK, iterations, residual
 
 
 # --- closed forms and convergence ------------------------------------------
@@ -132,6 +177,130 @@ def test_zero_mass_atoms_keep_zero_potentials():
     pair, coupling = sinkhorn(mu, nu, DistortionMatrix(rho), 1.0, tol=1e-13)
     assert pair.logG[2] == 0.0
     assert np.all(coupling.joint[:, 2] == 0.0)
+
+
+# Small problems with the hard cases: zero-mass atoms on both sides,
+# forbidden (+inf) pairs that can make the reference infeasible, and
+# slopes whose kernels underflow far past the smallest double.
+@st.composite
+def scaling_problems(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = []
+    for size in (n, m):
+        w = np.array(draw(st.lists(mass, min_size=size, max_size=size)))
+        if w.sum() == 0:
+            w[draw(st.integers(0, size - 1))] = 1.0
+        weights.append(ProbabilityVector(w / w.sum()))
+    loss = st.one_of(st.just(math.inf), st.floats(0.0, 4.0))
+    rho = np.array(draw(st.lists(st.lists(loss, min_size=m, max_size=m), min_size=n, max_size=n)))
+    rho[np.arange(n), draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))] = 0.0
+    return weights[0], weights[1], DistortionMatrix(rho), draw(st.floats(0.0, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaling_problems())
+def test_scaling_iteration_matches_the_log_domain_reference(problem):
+    mu, nu, dist, beta = problem
+    tol, max_iter = 1e-10, 300
+    try:
+        ref_logF, ref_logG, _, ref_iterations, ref_residual = log_domain_sinkhorn(
+            mu, nu, dist, beta, tol, max_iter
+        )
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            sinkhorn(mu, nu, dist, beta, tol=tol, max_iter=max_iter)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            pair, _ = sinkhorn(mu, nu, dist, beta, tol=tol, max_iter=max_iter)
+        except ConvergenceError as err:
+            pair, _ = err.partial
+    assert pair.converged == (ref_residual <= tol)
+    assert abs(pair.iterations - ref_iterations) <= 1
+    if pair.converged:
+        assert pair.marginal_residual <= tol
+        assert np.abs(pair.logF - ref_logF).max() <= 1e-9
+        assert np.abs(pair.logG - ref_logG).max() <= 1e-9
+
+
+STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "mu, nu, dist, beta",
+    [
+        # Column 0 of the kernel is subnormal, so the G-update is taken in
+        # the log domain.
+        (ProbabilityVector([1.0, 1e-310]), ProbabilityVector([1e-310, 1.0]), hamming(2), 1.0),
+        # Row 2 of the kernel is flushed to zero, so every F-update is
+        # taken in the log domain.
+        (ProbabilityVector([0.5, 0.5, 1e-320]), ProbabilityVector([0.3, 0.3, 0.4]), STEPPED, 1.0),
+        # Entry (1, 1) starts near 1e-311 and is flushed, though it is
+        # only e^-23 below entry (0, 1).  The first G-update scales column
+        # 1 up by about e^690, so unless the kernel is rebuilt with that
+        # scaling absorbed, row 1 never reaches column 1.
+        (
+            ProbabilityVector([0.5, 0.5]),
+            ProbabilityVector([0.9, 0.1]),
+            DistortionMatrix(np.array([[0.0, 0.69], [0.0, 0.713]])),
+            1000.0,
+        ),
+    ],
+    ids=["subnormal-column", "flushed-row", "absorbed-entry"],
+)
+def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
+    ref_logF, ref_logG, _, ref_iterations, _ = log_domain_sinkhorn(
+        mu, nu, dist, beta, 1e-12, DEFAULT_MAX_ITER
+    )
+    assert pair.converged
+    assert pair.iterations == ref_iterations
+    assert np.abs(pair.logF - ref_logF).max() <= 1e-12
+    assert np.abs(pair.logG - ref_logG).max() <= 1e-12
+
+
+def gaussian_problem():
+    spec = discretize_gaussian(1.0, 6.0, 257)
+    return spec.weights, squared_error(spec.grid, spec.grid), spec.grid
+
+
+def test_underflowing_kernel_rows_converge_without_warnings():
+    # At beta = 50 every kernel entry of a source atom far from both
+    # reconstruction atoms is below the smallest double, so a first
+    # F-update in the scaling domain would divide by zero.
+    mu, dist, _ = gaussian_problem()
+    weights = np.zeros(257)
+    weights[[100, 160]] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pair, _ = sinkhorn(mu, ProbabilityVector(weights), dist, 50.0, tol=1e-12)
+    assert pair.converged
+    assert pair.marginal_residual <= 1e-12
+    # The iteration count of the log-domain reference loop on this law.
+    assert pair.iterations == 1453
+
+
+def test_near_optimal_law_takes_the_log_domain_iteration_count():
+    # A machine-independent budget: a candidate law like those the
+    # optimality check sees, solved as tightly as the check solves it.
+    mu, dist, grid = gaussian_problem()
+    beta = 4.0
+    law = np.exp(-(grid**2) / (2.0 * (1.0 - 1.0 / (2.0 * beta))))
+    nu = ProbabilityVector(0.99 * law / law.sum() + 0.01 / len(grid))
+    pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
+    ref_logF, ref_logG, ref_logK, ref_iterations, _ = log_domain_sinkhorn(
+        mu, nu, dist, beta, 1e-12, DEFAULT_MAX_ITER
+    )
+    assert pair.converged
+    assert pair.iterations == ref_iterations
+    assert abs(pair.logK - ref_logK) <= 1e-12
+    assert np.abs(pair.logF - ref_logF).max() <= 1e-12
+    assert np.abs(pair.logG - ref_logG).max() <= 1e-12
 
 
 # --- dual evaluators --------------------------------------------------------
