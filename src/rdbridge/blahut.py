@@ -37,8 +37,6 @@ from .measures import ProbabilityVector
 
 logger = logging.getLogger(__name__)
 
-# Switch to logsumexp-based evaluation once beta * max(rho) exceeds this.
-LOG_DOMAIN_THRESHOLD = 30.0
 # Reconstruction atoms falling below this mass are pinned to exact zero
 # and never revived.
 SUPPORT_FLOOR = 1e-300
@@ -125,13 +123,20 @@ def _log_kernel(dist: DistortionMatrix, beta: float) -> np.ndarray:
     return -beta * dist.rho
 
 
-def _check_compat(mu: ProbabilityVector, dist: DistortionMatrix, beta: float):
+def _check_compat(
+    mu: ProbabilityVector,
+    dist: DistortionMatrix,
+    beta: float,
+    nu: ProbabilityVector | None = None,
+):
     if beta < 0 or not np.isfinite(beta):
         raise InvalidInputError(f"beta must be a finite nonnegative real, got {beta}")
     if len(mu) != dist.shape[0]:
         raise InvalidInputError(
             f"mu has {len(mu)} atoms but rho has {dist.shape[0]} rows"
         )
+    if nu is not None and len(nu) != dist.shape[1]:
+        raise InvalidInputError(f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns")
 
 
 def _tilted_rows(log_phi, log_nu, log_mu):
@@ -154,19 +159,14 @@ def _tilted_rows(log_phi, log_nu, log_mu):
     return log_z, log_c
 
 
-def _shifted_kernel(log_phi: np.ndarray, log_domain: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Cache exp(log_phi - shift) with a per-row shift.
+def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cache exp(log_phi - shift), shifted by the row maximum of log_phi.
 
-    In the log-domain regime the shift is the row maximum of log_phi, so a
-    row partition sum computed from the cached kernel is exactly a
+    A row partition sum computed from the cached kernel is then exactly a
     logsumexp evaluation whose shift was chosen once instead of per call.
-    Below the regime threshold the kernel cannot underflow and the shift
-    is zero.
+    For a normalized loss the shift is zero.
     """
-    if log_domain:
-        shift = np.max(log_phi, axis=1)
-    else:
-        shift = np.zeros(log_phi.shape[0])
+    shift = np.max(log_phi, axis=1)
     with np.errstate(invalid="ignore"):
         ker = np.exp(log_phi - shift[:, None])
     # Rows of all-infinite loss produce nan from (-inf) - (-inf); they
@@ -190,9 +190,7 @@ def _tilted_state(
     Returns (log Z_i over all rows, D, R, slack, dual_value): the values
     ``rd_value_from_nu`` and ``dual_certificate`` document.
     """
-    _check_compat(mu, dist, beta)
-    if len(nu) != dist.shape[1]:
-        raise InvalidInputError(f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns")
+    _check_compat(mu, dist, beta, nu)
     log_phi = _log_kernel(dist, beta)
     log_nu = _log_weights(nu.weights)
     log_z, log_c = _tilted_rows(log_phi, log_nu, _log_weights(mu.weights))
@@ -291,13 +289,13 @@ def ba_fixed_point(
     decay below ``SUPPORT_FLOOR`` are pinned to exact zero and never
     revived.
 
-    Above the log-domain threshold every partition sum is a logsumexp
-    evaluation whose per-row shift depends only on (beta, rho); the
-    shifted exponentials are therefore cached once and each iteration
-    reduces to two matrix products, falling back to per-call logsumexp
-    in the rare event a shifted sum underflows.  Outside that fallback
-    and support pinning, the loop allocates no arrays: every step writes
-    into buffers made once per call.
+    Every partition sum is a logsumexp evaluation whose per-row shift
+    depends only on (beta, rho); the shifted exponentials are therefore
+    cached once and each iteration reduces to two matrix products,
+    falling back to per-call logsumexp in the rare event a shifted sum
+    underflows.  Outside that fallback and support pinning, the loop
+    allocates no arrays: every step writes into buffers made once per
+    call.
 
     Args:
         nu0: initial reconstruction law (defaults to uniform); must be
@@ -322,14 +320,12 @@ def ba_fixed_point(
             f"min_iter must be in [1, max_iter], got {min_iter} with max_iter {max_iter}"
         )
 
-    max_rho = float(np.max(dist.rho)) if np.all(np.isfinite(dist.rho)) else float("inf")
-    log_domain = beta > 0 and beta * max_rho > LOG_DOMAIN_THRESHOLD
     # Rows of zero source mass take no part in F or in the update factor.
     live = mu.weights > 0
     mu_live = mu.weights[live]
     log_mu = _log_weights(mu_live)
     log_phi = _log_kernel(dist, beta)[live]
-    shift, ker = _shifted_kernel(log_phi, log_domain)
+    shift, ker = _shifted_kernel(log_phi)
     zt = np.empty(len(mu_live))
     log_zt = np.empty_like(zt)
     w = np.empty_like(zt)
@@ -478,16 +474,13 @@ def rd_curve(
     max_iter: int = 5000,
     nu0: ProbabilityVector | None = None,
     warm_start: bool = True,
-    threads: int = 1,
 ) -> RDCurve:
     """Sweep a strictly increasing beta schedule into an RDCurve.
 
-    With ``warm_start`` (the default) each solve starts from the previous
-    optimum mixed with ``WARM_START_MIX`` uniform mass, and points run
-    sequentially.  With warm starting disabled the points are independent
-    and may be evaluated on up to ``threads`` workers; results are
-    identical either way because every solve is a pure function of its
-    inputs.
+    The points are solved in schedule order.  With ``warm_start`` (the
+    default) each solve starts from the previous optimum mixed with
+    ``WARM_START_MIX`` uniform mass; without it every solve starts from
+    ``nu0``.
 
     Points whose solve exhausts its budget are kept with
     ``converged=False`` rather than aborting the sweep.
@@ -499,8 +492,6 @@ def rd_curve(
         raise InvalidInputError("betas must be nonnegative")
     if np.any(np.diff(betas) <= 0):
         raise InvalidInputError("betas must be strictly increasing")
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
 
     def solve(beta: float, start: ProbabilityVector | None) -> RDPoint:
         try:
@@ -509,22 +500,16 @@ def rd_curve(
             logger.warning("degraded point at beta=%g: %s", beta, err)
             return err.partial
 
-    points: list[RDPoint] = []
     if warm_start:
+        points: list[RDPoint] = []
         start = nu0
         for beta in betas:
             point = solve(float(beta), start)
             points.append(point)
             start = warm_start_law(point.nu_star)
-    elif threads == 1:
-        points = [solve(float(beta), nu0) for beta in betas]
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        points = [solve(float(beta), nu0) for beta in betas]
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(lambda b: solve(float(b), nu0), betas))
-
-    points.sort(key=lambda p: p.beta)
     curve = RDCurve(points)
     report = curve.shape_report()
     if report["max_distortion_increase"] > 1e-9 or report["max_rate_decrease"] > 1e-9:

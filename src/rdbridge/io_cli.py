@@ -11,8 +11,7 @@ loss matrix, and runs one of five commands:
     compare   swept rates against a closed-form oracle, as CSV
 
 All outputs are deterministic byte-for-byte for a fixed config: the
-solvers are seedless and the ``RD_BRIDGE_THREADS`` cap never changes
-results, only scheduling.  Exit codes: 0 success, 1 invalid input or
+solvers are seedless.  Exit codes: 0 success, 1 invalid input or
 config, 2 partial or failed convergence (or an inconclusive verdict /
 exceeded comparison bound), 3 suboptimal verdict.
 """
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -194,22 +192,6 @@ def resolve_config(
                 f"got lo={lo}, hi={hi}, count={count}"
             )
     return RunConfig(values)
-
-
-def resolve_threads(env: dict | None = None) -> int:
-    """Read the RD_BRIDGE_THREADS cap; absent means 1."""
-    raw = (env if env is not None else os.environ).get("RD_BRIDGE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise InvalidInputError(
-            f"RD_BRIDGE_THREADS must be an integer >= 1, got {raw!r}"
-        ) from None
-    if threads < 1:
-        raise InvalidInputError(f"RD_BRIDGE_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def build_problem(
@@ -452,7 +434,6 @@ def _sweep(cfg: RunConfig, mu: ProbabilityVector, dist: DistortionMatrix, labels
         max_iter=cfg["max_iter"],
         nu0=_uniform_start(dist.shape[1], labels),
         warm_start=cfg["warm_start"],
-        threads=resolve_threads(),
     )
 
 

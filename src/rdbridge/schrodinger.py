@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .blahut import _log_kernel, _log_weights
+from .blahut import _check_compat, _log_kernel, _log_weights
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
 from .measures import Coupling, ProbabilityVector
@@ -62,16 +62,6 @@ class ScalingPair:
     tol: float = DEFAULT_TOL
     iterations: int = 0
     converged: bool = True
-
-
-def _check_problem(mu: ProbabilityVector, nu: ProbabilityVector, dist: DistortionMatrix, beta: float):
-    if beta < 0 or not np.isfinite(beta):
-        raise InvalidInputError(f"beta must be a finite nonnegative real, got {beta}")
-    if len(mu) != dist.shape[0] or len(nu) != dist.shape[1]:
-        raise InvalidInputError(
-            f"marginal sizes ({len(mu)}, {len(nu)}) do not match the loss "
-            f"matrix shape {dist.shape}"
-        )
 
 
 def _coupling_matrix(
@@ -124,7 +114,6 @@ def sinkhorn(
     beta: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    logf0: np.ndarray | None = None,
     logg0: np.ndarray | None = None,
 ) -> tuple[ScalingPair, Coupling]:
     """Solve the two-marginal scaling problem by Sinkhorn iteration.
@@ -140,10 +129,10 @@ def sinkhorn(
     marginal residuals.  Scalings are absorbed into the kernel before they
     grow large, and an update whose product leaves the normal floating
     point range is taken in the log domain instead.  Atoms with zero mass
-    take no part in the updates.  The default initialization
-    logF = logG = 0 is deterministic; alternative starting points
-    converge to the same gauge-fixed potentials and exist mainly to make
-    that uniqueness testable.
+    take no part in the updates.  The default initialization logG = 0 is
+    deterministic; an alternative ``logg0`` converges to the same
+    gauge-fixed potentials and exists mainly to make that uniqueness
+    testable.  logF needs no start: iteration 1 computes it from logG.
 
     Returns:
         (ScalingPair, Coupling), gauge-fixed so sum_j nu_j logG_j = 0.
@@ -155,7 +144,7 @@ def sinkhorn(
         ConvergenceError: iteration budget exhausted; ``.partial`` holds
             the (ScalingPair, Coupling) of the final iterate.
     """
-    _check_problem(mu, nu, dist, beta)
+    _check_compat(mu, dist, beta, nu)
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -195,7 +184,7 @@ def sinkhorn(
     # u = v = 1; u and v are folded into them when they grow past
     # ABSORB_LOG_SCALE or a kernel product leaves the normal range.
     # Iteration 1's F-update is taken in the log domain, so every kernel
-    # row starts with exactly its source mass; it overwrites any logf0.
+    # row starts with exactly its source mass.
     b = log_nu_s.copy() if logg0 is None else log_nu_s + np.asarray(logg0, dtype=float)[cols]
     a = log_mu_s - (row_reach if logg0 is None else logsumexp(log_phi_s + b, axis=1))
     kernel = _absorbed_kernel(log_phi_s, a, b)
@@ -284,6 +273,21 @@ def _require_fresh(scal: ScalingPair):
         )
 
 
+def _dual_rows(
+    mu: ProbabilityVector,
+    nu: ProbabilityVector,
+    dist: DistortionMatrix,
+    beta: float,
+    logG: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log_phi, log_nu and den_i = ln sum_j g_j e^{-beta rho_ij} nu_j on supp(mu)."""
+    log_phi = _log_kernel(dist, beta)
+    log_nu = _log_weights(nu.weights)
+    with np.errstate(divide="ignore"):
+        den = logsumexp(log_phi[mu.support] + (log_nu + logG)[None, :], axis=1)
+    return log_phi, log_nu, den
+
+
 def eval_J(
     mu: ProbabilityVector,
     nu: ProbabilityVector,
@@ -300,16 +304,12 @@ def eval_J(
     evaluated in the log domain from a converged scaling pair.  At the
     optimal reconstruction law and matched D this equals the curve rate.
     """
-    _check_problem(mu, nu, dist, beta)
+    _check_compat(mu, dist, beta, nu)
     _require_fresh(scal)
-    log_phi = _log_kernel(dist, beta)
-    log_nu = _log_weights(nu.weights)
-    rows = mu.support
+    _, _, den = _dual_rows(mu, nu, dist, beta, scal.logG)
     cols = nu.support
-    with np.errstate(divide="ignore"):
-        den = logsumexp(log_phi[rows] + (log_nu + scal.logG)[None, :], axis=1)
     return float(
-        -(mu.weights[rows] @ den)
+        -(mu.weights[mu.support] @ den)
         + nu.weights[cols] @ scal.logG[cols]
         - beta * D
     )
@@ -328,15 +328,13 @@ def eval_L(
                        / sum_j g_j e^{-beta rho_ij} nu_j )
         + sum_j nu_j ln g_j
     """
-    _check_problem(mu, nu, dist, beta)
+    _check_compat(mu, dist, beta, nu)
     _require_fresh(scal)
-    log_phi = _log_kernel(dist, beta)
-    log_nu = _log_weights(nu.weights)
+    log_phi, log_nu, den = _dual_rows(mu, nu, dist, beta, scal.logG)
     rows = mu.support
     cols = nu.support
     with np.errstate(divide="ignore"):
         plain = logsumexp(log_phi[rows] + log_nu[None, :], axis=1)
-        den = logsumexp(log_phi[rows] + (log_nu + scal.logG)[None, :], axis=1)
     return float(
         mu.weights[rows] @ (plain - den)
         + nu.weights[cols] @ scal.logG[cols]
@@ -360,17 +358,15 @@ def schrodinger_residual(
         from 1 over y in supp(nu).  Works on unconverged pairs too; the
         numbers are then just large.
     """
-    _check_problem(mu, nu, dist, scal.beta)
-    log_phi = _log_kernel(dist, scal.beta)
+    _check_compat(mu, dist, scal.beta, nu)
+    log_phi, log_nu, den = _dual_rows(mu, nu, dist, scal.beta, scal.logG)
     log_mu = _log_weights(mu.weights)
-    log_nu = _log_weights(nu.weights)
     rows = mu.support
     cols = nu.support
     pi = _coupling_matrix(scal.logF, scal.logG, scal.logK, log_phi, log_mu, log_nu)
     row_res = float(np.abs(pi.sum(axis=1) - mu.weights).max())
     col_res = float(np.abs(pi.sum(axis=0) - nu.weights).max())
     with np.errstate(divide="ignore"):
-        den = logsumexp(log_phi[rows] + (log_nu + scal.logG)[None, :], axis=1)
         log_t = scal.logG[cols] + logsumexp(
             (log_mu[rows] - den)[:, None] + log_phi[np.ix_(rows, cols)], axis=0
         )

@@ -16,7 +16,7 @@ from rdbridge.blahut import (
     rd_curve,
     rd_value_from_nu,
 )
-from rdbridge.distortion import DistortionMatrix, expected_loss, hamming
+from rdbridge.distortion import DistortionMatrix, expected_loss, hamming, normalize_loss
 from rdbridge.errors import ConvergenceError, InvalidInputError
 from rdbridge.measures import Coupling, ProbabilityVector, kl_divergence, mutual_information
 
@@ -81,14 +81,33 @@ def test_support_pinning_reaches_exact_zero():
 
 
 def test_log_domain_regime_matches_entropy():
-    # beta * max(rho) = 80 forces the shifted-kernel path; the distortion
-    # is ~e^-80 so the rate equals the source entropy to far better than
-    # the tolerance checked.
+    # At beta = 80 the off-diagonal kernel entries are e^-80; the
+    # distortion is ~e^-80 so the rate equals the source entropy to far
+    # better than the tolerance checked.
     mu = ProbabilityVector([0.7, 0.3])
     point = ba_fixed_point(mu, hamming(2), 80.0, tol=1e-12, max_iter=500)
     assert point.converged
     assert abs(point.rate - 0.6108643020548935) < 1e-9
     assert point.distortion < 1e-30
+
+
+def test_unnormalized_loss_matches_its_normalized_version():
+    # A constant added to a row of rho only rescales that row of the
+    # kernel, so the optimal law and the rate are those of the normalized
+    # loss and D moves by sum_i mu_i offset_i.  beta * max(rho) stays
+    # small, where the cached kernel is shifted by the row maxima.
+    mu = ProbabilityVector([0.5, 0.3, 0.2])
+    raw = DistortionMatrix(np.array([[1.0, 2.0, 3.5], [2.5, 0.5, 1.0], [3.0, 2.0, 1.5]]))
+    normalized, offsets = normalize_loss(raw)
+    tol = 1e-11
+    beta = 2.0
+    assert not raw.normalized and beta * raw.rho.max() < 30.0
+    point = ba_fixed_point(mu, raw, beta, tol=tol, max_iter=50000)
+    ref = ba_fixed_point(mu, normalized, beta, tol=tol, max_iter=50000)
+    assert point.converged and ref.converged
+    assert np.abs(point.nu_star.weights - ref.nu_star.weights).max() <= tol
+    assert point.rate == pytest.approx(ref.rate, abs=tol)
+    assert point.distortion == pytest.approx(ref.distortion + mu.weights @ offsets, abs=tol)
 
 
 def test_restricted_support_start_reports_unbounded_slack():
@@ -421,8 +440,6 @@ def test_rd_curve_schedule_validation():
         rd_curve(mu, dist, [-1.0, 0.5])
     with pytest.raises(InvalidInputError):
         rd_curve(mu, dist, [[0.5, 1.0]])
-    with pytest.raises(InvalidInputError):
-        rd_curve(mu, dist, [0.5, 1.0], threads=0)
 
 
 def test_rd_curve_keeps_degraded_points():
@@ -431,21 +448,6 @@ def test_rd_curve_keeps_degraded_points():
     assert len(curve) == 2
     assert all(not p.converged for p in curve.points)
     assert all(p.iterations == 3 for p in curve.points)
-
-
-def test_rd_curve_threads_match_sequential():
-    mu = ProbabilityVector([0.7, 0.3])
-    dist = hamming(2)
-    betas = np.linspace(0.2, 4.0, 9)
-    seq = rd_curve(mu, dist, betas, tol=1e-11, max_iter=50000, warm_start=False)
-    par = rd_curve(
-        mu, dist, betas, tol=1e-11, max_iter=50000, warm_start=False, threads=2
-    )
-    for a, b in zip(seq.points, par.points):
-        assert a.beta == b.beta
-        assert a.distortion == b.distortion
-        assert a.rate == b.rate
-        assert np.array_equal(a.nu_star.weights, b.nu_star.weights)
 
 
 def test_shape_report_skips_degenerate_chords():

@@ -14,7 +14,6 @@ from rdbridge.io_cli import (
     main,
     parse_config_text,
     resolve_config,
-    resolve_threads,
 )
 
 LN2 = math.log(2.0)
@@ -77,15 +76,6 @@ def test_parse_bool_words():
     assert not _parse_bool("false") and not _parse_bool("0") and not _parse_bool("No")
     with pytest.raises(InvalidInputError):
         _parse_bool("maybe")
-
-
-def test_resolve_threads():
-    assert resolve_threads({}) == 1
-    assert resolve_threads({"RD_BRIDGE_THREADS": "4"}) == 4
-    with pytest.raises(InvalidInputError):
-        resolve_threads({"RD_BRIDGE_THREADS": "0"})
-    with pytest.raises(InvalidInputError):
-        resolve_threads({"RD_BRIDGE_THREADS": "many"})
 
 
 # --- curve ------------------------------------------------------------------
@@ -505,13 +495,6 @@ def test_thread_cap_does_not_change_output(monkeypatch, capsys):
     monkeypatch.setenv("RD_BRIDGE_THREADS", "4")
     _, pooled, _ = run_cli(capsys, argv)
     assert single == pooled
-
-
-def test_invalid_thread_cap_exit_1(monkeypatch, capsys):
-    monkeypatch.setenv("RD_BRIDGE_THREADS", "many")
-    code, _, err = run_cli(capsys, ["curve", "--betas.list", "1.0,2.0"])
-    assert code == 1
-    assert "RD_BRIDGE_THREADS" in err
 
 
 # --- module entry point -----------------------------------------------------

@@ -163,7 +163,6 @@ def test_initialization_does_not_change_the_limit():
         hamming(2),
         1.3,
         tol=1e-13,
-        logf0=np.array([0.3, -0.5]),
         logg0=np.array([-0.2, 0.4]),
     )
     assert np.abs(ref.logF - alt.logF).max() <= 1e-8
