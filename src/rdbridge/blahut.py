@@ -22,10 +22,27 @@ and F still falls along the step at its end (it did not overshoot);
 otherwise the plain step, which never increases F, is taken.  So F is
 nonincreasing along the iteration, and where the plain map converges
 fast the iteration is the plain one.
+
+Blahut-Arimoto is a first-order method and slows down without bound at
+critical slopes and on sparse optimal laws.  A solve with a tight
+tolerance (tol <= NEWTON_TOL) therefore runs it in two phases:
+
+1. Blahut-Arimoto, until the slack max_j c_j - 1 falls to
+   HANDOVER_SLACK;
+2. projected Newton steps on f(x) = F(x) + sum_j x_j over x >= 0, whose
+   minimiser is the optimal law (it sums to 1).  This is the NPMLE
+   mixture likelihood, and the steps follow mixSQP (Kim, Carbonetto,
+   Stephens & Anitescu, JCGS 2020): each solves the quadratic model of f
+   over y >= 0 by an active-set method warm-started from the current
+   support, then a line search on f picks the step length.
+
+A looser tolerance never leaves phase 1.  A failed Newton step hands the
+solve back to phase 1 for good.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +55,28 @@ from .measures import ProbabilityVector
 logger = logging.getLogger(__name__)
 
 # Reconstruction atoms falling below this mass are pinned to exact zero
-# and never revived.
+# and never revived by a Blahut-Arimoto step.
 SUPPORT_FLOOR = 1e-300
 # Uniform mass mixed into the previous optimum when warm-starting a sweep.
 WARM_START_MIX = 1e-6
 # Exponent lambda of the over-relaxed update nu <- nu * c**lambda.
 RELAXATION = 1.9
+# Solves with tol at or below NEWTON_TOL hand over from Blahut-Arimoto to
+# projected Newton steps once the slack has fallen to HANDOVER_SLACK.
+NEWTON_TOL = 1e-6
+HANDOVER_SLACK = 1e-3
+# An atom of zero mass enters a Newton step only if c_j >= 1 - CANDIDATE_GAP.
+CANDIDATE_GAP = 1e-2
+# Ridge added to the Newton Hessian, relative to its largest diagonal entry.
+RIDGE = 1e-12
+# The Newton QP ends once no atom held at zero lowers its model at a rate
+# above max(tol / 10, QP_TOL_FLOOR), and fails after more than
+# 2 m + QP_CHANGE_SLACK active-set changes on m candidate atoms.
+QP_TOL_FLOOR = 1e-14
+QP_CHANGE_SLACK = 10
+# Armijo fraction and number of halvings of the Newton line search.
+ARMIJO = 1e-4
+LINE_SEARCH_STEPS = 30
 
 
 @dataclass
@@ -117,9 +150,13 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
 
 
 def _log_kernel(dist: DistortionMatrix, beta: float) -> np.ndarray:
-    """log of exp(-beta rho); at beta = 0 the kernel is identically 1."""
+    """log of exp(-beta rho).
+
+    At beta = 0 this is the beta -> 0+ limit: 0 on finite losses and
+    -inf on +inf ones, so forbidden pairs stay forbidden at every slope.
+    """
     if beta == 0:
-        return np.zeros(dist.shape)
+        return np.where(np.isposinf(dist.rho), -np.inf, 0.0)
     return -beta * dist.rho
 
 
@@ -202,12 +239,8 @@ def _tilted_state(
     # 0 * inf guard: a positive pi entry can only sit on finite rho.
     contrib = np.where(pi > 0, pi * np.where(np.isfinite(rho), rho, 0.0), 0.0)
     distortion = float(mu.weights[live] @ contrib.sum(axis=1))
-    if np.any(np.isposinf(rho) & (pi > 0)):
-        distortion = float("inf")
     neg_log_z = -(mu.weights[live] @ log_z[live])
-    # At beta = 0 the kernel ignores the loss, so D can be infinite while
-    # the beta D term is still zero.
-    tilt = beta * distortion if beta else 0.0
+    tilt = beta * distortion
     # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
     rate = float(neg_log_z - tilt) + 0.0
     dual_value = float(neg_log_z - np.log1p(max(slack, 0.0)) - tilt)
@@ -258,6 +291,76 @@ def dual_certificate(
     return np.exp(-log_z), slack, dual_value
 
 
+def _nonneg_qp(h: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float, max_changes: int):
+    """Minimise y'hy/2 - b'y over y >= 0 by Lawson and Hanson's active set.
+
+    ``h`` must be positive definite.  The passive (free) set starts as the
+    support of the feasible start ``y``, and the upper Cholesky factor of
+    its block of ``h`` is factored once.  A variable that enters extends
+    the factor by one row; one that leaves changes only the block after
+    it.  The solve ends once no variable held at zero can lower the
+    objective at a rate above ``tol``.
+
+    Returns (y, passive set size, set changes), or None when the set
+    changes more than ``max_changes`` times or the factor breaks down.
+    """
+    # scipy.linalg takes about 60 ms to import, and only solves with a
+    # tight tol reach this point.
+    from scipy.linalg import lapack
+
+    y = y.copy()
+    passive = np.flatnonzero(y > 0)
+    r, info = lapack.dpotrf(h[np.ix_(passive, passive)])
+    if info:
+        return None
+    changes = 0
+    while changes <= max_changes:
+        z, info = lapack.dpotrs(r, b[passive]) if len(passive) else (b[:0], 0)
+        if info:
+            return None
+        if np.all(z > 0.0):
+            y[:] = 0.0
+            y[passive] = z
+            gain = b - h @ y
+            gain[passive] = -np.inf
+            j = int(np.argmax(gain))
+            if not gain[j] > tol:
+                return y, len(passive), changes
+            p = len(passive)
+            col, info = lapack.dtrtrs(r, h[passive, j], trans=1) if p else (b[:0], 0)
+            pivot = h[j, j] - col @ col
+            if info or not pivot > 0.0:
+                return None
+            grown = np.zeros((p + 1, p + 1))
+            grown[:p, :p] = r
+            grown[:p, p] = col
+            grown[p, p] = math.sqrt(pivot)
+            r = grown
+            passive = np.append(passive, j)
+            changes += 1
+        else:
+            # Move towards z until the first free variable reaches zero,
+            # and bind every variable that did.
+            yp = y[passive]
+            neg = np.flatnonzero(z <= 0.0)
+            ratios = yp[neg] / (yp[neg] - z[neg])
+            first = neg[np.argmin(ratios)]
+            yp += ratios.min() * (z - yp)
+            yp[first] = 0.0
+            leave = np.flatnonzero(yp <= 0.0)
+            y[passive] = np.maximum(yp, 0.0)
+            for k in leave[::-1]:
+                # The block after k takes the rank-one update by row k.
+                row, tail = r[k, k + 1 :], r[k + 1 :, k + 1 :]
+                r = np.delete(np.delete(r, k, axis=0), k, axis=1)
+                r[k:, k:], info = lapack.dpotrf(tail.T @ tail + np.outer(row, row))
+                if info:
+                    return None
+            passive = np.delete(passive, leave)
+            changes += len(leave)
+    return None
+
+
 def ba_fixed_point(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -267,9 +370,9 @@ def ba_fixed_point(
     max_iter: int = 5000,
     min_iter: int = 1,
 ) -> RDPoint:
-    """Run the Blahut-Arimoto iteration at a single trade-off slope.
+    """Solve for the optimal reconstruction law at a single trade-off slope.
 
-    Each iteration takes one step: the over-relaxed update
+    Each Blahut-Arimoto iteration takes one step: the over-relaxed update
     nu <- nu * c**RELAXATION (renormalized) when it does not increase
     F(nu) = -sum_i mu_i ln Z_i and does not overshoot (the derivative of
     F along the step, taken at its end, is still nonpositive), and the
@@ -287,15 +390,31 @@ def ba_fixed_point(
     tolerance transiently while the bulk of nu is still equilibrating,
     and a floor on the iteration count is the simple guard.  Atoms that
     decay below ``SUPPORT_FLOOR`` are pinned to exact zero and never
-    revived.
+    revived by a Blahut-Arimoto step.
+
+    With ``tol <= NEWTON_TOL`` the solve hands over to projected Newton
+    steps once ``min_iter`` is reached and the slack is at most
+    ``HANDOVER_SLACK``.  A Newton step works on the candidate atoms
+    (nu_j > 0, or c_j >= 1 - CANDIDATE_GAP, so an atom may come back):
+    with A = diag(sqrt(mu) / K nu) K on those columns and H = A'A, it
+    solves min y'Hy/2 - (2c - 1)'y over y >= 0 by Lawson and Hanson's
+    active set started from supp(nu), with Cholesky updates as atoms
+    enter and leave; then it backtracks from y along y - nu until f
+    meets the Armijo condition, or does not rise and still falls along
+    the step at its end.  The new law is normalized, which never raises
+    f or F.  The stop rule, the plain last step and support pinning are
+    those of the Blahut-Arimoto phase.  A QP that breaks down or a line
+    search that finds no step ends the Newton phase, and Blahut-Arimoto
+    goes on from the last law.  ``iterations`` counts Blahut-Arimoto
+    iterations plus Newton steps, and ``max_iter`` bounds their sum.
 
     Every partition sum is a logsumexp evaluation whose per-row shift
     depends only on (beta, rho); the shifted exponentials are therefore
     cached once and each iteration reduces to two matrix products,
     falling back to per-call logsumexp in the rare event a shifted sum
-    underflows.  Outside that fallback and support pinning, the loop
-    allocates no arrays: every step writes into buffers made once per
-    call.
+    underflows.  Outside that fallback, support pinning and Newton
+    steps, the loop allocates no arrays: every step writes into buffers
+    made once per call.
 
     Args:
         nu0: initial reconstruction law (defaults to uniform); must be
@@ -354,6 +473,60 @@ def ba_fixed_point(
         if not f < np.inf:
             _tilted_rows(log_phi, _log_weights(x), log_mu)  # raises, naming the row
 
+    sqrt_mu = np.sqrt(mu_live)
+    qp_tol = max(0.1 * tol, QP_TOL_FLOOR)
+
+    def newton_step(x: np.ndarray, c_x: np.ndarray, c_out: np.ndarray):
+        """One projected Newton step on f(x) = F(x) + sum(x) from the normalized law x.
+
+        Returns (next law, normalized; its F; free atoms; active-set
+        changes) and writes c at the next law to c_out, or returns None
+        when the QP or the line search fails.
+        """
+        cand = (x > 0) | (c_x >= 1.0 - CANDIDATE_GAP)
+        sub = ker[:, cand]
+        xc = x[cand]
+        z = sub @ xc
+        a = sub * (sqrt_mu / z)[:, None]
+        h = a.T @ a
+        ridge = RIDGE * h.diagonal().max()
+        h.flat[:: len(xc) + 1] += ridge
+        # The gradient of f is 1 - c and h x = c, so the Newton model of f
+        # is y'hy/2 - (2c - 1)'y; the ridge damps the step without moving
+        # its fixed point.
+        b = 2.0 * c_x[cand] - 1.0 + ridge * xc
+        if not (math.isfinite(ridge) and np.isfinite(b).all()):
+            return None  # a row sum underflowed or c overflowed
+        solved = _nonneg_qp(h, b, xc, qp_tol, 2 * len(xc) + QP_CHANGE_SLACK)
+        if solved is None:
+            return None
+        y, free, changes = solved
+        d = y - xc
+        # f(x + t d) - f(x) and the slope of f along d, taken from K d
+        # directly: their own size, not that of f, sets their rounding
+        # error, so the search still sees a decrease far below f's rounding.
+        ratio = (sub @ d) / z
+        mass = d.sum()
+        slope = mass - float(mu_live @ ratio)
+        if not slope < 0.0:
+            return None
+        t = 1.0
+        for _ in range(LINE_SEARCH_STEPS):
+            change = t * mass - float(mu_live @ np.log1p(t * ratio))
+            end_slope = mass - float(mu_live @ (ratio / (1.0 + t * ratio)))
+            # Armijo, or no rise and no overshoot (f still falls along d
+            # at the trial point).
+            if change <= ARMIJO * t * slope or (change <= 0.0 and end_slope <= 0.0):
+                trial = np.zeros(n)
+                trial[cand] = np.maximum(xc + t * d, 0.0)
+                f_t = evaluate(trial, c_out)
+                s = trial.sum()
+                trial /= s
+                c_out *= s
+                return trial, f_t + math.log(s), free, changes
+            t *= 0.5
+        return None
+
     nu = nu0.weights.copy()
     c = np.empty(n)
     plain, relaxed, c_trial, step, gain = (np.empty(n) for _ in range(5))
@@ -361,6 +534,8 @@ def ba_fixed_point(
     slack = float("inf")
     shrunk = 0
     iterations = 0
+    newton = tol <= NEWTON_TOL
+    in_newton = False
     # Every overflow, underflow and 0 * inf in the loop is either masked
     # out (dead columns) or lands in a candidate whose F is not finite,
     # which is never taken over the plain step.
@@ -372,10 +547,17 @@ def ba_fixed_point(
         has_dead = bool(dead.any())
         while True:
             slack = float(c.max()) - 1.0
+            if newton and not in_newton and slack <= HANDOVER_SLACK and iterations + 1 >= min_iter:
+                in_newton = True
+                logger.debug(
+                    "iteration %d: slack %.3e, handing over to Newton steps", iterations, slack
+                )
+            if in_newton:
+                c_newton = c.copy()
             if has_dead:
                 # Dead columns can carry an infinite update factor (their
                 # dual constraint is violated without bound); they hold
-                # zero mass and are never revived.
+                # zero mass, and no Blahut-Arimoto step revives them.
                 np.copyto(c, 0.0, where=dead)
             final = False
             plain_ready = (iterations + 1 >= min_iter and slack <= tol) or (
@@ -389,8 +571,29 @@ def ba_fixed_point(
                 np.subtract(plain, nu, out=step)
                 residual = float(np.abs(step, out=step).max())
                 final = residual <= tol or iterations + 1 == max_iter
+            stepped = None
+            if in_newton and not final:
+                stepped = newton_step(nu, c_newton, c_trial)
+                if stepped is None:
+                    in_newton = newton = False
+                    logger.debug(
+                        "iteration %d: Newton step failed, back to Blahut-Arimoto",
+                        iterations + 1,
+                    )
             if final:
                 nu, plain = plain, nu
+            elif stepped is not None:
+                nu, f, free, changes = stepped
+                c, c_trial = c_trial, c
+                dead = nu == 0
+                alive = ~dead
+                has_dead = bool(dead.any())
+                logger.debug(
+                    "iteration %d: Newton step, %d free atoms after %d active-set changes",
+                    iterations + 1,
+                    free,
+                    changes,
+                )
             else:
                 np.power(c, RELAXATION, out=relaxed)
                 relaxed *= nu

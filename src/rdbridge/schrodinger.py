@@ -254,14 +254,17 @@ def sinkhorn(
         iterations=iterations,
         converged=residual <= tol,
     )
-    coupling = Coupling(pi)
     if not pair.converged:
+        # An unconverged iterate matches the marginals, and so has mass 1,
+        # only up to its residual; scaled to mass 1, the partial coupling
+        # is always a valid Coupling.
+        pi /= pi.sum()
         raise ConvergenceError(
             f"Sinkhorn did not reach residual {tol:g} within {max_iter} "
             f"iterations (residual {residual:.3e})",
-            partial=(pair, coupling),
+            partial=(pair, Coupling(pi)),
         )
-    return pair, coupling
+    return pair, Coupling(pi)
 
 
 def _require_fresh(scal: ScalingPair):

@@ -1,4 +1,5 @@
 """Tests for the fixed-point solver, dual certificates, and curve sweeps."""
+import logging
 import math
 import warnings
 
@@ -8,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdbridge.blahut import (
+    NEWTON_TOL,
     RELAXATION,
     RDCurve,
     RDPoint,
+    _nonneg_qp,
+    _tilted_state,
     ba_fixed_point,
     dual_certificate,
     rd_curve,
@@ -254,6 +258,169 @@ def test_relaxation_never_slows_a_fast_plain_iteration():
         assert point.iterations <= plain_iterations(beta, 1e-12), beta
 
 
+def test_beta_zero_keeps_forbidden_pairs_out_of_the_law():
+    # At beta = 0 the kernel is the beta -> 0+ limit, zero on +inf losses.
+    # A kernel of all ones gave nu = (0.5, 0.5) here, with D = inf.
+    point = ba_fixed_point(
+        ProbabilityVector([1.0]), DistortionMatrix(np.array([[0.0, math.inf]])), 0.0
+    )
+    assert point.converged
+    assert point.nu_star.weights.tolist() == [1.0, 0.0]
+    assert point.distortion == 0.0
+    assert point.rate == 0.0
+
+
+# --- the Newton phase -------------------------------------------------------
+
+
+def test_newton_phase_runs_only_below_newton_tol(caplog):
+    # A looser tol keeps the Blahut-Arimoto path; a tight one hands over
+    # once the slack reaches 1e-3 and logs each step's active-set size.
+    mu = ProbabilityVector([0.7, 0.3])
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        loose = ba_fixed_point(mu, hamming(2), 2.0, tol=10.0 * NEWTON_TOL, max_iter=5000)
+    assert loose.converged
+    assert not any("Newton" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        tight = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12, max_iter=5000)
+    messages = [r.getMessage() for r in caplog.records]
+    assert tight.converged and tight.certificate_slack <= 1e-12
+    assert sum("handing over to Newton steps" in m for m in messages) == 1
+    steps = [m for m in messages if "Newton step, 2 free atoms" in m]
+    assert 1 <= len(steps) < tight.iterations
+
+
+@pytest.mark.parametrize(
+    "p, beta",
+    [(0.362832, 8.02233), (0.15384094587729213, 2.2329533632507323)],
+)
+def test_newton_line_search_sees_a_decrease_below_the_rounding_of_f(p, beta):
+    # Near the optimum a Newton step lowers f by about 1e-20, far below
+    # the rounding of f itself.  A line search that compares two rounded
+    # values of f accepts only fractions of such steps: on the second case
+    # it stalls at slack 3e-10 > tol until the budget runs out.  The first
+    # case stalled an earlier line search of that kind at residual 2.3e-11.
+    mu = ProbabilityVector([1.0 - p, p])
+    point = ba_fixed_point(mu, hamming(2), beta, tol=1e-11, max_iter=200)
+    assert point.converged
+    assert point.iterations <= 10
+    d = point.distortion
+    assert abs(point.rate - (binary_entropy(p) - binary_entropy(d))) <= 1e-15
+
+
+def test_failed_newton_step_falls_back_to_blahut_arimoto(monkeypatch, caplog):
+    # A QP that breaks down ends the Newton phase at its first step, and
+    # the solve goes on exactly as a Blahut-Arimoto-only solve does.
+    import rdbridge.blahut as blahut
+
+    mu = ProbabilityVector([0.7, 0.3])
+    monkeypatch.setattr(blahut, "NEWTON_TOL", 0.0)
+    reference = ba_fixed_point(mu, hamming(2), 1.2, tol=1e-12, max_iter=20000)
+    monkeypatch.setattr(blahut, "NEWTON_TOL", NEWTON_TOL)
+    monkeypatch.setattr(blahut, "_nonneg_qp", lambda *args: None)
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        point = ba_fixed_point(mu, hamming(2), 1.2, tol=1e-12, max_iter=20000)
+    assert any("Newton step failed" in r.getMessage() for r in caplog.records)
+    assert point.converged
+    assert point.iterations == reference.iterations
+    assert np.array_equal(point.nu_star.weights, reference.nu_star.weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.floats(-2.0, 2.0), min_size=m * (m + 2), max_size=m * (m + 2)),
+            st.lists(st.floats(-1.0, 2.0), min_size=m, max_size=m),
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=m, max_size=m),
+        )
+    )
+)
+def test_active_set_qp_meets_its_optimality_conditions(data):
+    # From any feasible start, the active-set solve with its Cholesky
+    # updates ends at the KKT point of min y'hy/2 - b'y over y >= 0.
+    entries, b, start = data
+    m = len(b)
+    a = np.array(entries).reshape(m + 2, m)
+    h = a.T @ a + 1e-3 * np.eye(m)
+    b = np.array(b)
+    solved = _nonneg_qp(h, b, np.array(start), 1e-12, 10 * m)
+    assert solved is not None
+    y, free, _ = solved
+    gain = b - h @ y
+    assert np.all(y >= 0.0)
+    assert free == np.count_nonzero(y)
+    scale = 1e-9 * (1.0 + np.abs(h).max() * np.abs(y).max() + np.abs(b).max())
+    assert np.all(np.abs(gain[y > 0]) <= scale)
+    assert np.all(gain[y == 0] <= scale)
+
+
+def plain_blahut_arimoto(mu, dist, beta, tol, max_iter):
+    """Reference: the plain update nu <- nu * c from the uniform law.
+
+    Same stop rule as the solver (residual and slack at most tol).
+    Returns (nu, converged).
+    """
+    live = mu.weights > 0
+    rho = dist.rho[live]
+    kernel = np.exp(-beta * rho) if beta > 0 else np.isfinite(rho).astype(float)
+    weights = mu.weights[live]
+    nu = np.full(dist.shape[1], 1.0 / dist.shape[1])
+    for _ in range(max_iter):
+        c = kernel.T @ (weights / (kernel @ nu))
+        nxt = nu * c / (nu @ c)
+        done = np.abs(nxt - nu).max() <= tol and c.max() - 1.0 <= tol
+        nu = nxt
+        if done:
+            return nu, True
+    return nu, False
+
+
+@st.composite
+def engine_problems(draw):
+    """Random problems with the cases the Newton phase must survive.
+
+    Returns (mu, dist, beta, F*) where F* = R + beta D at the optimum is
+    known in closed form, and (mu, dist, beta, None) otherwise.
+    """
+    kind = draw(st.sampled_from(["random", "flat", "critical"]))
+    if kind == "critical":
+        # Bernoulli(p) under Hamming loss within 0.1% of its critical
+        # slope, where plain Blahut-Arimoto needs thousands of iterations.
+        p = draw(st.floats(0.05, 0.45))
+        beta = math.log((1.0 - p) / p) * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+        d = 1.0 / (1.0 + math.exp(beta))
+        value = binary_entropy(p) - binary_entropy(d) + beta * d if d < p else beta * p
+        return ProbabilityVector([1.0 - p, p]), hamming(2), beta, value
+    mu, dist, _, _ = draw(tilted_problems())
+    # Near-flat kernels make the Newton Hessian numerically rank-deficient.
+    beta = draw(st.floats(5e-4, 2e-3) if kind == "flat" else st.floats(0.05, 30.0))
+    return mu, dist, beta, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_problems())
+def test_two_phase_engine_agrees_with_plain_blahut_arimoto(problem):
+    # The optimal law need not be unique, but F(nu) = R + beta D at the
+    # optimum is, and a law whose slack is at most tol has F within tol of
+    # it.  The reference is the closed form where there is one, else the
+    # plain iteration.
+    mu, dist, beta, value_ref = problem
+    tol = 1e-9
+    point = ba_fixed_point(mu, dist, beta, tol=tol, max_iter=20000)
+    assert point.converged
+    value = point.rate + beta * point.distortion
+    converged = True
+    if value_ref is None:
+        nu_ref, converged = plain_blahut_arimoto(mu, dist, beta, tol, 5000)
+        _, d_ref, r_ref, _, _ = _tilted_state(mu, dist, beta, ProbabilityVector(nu_ref))
+        value_ref = r_ref + beta * d_ref
+    assert value <= value_ref + tol
+    if converged:
+        assert abs(value - value_ref) <= tol
+
+
 # --- dual certificate -------------------------------------------------------
 
 
@@ -351,8 +518,9 @@ def test_certificate_matches_the_explicit_tilted_coupling(problem):
     assert not any(math.isnan(v) for v in (distortion, rate, slack, dual_value))
     assert dual_value <= rate
 
-    # At beta = 0 the kernel is identically 1, forbidden pairs included.
-    phi = np.exp(-beta * dist.rho) if beta > 0 else np.ones(dist.shape)
+    # At beta = 0 the kernel is the beta -> 0+ limit: 1 on finite losses,
+    # 0 on forbidden pairs.
+    phi = np.exp(-beta * dist.rho) if beta > 0 else np.isfinite(dist.rho).astype(float)
     live = mu.weights > 0
     kernel = nu.weights[None, :] * phi[live]
     joint = np.zeros(dist.shape)

@@ -151,6 +151,23 @@ def test_point_by_beta(capsys):
     assert doc["nu_star"]["labels"] == [0.0, 1.0]
 
 
+def test_point_by_beta_on_a_sparse_gaussian_law(capsys):
+    # Blahut-Arimoto alone needed 146,426 iterations here, more than the
+    # default max_iter of 100,000, and the command exited 2.
+    code, out, _ = run_cli(
+        capsys,
+        ["point", "--source.kind", "gaussian", "--source.points", "257",
+         "--distortion.kind", "mse", "--beta", "4"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["tol"] == 1e-9 and doc["config"]["max_iter"] == 100000
+    assert doc["converged"] is True
+    assert doc["iterations"] <= 100
+    assert doc["report"]["verdict"] == "optimal"
+    assert abs(doc["rate"] - 0.5 * math.log(1.0 / doc["distortion"])) <= 1e-7
+
+
 def test_point_by_distortion(capsys):
     code, out, _ = run_cli(
         capsys, ["point", "--source.p", "0.5", "--distortion", "0.1"]

@@ -90,7 +90,9 @@ def log_domain_sinkhorn(mu, nu, dist, beta, tol, max_iter):
     shift = float(nu.weights[cols] @ logG[cols])
     logG[cols] -= shift
     logF[rows] += shift
-    Coupling(pi)  # rejects a final iterate whose mass is off by rounding
+    if residual > tol:
+        pi /= pi.sum()  # the unconverged partial is scaled to mass 1
+    Coupling(pi)
     return logF, logG, logK, iterations, residual
 
 
@@ -389,6 +391,22 @@ def test_unconverged_pair_is_rejected_by_evaluators():
     # The residual probe itself accepts partial pairs.
     row_res, col_res, _ = schrodinger_residual(mu, nu, hamming(2), pair)
     assert max(row_res, col_res) == pytest.approx(pair.marginal_residual, rel=1e-12)
+
+
+def test_unconverged_partial_coupling_has_unit_mass():
+    # The last iterate of this infeasible problem has mass 1 - 1.3e-10;
+    # the partial Coupling is scaled to mass 1 instead of raising.
+    inf = float("inf")
+    w = np.array([1.0, 1e-300, 1e-300])
+    mu = ProbabilityVector(w / w.sum())
+    nu = ProbabilityVector([0.2, 0.3, 0.5])
+    dist = DistortionMatrix(np.array([[0.0, 3.757, inf], [0.0, inf, 2.565], [0.738, inf, 0.0]]))
+    with pytest.raises(ConvergenceError) as excinfo:
+        sinkhorn(mu, nu, dist, 3.356)
+    pair, coupling = excinfo.value.partial
+    assert not pair.converged
+    assert coupling.joint.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(coupling.joint[np.isinf(dist.rho)] == 0.0)
 
 
 def test_infeasible_reference_is_rejected():

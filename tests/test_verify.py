@@ -153,6 +153,21 @@ def test_failed_inner_solve_gives_inconclusive():
     assert report.detail != ""
 
 
+def test_unconverged_coupling_off_unit_mass_gives_inconclusive():
+    # The marginals cannot be coupled on finite-loss pairs, so Sinkhorn
+    # runs out of budget, and its last iterate carries mass 1 - 1.3e-10.
+    # The partial coupling must not fail its mass check and turn the
+    # verdict into an InvalidInputError.
+    inf = math.inf
+    w = np.array([1.0, 1e-300, 1e-300])
+    mu = ProbabilityVector(w / w.sum())
+    nu = ProbabilityVector([0.2, 0.3, 0.5])
+    dist = DistortionMatrix(np.array([[0.0, 3.757, inf], [0.0, inf, 2.565], [0.738, inf, 0.0]]))
+    report = check_optimality(mu, dist, 3.356, nu)
+    assert report.verdict == "inconclusive"
+    assert "did not reach residual" in report.detail
+
+
 def test_verdict_dichotomy_under_perturbation():
     # Converged laws pass; multiplicatively tilted ones are always caught.
     dist = hamming(2)
