@@ -46,9 +46,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .distortion import DistortionMatrix
+from .distortion import DistortionMatrix, d_floor, d_max
 from .errors import ConvergenceError, InvalidInputError
 from .measures import ProbabilityVector
 
@@ -77,6 +76,10 @@ QP_CHANGE_SLACK = 10
 # Armijo fraction and number of halvings of the Newton line search.
 ARMIJO = 1e-4
 LINE_SEARCH_STEPS = 30
+# A target-distortion search moves ln beta by at least ln 2 and at most 3
+# while it brackets the target, and gives up after TARGET_SOLVES solves.
+BRACKET_STEP = (math.log(2.0), 3.0)
+TARGET_SOLVES = 100
 
 
 @dataclass
@@ -176,6 +179,14 @@ def _check_compat(
         raise InvalidInputError(f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns")
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) along ``axis``, shifted by the maximum; -inf for all--inf lines."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
+
+
 def _tilted_rows(log_phi, log_nu, log_mu):
     """log Z_i and log c_j for the current reconstruction law.
 
@@ -184,7 +195,7 @@ def _tilted_rows(log_phi, log_nu, log_mu):
     Rows of zero source mass get their Z_i but take no part in c: a row
     whose Z_i is zero would otherwise turn c into nan.
     """
-    log_z = logsumexp(log_phi + log_nu[None, :], axis=1)
+    log_z = _logsumexp(log_phi + log_nu[None, :], axis=1)
     live = np.isfinite(log_mu)
     if np.any(np.isneginf(log_z[live])):
         bad = int(np.flatnonzero(np.isneginf(log_z) & live)[0])
@@ -192,7 +203,7 @@ def _tilted_rows(log_phi, log_nu, log_mu):
             f"source row {bad} has zero partition mass: every reconstruction "
             "with positive nu weight is forbidden for it"
         )
-    log_c = logsumexp(log_mu[live, None] + log_phi[live] - log_z[live, None], axis=0)
+    log_c = _logsumexp(log_mu[live, None] + log_phi[live] - log_z[live, None], axis=0)
     return log_z, log_c
 
 
@@ -462,7 +473,7 @@ def ba_fixed_point(
             np.divide(mu_live, zt, out=w)
             np.matmul(w, ker, out=c_out)
             return f
-        log_z = logsumexp(log_phi + _log_weights(x)[None, :], axis=1)
+        log_z = _logsumexp(log_phi + _log_weights(x)[None, :], axis=1)
         f = -float(mu_live @ (log_z - shift))
         if f < np.inf:
             _, log_c = _tilted_rows(log_phi, _log_weights(x), log_mu)
@@ -663,12 +674,6 @@ def ba_fixed_point(
     return point
 
 
-def warm_start_law(nu: ProbabilityVector) -> ProbabilityVector:
-    """nu mixed with ``WARM_START_MIX`` uniform mass, to start the next solve from."""
-    mixed = (1.0 - WARM_START_MIX) * nu.weights + WARM_START_MIX / len(nu)
-    return ProbabilityVector(mixed / mixed.sum(), labels=nu.labels)
-
-
 def rd_curve(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -696,25 +701,107 @@ def rd_curve(
     if np.any(np.diff(betas) <= 0):
         raise InvalidInputError("betas must be strictly increasing")
 
-    def solve(beta: float, start: ProbabilityVector | None) -> RDPoint:
+    points: list[RDPoint] = []
+    start = nu0
+    for beta in betas:
         try:
-            return ba_fixed_point(mu, dist, beta, start, tol=tol, max_iter=max_iter)
+            point = ba_fixed_point(mu, dist, float(beta), start, tol=tol, max_iter=max_iter)
         except ConvergenceError as err:
             logger.warning("degraded point at beta=%g: %s", beta, err)
-            return err.partial
-
-    if warm_start:
-        points: list[RDPoint] = []
-        start = nu0
-        for beta in betas:
-            point = solve(float(beta), start)
-            points.append(point)
-            start = warm_start_law(point.nu_star)
-    else:
-        points = [solve(float(beta), nu0) for beta in betas]
+            point = err.partial
+        points.append(point)
+        if warm_start:
+            mixed = (1.0 - WARM_START_MIX) * point.nu_star.weights + WARM_START_MIX / dist.shape[1]
+            start = ProbabilityVector(mixed / mixed.sum(), labels=point.nu_star.labels)
 
     curve = RDCurve(points)
     report = curve.shape_report()
     if report["max_distortion_increase"] > 1e-9 or report["max_rate_decrease"] > 1e-9:
         logger.warning("curve shape violates monotonicity: %s", report)
     return curve
+
+
+def solve_point_for_distortion(
+    mu: ProbabilityVector,
+    dist: DistortionMatrix,
+    target: float,
+    tol: float = 1e-9,
+    max_iter: int = 100000,
+    nu0: ProbabilityVector | None = None,
+) -> RDPoint:
+    """Find the curve point at a prescribed distortion by a root search on ln beta.
+
+    With x = ln beta, g(x) = ln D(e^x) - ln target is nonincreasing.  From
+    beta = 1 the search follows the secant of its last two points, moving
+    beta by a factor between 2 and e^3, until the target is bracketed.
+    Inside the bracket it takes Illinois regula falsi steps; an end on the
+    D = D_max plateau below a critical slope (one side's last two points
+    share their D) carries no slope, so the other side's secant is used
+    instead.  A step that leaves the bracket becomes a bisection in x.  The
+    search ends once |D - target| <= 10 * tol * D_max.  Every solve starts
+    from ``nu0``, so D depends on beta alone, not on the search path.
+
+    Raises:
+        InvalidInputError: target outside (d_floor, d_max); note that
+            R(D) = 0 for D > D_max, so no positive-rate point exists there.
+        ConvergenceError: an inner solve failed (its D never moves the
+            bracket), the bracket shrank to 1e-12 in x, or TARGET_SOLVES
+            solves missed the band; ``.partial`` is the converged point
+            closest to the target (the failed solve's partial if none).
+    """
+    floor = d_floor(mu, dist)
+    ceiling, _ = d_max(mu, dist)
+    if not floor < target < ceiling:
+        raise InvalidInputError(
+            f"target distortion {target:g} outside ({floor:g}, {ceiling:g}); "
+            "R(D) = 0 for D > D_max and no finite-rate point exists at or "
+            "below the distortion floor"
+        )
+    band = 10.0 * tol * ceiling
+    # The (x, g) seen above (key 1) and below (key -1) the target, in order,
+    # and the Illinois weight on the g of each side's last point.
+    seen: dict[int, list[tuple[float, float]]] = {1: [], -1: []}
+    weight = {1: 1.0, -1: 1.0}
+    best = last = None
+    x = 0.0
+    for _ in range(TARGET_SOLVES):
+        try:
+            point = ba_fixed_point(mu, dist, math.exp(x), nu0=nu0, tol=tol, max_iter=max_iter)
+        except ConvergenceError as err:
+            partial = err.partial if best is None else best
+            raise ConvergenceError(f"search stopped: {err}", partial=partial) from err
+        if abs(point.distortion - target) <= band:
+            return point
+        if best is None or abs(point.distortion - target) < abs(best.distortion - target):
+            best = point
+        g = math.log(point.distortion / target) if point.distortion > 0 else -math.inf
+        side = 1 if g > 0 else -1
+        seen[side].append((x, g))
+        if seen[-side] and side == last:
+            weight[-side] *= 0.5  # Illinois: the other end was kept twice in a row
+        weight[side], last = 1.0, side
+        if not seen[-side]:
+            step = BRACKET_STEP[0]
+            if len(seen[side]) > 1:
+                x0, g0 = seen[side][-2]
+                step = abs(g * (x - x0) / (g0 - g)) if side * (g0 - g) > 0 else math.inf
+            x += side * min(max(step, BRACKET_STEP[0]), BRACKET_STEP[1])
+            continue
+        (xa, ga), (xb, gb) = seen[1][-1], seen[-1][-1]
+        if abs(xb - xa) <= 1e-12:
+            break
+        flat = [s for s in (1, -1) if len(seen[s]) > 1 and seen[s][-1][1] == seen[s][-2][1]]
+        if flat:
+            # With one point on the other side, g1 == g2 and the step bisects.
+            (x1, g1), (x2, g2) = (seen[-flat[0]] * 2)[-2:]
+            x = x2 - g2 * (x2 - x1) / (g2 - g1) if g2 != g1 else math.nan
+        else:
+            ga, gb = weight[1] * ga, weight[-1] * gb
+            x = (xa * gb - xb * ga) / (gb - ga)
+        if not min(xa, xb) < x < max(xa, xb):
+            x = 0.5 * (xa + xb)
+    raise ConvergenceError(
+        f"no beta reaches distortion {target:g} within {band:g} (closest "
+        f"{best.distortion:g}); D(beta) may jump over the target",
+        partial=best,
+    )

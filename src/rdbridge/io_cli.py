@@ -26,11 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .blahut import RDCurve, RDPoint, ba_fixed_point, rd_curve, rd_value_from_nu, warm_start_law
+from .blahut import (
+    RDCurve,
+    RDPoint,
+    ba_fixed_point,
+    rd_curve,
+    rd_value_from_nu,
+    solve_point_for_distortion,
+)
 from .distortion import (
     DistortionMatrix,
     SourceSpec,
-    d_floor,
     d_max,
     discretize_gaussian,
     discretize_uniform,
@@ -250,79 +256,6 @@ def _uniform_start(n: int, labels: np.ndarray | None) -> ProbabilityVector:
     return ProbabilityVector(np.full(n, 1.0 / n), labels=labels)
 
 
-def solve_point_for_distortion(
-    mu: ProbabilityVector,
-    dist: DistortionMatrix,
-    target: float,
-    tol: float = 1e-9,
-    max_iter: int = 100000,
-    nu0: ProbabilityVector | None = None,
-) -> RDPoint:
-    """Find the curve point at a prescribed distortion by bisecting beta.
-
-    D(beta) is nonincreasing, so a doubling search brackets the target
-    and bisection closes in until |D(beta) - target| <= 10 * tol * d_max.
-    Solves are warm-started along the search path.
-
-    Raises:
-        InvalidInputError: target outside (d_floor, d_max); note that
-            R(D) = 0 for D > D_max, so no positive-rate point exists there.
-        ConvergenceError: bracket or bisection failed to close (e.g. the
-            tolerance band is finer than solver noise).
-    """
-    floor = d_floor(mu, dist)
-    ceiling, _ = d_max(mu, dist)
-    if not floor < target < ceiling:
-        raise InvalidInputError(
-            f"target distortion {target:g} outside ({floor:g}, {ceiling:g}); "
-            "R(D) = 0 for D > D_max and no finite-rate point exists at or "
-            "below the distortion floor"
-        )
-    band = 10.0 * tol * ceiling
-
-    warm = nu0
-    def solve(beta: float) -> RDPoint:
-        nonlocal warm
-        try:
-            point = ba_fixed_point(mu, dist, beta, nu0=warm, tol=tol, max_iter=max_iter)
-        except ConvergenceError as err:
-            point = err.partial
-        warm = warm_start_law(point.nu_star)
-        return point
-
-    lo = 0.0
-    hi = 1.0
-    point = solve(hi)
-    doublings = 0
-    while point.distortion > target:
-        lo, hi = hi, 2.0 * hi
-        point = solve(hi)
-        doublings += 1
-        if doublings > 60:
-            raise ConvergenceError(
-                f"no beta <= {hi:g} reaches distortion {target:g}", partial=point
-            )
-    best = point
-    for _ in range(200):
-        if abs(best.distortion - target) <= band and best.converged:
-            return best
-        mid = 0.5 * (lo + hi)
-        point = solve(mid)
-        if point.distortion > target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(point.distortion - target) < abs(best.distortion - target):
-            best = point
-    if abs(best.distortion - target) <= band and best.converged:
-        return best
-    raise ConvergenceError(
-        f"bisection stalled at distortion {best.distortion:g} for target "
-        f"{target:g} (band {band:g}); loosen tol or widen the band",
-        partial=best,
-    )
-
-
 def _rate_scale(units: str) -> float:
     """Single conversion site: multiply a nats-valued rate by this."""
     return 1.0 if units == "nats" else 1.0 / LN2
@@ -454,14 +387,8 @@ def _zero_rate_endpoint(
     nu = ProbabilityVector(weights, labels=labels)
     distortion, rate = rd_value_from_nu(mu, dist, 0.0, nu)
     return RDPoint(
-        beta=0.0,
-        distortion=distortion,
-        rate=rate,
-        nu_star=nu,
-        iterations=0,
-        fixpoint_residual=0.0,
-        certificate_slack=0.0,
-        converged=True,
+        beta=0.0, distortion=distortion, rate=rate, nu_star=nu, iterations=0,
+        fixpoint_residual=0.0, certificate_slack=0.0, converged=True,
     )
 
 
@@ -470,37 +397,17 @@ def _cmd_point(cfg: RunConfig, args) -> int:
         raise InvalidInputError("point needs exactly one of --beta or --distortion")
     mu, dist, labels, _ = build_problem(cfg)
     start = _uniform_start(dist.shape[1], labels)
+    budget = {"tol": cfg["tol"], "max_iter": cfg["max_iter"]}
     exit_code = 0
-    if args.beta is not None:
-        if args.beta == 0.0:
+    try:
+        if args.distortion is not None:
+            point = solve_point_for_distortion(mu, dist, args.distortion, nu0=start, **budget)
+        elif args.beta == 0.0:
             point = _zero_rate_endpoint(mu, dist, labels)
         else:
-            try:
-                point = ba_fixed_point(
-                    mu,
-                    dist,
-                    args.beta,
-                    nu0=start,
-                    tol=cfg["tol"],
-                    max_iter=cfg["max_iter"],
-                    min_iter=cfg["min_iter"],
-                )
-            except ConvergenceError as err:
-                point = err.partial
-                exit_code = 2
-    else:
-        try:
-            point = solve_point_for_distortion(
-                mu,
-                dist,
-                args.distortion,
-                tol=cfg["tol"],
-                max_iter=cfg["max_iter"],
-                nu0=start,
-            )
-        except ConvergenceError as err:
-            point = err.partial
-            exit_code = 2
+            point = ba_fixed_point(mu, dist, args.beta, nu0=start, min_iter=cfg["min_iter"], **budget)
+    except ConvergenceError as err:
+        point, exit_code = err.partial, 2
     report = check_optimality(mu, dist, point.beta, point.nu_star)
     scale = _rate_scale(cfg["units"])
     doc = {
@@ -643,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "point":
             cmd.add_argument("--beta", type=float, help="solve at this slope")
             cmd.add_argument(
-                "--distortion", type=float, help="bisect to this distortion"
+                "--distortion", type=float, help="search beta for this distortion"
             )
         if name in ("check", "sinkhorn"):
             cmd.add_argument("--beta", type=float, help="trade-off slope")

@@ -2,23 +2,28 @@
 import logging
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+import rdbridge.blahut as blahut
 from rdbridge.blahut import (
     NEWTON_TOL,
     RELAXATION,
     RDCurve,
     RDPoint,
+    _logsumexp,
     _nonneg_qp,
     _tilted_state,
     ba_fixed_point,
     dual_certificate,
     rd_curve,
     rd_value_from_nu,
+    solve_point_for_distortion,
 )
 from rdbridge.distortion import DistortionMatrix, expected_loss, hamming, normalize_loss
 from rdbridge.errors import ConvergenceError, InvalidInputError
@@ -312,8 +317,6 @@ def test_newton_line_search_sees_a_decrease_below_the_rounding_of_f(p, beta):
 def test_failed_newton_step_falls_back_to_blahut_arimoto(monkeypatch, caplog):
     # A QP that breaks down ends the Newton phase at its first step, and
     # the solve goes on exactly as a Blahut-Arimoto-only solve does.
-    import rdbridge.blahut as blahut
-
     mu = ProbabilityVector([0.7, 0.3])
     monkeypatch.setattr(blahut, "NEWTON_TOL", 0.0)
     reference = ba_fixed_point(mu, hamming(2), 1.2, tol=1e-12, max_iter=20000)
@@ -539,6 +542,29 @@ def test_certificate_matches_the_explicit_tilted_coupling(problem):
     assert dual_certificate(mu, dist, beta, point.nu_star)[1] == point.certificate_slack
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(st.one_of(st.just(-np.inf), st.floats(-800.0, 50.0)), min_size=m, max_size=m),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    st.sampled_from([0, 1]),
+)
+def test_logsumexp_matches_scipy(rows, axis):
+    # The reference is scipy's logsumexp; the shifted sum differs from it in
+    # rounding only, so 1e-14 relative to the largest |entry| bounds the gap.
+    # Lines of -inf alone must give -inf, not nan.
+    a = np.array(rows)
+    ours, ref = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+    assert np.array_equal(np.isneginf(ours), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    scale = 1.0 + np.abs(a[np.isfinite(a)]).max(initial=0.0)
+    assert np.all(np.abs(ours[finite] - ref[finite]) <= 1e-14 * scale)
+
+
 # --- invariances and validation --------------------------------------------
 
 
@@ -641,3 +667,115 @@ def test_shape_report_skips_degenerate_chords():
     assert clean["max_chord_violation"] == 0.0
     assert clean["max_distortion_increase"] == 0.0
     assert clean["max_rate_decrease"] == 0.0
+
+
+# --- target-distortion search -----------------------------------------------
+
+# Most solves one search took on Bernoulli(p) under Hamming loss at tol 1e-9:
+# 17, measured over 1,440 targets with p in [0.02, 0.48] (worst case a
+# target 1.3e-7 below D_max = p = 0.269), plus margin.
+TARGET_SOLVES_BERNOULLI = 24
+
+
+def recording_solves(betas, fail_at=None, target=None):
+    """A stand-in for ba_fixed_point that records each beta it solves at.
+
+    The solve numbered ``fail_at`` (from 1) raises ConvergenceError with a
+    partial whose distortion lies on the wrong side of ``target``.
+    """
+    solve = blahut.ba_fixed_point
+
+    def recorded(mu, dist, beta, *args, **kwargs):
+        point = solve(mu, dist, beta, *args, **kwargs)
+        betas.append(beta)
+        if len(betas) == fail_at:
+            point.distortion = 0.1 * target if point.distortion > target else 2.0 * target
+            point.converged = False
+            raise ConvergenceError("budget exhausted", partial=point)
+        return point
+
+    return recorded
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+def test_unconverged_inner_solve_never_moves_the_bracket(monkeypatch, fail_at):
+    # Fair coin, target 0.1 at beta* = ln 9.  The solve numbered fail_at
+    # reports a distortion on the wrong side of the target; used, it would
+    # close a bracket that misses the root.  The search must stop there and
+    # return the converged point closest to the target.
+    mu, dist, target = ProbabilityVector([0.5, 0.5]), hamming(2), 0.1
+    betas = []
+    monkeypatch.setattr(blahut, "ba_fixed_point", recording_solves(betas, fail_at, target))
+    with pytest.raises(ConvergenceError) as info:
+        solve_point_for_distortion(mu, dist, target)
+    assert len(betas) == fail_at
+    partial = info.value.partial
+    if fail_at == 1:
+        assert not partial.converged
+        return
+    monkeypatch.undo()
+    converged = [ba_fixed_point(mu, dist, beta, tol=1e-9, max_iter=100000) for beta in betas[:-1]]
+    best = min(converged, key=lambda p: abs(p.distortion - target))
+    assert partial.converged
+    assert partial.beta == best.beta
+    assert partial.distortion == best.distortion
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.02, 0.48),
+    st.one_of(
+        st.floats(1e-3, 1.0 - 1e-3),
+        # Within 1e-3 relative of D_max, next to the D = D_max plateau
+        # below the critical slope ln((1 - p) / p).
+        st.floats(1e-7, 1e-3).map(lambda r: 1.0 - r),
+    ),
+)
+def test_target_search_matches_the_bernoulli_closed_form(p, fraction):
+    # Under Hamming loss D(beta) = 1 / (1 + e^beta) above the critical
+    # slope, so the target D sits at beta* = ln((1 - D) / D).
+    mu, dist, tol = ProbabilityVector([1.0 - p, p]), hamming(2), 1e-9
+    target = min(p, 1.0 - p) * fraction
+    band = 10.0 * tol * min(p, 1.0 - p)
+    betas = []
+    with mock.patch.object(blahut, "ba_fixed_point", recording_solves(betas)):
+        point = solve_point_for_distortion(mu, dist, target, tol=tol)
+    assert point.converged
+    assert abs(point.distortion - target) <= band
+    # The band maps to |beta - beta*| <= band / |D'(beta*)|; 2 covers curvature.
+    beta_star = math.log((1.0 - target) / target)
+    assert abs(point.beta - beta_star) <= 2.0 * band / (target * (1.0 - target))
+    assert len(betas) <= TARGET_SOLVES_BERNOULLI
+
+
+def test_target_inside_a_jump_of_the_distortion_stops_with_the_closest_point():
+    # A fair bit with an erasure symbol (loss 1/2, crossings forbidden) has
+    # the linear curve R(D) = (1 - 2 D) ln 2, so D(beta) jumps from 1/2 to 0
+    # at beta = 2 ln 2 and no slope gives D = 1/4.  The bracket closes on
+    # that slope and the search stops with the closest converged point.
+    mu = ProbabilityVector([0.5, 0.5])
+    dist = DistortionMatrix(np.array([[0.0, np.inf, 0.5], [np.inf, 0.0, 0.5]]))
+    with pytest.raises(ConvergenceError, match="jump") as info:
+        solve_point_for_distortion(mu, dist, 0.25)
+    partial = info.value.partial
+    assert partial.converged
+    assert abs(partial.beta - 2.0 * math.log(2.0)) <= 1e-6
+
+
+def test_target_search_solves_from_the_given_law(monkeypatch):
+    # Cold starts: every inner solve starts from nu0, so D depends on beta
+    # alone and not on the path the search took.
+    mu, dist = ProbabilityVector([0.3, 0.7]), hamming(2)
+    start = ProbabilityVector([0.5, 0.5], labels=[0.0, 1.0])
+    starts = []
+    solve = blahut.ba_fixed_point
+
+    def recorded(*args, nu0=None, **kwargs):
+        starts.append(nu0)
+        return solve(*args, nu0=nu0, **kwargs)
+
+    monkeypatch.setattr(blahut, "ba_fixed_point", recorded)
+    point = solve_point_for_distortion(mu, dist, 0.05, nu0=start)
+    assert len(starts) > 2
+    assert all(s is start for s in starts)
+    assert point.nu_star.labels is not None

@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import rdbridge.blahut as blahut
+from rdbridge.distortion import d_max
 from rdbridge.errors import InvalidInputError
 from rdbridge.io_cli import (
     _parse_bool,
+    build_problem,
     load_nu,
     main,
     parse_config_text,
@@ -178,6 +181,56 @@ def test_point_by_distortion(capsys):
     assert abs(doc["distortion"] - 0.1) < 5e-9
     assert abs(doc["beta"] - math.log(9.0)) < 1e-6
     assert doc["report"]["verdict"] == "optimal"
+
+
+def count_solves(monkeypatch) -> list:
+    """Record the beta of every inner solve a target search makes."""
+    betas = []
+    solve = blahut.ba_fixed_point
+
+    def counted(mu, dist, beta, *args, **kwargs):
+        betas.append(beta)
+        return solve(mu, dist, beta, *args, **kwargs)
+
+    monkeypatch.setattr(blahut, "ba_fixed_point", counted)
+    return betas
+
+
+def test_point_by_distortion_just_below_a_plateau(monkeypatch, capsys):
+    # Bernoulli(0.1) keeps D = D_max = 0.1 for every beta below ln 9; the
+    # target 0.0999 lies 0.1% below that plateau, at beta* = ln(0.9001 / 0.0999).
+    betas = count_solves(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, ["point", "--source.p", "0.1", "--distortion", "0.0999"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["distortion"] - 0.0999) <= 10 * 1e-9 * 0.1
+    assert abs(doc["beta"] - math.log(0.9001 / 0.0999)) <= 1e-6
+    # 12 solves measured.
+    assert len(betas) <= 16
+
+
+@pytest.mark.parametrize("fraction", [0.647, 0.649, 0.651])
+def test_point_by_distortion_where_the_uniform_curve_drops(capsys, fraction):
+    # 201-point uniform source on [-1, 1] under squared error at tol 1e-3:
+    # warm-started bisection once stalled on these targets.  Uniform on
+    # [-1, 1] has differential entropy ln 2, so the Shannon lower bound is
+    # R >= ln 2 - ln(2 pi e D) / 2.
+    source = {"source.kind": "uniform", "source.points": "201", "distortion.kind": "mse"}
+    mu, dist, _, _ = build_problem(resolve_config(overrides=source))
+    ceiling, _ = d_max(mu, dist)
+    target = fraction * ceiling
+    argv = ["point", "--tol", "1e-3", "--distortion", repr(target)]
+    for key, value in source.items():
+        argv += [f"--{key}", value]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    d = doc["distortion"]
+    assert abs(d - target) <= 10 * 1e-3 * ceiling
+    assert doc["rate"] >= LN2 - 0.5 * math.log(2 * math.pi * math.e * d) - 5e-3
 
 
 def test_point_beta_zero_endpoint(capsys):
@@ -526,6 +579,24 @@ def test_module_entry_runs_as_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("beta,distortion,rate")
+
+
+def test_import_leaves_scipy_optimize_and_linalg_unloaded():
+    # scipy.optimize costs about 0.8 s of CPU to import and scipy.linalg
+    # about 60 ms; only a Newton phase loads the latter, on first use.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, rdbridge; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_command_prints_help(capsys):
