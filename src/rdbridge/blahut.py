@@ -231,25 +231,40 @@ def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tilted_state(
-    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu: ProbabilityVector
+    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu: ProbabilityVector, kernel=None
 ) -> tuple[np.ndarray, float, float, float, float]:
     """One pass over the tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i.
 
     Returns (log Z_i over all rows, D, R, slack, dual_value): the values
-    ``rd_value_from_nu`` and ``dual_certificate`` document.
+    ``rd_value_from_nu`` and ``dual_certificate`` document.  They are
+    matrix-vector products with the ``_shifted_kernel`` K of (rho, beta),
+    or with ``kernel`` if given: Z = K nu, c = (mu / Z) K and
+    D = (mu / Z) . ((K o rho) nu).  A row sum too small for the flushed
+    entries of K to fall below its rounding error sends the pass to the
+    log domain.
     """
     _check_compat(mu, dist, beta, nu)
-    log_phi = _log_kernel(dist, beta)
-    log_nu = _log_weights(nu.weights)
-    log_z, log_c = _tilted_rows(log_phi, log_nu, _log_weights(mu.weights))
-    with np.errstate(over="ignore"):
-        slack = float(np.exp(log_c).max() - 1.0)
+    shift, ker = kernel if kernel is not None else _shifted_kernel(_log_kernel(dist, beta))
     live = mu.weights > 0
-    rho = dist.rho[live]
-    pi = np.exp(log_phi[live] + log_nu[None, :] - log_z[live, None])
-    # 0 * inf guard: a positive pi entry can only sit on finite rho.
-    contrib = np.where(pi > 0, pi * np.where(np.isfinite(rho), rho, 0.0), 0.0)
-    distortion = float(mu.weights[live] @ contrib.sum(axis=1))
+    z = ker @ nu.weights
+    if z.min() >= np.finfo(float).tiny / np.finfo(float).eps:
+        log_z = np.log(z) + shift
+        w = mu.weights / z
+        slack = float((w @ ker).max() - 1.0)
+        loss = np.zeros_like(ker)
+        np.multiply(ker, dist.rho, out=loss, where=ker > 0.0)
+        distortion = float(w @ (loss @ nu.weights))
+    else:
+        log_phi = _log_kernel(dist, beta)
+        log_nu = _log_weights(nu.weights)
+        log_z, log_c = _tilted_rows(log_phi, log_nu, _log_weights(mu.weights))
+        with np.errstate(over="ignore"):
+            slack = float(np.exp(log_c).max() - 1.0)
+        pi = np.exp(log_phi[live] + log_nu[None, :] - log_z[live, None])
+        loss = np.zeros_like(pi)
+        # 0 * inf guard: a positive pi entry can only sit on finite rho.
+        np.multiply(pi, dist.rho[live], out=loss, where=pi > 0.0)
+        distortion = float(mu.weights[live] @ loss.sum(axis=1))
     neg_log_z = -(mu.weights[live] @ log_z[live])
     tilt = beta * distortion
     # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
@@ -396,12 +411,13 @@ def ba_fixed_point(
     residual (the sup-norm change the plain update makes to nu) and the
     dual certificate slack, both at the current nu, must fall to
     ``tol``; the returned law is then the plain update of that nu, as it
-    is when the budget runs out.  The rule is not tested before
-    ``min_iter`` iterations: on broad instances the slack can dip below
-    tolerance transiently while the bulk of nu is still equilibrating,
-    and a floor on the iteration count is the simple guard.  Atoms that
-    decay below ``SUPPORT_FLOOR`` are pinned to exact zero and never
-    revived by a Blahut-Arimoto step.
+    is when the budget runs out, and its own slack must be at most
+    ``tol`` too, or the step stands as an ordinary one.  The rule is not
+    tested before ``min_iter`` iterations: on broad instances the slack
+    can dip below tolerance transiently while the bulk of nu is still
+    equilibrating, and a floor on the iteration count is the simple
+    guard.  Atoms that decay below ``SUPPORT_FLOOR`` are pinned to exact
+    zero and never revived by a Blahut-Arimoto step.
 
     With ``tol <= NEWTON_TOL`` the solve hands over to projected Newton
     steps once ``min_iter`` is reached and the slack is at most
@@ -454,8 +470,11 @@ def ba_fixed_point(
     live = mu.weights > 0
     mu_live = mu.weights[live]
     log_mu = _log_weights(mu_live)
-    log_phi = _log_kernel(dist, beta)[live]
-    shift, ker = _shifted_kernel(log_phi)
+    log_phi = _log_kernel(dist, beta)
+    kernel = _shifted_kernel(log_phi)
+    shift, ker = kernel
+    if not live.all():
+        log_phi, shift, ker = log_phi[live], shift[live], ker[live]
     zt = np.empty(len(mu_live))
     log_zt = np.empty_like(zt)
     w = np.empty_like(zt)
@@ -542,7 +561,6 @@ def ba_fixed_point(
     c = np.empty(n)
     plain, relaxed, c_trial, step, gain = (np.empty(n) for _ in range(5))
     residual = float("inf")
-    slack = float("inf")
     shrunk = 0
     iterations = 0
     newton = tol <= NEWTON_TOL
@@ -650,9 +668,13 @@ def ba_fixed_point(
                 alive = ~dead
                 has_dead = bool(dead.any())
             if final:
-                break
-    nu_star = ProbabilityVector(nu / nu.sum(), labels=nu0.labels)
-    _, distortion, rate, slack_final, _ = _tilted_state(mu, dist, beta, nu_star)
+                nu_star = ProbabilityVector(nu / nu.sum(), labels=nu0.labels)
+                _, distortion, rate, slack_final, _ = _tilted_state(mu, dist, beta, nu_star, kernel)
+                if slack_final <= tol or iterations == max_iter:
+                    break
+                # The law to be returned misses tol: its step was an ordinary one.
+                f = evaluate(nu, c)
+                require_mass(nu, f)
     if shrunk:
         logger.debug("support shrank by %d atoms in total", shrunk)
     point = RDPoint(
@@ -663,12 +685,12 @@ def ba_fixed_point(
         iterations=iterations,
         fixpoint_residual=residual,
         certificate_slack=slack_final,
-        converged=residual <= tol and slack <= tol,
+        converged=residual <= tol and slack_final <= tol,
     )
     if not point.converged:
         raise ConvergenceError(
             f"Blahut-Arimoto did not converge at beta={beta:g} within "
-            f"{max_iter} iterations (residual {residual:.3e}, slack {slack:.3e})",
+            f"{max_iter} iterations (residual {residual:.3e}, slack {slack_final:.3e})",
             partial=point,
         )
     return point

@@ -11,7 +11,10 @@ kernel into which large scalings are absorbed in the log domain
 The dual quantities J(nu, beta) and L(nu, beta) derived from the
 potentials measure how far a candidate reconstruction law nu sits from
 rate-distortion optimality at trade-off slope beta: L vanishes exactly
-at the optimal nu*, where g is constant on the support.
+at the optimal nu*, where g is constant on the support.  They and the
+residuals of the Schrodinger system are O(n) reads of the ScalingPair,
+on which ``sinkhorn`` keeps the row log-sums and residuals that its own
+kernel products give.
 """
 from __future__ import annotations
 
@@ -19,9 +22,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .blahut import _check_compat, _log_kernel, _log_weights
+from .blahut import _check_compat, _log_kernel, _log_weights, _logsumexp
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
 from .measures import Coupling, ProbabilityVector
@@ -45,44 +47,35 @@ class ScalingPair:
 
     and the gauge sum_j nu_j logG_j = 0 pins the multiplicative constant
     shared between f and g.  Potentials are only determined where the
-    marginals put mass; entries of logF/logG off-support are left at 0.
+    marginals put mass; entries of logF/logG off-support are left at 0,
+    as are those of log_z and log_zg off supp(mu).
 
     Attributes:
-        marginal_residual: sup-norm deviation of the induced coupling's
-            marginals from (mu, nu) at the final iterate.
+        log_z: ln sum_j e^{-beta rho_ij} nu_j, the row log-partition sums.
+        log_zg: ln sum_j g_j e^{-beta rho_ij} nu_j, the same sums weighted
+            by the final g, from the solve's last kernel product.
+        residuals: (row, col, eq8) defects of the final iterate; see
+            ``schrodinger_residual``.
         tol: the residual target this pair was solved to; downstream
-            evaluators refuse pairs whose residual exceeds 10x this.
+            evaluators refuse pairs whose marginal residual exceeds 10x
+            this.
     """
 
     logF: np.ndarray
     logG: np.ndarray
     logK: float
     beta: float
-    marginal_residual: float
+    log_z: np.ndarray
+    log_zg: np.ndarray
+    residuals: tuple[float, float, float]
     tol: float = DEFAULT_TOL
     iterations: int = 0
     converged: bool = True
 
-
-def _coupling_matrix(
-    scal_logF: np.ndarray,
-    scal_logG: np.ndarray,
-    logK: float,
-    log_phi: np.ndarray,
-    log_mu: np.ndarray,
-    log_nu: np.ndarray,
-) -> np.ndarray:
-    log_pi = (
-        logK
-        + (scal_logF + log_mu)[:, None]
-        + (scal_logG + log_nu)[None, :]
-        + log_phi
-    )
-    with np.errstate(invalid="ignore"):
-        pi = np.exp(log_pi)
-    # (-inf) + inf combinations can only arise on zero-mass rows/columns.
-    pi[np.isnan(pi)] = 0.0
-    return pi
+    @property
+    def marginal_residual(self) -> float:
+        """Sup-norm deviation of the induced coupling's marginals from (mu, nu)."""
+        return max(self.residuals[:2])
 
 
 def _absorbed_kernel(log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,8 +154,7 @@ def sinkhorn(
     log_mu_s = log_mu[rows]
     log_nu_s = log_nu[cols]
 
-    with np.errstate(divide="ignore"):
-        row_reach = logsumexp(log_phi_s + log_nu_s, axis=1)
+    row_reach = _logsumexp(log_phi_s + log_nu_s, axis=1)
     if np.any(np.isneginf(row_reach)):
         bad = int(rows[np.isneginf(row_reach)][0])
         raise InvalidInputError(
@@ -176,7 +168,7 @@ def sinkhorn(
             f"reconstruction atom {bad} carries mass but no source in "
             "supp(mu) can reach it: reference is infeasible"
         )
-    logK = float(-logsumexp(log_mu_s + row_reach))
+    logK = float(-_logsumexp(log_mu_s + row_reach, axis=0))
 
     # Standard Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(e^b v),
     # with a = ln mu + logK + logF and b = ln nu + logG.  The log-scalings
@@ -186,7 +178,7 @@ def sinkhorn(
     # Iteration 1's F-update is taken in the log domain, so every kernel
     # row starts with exactly its source mass.
     b = log_nu_s.copy() if logg0 is None else log_nu_s + np.asarray(logg0, dtype=float)[cols]
-    a = log_mu_s - (row_reach if logg0 is None else logsumexp(log_phi_s + b, axis=1))
+    a = log_mu_s - (row_reach if logg0 is None else _logsumexp(log_phi_s + b, axis=1))
     kernel = _absorbed_kernel(log_phi_s, a, b)
     u = np.ones(len(rows))
     v = np.ones(len(cols))
@@ -200,7 +192,7 @@ def sinkhorn(
             # A log-domain G-update matches the columns by construction.
             a += np.log(u)
             u[:] = 1.0
-            b = log_nu_s - logsumexp(log_phi_s + a[:, None], axis=0)
+            b = log_nu_s - _logsumexp(log_phi_s + a[:, None], axis=0)
             v[:] = 1.0
             kernel = _absorbed_kernel(log_phi_s, a, b)
             col_res = 0.0
@@ -214,7 +206,7 @@ def sinkhorn(
         else:
             b += np.log(v)
             v[:] = 1.0
-            a_next = log_mu_s - logsumexp(log_phi_s + b, axis=1)
+            a_next = log_mu_s - _logsumexp(log_phi_s + b, axis=1)
             row_res = np.abs(np.exp(log_mu_s + a + np.log(u) - a_next) - mu_w).max()
         residual = float(max(row_res, col_res))
         if residual <= tol or iterations == max_iter:
@@ -233,7 +225,18 @@ def sinkhorn(
             v[:] = 1.0
             kernel = _absorbed_kernel(log_phi_s, a, b)
 
-    logF = np.zeros(len(mu))
+    # ln sum_j g_j e^{-beta rho_ij} nu_j before the gauge shift, and the
+    # column sums over nu of the coupling one F-update on: these are the
+    # sums of eq. 8, which are 1 at a solution.
+    logF, log_z, log_zg = np.zeros((3, len(mu)))
+    log_z[rows] = row_reach
+    if scaled:
+        log_zg[rows] = np.log(row_sum) - a
+        eq8 = v * (kernel.T @ (mu_w / row_sum)) / nu_w
+    else:
+        log_zg[rows] = log_mu_s - a_next
+        eq8 = np.exp(b - log_nu_s + _logsumexp(log_phi_s + a_next[:, None], axis=0))
+
     logG = np.zeros(len(nu))
     logF[rows] = a + np.log(u) - log_mu_s - logK
     logG[cols] = b + np.log(v) - log_nu_s
@@ -242,14 +245,20 @@ def sinkhorn(
     shift = float(nu.weights[cols] @ logG[cols])
     logG[cols] -= shift
     logF[rows] += shift
-    pi = _coupling_matrix(logF, logG, logK, log_phi, log_mu, log_nu)
+    log_zg[rows] -= shift
+    with np.errstate(invalid="ignore"):
+        pi = np.exp(logK + (logF + log_mu)[:, None] + (logG + log_nu)[None, :] + log_phi)
+    # (-inf) + inf combinations can only arise on zero-mass rows/columns.
+    pi[np.isnan(pi)] = 0.0
 
     pair = ScalingPair(
         logF=logF,
         logG=logG,
         logK=logK,
         beta=float(beta),
-        marginal_residual=residual,
+        log_z=log_z,
+        log_zg=log_zg,
+        residuals=(float(row_res), float(col_res), float(np.abs(eq8 - 1.0).max())),
         tol=float(tol),
         iterations=iterations,
         converged=residual <= tol,
@@ -267,28 +276,20 @@ def sinkhorn(
     return pair, Coupling(pi)
 
 
-def _require_fresh(scal: ScalingPair):
-    if scal.marginal_residual > 10.0 * scal.tol:
+def _check_pair(mu, nu, dist, beta, scal: ScalingPair, fresh: bool = True):
+    """Refuse a pair of another shape or beta and, if ``fresh``, an unconverged one."""
+    _check_compat(mu, dist, beta, nu)
+    if (len(scal.logF), len(scal.logG)) != dist.shape or float(beta) != scal.beta:
+        raise InvalidInputError(
+            f"scaling pair solves a {len(scal.logF)} x {len(scal.logG)} problem at "
+            f"beta={scal.beta:g}, not {dist.shape[0]} x {dist.shape[1]} at beta={beta:g}"
+        )
+    if fresh and scal.marginal_residual > 10.0 * scal.tol:
         raise StaleCertificateError(
             "scaling pair is not converged (marginal residual "
             f"{scal.marginal_residual:.3e} > 10 x tol {scal.tol:g}); "
             "re-run sinkhorn before evaluating dual quantities"
         )
-
-
-def _dual_rows(
-    mu: ProbabilityVector,
-    nu: ProbabilityVector,
-    dist: DistortionMatrix,
-    beta: float,
-    logG: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log_phi, log_nu and den_i = ln sum_j g_j e^{-beta rho_ij} nu_j on supp(mu)."""
-    log_phi = _log_kernel(dist, beta)
-    log_nu = _log_weights(nu.weights)
-    with np.errstate(divide="ignore"):
-        den = logsumexp(log_phi[mu.support] + (log_nu + logG)[None, :], axis=1)
-    return log_phi, log_nu, den
 
 
 def eval_J(
@@ -304,18 +305,11 @@ def eval_J(
     J = -sum_i mu_i ln(sum_j g_j e^{-beta rho_ij} nu_j)
         + sum_j nu_j ln g_j - beta D
 
-    evaluated in the log domain from a converged scaling pair.  At the
+    an O(n) read of a converged scaling pair for (mu, nu, beta).  At the
     optimal reconstruction law and matched D this equals the curve rate.
     """
-    _check_compat(mu, dist, beta, nu)
-    _require_fresh(scal)
-    _, _, den = _dual_rows(mu, nu, dist, beta, scal.logG)
-    cols = nu.support
-    return float(
-        -(mu.weights[mu.support] @ den)
-        + nu.weights[cols] @ scal.logG[cols]
-        - beta * D
-    )
+    _check_pair(mu, nu, dist, beta, scal)
+    return float(-(mu.weights @ scal.log_zg) + nu.weights @ scal.logG - beta * D)
 
 
 def eval_L(
@@ -330,18 +324,11 @@ def eval_L(
     L = sum_i mu_i ln( sum_j e^{-beta rho_ij} nu_j
                        / sum_j g_j e^{-beta rho_ij} nu_j )
         + sum_j nu_j ln g_j
+
+    an O(n) read of a converged scaling pair for (mu, nu, beta).
     """
-    _check_compat(mu, dist, beta, nu)
-    _require_fresh(scal)
-    log_phi, log_nu, den = _dual_rows(mu, nu, dist, beta, scal.logG)
-    rows = mu.support
-    cols = nu.support
-    with np.errstate(divide="ignore"):
-        plain = logsumexp(log_phi[rows] + log_nu[None, :], axis=1)
-    return float(
-        mu.weights[rows] @ (plain - den)
-        + nu.weights[cols] @ scal.logG[cols]
-    )
+    _check_pair(mu, nu, dist, beta, scal)
+    return float(mu.weights @ (scal.log_z - scal.log_zg) + nu.weights @ scal.logG)
 
 
 def schrodinger_residual(
@@ -358,20 +345,9 @@ def schrodinger_residual(
 
             sum_i mu_i g_y e^{-beta rho(i,y)} / sum_j g_j e^{-beta rho(i,j)} nu_j
 
-        from 1 over y in supp(nu).  Works on unconverged pairs too; the
-        numbers are then just large.
+        from 1 over y in supp(nu).  An O(n) read of the residuals
+        ``sinkhorn`` took from the products of its final iterate.  Works
+        on unconverged pairs too; the numbers are then just large.
     """
-    _check_compat(mu, dist, scal.beta, nu)
-    log_phi, log_nu, den = _dual_rows(mu, nu, dist, scal.beta, scal.logG)
-    log_mu = _log_weights(mu.weights)
-    rows = mu.support
-    cols = nu.support
-    pi = _coupling_matrix(scal.logF, scal.logG, scal.logK, log_phi, log_mu, log_nu)
-    row_res = float(np.abs(pi.sum(axis=1) - mu.weights).max())
-    col_res = float(np.abs(pi.sum(axis=0) - nu.weights).max())
-    with np.errstate(divide="ignore"):
-        log_t = scal.logG[cols] + logsumexp(
-            (log_mu[rows] - den)[:, None] + log_phi[np.ix_(rows, cols)], axis=0
-        )
-    eq8_res = float(np.abs(np.exp(log_t) - 1.0).max())
-    return row_res, col_res, eq8_res
+    _check_pair(mu, nu, dist, scal.beta, scal, fresh=False)
+    return scal.residuals

@@ -549,10 +549,10 @@ def test_load_nu_failures(tmp_path):
         load_nu(str(bad_mass))
 
 
-# --- threading env ----------------------------------------------------------
+# --- repeatability and the stop rule ---------------------------------------
 
 
-def test_thread_cap_does_not_change_output(monkeypatch, capsys):
+def test_repeated_curve_runs_write_identical_output(capsys):
     argv = [
         "curve",
         "--betas.list",
@@ -560,11 +560,31 @@ def test_thread_cap_does_not_change_output(monkeypatch, capsys):
         "--warm_start",
         "false",
     ]
-    monkeypatch.setenv("RD_BRIDGE_THREADS", "1")
-    _, single, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("RD_BRIDGE_THREADS", "4")
-    _, pooled, _ = run_cli(capsys, argv)
-    assert single == pooled
+    _, first, _ = run_cli(capsys, argv)
+    _, second, _ = run_cli(capsys, argv)
+    assert first == second
+
+
+GAUSSIAN_BETA_10 = [
+    "--source.kind", "gaussian", "--source.points", "257", "--distortion.kind", "mse",
+    "--tol", "5e-4",
+]
+
+
+def test_solve_stops_on_the_returned_law_slack(capsys):
+    # The returned law is the plain step after the stop rule holds.  These
+    # solves once stopped after 4 iterations, reporting converged, with a
+    # returned law of certificate slack 9.9e-3.
+    code, out, _ = run_cli(capsys, ["point", "--beta", "10"] + GAUSSIAN_BETA_10)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["converged"]
+    assert doc["report"]["certificate_slack"] <= 5e-4
+    code, out, _ = run_cli(capsys, ["curve", "--betas.list", "10"] + GAUSSIAN_BETA_10)
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert code == 0
+    assert row["converged"] == "1"
+    assert float(row["certificate_slack"]) <= 5e-4
 
 
 # --- module entry point -----------------------------------------------------
@@ -581,15 +601,15 @@ def test_module_entry_runs_as_subprocess():
     assert proc.stdout.startswith("beta,distortion,rate")
 
 
-def test_import_leaves_scipy_optimize_and_linalg_unloaded():
-    # scipy.optimize costs about 0.8 s of CPU to import and scipy.linalg
-    # about 60 ms; only a Newton phase loads the latter, on first use.
+def test_import_loads_no_scipy():
+    # scipy.special costs about 0.2 s of CPU to import, scipy.optimize about
+    # 0.8 s; only a Newton phase loads scipy.linalg, on first use.
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, rdbridge; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))",
+            "import sys, rdbridge, rdbridge.io_cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ],
         capture_output=True,
         text=True,

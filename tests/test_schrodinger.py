@@ -96,6 +96,38 @@ def log_domain_sinkhorn(mu, nu, dist, beta, tol, max_iter):
     return logF, logG, logK, iterations, residual
 
 
+def log_domain_evaluators(mu, nu, dist, beta, D, scal):
+    """Reference J, L and Schrodinger residuals from the potentials alone.
+
+    Each row sum is a fresh n x n logsumexp, and the residuals come from
+    the coupling rebuilt out of (logF, logG, logK).  Returns (J, L,
+    (row_res, col_res, eq8_res)).
+    """
+    log_phi = _log_kernel(dist, beta)
+    log_mu = _log_weights(mu.weights)
+    log_nu = _log_weights(nu.weights)
+    rows, cols = mu.support, nu.support
+    with np.errstate(divide="ignore"):
+        den = logsumexp(log_phi[rows] + (log_nu + scal.logG)[None, :], axis=1)
+        plain = logsumexp(log_phi[rows] + log_nu[None, :], axis=1)
+    g_mass = nu.weights[cols] @ scal.logG[cols]
+    j = -(mu.weights[rows] @ den) + g_mass - beta * D
+    l = mu.weights[rows] @ (plain - den) + g_mass
+    with np.errstate(invalid="ignore"):
+        pi = np.exp(
+            scal.logK + (scal.logF + log_mu)[:, None] + (scal.logG + log_nu)[None, :] + log_phi
+        )
+    pi[np.isnan(pi)] = 0.0
+    row_res = np.abs(pi.sum(axis=1) - mu.weights).max()
+    col_res = np.abs(pi.sum(axis=0) - nu.weights).max()
+    with np.errstate(divide="ignore"):
+        log_t = scal.logG[cols] + logsumexp(
+            (log_mu[rows] - den)[:, None] + log_phi[np.ix_(rows, cols)], axis=0
+        )
+    eq8_res = np.abs(np.exp(log_t) - 1.0).max()
+    return j, l, (row_res, col_res, eq8_res)
+
+
 # --- closed forms and convergence ------------------------------------------
 
 
@@ -184,7 +216,7 @@ def test_zero_mass_atoms_keep_zero_potentials():
 # forbidden (+inf) pairs that can make the reference infeasible, and
 # slopes whose kernels underflow far past the smallest double.
 @st.composite
-def scaling_problems(draw):
+def scaling_problems(draw, betas=st.floats(0.0, 1e3)):
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 5))
     mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -197,7 +229,7 @@ def scaling_problems(draw):
     loss = st.one_of(st.just(math.inf), st.floats(0.0, 4.0))
     rho = np.array(draw(st.lists(st.lists(loss, min_size=m, max_size=m), min_size=n, max_size=n)))
     rho[np.arange(n), draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))] = 0.0
-    return weights[0], weights[1], DistortionMatrix(rho), draw(st.floats(0.0, 1e3))
+    return weights[0], weights[1], DistortionMatrix(rho), draw(betas)
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,7 +287,7 @@ STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0
 def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
+        pair, coupling = sinkhorn(mu, nu, dist, beta, tol=1e-12)
     ref_logF, ref_logG, _, ref_iterations, _ = log_domain_sinkhorn(
         mu, nu, dist, beta, 1e-12, DEFAULT_MAX_ITER
     )
@@ -263,6 +295,13 @@ def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
     assert pair.iterations == ref_iterations
     assert np.abs(pair.logF - ref_logF).max() <= 1e-12
     assert np.abs(pair.logG - ref_logG).max() <= 1e-12
+    # The flushed-row solve ends on a log-domain F-update, so the pair's
+    # g-weighted row sums and eq. 8 sums come from that half-step.
+    d = expected_loss(coupling.joint, dist)
+    ref_j, ref_l, ref_residuals = log_domain_evaluators(mu, nu, dist, beta, d, pair)
+    assert eval_J(mu, nu, dist, beta, d, pair) == pytest.approx(ref_j, rel=1e-12, abs=1e-12)
+    assert eval_L(mu, nu, dist, beta, pair) == pytest.approx(ref_l, rel=1e-12, abs=1e-12)
+    assert np.allclose(schrodinger_residual(mu, nu, dist, pair), ref_residuals, rtol=0, atol=1e-12)
 
 
 def gaussian_problem():
@@ -305,6 +344,31 @@ def test_near_optimal_law_takes_the_log_domain_iteration_count():
 
 
 # --- dual evaluators --------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaling_problems(betas=st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+def test_evaluators_read_the_log_domain_values_off_the_pair(problem):
+    mu, nu, dist, beta = problem
+    try:
+        pair, coupling = sinkhorn(mu, nu, dist, beta, tol=1e-10, max_iter=300)
+    except InvalidInputError:
+        return  # an infeasible reference has no pair
+    except ConvergenceError as err:
+        pair, coupling = err.partial
+    d = expected_loss(coupling.joint, dist)
+    ref_j, ref_l, ref_residuals = log_domain_evaluators(mu, nu, dist, beta, d, pair)
+    # Residuals of unconverged pairs and J at large beta exceed 1, so the
+    # agreement is relative past that size.
+    for ours, ref in zip(schrodinger_residual(mu, nu, dist, pair), ref_residuals):
+        assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    if pair.converged:
+        assert eval_J(mu, nu, dist, beta, d, pair) == pytest.approx(ref_j, rel=1e-12, abs=1e-12)
+        assert eval_L(mu, nu, dist, beta, pair) == pytest.approx(ref_l, rel=1e-12, abs=1e-12)
+    with pytest.raises(InvalidInputError):
+        eval_J(mu, nu, dist, 2.0 * beta, d, pair)
+    with pytest.raises(InvalidInputError):
+        eval_L(mu, nu, dist, 2.0 * beta, pair)
 
 
 def test_defect_is_nonnegative_and_zero_at_the_optimum():
@@ -391,6 +455,19 @@ def test_unconverged_pair_is_rejected_by_evaluators():
     # The residual probe itself accepts partial pairs.
     row_res, col_res, _ = schrodinger_residual(mu, nu, hamming(2), pair)
     assert max(row_res, col_res) == pytest.approx(pair.marginal_residual, rel=1e-12)
+
+
+def test_pair_of_another_shape_is_rejected():
+    mu = ProbabilityVector([0.7, 0.3])
+    pair, _ = sinkhorn(mu, ProbabilityVector([0.6, 0.4]), hamming(2), 1.3, tol=1e-13)
+    wide = ProbabilityVector([0.5, 0.3, 0.2])
+    dist = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]))
+    with pytest.raises(InvalidInputError):
+        eval_J(mu, wide, dist, 1.3, 0.1, pair)
+    with pytest.raises(InvalidInputError):
+        eval_L(mu, wide, dist, 1.3, pair)
+    with pytest.raises(InvalidInputError):
+        schrodinger_residual(mu, wide, dist, pair)
 
 
 def test_unconverged_partial_coupling_has_unit_mass():
