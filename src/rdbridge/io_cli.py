@@ -18,6 +18,7 @@ exceeded comparison bound), 3 suboptimal verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -528,7 +529,13 @@ def _cmd_compare(cfg: RunConfig, args) -> int:
     return 0 if max_err * scale <= cfg["compare.bound"] else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after.
+
+    Building it costs about 2 ms, a fifth of a short ``check``; parsing
+    leaves the parser unchanged, so one instance serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="rdbridge",
         description="Rate-distortion curves, Schrodinger potentials, and "

@@ -8,6 +8,17 @@ are computed by Sinkhorn iteration in the scaling domain, on a cached
 kernel into which large scalings are absorbed in the log domain
 (Schmitzer, SIAM J. Sci. Comput. 2019).
 
+The iteration is over-relaxed once it has reached its linear tail
+(Thibault, Chizat, Dossal & Papadakis, Algorithms 2021; Lehmann, von
+Renesse, Sambale & Uschmajew, Optim. Lett. 2022): a half-step becomes
+u <- u^(1-omega) (mu / Kv)^omega.  omega = 2 / (1 + sqrt(1 - lambda)) is
+estimated from the contraction lambda of the plain iterations once their
+residual ratios have settled, and is at most OMEGA_MAX.  A relaxed
+half-step is kept only if it does not lower the Sinkhorn dual
+mu . ln u + nu . ln v - u^T K v, an O(n) test; otherwise the plain
+half-step is taken.  Relaxation ends for good when a stretch of relaxed
+iterations fails to lower the residual.
+
 The dual quantities J(nu, beta) and L(nu, beta) derived from the
 potentials measure how far a candidate reconstruction law nu sits from
 rate-distortion optimality at trade-off slope beta: L vanishes exactly
@@ -19,6 +30,7 @@ kernel products give.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +44,30 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 2000
+TINY = np.finfo(float).tiny
 # Scalings u, v are folded into the cached kernel once some |ln u_i| or
 # |ln v_j| passes this, so the kernel stays near the current coupling.
 ABSORB_LOG_SCALE = 30.0
+ABSORB_HI = math.exp(ABSORB_LOG_SCALE)
+ABSORB_LO = math.exp(-ABSORB_LOG_SCALE)
+# Cap on the over-relaxation factor omega (the relaxed map diverges at
+# 2).  A plain contraction lambda above RELAX_LAMBDA_MAX, whose optimal
+# omega would pass the cap, reads as stagnation, not a linear tail, and
+# is never relaxed.
+OMEGA_MAX = 1.9
+RELAX_LAMBDA_MAX = 1.0 - (2.0 / OMEGA_MAX - 1.0) ** 2
+# The residual ratio lambda has settled once RELAX_CALM successive
+# ratios each differ from the one before by less than
+# RELAX_SETTLE * (1 - lambda).
+RELAX_SETTLE = 0.05
+RELAX_CALM = 2
+# Relaxed iterations between checks that the residual has fallen.
+RELAX_STRETCH = 10
+# At omega <= OMEGA_MAX, a relaxed half-step cannot lower the dual while
+# every ratio plain / current lies within e^(+-RELAX_SAFE_LOG).
+RELAX_SAFE_LOG = 0.3
+RELAX_SAFE_LO = math.exp(-RELAX_SAFE_LOG)
+RELAX_SAFE_HI = math.exp(RELAX_SAFE_LOG)
 
 
 @dataclass
@@ -88,7 +121,7 @@ def _absorbed_kernel(log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     products slow.
     """
     kernel = np.exp(log_phi_s + a[:, None] + b[None, :])
-    kernel[kernel < np.finfo(float).tiny] = 0.0
+    kernel[kernel < TINY] = 0.0
     return kernel
 
 
@@ -97,7 +130,54 @@ def _normal(x: np.ndarray) -> bool:
 
     Subnormal values carry too few significant bits to divide by.
     """
-    return bool(x.min() >= np.finfo(float).tiny and x.max() < np.inf)
+    return bool(x.min() >= TINY and x.max() < np.inf)
+
+
+def _keeps_dual(mass: np.ndarray, log_r: np.ndarray, omega: float) -> bool:
+    """Whether an over-relaxed half-step leaves the Sinkhorn dual no lower.
+
+    The half-step moves a log-scaling by omega L from where it is, where
+    L = log_r is the plain half-step's move.  It changes the dual
+    mu . ln u + nu . ln v - u^T K v by
+
+        sum_i mass_i (omega L_i - expm1((omega - 1) L_i) + expm1(-L_i)),
+
+    which the plain half-step (omega = 1) never makes negative.  Written
+    in L with expm1, each term is accurate to rounding relative to
+    itself, so the test also holds near convergence, where the change is
+    of order L**2.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = mass @ (omega * log_r - np.expm1((omega - 1.0) * log_r) + np.expm1(-log_r))
+    return bool(0.0 <= gain < math.inf)
+
+
+def _relaxed_scaling(mass, plain, current, omega):
+    """The scaling current * (plain / current)**omega if it keeps the dual, else plain.
+
+    Every term of the dual change in ``_keeps_dual`` is nonnegative for
+    L <= 0, and for 0 < L <= RELAX_SAFE_LOG at omega <= OMEGA_MAX, so
+    near convergence the sum need not be formed.  A relaxed scaling that
+    leaves the normal range is refused too.
+    """
+    if omega == 1.0:
+        return plain
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = plain / current
+        if RELAX_SAFE_LO <= ratio.min() and ratio.max() <= RELAX_SAFE_HI:
+            return plain * ratio ** (omega - 1.0)
+        if _keeps_dual(mass, np.log(ratio), omega):
+            relaxed = plain * ratio ** (omega - 1.0)
+            if _normal(relaxed):
+                return relaxed
+    return plain
+
+
+def _relaxed_log(mass, plain, current, omega):
+    """``_relaxed_scaling`` on log-scalings, for the log-domain half-steps."""
+    if omega > 1.0 and _keeps_dual(mass, plain - current, omega):
+        return current + omega * (plain - current)
+    return plain
 
 
 def sinkhorn(
@@ -122,10 +202,22 @@ def sinkhorn(
     marginal residuals.  Scalings are absorbed into the kernel before they
     grow large, and an update whose product leaves the normal floating
     point range is taken in the log domain instead.  Atoms with zero mass
-    take no part in the updates.  The default initialization logG = 0 is
-    deterministic; an alternative ``logg0`` converges to the same
-    gauge-fixed potentials and exists mainly to make that uniqueness
-    testable.  logF needs no start: iteration 1 computes it from logG.
+    take no part in the updates.
+
+    Once RELAX_CALM successive ratios of the residual have settled at a
+    contraction lambda <= RELAX_LAMBDA_MAX, both half-steps are
+    over-relaxed, u <- u (mu / (u M v))^omega with
+    omega = 2 / (1 + sqrt(1 - lambda)) <= OMEGA_MAX, in the scaling or the
+    log domain alike.  A relaxed half-step that would lower the Sinkhorn
+    dual mu . ln u + nu . ln v - u^T M v falls back to the plain one, and
+    a stretch of RELAX_STRETCH relaxed iterations that does not lower the
+    best residual ends relaxation for good.  The stop rule reads the
+    iterate that is returned, relaxed or not.
+
+    The default initialization logG = 0 is deterministic; an alternative
+    ``logg0`` converges to the same gauge-fixed potentials and exists
+    mainly to make that uniqueness testable.  logF needs no start:
+    iteration 1 computes it from logG.
 
     Returns:
         (ScalingPair, Coupling), gauge-fixed so sum_j nu_j logG_j = 0.
@@ -183,19 +275,27 @@ def sinkhorn(
     u = np.ones(len(rows))
     v = np.ones(len(cols))
 
+    # omega = 1 until RELAX_CALM settled residual ratios; the relaxation
+    # then runs while each stretch of RELAX_STRETCH iterations lowers the
+    # best residual (``checkpoint`` at the stretch's start).
+    omega = 1.0
+    calm = 0
+    last_res, last_ratio = math.inf, math.nan
     for iterations in range(1, max_iter + 1):
         col_sum = kernel.T @ u
         if _normal(col_sum):
-            np.divide(nu_w, col_sum, out=v)
+            v = _relaxed_scaling(nu_w, nu_w / col_sum, v, omega)
             col_res = np.abs(v * col_sum - nu_w).max()
         else:
-            # A log-domain G-update matches the columns by construction.
+            # A plain log-domain G-update matches the columns by
+            # construction; a relaxed one misses them by its own step.
             a += np.log(u)
             u[:] = 1.0
-            b = log_nu_s - _logsumexp(log_phi_s + a[:, None], axis=0)
+            b_plain = log_nu_s - _logsumexp(log_phi_s + a[:, None], axis=0)
+            b = _relaxed_log(nu_w, b_plain, b + np.log(v), omega)
             v[:] = 1.0
             kernel = _absorbed_kernel(log_phi_s, a, b)
-            col_res = 0.0
+            col_res = np.abs(nu_w * np.expm1(b - b_plain)).max()
 
         # The row marginals u * (kernel v) come from the product the next
         # F-update needs anyway.
@@ -212,13 +312,29 @@ def sinkhorn(
         if residual <= tol or iterations == max_iter:
             break
 
+        if calm < RELAX_CALM:
+            ratio = residual / last_res
+            settled = abs(ratio - last_ratio) < RELAX_SETTLE * (1.0 - ratio)
+            calm = calm + 1 if settled and ratio <= RELAX_LAMBDA_MAX else 0
+            if calm == RELAX_CALM:
+                omega = 2.0 / (1.0 + math.sqrt(1.0 - ratio))
+                checkpoint = best = residual
+                check_at = iterations + RELAX_STRETCH
+            last_res, last_ratio = residual, ratio
+        elif omega > 1.0:
+            best = min(best, residual)
+            if iterations == check_at:
+                if best >= checkpoint:
+                    omega = 1.0
+                checkpoint, check_at = best, iterations + RELAX_STRETCH
+
         if scaled:
-            np.divide(mu_w, row_sum, out=u)
+            u = _relaxed_scaling(mu_w, mu_w / row_sum, u, omega)
         else:
-            a = a_next
+            a = _relaxed_log(mu_w, a_next, a + np.log(u), omega)
             u[:] = 1.0
             kernel = _absorbed_kernel(log_phi_s, a, b)
-        if max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max()) > ABSORB_LOG_SCALE:
+        if max(u.max(), v.max()) > ABSORB_HI or min(u.min(), v.min()) < ABSORB_LO:
             a += np.log(u)
             b += np.log(v)
             u[:] = 1.0

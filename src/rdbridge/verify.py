@@ -103,6 +103,29 @@ def _spread(values: np.ndarray, where: np.ndarray) -> float:
     return float(picked.max() - picked.min())
 
 
+def _couplable(mu: ProbabilityVector, nu: ProbabilityVector, dist: DistortionMatrix) -> bool:
+    """False when no coupling of (mu, nu) lives on the finite-loss pairs.
+
+    An exact transport-feasibility LP over the pairs of supp(mu) x supp(nu)
+    with finite loss; a solve that ends any other way than "infeasible"
+    counts as couplable.  It costs a scipy import and an LP, so it runs
+    only to explain a Sinkhorn solve that has already failed.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    rows, cols = mu.support, nu.support
+    ii, jj = np.nonzero(np.isfinite(dist.rho[np.ix_(rows, cols)]))
+    pairs = np.arange(ii.size)
+    constraints = coo_matrix(
+        (np.ones(2 * ii.size), (np.concatenate([ii, rows.size + jj]), np.tile(pairs, 2))),
+        shape=(rows.size + cols.size, ii.size),
+    )
+    masses = np.concatenate([mu.weights[rows], nu.weights[cols]])
+    result = linprog(np.zeros(ii.size), A_eq=constraints, b_eq=masses, method="highs")
+    return result.status != 2
+
+
 def check_optimality(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -117,7 +140,9 @@ def check_optimality(
     against the configured tolerance.  The verdict is "optimal" only
     when all three pass, "inconclusive" when Sinkhorn fails to converge
     (nothing can then be certified either way), and "suboptimal"
-    otherwise.
+    otherwise.  After a failed solve a transport-feasibility LP tells
+    whether (mu, nu) can be coupled on finite-loss pairs at all; if not,
+    ``detail`` says so.
 
     The spread is taken over atoms with mass >= ``mass_threshold``: a
     candidate produced by an iterative solver carries stray mass of
@@ -144,7 +169,10 @@ def check_optimality(
         )
     except ConvergenceError as err:
         pair, _ = err.partial
-        logger.warning("optimality check at beta=%g is inconclusive: %s", beta, err)
+        detail = str(err)
+        if not _couplable(mu, nu, dist):
+            detail = f"marginals cannot be coupled on finite-loss pairs; {detail}"
+        logger.warning("optimality check at beta=%g is inconclusive: %s", beta, detail)
         return OptimalityReport(
             beta=float(beta),
             g_spread=_spread(pair.logG, effective),
@@ -153,7 +181,7 @@ def check_optimality(
             dual_gap=dual_gap,
             certificate_slack=slack,
             verdict="inconclusive",
-            detail=str(err),
+            detail=detail,
         )
 
     g_spread = _spread(pair.logG, effective)

@@ -587,6 +587,31 @@ def test_solve_stops_on_the_returned_law_slack(capsys):
     assert float(row["certificate_slack"]) <= 5e-4
 
 
+def test_commands_in_one_process_match_separate_runs(tmp_path, capsys):
+    # main() reuses one parser across calls; a run of commands in one
+    # process must write what each writes in a fresh process.
+    nu_file = tmp_path / "law.txt"
+    nu_file.write_text("0.6\n0.4\n")
+    law = ["--source.p", "0.3", "--beta", "2.0", "--nu", str(nu_file)]
+    runs = [["check"] + law, ["sinkhorn"] + law, ["curve", "--betas.list", "0.5,2.0"]]
+    separate = []
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdbridge.io_cli"] + argv,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        separate.append((proc.returncode, proc.stdout))
+    assert [run_cli(capsys, argv)[:2] for argv in runs] == separate
+    # An argparse error still exits 2, and the next command is unchanged.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", "--no-such-flag"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, runs[0])[:2] == separate[0]
+
+
 # --- module entry point -----------------------------------------------------
 
 

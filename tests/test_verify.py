@@ -1,5 +1,6 @@
 """Tests for optimality checks, support censuses, and oracle comparisons."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,27 @@ def test_failed_inner_solve_gives_inconclusive():
     assert report.verdict == "inconclusive"
     assert math.isnan(report.l_value)
     assert report.detail != ""
+    # Every pair has finite loss, so the marginals can be coupled.
+    assert UNCOUPLABLE not in report.detail
+
+
+UNCOUPLABLE = "marginals cannot be coupled on finite-loss pairs"
+
+
+def test_uncouplable_marginals_are_named_in_the_verdict():
+    # Column 1 needs mass 0.5 and only row 1, of mass 0.1, reaches it.
+    inf = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = check_optimality(
+            ProbabilityVector([0.9, 0.1]),
+            DistortionMatrix(np.array([[0.0, inf], [1.0, 0.0]])),
+            1.0,
+            ProbabilityVector([0.5, 0.5]),
+        )
+    assert report.verdict == "inconclusive"
+    assert report.detail.startswith(UNCOUPLABLE)
+    assert "did not reach residual" in report.detail
 
 
 def test_unconverged_coupling_off_unit_mass_gives_inconclusive():
@@ -163,9 +185,13 @@ def test_unconverged_coupling_off_unit_mass_gives_inconclusive():
     mu = ProbabilityVector(w / w.sum())
     nu = ProbabilityVector([0.2, 0.3, 0.5])
     dist = DistortionMatrix(np.array([[0.0, 3.757, inf], [0.0, inf, 2.565], [0.738, inf, 0.0]]))
-    report = check_optimality(mu, dist, 3.356, nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = check_optimality(mu, dist, 3.356, nu)
     assert report.verdict == "inconclusive"
     assert "did not reach residual" in report.detail
+    # Column 2 needs mass 0.5 and only rows of mass 1e-300 reach it.
+    assert report.detail.startswith(UNCOUPLABLE)
 
 
 def test_verdict_dichotomy_under_perturbation():
