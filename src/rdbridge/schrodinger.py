@@ -111,8 +111,8 @@ class ScalingPair:
         return max(self.residuals[:2])
 
 
-def _absorbed_kernel(log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """exp(a_i + log_phi_s_ij + b_j), subnormal entries flushed to zero.
+def _flush_subnormals(kernel: np.ndarray) -> None:
+    """Set the subnormal entries of a kernel to zero, in place.
 
     A subnormal entry moves a product by less than its rounding error
     unless a whole row or column is subnormal, and then the product falls
@@ -120,9 +120,19 @@ def _absorbed_kernel(log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     half-step instead.  Kept, such entries make the matrix-vector
     products slow.
     """
-    kernel = np.exp(log_phi_s + a[:, None] + b[None, :])
     kernel[kernel < TINY] = 0.0
-    return kernel
+
+
+def _absorbed_kernel(kernel: np.ndarray, log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Overwrite ``kernel`` with exp(a_i + log_phi_s_ij + b_j), subnormals flushed.
+
+    Written in place: a fresh n x n array per rebuild costs more in
+    page faults than the exp itself.
+    """
+    np.add(log_phi_s, a[:, None], out=kernel)
+    kernel += b
+    np.exp(kernel, out=kernel)
+    _flush_subnormals(kernel)
 
 
 def _normal(x: np.ndarray) -> bool:
@@ -242,18 +252,36 @@ def sinkhorn(
     cols = nu.support
     mu_w = mu.weights[rows]
     nu_w = nu.weights[cols]
-    log_phi_s = log_phi[np.ix_(rows, cols)]
+    full = rows.size == len(mu) and cols.size == len(nu)
+    log_phi_s = log_phi if full else log_phi[np.ix_(rows, cols)]
     log_mu_s = log_mu[rows]
     log_nu_s = log_nu[cols]
 
-    row_reach = _logsumexp(log_phi_s + log_nu_s, axis=1)
+    # Standard Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(e^b v),
+    # with a = ln mu + logK + logF and b = ln nu + logG.  The log-scalings
+    # (a, b) are absorbed into the cached kernel, which is the coupling at
+    # u = v = 1; u and v are folded into them when they grow past
+    # ABSORB_LOG_SCALE or a kernel product leaves the normal range.
+    # Iteration 1's F-update is taken in the log domain: the kernel is
+    # exp(log_phi_s + b) with each row scaled to its source mass, the
+    # exponentials of the row logsumexp that this update computes.
+    b = log_nu_s.copy() if logg0 is None else log_nu_s + np.asarray(logg0, dtype=float)[cols]
+    kernel = log_phi_s + b
+    top = kernel.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    kernel -= top[:, None]
+    np.exp(kernel, out=kernel)
+    row_mass = kernel.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(row_mass) + top
+    row_reach = log_rows if logg0 is None else _logsumexp(log_phi_s + log_nu_s, axis=1)
     if np.any(np.isneginf(row_reach)):
         bad = int(rows[np.isneginf(row_reach)][0])
         raise InvalidInputError(
             f"source atom {bad} carries mass but every reconstruction in "
             "supp(nu) has infinite loss for it: reference is infeasible"
         )
-    col_dead = np.all(np.isneginf(log_phi_s), axis=0)
+    col_dead = np.isneginf(log_phi_s.max(axis=0))
     if np.any(col_dead):
         bad = int(cols[col_dead][0])
         raise InvalidInputError(
@@ -261,17 +289,9 @@ def sinkhorn(
             "supp(mu) can reach it: reference is infeasible"
         )
     logK = float(-_logsumexp(log_mu_s + row_reach, axis=0))
-
-    # Standard Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(e^b v),
-    # with a = ln mu + logK + logF and b = ln nu + logG.  The log-scalings
-    # (a, b) are absorbed into the cached kernel, which is the coupling at
-    # u = v = 1; u and v are folded into them when they grow past
-    # ABSORB_LOG_SCALE or a kernel product leaves the normal range.
-    # Iteration 1's F-update is taken in the log domain, so every kernel
-    # row starts with exactly its source mass.
-    b = log_nu_s.copy() if logg0 is None else log_nu_s + np.asarray(logg0, dtype=float)[cols]
-    a = log_mu_s - (row_reach if logg0 is None else _logsumexp(log_phi_s + b, axis=1))
-    kernel = _absorbed_kernel(log_phi_s, a, b)
+    a = log_mu_s - log_rows
+    kernel *= (mu_w / row_mass)[:, None]
+    _flush_subnormals(kernel)
     u = np.ones(len(rows))
     v = np.ones(len(cols))
 
@@ -294,7 +314,7 @@ def sinkhorn(
             b_plain = log_nu_s - _logsumexp(log_phi_s + a[:, None], axis=0)
             b = _relaxed_log(nu_w, b_plain, b + np.log(v), omega)
             v[:] = 1.0
-            kernel = _absorbed_kernel(log_phi_s, a, b)
+            _absorbed_kernel(kernel, log_phi_s, a, b)
             col_res = np.abs(nu_w * np.expm1(b - b_plain)).max()
 
         # The row marginals u * (kernel v) come from the product the next
@@ -333,13 +353,13 @@ def sinkhorn(
         else:
             a = _relaxed_log(mu_w, a_next, a + np.log(u), omega)
             u[:] = 1.0
-            kernel = _absorbed_kernel(log_phi_s, a, b)
+            _absorbed_kernel(kernel, log_phi_s, a, b)
         if max(u.max(), v.max()) > ABSORB_HI or min(u.min(), v.min()) < ABSORB_LO:
             a += np.log(u)
             b += np.log(v)
             u[:] = 1.0
             v[:] = 1.0
-            kernel = _absorbed_kernel(log_phi_s, a, b)
+            _absorbed_kernel(kernel, log_phi_s, a, b)
 
     # ln sum_j g_j e^{-beta rho_ij} nu_j before the gauge shift, and the
     # column sums over nu of the coupling one F-update on: these are the
@@ -362,10 +382,18 @@ def sinkhorn(
     logG[cols] -= shift
     logF[rows] += shift
     log_zg[rows] -= shift
-    with np.errstate(invalid="ignore"):
-        pi = np.exp(logK + (logF + log_mu)[:, None] + (logG + log_nu)[None, :] + log_phi)
-    # (-inf) + inf combinations can only arise on zero-mass rows/columns.
-    pi[np.isnan(pi)] = 0.0
+    # The coupling of the final iterate, diag(u) kernel diag(v), formed in
+    # the kernel's buffer.  A final log-domain F-update folded v into b
+    # without rebuilding the kernel.
+    if not scaled:
+        _absorbed_kernel(kernel, log_phi_s, a, b)
+    kernel *= u[:, None]
+    kernel *= v
+    if full:
+        pi = kernel
+    else:
+        pi = np.zeros(dist.shape)
+        pi[np.ix_(rows, cols)] = kernel
 
     pair = ScalingPair(
         logF=logF,
