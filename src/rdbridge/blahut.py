@@ -207,19 +207,21 @@ def _tilted_rows(log_phi, log_nu, log_mu):
     return log_z, log_c
 
 
-def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_kernel(log_phi: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Cache exp(log_phi - shift), shifted by the row maximum of log_phi.
 
     A row partition sum computed from the cached kernel is then exactly a
     logsumexp evaluation whose shift was chosen once instead of per call.
-    For a normalized loss the shift is zero.
+    For a normalized loss the shift is zero.  With ``overwrite`` the
+    kernel is formed in log_phi's own buffer.
     """
     shift = np.max(log_phi, axis=1)
     with np.errstate(invalid="ignore"):
-        ker = np.exp(log_phi - shift[:, None])
+        ker = np.subtract(log_phi, shift[:, None], out=log_phi if overwrite else None)
+        np.exp(ker, out=ker)
     # Rows of all-infinite loss produce nan from (-inf) - (-inf); they
-    # carry no kernel mass at all.
-    ker[np.isneginf(log_phi)] = 0.0
+    # carry no kernel mass at all.  Elsewhere exp(-inf) is already 0.
+    ker[np.isneginf(shift)] = 0.0
     # Subnormal entries (more than 708 nats below the row maximum) move a
     # row sum by less than 2.3e-308 in all, below its rounding error once
     # it exceeds 1e-291; a row sum made of them alone falls back to
@@ -244,15 +246,23 @@ def _tilted_state(
     log domain.
     """
     _check_compat(mu, dist, beta, nu)
-    shift, ker = kernel if kernel is not None else _shifted_kernel(_log_kernel(dist, beta))
+    if kernel is None:
+        shift, ker = _shifted_kernel(_log_kernel(dist, beta), overwrite=True)
+    else:
+        shift, ker = kernel
     live = mu.weights > 0
     z = ker @ nu.weights
     if z.min() >= np.finfo(float).tiny / np.finfo(float).eps:
         log_z = np.log(z) + shift
         w = mu.weights / z
         slack = float((w @ ker).max() - 1.0)
-        loss = np.zeros_like(ker)
-        np.multiply(ker, dist.rho, out=loss, where=ker > 0.0)
+        if dist.rho.max() < np.inf:
+            # A kernel formed here is not needed again: the loss takes its buffer.
+            loss = np.multiply(ker, dist.rho, out=ker if kernel is None else None)
+        else:
+            # 0 * inf guard: forbidden pairs carry no kernel mass.
+            loss = np.zeros_like(ker)
+            np.multiply(ker, dist.rho, out=loss, where=ker > 0.0)
         distortion = float(w @ (loss @ nu.weights))
     else:
         log_phi = _log_kernel(dist, beta)

@@ -37,7 +37,8 @@ class DistortionMatrix:
             raise InvalidInputError(
                 f"rho must be a non-empty matrix, got shape {self.rho.shape}"
             )
-        if np.any(np.isnan(self.rho)) or np.any(self.rho < 0):
+        # One pass: the minimum is nan if any entry is.
+        if not self.rho.min() >= 0.0:
             raise InvalidInputError("rho entries must be nonnegative (or +inf)")
         if self.normalized is None:
             row_min = np.min(self.rho, axis=1)
@@ -97,7 +98,7 @@ def squared_error(xgrid, ygrid) -> DistortionMatrix:
     if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
         raise InvalidInputError("grids must be non-empty 1-D arrays")
     rho = (x[:, None] - y[None, :]) ** 2
-    normalized = bool(np.all(np.isin(x, y)))
+    normalized = x is y or bool(np.all(np.isin(x, y)))
     return DistortionMatrix(rho, normalized=normalized)
 
 
@@ -164,6 +165,10 @@ def expected_loss(joint: np.ndarray, dist: DistortionMatrix) -> float:
         raise InvalidInputError(
             f"joint shape {joint.shape} does not match loss shape {dist.shape}"
         )
+    if joint.min() >= 0.0 and dist.rho.max() < np.inf:
+        # Every term is joint * rho, zero where the coupling is; the
+        # + 0.0 turns the -0.0 of an all-zero joint into 0.0.
+        return float(np.sum(joint * dist.rho)) + 0.0
     if np.any((joint > 0) & np.isposinf(dist.rho)):
         return float("inf")
     return float(np.sum(np.where(joint > 0, joint * np.where(np.isfinite(dist.rho), dist.rho, 0.0), 0.0)))

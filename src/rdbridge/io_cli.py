@@ -302,6 +302,31 @@ def _report_dict(report) -> dict:
     }
 
 
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` and a newline, byte for byte.
+
+    A top-level list of finite floats, such as the potentials ``sinkhorn``
+    writes, is joined in one pass: the indenting encoder is pure Python
+    and spends about a microsecond on each number.
+    """
+    if not doc or not all(type(key) is str for key in doc):
+        return json.dumps(doc, indent=2) + "\n"
+    items = []
+    for key, value in doc.items():
+        text = None
+        if value and type(value) is list:
+            try:
+                text = ",\n    ".join(map(float.__repr__, value))
+            except TypeError:  # an entry that is not a float
+                pass
+        if text is not None and "n" not in text:  # no inf or nan
+            text = "[\n    " + text + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def _emit(text: str, out: str | None):
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -426,7 +451,7 @@ def _cmd_point(cfg: RunConfig, args) -> int:
         },
         "report": _report_dict(report),
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return exit_code
 
 
@@ -450,7 +475,7 @@ def _cmd_check(cfg: RunConfig, args) -> int:
     mu, dist, nu = _candidate(cfg, args, "check")
     report = check_optimality(mu, dist, args.beta, nu)
     doc = {"config": cfg.as_dict(), "report": _report_dict(report)}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return {"optimal": 0, "suboptimal": 3, "inconclusive": 2}[report.verdict]
 
 
@@ -485,7 +510,7 @@ def _cmd_sinkhorn(cfg: RunConfig, args) -> int:
         "J": j_value,
         "L": l_value,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return exit_code
 
 

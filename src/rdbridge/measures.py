@@ -80,7 +80,8 @@ class Coupling:
             raise InvalidInputError(
                 f"joint must be a non-empty matrix, got shape {self.joint.shape}"
             )
-        if np.any(np.isnan(self.joint)) or np.any(self.joint < 0):
+        # One pass: the minimum is nan if any entry is.
+        if not self.joint.min() >= 0.0:
             raise InvalidInputError("joint entries must be nonnegative reals")
         mass = float(self.joint.sum())
         if abs(mass - 1.0) > MASS_TOL:

@@ -18,6 +18,7 @@ from rdbridge.blahut import (
     RDPoint,
     _logsumexp,
     _nonneg_qp,
+    _shifted_kernel,
     _tilted_state,
     ba_fixed_point,
     dual_certificate,
@@ -779,3 +780,17 @@ def test_target_search_solves_from_the_given_law(monkeypatch):
     assert len(starts) > 2
     assert all(s is start for s in starts)
     assert point.nu_star.labels is not None
+
+
+def test_shifted_kernel_zeroes_all_forbidden_rows_and_can_overwrite():
+    log_phi = np.array([[0.0, -1.0, -np.inf], [-np.inf, -np.inf, -np.inf], [-2.0, -720.0, -0.5]])
+    shift, ker = _shifted_kernel(log_phi.copy())
+    assert shift[0] == 0.0 and shift[1] == -np.inf and shift[2] == -0.5
+    assert np.array_equal(ker[0], np.exp([0.0, -1.0, -np.inf]))
+    assert np.array_equal(ker[1], np.zeros(3))
+    # exp(-719.5) is subnormal and is flushed.
+    assert np.array_equal(ker[2], [np.exp(-1.5), 0.0, 1.0])
+    own = log_phi.copy()
+    shift_in_place, ker_in_place = _shifted_kernel(own, overwrite=True)
+    assert ker_in_place is own
+    assert np.array_equal(ker_in_place, ker) and np.array_equal(shift_in_place, shift)

@@ -11,6 +11,7 @@ import rdbridge.blahut as blahut
 from rdbridge.distortion import d_max
 from rdbridge.errors import InvalidInputError
 from rdbridge.io_cli import (
+    _json_text,
     _parse_bool,
     build_problem,
     load_nu,
@@ -406,6 +407,34 @@ def test_sinkhorn_json_contract(tmp_path, capsys):
     assert abs(p00 - 0.36552928931500245) < 1e-11
     assert abs(doc["distortion"] - 1.0 / (1.0 + math.e)) < 1e-11
     assert abs(doc["L"]) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"a": []},
+        {"a": [1.0, 2.5e-300, -0.0, 1e300]},
+        {"a": [1.0, float("nan")], "b": [float("-inf")]},
+        {"a": [1, 2.0], "b": [True, 1.0], "c": [1.0, "x"], "d": [[1.0], [2.0]]},
+        {"a": [np.float64(0.1), 3.0]},
+        {"x": {"y": [1.0, {"z": None}], "w": "q\u00e9\n"}, "b": True, "s": "str"},
+        {"n": None, "i": 3, "f": float("inf")},
+        {1: [1.0]},
+    ],
+)
+def test_json_text_is_indented_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_sinkhorn_output_is_indented_json(tmp_path, capsys):
+    nu_file = tmp_path / "half.txt"
+    nu_file.write_text("0.5\n0.5\n")
+    _, out, _ = run_cli(
+        capsys,
+        ["sinkhorn", "--source.p", "0.3", "--beta", "2.0", "--nu", str(nu_file)],
+    )
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_sinkhorn_beta_zero(tmp_path, capsys):

@@ -98,6 +98,29 @@ def test_expected_loss_guards_infinities():
         expected_loss(np.ones((3, 3)) / 9, dist)
 
 
+def _guarded_loss(joint, rho):
+    return float(np.sum(np.where(joint > 0, joint * np.where(np.isfinite(rho), rho, 0.0), 0.0)))
+
+
+def test_expected_loss_on_finite_losses_is_the_guarded_sum_bit_for_bit():
+    rng = np.random.default_rng(7)
+    x = np.linspace(-3.0, 3.0, 41)
+    dist = squared_error(x, x)
+    for _ in range(20):
+        joint = rng.random((41, 41)) * (rng.random((41, 41)) < 0.3)
+        joint /= joint.sum()
+        assert expected_loss(joint, dist) == _guarded_loss(joint, dist.rho)
+    # An all-zero joint reads 0.0, not -0.0, as the guarded sum does.
+    value = expected_loss(-np.zeros((41, 41)), dist)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # A negative or nan entry counts as no mass.
+    joint = np.full((2, 2), 0.25)
+    joint[0, 1] = -0.25
+    assert expected_loss(joint, hamming(2)) == 0.25
+    joint[0, 1] = float("nan")
+    assert expected_loss(joint, hamming(2)) == 0.25
+
+
 def test_slb_mse_value_and_validation():
     # Gaussian differential entropy makes the bound exactly (1/2) ln(s^2/D).
     h = 0.5 * math.log(2 * math.pi * math.e * 4.0)
