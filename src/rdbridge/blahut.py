@@ -10,18 +10,15 @@ whose fixed point gives one point of the rate-distortion curve with
 R = -sum_i mu_i ln(sum_j nu_j exp(-beta rho_ij)) - beta D.  All rates are
 in nats; dR/dD = -beta under this sign convention.
 
-The solver iterates the over-relaxed map nu_{t+1} proportional to
-nu_t c_t**RELAXATION (Matz & Duhamel, ITW 2004).  It has the same fixed
-points (c = 1 on the support) and, where the plain map converges
-slowly, needs about half the iterations.  A relaxed step is kept only if
-it does not increase
-
-    F(nu) = -sum_x mu(x) ln Z(x),   Z(x) = sum_y nu(y) exp(-beta rho(x, y)),
-
-and F still falls along the step at its end (it did not overshoot);
-otherwise the plain step, which never increases F, is taken.  So F is
-nonincreasing along the iteration, and where the plain map converges
-fast the iteration is the plain one.
+The plain map G is accelerated by squared extrapolation in log nu
+(SQUAREM cycle S3; Varadhan & Roland, Scand. J. Statist. 2008): from x0,
+x1 = G(x0) and x2 = G(x1), with r = ln(x1/x0) and v = ln(x2/x1) - r, it
+tries ln x' = ln x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|) in
+nu-weighted norms, and backtracks a to (a - 1) / 2 until it reaches -1
+(x' = x2) while x' would pin an atom or raise F(nu) = -sum_x mu(x) ln Z(x)
+above F(x2).  A kept x' is followed by one plain map, kept unless it
+raises F; on two atoms x' itself starts the next cycle.  The plain map
+never raises F, so F is nonincreasing along the iteration.
 
 Blahut-Arimoto is a first-order method and slows down without bound at
 critical slopes and on sparse optimal laws.  A solve with a tight
@@ -58,12 +55,17 @@ logger = logging.getLogger(__name__)
 SUPPORT_FLOOR = 1e-300
 # Uniform mass mixed into the previous optimum when warm-starting a sweep.
 WARM_START_MIX = 1e-6
-# Exponent lambda of the over-relaxed update nu <- nu * c**lambda.
-RELAXATION = 1.9
 # Solves with tol at or below NEWTON_TOL hand over from Blahut-Arimoto to
 # projected Newton steps once the slack has fallen to HANDOVER_SLACK.
 NEWTON_TOL = 1e-6
 HANDOVER_SLACK = 1e-3
+# Solves with tol at or below STEADY_TOL cap the extrapolation at
+# |a| <= STEP_MAX, the longest step over whose cycle no mode of a linear
+# contraction grows (max of (1 - 4 (1 - l))^2 l over l in [0, 1] is 1): a
+# longer one can meet the stop rule while atoms of small mass are far
+# from equilibrium, leaving the returned law uneven on its support.
+STEADY_TOL = 1e-4
+STEP_MAX = 4.0
 # An atom of zero mass enters a Newton step only if c_j >= 1 - CANDIDATE_GAP.
 CANDIDATE_GAP = 1e-2
 # Ridge added to the Newton Hessian, relative to its largest diagonal entry.
@@ -408,31 +410,32 @@ def ba_fixed_point(
 ) -> RDPoint:
     """Solve for the optimal reconstruction law at a single trade-off slope.
 
-    Each Blahut-Arimoto iteration takes one step: the over-relaxed update
-    nu <- nu * c**RELAXATION (renormalized) when it does not increase
-    F(nu) = -sum_i mu_i ln Z_i and does not overshoot (the derivative of
-    F along the step, taken at its end, is still nonpositive), and the
-    plain update nu <- nu * c otherwise.  Both updates have the same
-    fixed points.  ``iterations`` counts the steps taken, relaxed or
-    plain; a rejected relaxed step costs two extra matrix products but
-    no iteration.
+    Blahut-Arimoto runs in the extrapolation cycles of the module
+    docstring around the plain update nu <- nu * c (renormalized).
+    ``iterations`` counts update-factor evaluations (two matrix-vector
+    products each: the start law, every plain update and every candidate
+    tried; not the re-evaluation after support pinning) plus Newton
+    steps, and ``max_iter`` bounds that count.
 
-    The stop rule is that of the plain iteration: the fixed-point
-    residual (the sup-norm change the plain update makes to nu) and the
-    dual certificate slack, both at the current nu, must fall to
-    ``tol``; the returned law is then the plain update of that nu, as it
-    is when the budget runs out, and its own slack must be at most
-    ``tol`` too, or the step stands as an ordinary one.  The rule is not
-    tested before ``min_iter`` iterations: on broad instances the slack
-    can dip below tolerance transiently while the bulk of nu is still
-    equilibrating, and a floor on the iteration count is the simple
-    guard.  Atoms that decay below ``SUPPORT_FLOOR`` are pinned to exact
-    zero and never revived by a Blahut-Arimoto step.
+    The stop rule is that of the plain iteration, tested at every law
+    reached by a plain update or a Newton step, never at a candidate: the
+    fixed-point residual (the sup-norm change the plain update makes to
+    nu) and the dual certificate slack, both at the current nu, must fall
+    to ``tol``; the returned law is then the plain update of that nu, as
+    it is when the budget runs out, and its own slack must be at most
+    ``tol`` too, or the update stands as an ordinary one.  Where no
+    candidate is kept the solve ends exactly where the plain iteration
+    would.  The rule is not tested before ``min_iter`` iterations: on
+    broad instances the slack can dip below tolerance transiently while
+    the bulk of nu is still equilibrating, and a floor on the iteration
+    count is the simple guard.  Atoms that decay below ``SUPPORT_FLOOR``
+    are pinned to exact zero and never revived by a Blahut-Arimoto step.
 
     With ``tol <= NEWTON_TOL`` the solve hands over to projected Newton
     steps once ``min_iter`` is reached and the slack is at most
-    ``HANDOVER_SLACK``.  A Newton step works on the candidate atoms
-    (nu_j > 0, or c_j >= 1 - CANDIDATE_GAP, so an atom may come back):
+    ``HANDOVER_SLACK`` at any law whose c is known, a kept extrapolated
+    one included.  A Newton step works on the candidate atoms (nu_j > 0,
+    or c_j >= 1 - CANDIDATE_GAP, so an atom may come back):
     with A = diag(sqrt(mu) / K nu) K on those columns and H = A'A, it
     solves min y'Hy/2 - (2c - 1)'y over y >= 0 by Lawson and Hanson's
     active set started from supp(nu), with Cholesky updates as atoms
@@ -442,12 +445,11 @@ def ba_fixed_point(
     f or F.  The stop rule, the plain last step and support pinning are
     those of the Blahut-Arimoto phase.  A QP that breaks down or a line
     search that finds no step ends the Newton phase, and Blahut-Arimoto
-    goes on from the last law.  ``iterations`` counts Blahut-Arimoto
-    iterations plus Newton steps, and ``max_iter`` bounds their sum.
+    goes on from the last law.
 
     Every partition sum is a logsumexp evaluation whose per-row shift
     depends only on (beta, rho); the shifted exponentials are therefore
-    cached once and each iteration reduces to two matrix products,
+    cached once and each evaluation reduces to two matrix products,
     falling back to per-call logsumexp in the rare event a shifted sum
     underflows.  Outside that fallback, support pinning and Newton
     steps, the loop allocates no arrays: every step writes into buffers
@@ -489,12 +491,13 @@ def ba_fixed_point(
     log_zt = np.empty_like(zt)
     w = np.empty_like(zt)
 
-    def evaluate(x: np.ndarray, c_out: np.ndarray) -> float:
+    def evaluate(x: np.ndarray, c_out: np.ndarray, strict: bool = True) -> float:
         """F(x), less the constant sum_i mu_i shift_i; c at x goes to c_out.
 
         A law whose cached row sums underflow is evaluated by per-call
-        logsumexp instead; its F is +inf, and c is left undefined, when a
-        row partition mass is genuinely zero.
+        logsumexp instead.  When a row partition mass is genuinely zero a
+        strict call raises, naming the row; otherwise F is +inf and c is
+        left undefined.
         """
         np.matmul(ker, x, out=zt)
         f = -float(mu_live @ np.log(zt, out=log_zt))
@@ -504,14 +507,14 @@ def ba_fixed_point(
             return f
         log_z = _logsumexp(log_phi + _log_weights(x)[None, :], axis=1)
         f = -float(mu_live @ (log_z - shift))
-        if f < np.inf:
+        if f < np.inf or strict:
             _, log_c = _tilted_rows(log_phi, _log_weights(x), log_mu)
             np.exp(log_c, out=c_out)
         return f
 
-    def require_mass(x: np.ndarray, f: float) -> None:
-        if not f < np.inf:
-            _tilted_rows(log_phi, _log_weights(x), log_mu)  # raises, naming the row
+    def support_masks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+        dead = x == 0
+        return dead, ~dead, bool(dead.any())
 
     sqrt_mu = np.sqrt(mu_live)
     qp_tol = max(0.1 * tol, QP_TOL_FLOOR)
@@ -559,7 +562,7 @@ def ba_fixed_point(
             if change <= ARMIJO * t * slope or (change <= 0.0 and end_slope <= 0.0):
                 trial = np.zeros(n)
                 trial[cand] = np.maximum(xc + t * d, 0.0)
-                f_t = evaluate(trial, c_out)
+                f_t = evaluate(trial, c_out, strict=False)
                 s = trial.sum()
                 trial /= s
                 c_out *= s
@@ -568,96 +571,138 @@ def ba_fixed_point(
         return None
 
     nu = nu0.weights.copy()
-    c = np.empty(n)
-    plain, relaxed, c_trial, step, gain = (np.empty(n) for _ in range(5))
+    c, c_trial, plain, trial, r, v, log_x0 = (np.empty(n) for _ in range(7))
+    # The first two laws of the current cycle; nu is law number ``maps``,
+    # or a kept candidate awaiting its stabilizing map when ``jumped``.
+    cycle = [np.empty(n), np.empty(n)]
+    maps = accepted = backtracks = rejected = 0
     residual = float("inf")
     shrunk = 0
-    iterations = 0
     newton = tol <= NEWTON_TOL
-    in_newton = False
+    step_max = STEP_MAX if tol <= STEADY_TOL else math.inf
+    in_newton = handed_over = jumped = False
+
+    def phase_1_ends(how: str) -> None:
+        logger.debug(
+            "iteration %d: %s; %d extrapolations accepted, %d backtracks, "
+            "%d stabilizing maps rejected", iterations, how, accepted, backtracks, rejected
+        )
+
     # Every overflow, underflow and 0 * inf in the loop is either masked
     # out (dead columns) or lands in a candidate whose F is not finite,
-    # which is never taken over the plain step.
+    # which is never kept.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f = evaluate(nu, c)
-        require_mass(nu, f)
-        dead = nu == 0
-        alive = ~dead
-        has_dead = bool(dead.any())
+        iterations = 1
+        dead, alive, has_dead = support_masks(nu)
         while True:
+            # c and f belong to nu, and ``iterations`` evaluations are spent.
             slack = float(c.max()) - 1.0
-            if newton and not in_newton and slack <= HANDOVER_SLACK and iterations + 1 >= min_iter:
-                in_newton = True
-                logger.debug(
-                    "iteration %d: slack %.3e, handing over to Newton steps", iterations, slack
-                )
-            if in_newton:
-                c_newton = c.copy()
+            if newton and not in_newton and slack <= HANDOVER_SLACK and iterations >= min_iter:
+                in_newton = handed_over = True
+                phase_1_ends(f"slack {slack:.3e}, handing over to Newton steps")
+            # Dead columns can carry an infinite update factor (their dual
+            # constraint is violated without bound); they hold zero mass,
+            # and no Blahut-Arimoto step revives them.
+            np.multiply(nu, c, out=plain, where=alive)
             if has_dead:
-                # Dead columns can carry an infinite update factor (their
-                # dual constraint is violated without bound); they hold
-                # zero mass, and no Blahut-Arimoto step revives them.
-                np.copyto(c, 0.0, where=dead)
+                np.copyto(plain, 0.0, where=dead)
+            plain /= plain.sum()
             final = False
-            plain_ready = (iterations + 1 >= min_iter and slack <= tol) or (
-                iterations + 1 == max_iter
-            )
-            if plain_ready:
+            if (iterations >= min_iter and slack <= tol and not jumped) or iterations >= max_iter:
                 # The residual only matters when the stop rule can fire or
-                # the budget ends; the last step is always the plain one.
-                np.multiply(nu, c, out=plain)
-                plain /= plain.sum()
-                np.subtract(plain, nu, out=step)
-                residual = float(np.abs(step, out=step).max())
-                final = residual <= tol or iterations + 1 == max_iter
+                # the budget ends.
+                np.subtract(plain, nu, out=trial)
+                residual = float(np.abs(trial, out=trial).max())
+                final = residual <= tol or iterations >= max_iter
             stepped = None
             if in_newton and not final:
-                stepped = newton_step(nu, c_newton, c_trial)
+                stepped = newton_step(nu, c, c_trial)
                 if stepped is None:
                     in_newton = newton = False
                     logger.debug(
                         "iteration %d: Newton step failed, back to Blahut-Arimoto",
                         iterations + 1,
                     )
+            extrapolated = False
             if final:
                 nu, plain = plain, nu
             elif stepped is not None:
                 nu, f, free, changes = stepped
                 c, c_trial = c_trial, c
-                dead = nu == 0
-                alive = ~dead
-                has_dead = bool(dead.any())
+                iterations += 1
+                maps = 0
+                dead, alive, has_dead = support_masks(nu)
                 logger.debug(
                     "iteration %d: Newton step, %d free atoms after %d active-set changes",
-                    iterations + 1,
+                    iterations,
                     free,
                     changes,
                 )
-            else:
-                np.power(c, RELAXATION, out=relaxed)
-                relaxed *= nu
-                relaxed /= relaxed.sum()
-                f_trial = evaluate(relaxed, c_trial)
-                # F cannot see an overshoot once its changes reach rounding
-                # level, so the slope of F along the step, taken at its end,
-                # must also still point downhill.
-                np.subtract(relaxed, nu, out=step)
-                np.subtract(c_trial, 1.0, out=gain)
+            elif maps == 2:
+                # Squared extrapolation in log nu from x0, x1 = G(x0) and
+                # nu = G(x1).  On two atoms the law has one degree of freedom
+                # and no other mode to amplify: the step is not capped, and a
+                # kept candidate starts the next cycle.
+                x0, x1 = cycle
+                np.divide(x1, x0, out=r, where=alive)
+                np.log(r, out=r, where=alive)
+                np.divide(nu, x1, out=v, where=alive)
+                np.log(v, out=v, where=alive)
+                v -= r
+                np.log(x0, out=log_x0, where=alive)
                 if has_dead:
-                    np.copyto(gain, 0.0, where=dead)
-                if f_trial <= f and float(step @ gain) >= 0.0:
-                    nu, relaxed = relaxed, nu
+                    np.copyto(r, 0.0, where=dead)
+                    np.copyto(v, 0.0, where=dead)
+                    np.copyto(log_x0, -np.inf, where=dead)
+                # Norms weighted by nu: an atom dying towards zero takes
+                # long log steps but has no say in F.
+                np.multiply(nu, r, out=trial)
+                np.multiply(nu, v, out=c_trial)
+                ratio = math.sqrt((trial @ r) / (c_trial @ v))
+                one_mode = np.count_nonzero(alive) == 2
+                cap = math.inf if one_mode else step_max
+                alpha = -min(ratio, cap) if 1.0 < ratio < math.inf else -1.0
+                while alpha < -1.0 and iterations + 2 <= max_iter:
+                    np.multiply(v, alpha * alpha, out=trial)
+                    trial += log_x0
+                    np.multiply(r, -2.0 * alpha, out=c_trial)
+                    trial += c_trial
+                    trial -= trial.max()
+                    np.exp(trial, out=trial)
+                    trial /= trial.sum()
+                    low = np.minimum.reduce(trial, where=alive, initial=1.0) if has_dead else trial.min()
+                    if low >= SUPPORT_FLOOR:
+                        f_trial = evaluate(trial, c_trial, strict=False)
+                        iterations += 1
+                        if f_trial <= f:
+                            extrapolated = True
+                            break
+                    backtracks += 1
+                    alpha = 0.5 * (alpha - 1.0)
+                maps = 0
+                if extrapolated:
+                    # nu and its c stay in trial's buffers until the
+                    # stabilizing map is known.
+                    accepted += 1
+                    nu, trial = trial, nu
                     c, c_trial = c_trial, c
-                    f = f_trial
-                else:
-                    if not plain_ready:
-                        np.multiply(nu, c, out=plain)
-                        plain /= plain.sum()
-                    f = evaluate(plain, c_trial)
-                    require_mass(plain, f)
-                    nu, plain = plain, nu
+                    f, f_kept = f_trial, f
+                    maps = 0 if one_mode else -1
+            if not (final or stepped is not None or extrapolated):
+                cycle[maps], nu, plain = nu, plain, cycle[maps]
+                f = evaluate(nu, c)
+                iterations += 1
+                maps += 1
+                if jumped and f > f_kept:
+                    # The stabilizing map raised F (by rounding): keep the
+                    # law the candidate was extrapolated from.
+                    rejected += 1
+                    nu, trial = trial, nu
                     c, c_trial = c_trial, c
-            iterations += 1
+                    f = f_kept
+                    maps = 0
+            jumped = extrapolated
 
             low = np.minimum.reduce(nu, where=alive, initial=1.0) if has_dead else nu.min()
             if low < SUPPORT_FLOOR:
@@ -671,20 +716,21 @@ def ba_fixed_point(
                         SUPPORT_FLOOR,
                     )
                     nu[dying] = 0.0
+                    maps = 0
                     if not final:
                         f = evaluate(nu, c)
-                        require_mass(nu, f)
-                dead = nu == 0
-                alive = ~dead
-                has_dead = bool(dead.any())
+                dead, alive, has_dead = support_masks(nu)
             if final:
                 nu_star = ProbabilityVector(nu / nu.sum(), labels=nu0.labels)
                 _, distortion, rate, slack_final, _ = _tilted_state(mu, dist, beta, nu_star, kernel)
-                if slack_final <= tol or iterations == max_iter:
+                if slack_final <= tol or iterations >= max_iter:
                     break
-                # The law to be returned misses tol: its step was an ordinary one.
+                # The law to be returned misses tol: it stands as a plain map.
                 f = evaluate(nu, c)
-                require_mass(nu, f)
+                iterations += 1
+                maps = 0
+    if not handed_over:
+        phase_1_ends("Blahut-Arimoto stops")
     if shrunk:
         logger.debug("support shrank by %d atoms in total", shrunk)
     point = RDPoint(

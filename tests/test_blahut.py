@@ -1,6 +1,7 @@
 """Tests for the fixed-point solver, dual certificates, and curve sweeps."""
 import logging
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -13,7 +14,6 @@ from scipy.special import logsumexp
 import rdbridge.blahut as blahut
 from rdbridge.blahut import (
     NEWTON_TOL,
-    RELAXATION,
     RDCurve,
     RDPoint,
     _logsumexp,
@@ -26,7 +26,14 @@ from rdbridge.blahut import (
     rd_value_from_nu,
     solve_point_for_distortion,
 )
-from rdbridge.distortion import DistortionMatrix, expected_loss, hamming, normalize_loss
+from rdbridge.distortion import (
+    DistortionMatrix,
+    discretize_gaussian,
+    expected_loss,
+    hamming,
+    normalize_loss,
+    squared_error,
+)
 from rdbridge.errors import ConvergenceError, InvalidInputError
 from rdbridge.measures import Coupling, ProbabilityVector, kl_divergence, mutual_information
 
@@ -185,10 +192,11 @@ def test_fixpoint_residual_decreases_along_the_iteration():
 
 
 def test_objective_never_increases_along_the_iteration():
-    # The over-relaxed step is kept only if F(nu) = -sum_i mu_i ln Z_i does
-    # not increase, and the plain step it falls back to never increases F.
-    # The third instance starts far from the optimum at a steep slope, where
-    # the first relaxed step overshoots and is rejected.
+    # An extrapolated law is kept only if F(nu) = -sum_i mu_i ln Z_i does not
+    # increase, and so is the plain map taken from it; plain maps never
+    # increase F.  The third instance hands over to Newton steps after two
+    # maps.  The fourth starts far from the optimum at a steep slope, where
+    # the first extrapolation raises F and is rejected.
     def objective(mu, dist, beta, nu):
         z = np.exp(-beta * dist.rho) @ nu
         return float(-(mu.weights @ np.log(z)))
@@ -203,26 +211,33 @@ def test_objective_never_increases_along_the_iteration():
     mu2 = ProbabilityVector(w / w.sum())
     instances.append((mu2, DistortionMatrix(rho), 1.7, None))
     mu3 = ProbabilityVector([0.7, 0.3])
-    nu3 = ProbabilityVector([0.9, 0.1])
-    instances.append((mu3, hamming(2), 10.0, nu3))
+    instances.append((mu3, hamming(2), 10.0, ProbabilityVector([0.9, 0.1])))
+    nu4 = ProbabilityVector([0.99, 0.01])
+    instances.append((mu3, hamming(2), 4.0, nu4))
 
-    # The rejection is real: the relaxed candidate raises F, and two steps
-    # (the last step is always plain) give two plain steps.
-    phi = np.exp(-10.0 * hamming(2).rho)
+    # The rejection is real: the candidate from the first two plain maps
+    # raises F, so the fifth evaluation is the plain map of the second law
+    # and the budget of five returns four plain maps.
+    phi = np.exp(-4.0 * hamming(2).rho)
 
-    def step(nu, power):
+    def plain_map(nu):
         c = phi.T @ (mu3.weights / (phi @ nu))
-        x = nu * c**power
-        return x / x.sum()
+        return nu * c / (nu @ c)
 
-    f0 = objective(mu3, hamming(2), 10.0, nu3.weights)
-    assert objective(mu3, hamming(2), 10.0, step(nu3.weights, RELAXATION)) > f0
+    x0 = nu4.weights
+    x1 = plain_map(x0)
+    x2 = plain_map(x1)
+    r = np.log(x1 / x0)
+    v = np.log(x2 / x1) - r
+    alpha = -max(1.0, math.sqrt(((x2 * r) @ r) / ((x2 * v) @ v)))
+    candidate = x0 * np.exp(-2.0 * alpha * r + alpha**2 * v)
+    candidate /= candidate.sum()
+    assert alpha < -1.0
+    assert objective(mu3, hamming(2), 4.0, candidate) > objective(mu3, hamming(2), 4.0, x2) + 1e-3
     with pytest.raises(ConvergenceError) as excinfo:
-        ba_fixed_point(mu3, hamming(2), 10.0, nu0=nu3, tol=1e-300, max_iter=2)
+        ba_fixed_point(mu3, hamming(2), 4.0, nu0=nu4, tol=1e-300, max_iter=5)
     np.testing.assert_allclose(
-        excinfo.value.partial.nu_star.weights,
-        step(step(nu3.weights, 1.0), 1.0),
-        rtol=1e-12,
+        excinfo.value.partial.nu_star.weights, plain_map(plain_map(x2)), rtol=1e-12
     )
 
     for mu, dist, beta, nu0 in instances:
@@ -241,15 +256,16 @@ def test_objective_never_increases_along_the_iteration():
         assert np.all(diffs <= 1e-15), values
 
 
-def test_relaxation_never_slows_a_fast_plain_iteration():
-    # At steep slopes the plain map converges in a few steps and the
-    # relaxed step overshoots while F still falls; the slope test must
-    # reject it there.  Reference: the plain iteration with the same stop
-    # rule, from the same uniform start.
+def test_extrapolation_never_slows_a_fast_plain_iteration():
+    # At steep slopes the plain map converges in a few steps, and an
+    # extrapolation costs two evaluations (the candidate and the plain map
+    # from it) whether it is kept or not.  Reference: the plain iteration
+    # with the same stop rule, from the same uniform start, counting its
+    # update-factor evaluations.
     mu = ProbabilityVector([0.7, 0.3])
     dist = hamming(2)
 
-    def plain_iterations(beta, tol):
+    def plain_evaluations(beta, tol):
         phi = np.exp(-beta * dist.rho)
         nu = np.full(2, 0.5)
         for t in range(1, 100000):
@@ -261,7 +277,7 @@ def test_relaxation_never_slows_a_fast_plain_iteration():
 
     for beta in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 14.0):
         point = ba_fixed_point(mu, dist, beta, tol=1e-12, max_iter=100000)
-        assert point.iterations <= plain_iterations(beta, 1e-12), beta
+        assert point.iterations <= plain_evaluations(beta, 1e-12), beta
 
 
 def test_beta_zero_keeps_forbidden_pairs_out_of_the_law():
@@ -423,6 +439,57 @@ def test_two_phase_engine_agrees_with_plain_blahut_arimoto(problem):
     assert value <= value_ref + tol
     if converged:
         assert abs(value - value_ref) <= tol
+
+
+def plain_reference(mu, dist, beta, tol, max_iter=200000):
+    """The plain update nu <- nu * c from the uniform law, with the solver's stop rule.
+
+    Returns the plain update of the first law whose residual and slack are
+    at most tol, once its own slack is at most tol too.
+    """
+    live = mu.weights > 0
+    kernel = np.exp(-beta * dist.rho[live])
+    weights = mu.weights[live]
+    nu = np.full(dist.shape[1], 1.0 / dist.shape[1])
+    ready = False
+    for _ in range(max_iter):
+        c = kernel.T @ (weights / (kernel @ nu))
+        if ready and c.max() - 1.0 <= tol:
+            return nu
+        nxt = nu * c / (nu @ c)
+        ready = np.abs(nxt - nu).max() <= tol and c.max() - 1.0 <= tol
+        nu = nxt
+    raise AssertionError("the plain reference did not converge")
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7])
+def test_engine_agrees_with_plain_blahut_arimoto_on_larger_instances(tol, seed):
+    # Random 20-60 x 20-60 instances with +inf losses and zero-mass source
+    # rows, across the three regimes of the engine: uncapped extrapolation
+    # (1e-3), capped extrapolation (1e-5) and the Newton phase (1e-7).  F =
+    # R + beta D is within ln(1 + slack) <= tol of its optimum for both
+    # laws; D and R themselves move by O(sqrt(tol)) within that band.
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(20, 61, size=2)
+    rho = rng.uniform(0.0, 4.0, size=(n, m))
+    rho[rng.random((n, m)) < 0.1] = math.inf
+    rho[np.arange(n), rng.integers(0, m, size=n)] = 0.0
+    w = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) >= 0.2)
+    w[0] = max(w[0], 0.1)
+    mu, dist = ProbabilityVector(w / w.sum()), DistortionMatrix(rho)
+    beta = math.exp(rng.uniform(math.log(0.1), math.log(30.0)))
+    point = ba_fixed_point(mu, dist, beta, tol=tol, max_iter=200000)
+    assert point.converged and point.certificate_slack <= tol
+    _, d_ref, r_ref, slack_ref, _ = _tilted_state(
+        mu, dist, beta, ProbabilityVector(plain_reference(mu, dist, beta, tol))
+    )
+    assert slack_ref <= tol
+    value, value_ref = point.rate + beta * point.distortion, r_ref + beta * d_ref
+    assert abs(value - value_ref) <= tol
+    assert abs(point.distortion - d_ref) <= math.sqrt(tol)
+    assert abs(point.rate - r_ref) <= tol + beta * math.sqrt(tol)
 
 
 # --- dual certificate -------------------------------------------------------
@@ -643,6 +710,48 @@ def test_rd_curve_keeps_degraded_points():
     assert len(curve) == 2
     assert all(not p.converged for p in curve.points)
     assert all(p.iterations == 3 for p in curve.points)
+
+
+# Evaluations the sweep below needs today (9 + 44 + 271 + 346), plus 15%.
+GAUSSIAN_SWEEP_BUDGET = 771
+
+
+def test_gaussian_curve_sweep_stays_within_its_evaluation_budget():
+    # The shape of a benchmark curve op: the 257-point Gaussian (sigma = 1)
+    # under squared error, beta from 2 to 10 in 4 warm-started steps at tol
+    # 5e-4.  The count does not depend on the machine; the over-relaxed
+    # step the extrapolation replaced needed 1,129 iterations here.
+    src = discretize_gaussian(1.0)
+    dist = squared_error(src.grid, src.grid)
+    start = ProbabilityVector(np.full(len(src.grid), 1.0 / len(src.grid)))
+    curve = rd_curve(src.weights, dist, np.geomspace(2.0, 10.0, 4), tol=5e-4, max_iter=300000, nu0=start)
+    assert all(p.converged for p in curve.points)
+    assert sum(p.iterations for p in curve.points) <= GAUSSIAN_SWEEP_BUDGET
+
+
+def test_each_solve_logs_its_blahut_arimoto_phase_once(caplog):
+    # One DEBUG record per solve, at the end of phase 1: the hand-over to
+    # Newton steps, or the end of the solve when there is none.
+    src = discretize_gaussian(1.0)
+    dist = squared_error(src.grid, src.grid)
+    pattern = re.compile(
+        r"iteration (\d+): (.*); (\d+) extrapolations accepted, (\d+) backtracks, "
+        r"(\d+) stabilizing maps rejected"
+    )
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        loose = ba_fixed_point(src.weights, dist, 3.0, tol=1e-3)
+    records = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
+    (phase_1,) = [m for m in records if m]
+    assert phase_1.group(2) == "Blahut-Arimoto stops"
+    assert int(phase_1.group(1)) == loose.iterations
+    assert 1 <= int(phase_1.group(3)) < loose.iterations
+    caplog.clear()
+    mu = ProbabilityVector([0.7, 0.3])
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        tight = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12)
+    (phase_1,) = [m for m in map(pattern.fullmatch, (r.getMessage() for r in caplog.records)) if m]
+    assert "handing over to Newton steps" in phase_1.group(2)
+    assert int(phase_1.group(1)) < tight.iterations
 
 
 def test_shape_report_skips_degenerate_chords():
