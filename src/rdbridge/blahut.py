@@ -10,15 +10,15 @@ whose fixed point gives one point of the rate-distortion curve with
 R = -sum_i mu_i ln(sum_j nu_j exp(-beta rho_ij)) - beta D.  All rates are
 in nats; dR/dD = -beta under this sign convention.
 
-The plain map G is accelerated by squared extrapolation in log nu
-(SQUAREM cycle S3; Varadhan & Roland, Scand. J. Statist. 2008): from x0,
-x1 = G(x0) and x2 = G(x1), with r = ln(x1/x0) and v = ln(x2/x1) - r, it
-tries ln x' = ln x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|) in
-nu-weighted norms, and backtracks a to (a - 1) / 2 until it reaches -1
-(x' = x2) while x' would pin an atom or raise F(nu) = -sum_x mu(x) ln Z(x)
-above F(x2).  A kept x' is followed by one plain map, kept unless it
-raises F; on two atoms x' itself starts the next cycle.  The plain map
-never raises F, so F is nonincreasing along the iteration.
+The plain map G is accelerated by squared extrapolation (SQUAREM cycle
+S3; Varadhan & Roland, Scand. J. Statist. 2008): from x0, x1 = G(x0) and
+x2 = G(x1), with r = x1 - x0 and v = x2 - 2 x1 + x0, it tries
+x' = x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|), and backtracks a to
+(a - 1) / 2 until it reaches -1 (x' = x2) while x' has a negative entry
+or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x2).  A kept x' is
+followed by one plain map, kept unless it raises F; on two atoms x'
+itself starts the next cycle.  The plain map never raises F, so F is
+nonincreasing along the iteration.
 
 Blahut-Arimoto is a first-order method and slows down without bound at
 critical slopes and on sparse optimal laws.  A solve with a tight
@@ -571,7 +571,7 @@ def ba_fixed_point(
         return None
 
     nu = nu0.weights.copy()
-    c, c_trial, plain, trial, r, v, log_x0 = (np.empty(n) for _ in range(7))
+    c, c_trial, plain, trial, r, v = (np.empty(n) for _ in range(6))
     # The first two laws of the current cycle; nu is law number ``maps``,
     # or a kept candidate awaiting its stabilizing map when ``jumped``.
     cycle = [np.empty(n), np.empty(n)]
@@ -640,39 +640,25 @@ def ba_fixed_point(
                     changes,
                 )
             elif maps == 2:
-                # Squared extrapolation in log nu from x0, x1 = G(x0) and
-                # nu = G(x1).  On two atoms the law has one degree of freedom
-                # and no other mode to amplify: the step is not capped, and a
-                # kept candidate starts the next cycle.
+                # Squared extrapolation from x0, x1 = G(x0) and nu = G(x1).  On
+                # two atoms the law has one degree of freedom and no other
+                # mode to amplify: the step is not capped, and a kept
+                # candidate starts the next cycle.
                 x0, x1 = cycle
-                np.divide(x1, x0, out=r, where=alive)
-                np.log(r, out=r, where=alive)
-                np.divide(nu, x1, out=v, where=alive)
-                np.log(v, out=v, where=alive)
+                np.subtract(x1, x0, out=r)
+                np.subtract(nu, x1, out=v)
                 v -= r
-                np.log(x0, out=log_x0, where=alive)
-                if has_dead:
-                    np.copyto(r, 0.0, where=dead)
-                    np.copyto(v, 0.0, where=dead)
-                    np.copyto(log_x0, -np.inf, where=dead)
-                # Norms weighted by nu: an atom dying towards zero takes
-                # long log steps but has no say in F.
-                np.multiply(nu, r, out=trial)
-                np.multiply(nu, v, out=c_trial)
-                ratio = math.sqrt((trial @ r) / (c_trial @ v))
+                ratio = math.sqrt((r @ r) / (v @ v))
                 one_mode = np.count_nonzero(alive) == 2
                 cap = math.inf if one_mode else step_max
                 alpha = -min(ratio, cap) if 1.0 < ratio < math.inf else -1.0
                 while alpha < -1.0 and iterations + 2 <= max_iter:
                     np.multiply(v, alpha * alpha, out=trial)
-                    trial += log_x0
+                    trial += x0
                     np.multiply(r, -2.0 * alpha, out=c_trial)
                     trial += c_trial
-                    trial -= trial.max()
-                    np.exp(trial, out=trial)
-                    trial /= trial.sum()
-                    low = np.minimum.reduce(trial, where=alive, initial=1.0) if has_dead else trial.min()
-                    if low >= SUPPORT_FLOOR:
+                    # Never clipped: an atom set to zero never comes back.
+                    if trial.min() >= 0.0:
                         f_trial = evaluate(trial, c_trial, strict=False)
                         iterations += 1
                         if f_trial <= f:
