@@ -18,7 +18,8 @@ x' = x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|), and backtracks a to
 or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x2).  A kept x' is
 followed by one plain map, kept unless it raises F; on two atoms x'
 itself starts the next cycle.  The plain map never raises F, so F is
-nonincreasing along the iteration.
+nonincreasing along the iteration.  Below STEADY_TOL the step is capped,
+and a solve that Newton steps finish extrapolates only on two atoms.
 
 Blahut-Arimoto is a first-order method and slows down without bound at
 critical slopes and on sparse optimal laws.  A solve with a tight
@@ -63,7 +64,9 @@ HANDOVER_SLACK = 1e-3
 # |a| <= STEP_MAX, the longest step over whose cycle no mode of a linear
 # contraction grows (max of (1 - 4 (1 - l))^2 l over l in [0, 1] is 1): a
 # longer one can meet the stop rule while atoms of small mass are far
-# from equilibrium, leaving the returned law uneven on its support.
+# from equilibrium, leaving the returned law uneven on its support.  A
+# solve that Newton steps finish does not extrapolate at all: such atoms
+# make the Newton QP change its active set by tens of atoms per step.
 STEADY_TOL = 1e-4
 STEP_MAX = 4.0
 # An atom of zero mass enters a Newton step only if c_j >= 1 - CANDIDATE_GAP.
@@ -579,7 +582,7 @@ def ba_fixed_point(
     residual = float("inf")
     shrunk = 0
     newton = tol <= NEWTON_TOL
-    step_max = STEP_MAX if tol <= STEADY_TOL else math.inf
+    step_max = 1.0 if newton else STEP_MAX if tol <= STEADY_TOL else math.inf
     in_newton = handed_over = jumped = False
 
     def phase_1_ends(how: str) -> None:
