@@ -65,8 +65,8 @@ HANDOVER_SLACK = 1e-3
 # contraction grows (max of (1 - 4 (1 - l))^2 l over l in [0, 1] is 1): a
 # longer one can meet the stop rule while atoms of small mass are far
 # from equilibrium, leaving the returned law uneven on its support.  A
-# solve that Newton steps finish does not extrapolate at all: such atoms
-# make the Newton QP change its active set by tens of atoms per step.
+# solve that Newton steps finish extrapolates only on two atoms: such
+# atoms make the Newton QP change its active set by tens of atoms per step.
 STEADY_TOL = 1e-4
 STEP_MAX = 4.0
 # An atom of zero mass enters a Newton step only if c_j >= 1 - CANDIDATE_GAP.
