@@ -336,11 +336,9 @@ def _nonneg_qp(h: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float, max_chan
     """Minimise y'hy/2 - b'y over y >= 0 by Lawson and Hanson's active set.
 
     ``h`` must be positive definite.  The passive (free) set starts as the
-    support of the feasible start ``y``, and the upper Cholesky factor of
-    its block of ``h`` is factored once.  A variable that enters extends
-    the factor by one row; one that leaves changes only the block after
-    it.  The solve ends once no variable held at zero can lower the
-    objective at a rate above ``tol``.
+    support of the feasible start ``y``, and its block of ``h`` is factored
+    afresh after every change of the set.  The solve ends once no
+    variable held at zero can lower the objective at a rate above ``tol``.
 
     Returns (y, passive set size, set changes), or None when the set
     changes more than ``max_changes`` times or the factor breaks down.
@@ -351,12 +349,13 @@ def _nonneg_qp(h: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float, max_chan
 
     y = y.copy()
     passive = np.flatnonzero(y > 0)
-    r, info = lapack.dpotrf(h[np.ix_(passive, passive)])
-    if info:
-        return None
     changes = 0
     while changes <= max_changes:
-        z, info = lapack.dpotrs(r, b[passive]) if len(passive) else (b[:0], 0)
+        z, info = b[:0], 0
+        if len(passive):
+            r, info = lapack.dpotrf(h[passive][:, passive])
+            if not info:
+                z, info = lapack.dpotrs(r, b[passive])
         if info:
             return None
         if np.all(z > 0.0):
@@ -367,16 +366,6 @@ def _nonneg_qp(h: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float, max_chan
             j = int(np.argmax(gain))
             if not gain[j] > tol:
                 return y, len(passive), changes
-            p = len(passive)
-            col, info = lapack.dtrtrs(r, h[passive, j], trans=1) if p else (b[:0], 0)
-            pivot = h[j, j] - col @ col
-            if info or not pivot > 0.0:
-                return None
-            grown = np.zeros((p + 1, p + 1))
-            grown[:p, :p] = r
-            grown[:p, p] = col
-            grown[p, p] = math.sqrt(pivot)
-            r = grown
             passive = np.append(passive, j)
             changes += 1
         else:
@@ -388,17 +377,10 @@ def _nonneg_qp(h: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float, max_chan
             first = neg[np.argmin(ratios)]
             yp += ratios.min() * (z - yp)
             yp[first] = 0.0
-            leave = np.flatnonzero(yp <= 0.0)
+            leave = yp <= 0.0
             y[passive] = np.maximum(yp, 0.0)
-            for k in leave[::-1]:
-                # The block after k takes the rank-one update by row k.
-                row, tail = r[k, k + 1 :], r[k + 1 :, k + 1 :]
-                r = np.delete(np.delete(r, k, axis=0), k, axis=1)
-                r[k:, k:], info = lapack.dpotrf(tail.T @ tail + np.outer(row, row))
-                if info:
-                    return None
-            passive = np.delete(passive, leave)
-            changes += len(leave)
+            passive = passive[~leave]
+            changes += int(leave.sum())
     return None
 
 
@@ -441,14 +423,14 @@ def ba_fixed_point(
     or c_j >= 1 - CANDIDATE_GAP, so an atom may come back):
     with A = diag(sqrt(mu) / K nu) K on those columns and H = A'A, it
     solves min y'Hy/2 - (2c - 1)'y over y >= 0 by Lawson and Hanson's
-    active set started from supp(nu), with Cholesky updates as atoms
-    enter and leave; then it backtracks from y along y - nu until f
-    meets the Armijo condition, or does not rise and still falls along
-    the step at its end.  The new law is normalized, which never raises
-    f or F.  The stop rule, the plain last step and support pinning are
-    those of the Blahut-Arimoto phase.  A QP that breaks down or a line
-    search that finds no step ends the Newton phase, and Blahut-Arimoto
-    goes on from the last law.
+    active set started from supp(nu), factoring the free block of H
+    afresh after each change of the set; then it backtracks from y along
+    y - nu until f meets the Armijo condition, or does not rise and still
+    falls along the step at its end.  The new law is normalized, which
+    never raises f or F.  The stop rule, the plain last step and support
+    pinning are those of the Blahut-Arimoto phase.  A QP that breaks down
+    or a line search that finds no step ends the Newton phase, and
+    Blahut-Arimoto goes on from the last law.
 
     Every partition sum is a logsumexp evaluation whose per-row shift
     depends only on (beta, rho); the shifted exponentials are therefore

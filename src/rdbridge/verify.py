@@ -32,15 +32,13 @@ class ToleranceConfig:
     The verdict tolerances sit an order of magnitude above the solver
     tolerances they are checked against so that a verdict never flips on
     solver noise.  ``mass_threshold`` separates genuine support atoms
-    from mass still decaying toward zero; ``gap_threshold`` is measured
-    in grid cells.
+    from mass still decaying toward zero.
     """
 
     g_tol: float = 1e-5
     l_tol: float = 1e-7
     d_tol: float = 1e-6
     mass_threshold: float = 1e-6
-    gap_threshold: float = 3.0
     sinkhorn_tol: float = 1e-12
     sinkhorn_max_iter: int = 2000
 
@@ -93,7 +91,6 @@ class SupportReport:
 
     clusters: list[SupportCluster]
     covered_mass: float
-    slb_gap: float | None = None
 
 
 def _spread(values: np.ndarray, where: np.ndarray) -> float:

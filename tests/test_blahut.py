@@ -346,19 +346,33 @@ def test_failed_newton_step_falls_back_to_blahut_arimoto(monkeypatch, caplog):
     assert np.array_equal(point.nu_star.weights, reference.nu_star.weights)
 
 
+def _random_qp(m, seed):
+    """Entries, b and a full-support start for an m-variable QP."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.uniform(-2.0, 2.0, m * (m + 2)),
+        rng.uniform(-1.0, 2.0, m),
+        rng.uniform(1e-3, 1.0, m),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 8).flatmap(
-        lambda m: st.tuples(
-            st.lists(st.floats(-2.0, 2.0), min_size=m * (m + 2), max_size=m * (m + 2)),
-            st.lists(st.floats(-1.0, 2.0), min_size=m, max_size=m),
-            st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=m, max_size=m),
-        )
+    st.one_of(
+        st.integers(1, 8).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.floats(-2.0, 2.0), min_size=m * (m + 2), max_size=m * (m + 2)),
+                st.lists(st.floats(-1.0, 2.0), min_size=m, max_size=m),
+                st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=m, max_size=m),
+            )
+        ),
+        st.builds(_random_qp, st.integers(9, 60), st.integers(0, 2**32 - 1)),
     )
 )
 def test_active_set_qp_meets_its_optimality_conditions(data):
-    # From any feasible start, the active-set solve with its Cholesky
-    # updates ends at the KKT point of min y'hy/2 - b'y over y >= 0.
+    # From any feasible start, the active-set solve ends at the KKT point
+    # of min y'hy/2 - b'y over y >= 0, and counts its set changes exactly.
+    # The larger QPs start from full support, so many variables leave.
     entries, b, start = data
     m = len(b)
     a = np.array(entries).reshape(m + 2, m)
@@ -366,13 +380,14 @@ def test_active_set_qp_meets_its_optimality_conditions(data):
     b = np.array(b)
     solved = _nonneg_qp(h, b, np.array(start), 1e-12, 10 * m)
     assert solved is not None
-    y, free, _ = solved
+    y, free, changes = solved
     gain = b - h @ y
     assert np.all(y >= 0.0)
     assert free == np.count_nonzero(y)
     scale = 1e-9 * (1.0 + np.abs(h).max() * np.abs(y).max() + np.abs(b).max())
     assert np.all(np.abs(gain[y > 0]) <= scale)
     assert np.all(gain[y == 0] <= scale)
+    assert _nonneg_qp(h, b, np.array(start), 1e-12, changes - 1) is None
 
 
 def plain_blahut_arimoto(mu, dist, beta, tol, max_iter):

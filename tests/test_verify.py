@@ -222,7 +222,6 @@ def test_tolerance_defaults_are_stable():
     assert cfg.l_tol == 1e-7
     assert cfg.d_tol == 1e-6
     assert cfg.mass_threshold == 1e-6
-    assert cfg.gap_threshold == 3.0
     assert cfg.sinkhorn_tol == 1e-12
     assert cfg.sinkhorn_max_iter == 2000
 
