@@ -85,6 +85,10 @@ LINE_SEARCH_STEPS = 30
 # while it brackets the target, and gives up after TARGET_SOLVES solves.
 BRACKET_STEP = (math.log(2.0), 3.0)
 TARGET_SOLVES = 100
+# A row partition sum below this is too small for the flushed entries of
+# the cached kernel to fall below its rounding error: the evaluation is
+# then taken in the log domain.
+ROW_SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass
@@ -192,100 +196,140 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
-def _tilted_rows(log_phi, log_nu, log_mu):
-    """log Z_i and log c_j for the current reconstruction law.
+def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(log_phi - shift) in log_phi's own buffer, shifted by the row maximum of log_phi.
 
-    Z_i normalizes row i of the tilted coupling; c_j is the multiplicative
-    Blahut-Arimoto update factor for nu_j (also the dual constraint value).
-    Rows of zero source mass get their Z_i but take no part in c: a row
-    whose Z_i is zero would otherwise turn c into nan.
-    """
-    log_z = _logsumexp(log_phi + log_nu[None, :], axis=1)
-    live = np.isfinite(log_mu)
-    if np.any(np.isneginf(log_z[live])):
-        bad = int(np.flatnonzero(np.isneginf(log_z) & live)[0])
-        raise InvalidInputError(
-            f"source row {bad} has zero partition mass: every reconstruction "
-            "with positive nu weight is forbidden for it"
-        )
-    log_c = _logsumexp(log_mu[live, None] + log_phi[live] - log_z[live, None], axis=0)
-    return log_z, log_c
-
-
-def _shifted_kernel(log_phi: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Cache exp(log_phi - shift), shifted by the row maximum of log_phi.
-
-    A row partition sum computed from the cached kernel is then exactly a
+    A row partition sum computed from this kernel is then exactly a
     logsumexp evaluation whose shift was chosen once instead of per call.
-    For a normalized loss the shift is zero.  With ``overwrite`` the
-    kernel is formed in log_phi's own buffer.
+    For a normalized loss the shift is zero.
     """
     shift = np.max(log_phi, axis=1)
     with np.errstate(invalid="ignore"):
-        ker = np.subtract(log_phi, shift[:, None], out=log_phi if overwrite else None)
+        ker = np.subtract(log_phi, shift[:, None], out=log_phi)
         np.exp(ker, out=ker)
     # Rows of all-infinite loss produce nan from (-inf) - (-inf); they
     # carry no kernel mass at all.  Elsewhere exp(-inf) is already 0.
     ker[np.isneginf(shift)] = 0.0
     # Subnormal entries (more than 708 nats below the row maximum) move a
     # row sum by less than 2.3e-308 in all, below its rounding error once
-    # it exceeds 1e-291; a row sum made of them alone falls back to
-    # logsumexp.  Kept, they make the matrix products slow: with 1% of
-    # the entries subnormal (257-point Gaussian, beta = 10) a solver
-    # iteration took twice as long.
+    # it reaches ROW_SUM_FLOOR; a smaller row sum falls back to logsumexp.
+    # Kept, they make the matrix products slow: with 1% of the entries
+    # subnormal (257-point Gaussian, beta = 10) a solver iteration took
+    # twice as long.
     ker[ker < np.finfo(float).tiny] = 0.0
     return shift, ker
 
 
-def _tilted_state(
-    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu: ProbabilityVector, kernel=None
-) -> tuple[np.ndarray, float, float, float, float]:
-    """One pass over the tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i.
+class _Tilt:
+    """The tilted coupling pi_ij = mu_i x_j exp(-beta rho_ij) / Z_i of a law x.
 
-    Returns (log Z_i over all rows, D, R, slack, dual_value): the values
-    ``rd_value_from_nu`` and ``dual_certificate`` document.  They are
-    matrix-vector products with the ``_shifted_kernel`` K of (rho, beta),
-    or with ``kernel`` if given: Z = K nu, c = (mu / Z) K and
-    D = (mu / Z) . ((K o rho) nu).  A row sum too small for the flushed
-    entries of K to fall below its rounding error sends the pass to the
-    log domain.
+    Holds the ``_shifted_kernel`` K of (rho, beta), with its row shift s,
+    on the rows where mu > 0: rows of zero source mass take no part in F,
+    c, D or R.  ``evaluate`` gives Z = K x (ln Z - s in ``log_z``), F and
+    c = (mu / Z) K; ``certificate`` adds D = (mu / Z) . ((K o rho) x), R,
+    the slack and the dual value.  A row sum below ROW_SUM_FLOOR sends the
+    pass to per-row logsumexp over -beta rho, formed on first use
+    (``scaled`` is then False).  Given ``nu``, the tilt is evaluated at
+    nu at once, with c at nu in ``c``.
     """
-    _check_compat(mu, dist, beta, nu)
-    if kernel is None:
-        shift, ker = _shifted_kernel(_log_kernel(dist, beta), overwrite=True)
-    else:
-        shift, ker = kernel
-    live = mu.weights > 0
-    z = ker @ nu.weights
-    if z.min() >= np.finfo(float).tiny / np.finfo(float).eps:
-        log_z = np.log(z) + shift
-        w = mu.weights / z
-        slack = float((w @ ker).max() - 1.0)
-        if dist.rho.max() < np.inf:
-            # A kernel formed here is not needed again: the loss takes its buffer.
-            loss = np.multiply(ker, dist.rho, out=ker if kernel is None else None)
-        else:
-            # 0 * inf guard: forbidden pairs carry no kernel mass.
-            loss = np.zeros_like(ker)
-            np.multiply(ker, dist.rho, out=loss, where=ker > 0.0)
-        distortion = float(w @ (loss @ nu.weights))
-    else:
+
+    def __init__(self, mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu=None):
+        _check_compat(mu, dist, beta, nu)
+        self.dist, self.beta = dist, beta
+        self.live = mu.weights > 0
+        self.full = bool(self.live.all())
+        # Copies of rho-sized arrays page-fault; only zero-mass rows need one.
+        self.mu = mu.weights if self.full else mu.weights[self.live]
         log_phi = _log_kernel(dist, beta)
-        log_nu = _log_weights(nu.weights)
-        log_z, log_c = _tilted_rows(log_phi, log_nu, _log_weights(mu.weights))
+        self.shift, self.ker = _shifted_kernel(log_phi if self.full else log_phi[self.live])
+        self.z, self.log_z, self.w = (np.empty(len(self.mu)) for _ in range(3))
+        self._log_phi = None
+        if nu is not None:
+            self.c = np.empty(len(nu))
+            self.evaluate(nu.weights, self.c)
+
+    def log_phi(self) -> np.ndarray:
+        """-beta rho on the rows of positive mass, formed on first use."""
+        if self._log_phi is None:
+            log_phi = _log_kernel(self.dist, self.beta)
+            self._log_phi = log_phi if self.full else log_phi[self.live]
+        return self._log_phi
+
+    def evaluate(self, x: np.ndarray, c: np.ndarray, strict: bool = True) -> float:
+        """F(x) = -sum_i mu_i ln Z_i, less the constant sum_i mu_i s_i; c at x goes to ``c``.
+
+        When a row partition mass is zero a strict call raises, naming the
+        row; otherwise F is +inf and c is left undefined.
+        """
+        z = self.z
+        np.matmul(self.ker, x, out=z)
+        # argmin, not a min reduction: at n = 201 it costs a third as much.
+        self.scaled = z[z.argmin()] >= ROW_SUM_FLOOR
+        if self.scaled:
+            f = -float(self.mu @ np.log(z, out=self.log_z))
+            np.divide(self.mu, z, out=self.w)
+            np.matmul(self.w, self.ker, out=c)
+            return f
+        log_phi = self.log_phi()
+        log_z = _logsumexp(log_phi + _log_weights(x), axis=1)
+        zero = np.isneginf(log_z)
+        if zero.any():
+            if not strict:
+                return math.inf
+            bad = int(np.flatnonzero(self.live)[zero][0])
+            raise InvalidInputError(
+                f"source row {bad} has zero partition mass: every reconstruction "
+                "with positive nu weight is forbidden for it"
+            )
+        np.subtract(log_z, self.shift, out=self.log_z)
+        log_c = _logsumexp(np.log(self.mu)[:, None] + log_phi - log_z[:, None], axis=0)
+        # Columns of zero mass can carry an unbounded c.
         with np.errstate(over="ignore"):
-            slack = float(np.exp(log_c).max() - 1.0)
-        pi = np.exp(log_phi[live] + log_nu[None, :] - log_z[live, None])
-        loss = np.zeros_like(pi)
-        # 0 * inf guard: a positive pi entry can only sit on finite rho.
-        np.multiply(pi, dist.rho[live], out=loss, where=pi > 0.0)
-        distortion = float(mu.weights[live] @ loss.sum(axis=1))
-    neg_log_z = -(mu.weights[live] @ log_z[live])
-    tilt = beta * distortion
-    # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
-    rate = float(neg_log_z - tilt) + 0.0
-    dual_value = float(neg_log_z - np.log1p(max(slack, 0.0)) - tilt)
-    return log_z, distortion, rate, slack, dual_value
+            np.exp(log_c, out=c)
+        return -float(self.mu @ self.log_z)
+
+    def certificate(self, x: np.ndarray, c: np.ndarray) -> tuple[float, float, float, float]:
+        """(D, R, slack, dual_value) of the law x that ``evaluate`` saw last, with its c.
+
+        These are the values ``rd_value_from_nu`` and ``dual_certificate``
+        document.
+        """
+        rho = self.dist.rho if self.full else self.dist.rho[self.live]
+        slack = float(c.max()) - 1.0
+        log_z = self.log_z + self.shift
+        if self.scaled:
+            if rho.max() < np.inf:
+                loss = self.ker * rho
+            else:
+                # 0 * inf guard: forbidden pairs carry no kernel mass.
+                loss = np.zeros_like(self.ker)
+                np.multiply(self.ker, rho, out=loss, where=self.ker > 0.0)
+            distortion = float(self.w @ (loss @ x))
+        else:
+            pi = np.exp(self.log_phi() + _log_weights(x) - log_z[:, None])
+            loss = np.zeros_like(pi)
+            # 0 * inf guard: a positive pi entry can only sit on finite rho.
+            np.multiply(pi, rho, out=loss, where=pi > 0.0)
+            distortion = float(self.mu @ loss.sum(axis=1))
+        neg_log_z = -(self.mu @ log_z)
+        tilt = self.beta * distortion
+        # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
+        rate = float(neg_log_z - tilt) + 0.0
+        dual_value = float(neg_log_z - np.log1p(max(slack, 0.0)) - tilt)
+        return distortion, rate, slack, dual_value
+
+
+def _tilted_state(
+    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu: ProbabilityVector
+) -> tuple[np.ndarray, float, float, float, float]:
+    """(log Z_i over all rows, D, R, slack, dual_value) of the tilted coupling at nu."""
+    tilt = _Tilt(mu, dist, beta, nu)
+    log_z = np.empty(len(mu))
+    log_z[tilt.live] = tilt.log_z + tilt.shift
+    if not tilt.full:
+        dead = ~tilt.live
+        log_z[dead] = _logsumexp(_log_kernel(dist, beta)[dead] + _log_weights(nu.weights), axis=1)
+    return (log_z, *tilt.certificate(nu.weights, tilt.c))
 
 
 def rd_value_from_nu(
@@ -432,13 +476,12 @@ def ba_fixed_point(
     or a line search that finds no step ends the Newton phase, and
     Blahut-Arimoto goes on from the last law.
 
-    Every partition sum is a logsumexp evaluation whose per-row shift
-    depends only on (beta, rho); the shifted exponentials are therefore
-    cached once and each evaluation reduces to two matrix products,
-    falling back to per-call logsumexp in the rare event a shifted sum
-    underflows.  Outside that fallback, support pinning and Newton
-    steps, the loop allocates no arrays: every step writes into buffers
-    made once per call.
+    Every evaluation, the final certificate included, is one ``_Tilt``'s:
+    two matrix products with a kernel cached once per call, or per-row
+    logsumexp in the rare event a row sum falls below ROW_SUM_FLOOR.
+    Outside that fallback, support pinning and Newton steps, the loop
+    allocates no arrays: every step writes into buffers made once per
+    call.
 
     Args:
         nu0: initial reconstruction law (defaults to uniform); must be
@@ -463,45 +506,14 @@ def ba_fixed_point(
             f"min_iter must be in [1, max_iter], got {min_iter} with max_iter {max_iter}"
         )
 
-    # Rows of zero source mass take no part in F or in the update factor.
-    live = mu.weights > 0
-    mu_live = mu.weights[live]
-    log_mu = _log_weights(mu_live)
-    log_phi = _log_kernel(dist, beta)
-    kernel = _shifted_kernel(log_phi)
-    shift, ker = kernel
-    if not live.all():
-        log_phi, shift, ker = log_phi[live], shift[live], ker[live]
-    zt = np.empty(len(mu_live))
-    log_zt = np.empty_like(zt)
-    w = np.empty_like(zt)
-
-    def evaluate(x: np.ndarray, c_out: np.ndarray, strict: bool = True) -> float:
-        """F(x), less the constant sum_i mu_i shift_i; c at x goes to c_out.
-
-        A law whose cached row sums underflow is evaluated by per-call
-        logsumexp instead.  When a row partition mass is genuinely zero a
-        strict call raises, naming the row; otherwise F is +inf and c is
-        left undefined.
-        """
-        np.matmul(ker, x, out=zt)
-        f = -float(mu_live @ np.log(zt, out=log_zt))
-        if f < np.inf:
-            np.divide(mu_live, zt, out=w)
-            np.matmul(w, ker, out=c_out)
-            return f
-        log_z = _logsumexp(log_phi + _log_weights(x)[None, :], axis=1)
-        f = -float(mu_live @ (log_z - shift))
-        if f < np.inf or strict:
-            _, log_c = _tilted_rows(log_phi, _log_weights(x), log_mu)
-            np.exp(log_c, out=c_out)
-        return f
+    tilt = _Tilt(mu, dist, beta)
+    evaluate = tilt.evaluate
 
     def support_masks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         dead = x == 0
         return dead, ~dead, bool(dead.any())
 
-    sqrt_mu = np.sqrt(mu_live)
+    sqrt_mu = np.sqrt(tilt.mu)
     qp_tol = max(0.1 * tol, QP_TOL_FLOOR)
 
     def newton_step(x: np.ndarray, c_x: np.ndarray, c_out: np.ndarray):
@@ -512,7 +524,7 @@ def ba_fixed_point(
         when the QP or the line search fails.
         """
         cand = (x > 0) | (c_x >= 1.0 - CANDIDATE_GAP)
-        sub = ker[:, cand]
+        sub = tilt.ker[:, cand]
         xc = x[cand]
         z = sub @ xc
         a = sub * (sqrt_mu / z)[:, None]
@@ -535,13 +547,13 @@ def ba_fixed_point(
         # error, so the search still sees a decrease far below f's rounding.
         ratio = (sub @ d) / z
         mass = d.sum()
-        slope = mass - float(mu_live @ ratio)
+        slope = mass - float(tilt.mu @ ratio)
         if not slope < 0.0:
             return None
         t = 1.0
         for _ in range(LINE_SEARCH_STEPS):
-            change = t * mass - float(mu_live @ np.log1p(t * ratio))
-            end_slope = mass - float(mu_live @ (ratio / (1.0 + t * ratio)))
+            change = t * mass - float(tilt.mu @ np.log1p(t * ratio))
+            end_slope = mass - float(tilt.mu @ (ratio / (1.0 + t * ratio)))
             # Armijo, or no rise and no overshoot (f still falls along d
             # at the trial point).
             if change <= ARMIJO * t * slope or (change <= 0.0 and end_slope <= 0.0):
@@ -693,7 +705,9 @@ def ba_fixed_point(
                 dead, alive, has_dead = support_masks(nu)
             if final:
                 nu_star = ProbabilityVector(nu / nu.sum(), labels=nu0.labels)
-                _, distortion, rate, slack_final, _ = _tilted_state(mu, dist, beta, nu_star, kernel)
+                # c_trial holds nothing the loop needs once the stop rule fired.
+                evaluate(nu_star.weights, c_trial)
+                distortion, rate, slack_final, _ = tilt.certificate(nu_star.weights, c_trial)
                 if slack_final <= tol or iterations >= max_iter:
                     break
                 # The law to be returned misses tol: it stands as a plain map.

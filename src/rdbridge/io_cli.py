@@ -54,7 +54,6 @@ from .errors import (
 from .measures import ProbabilityVector
 from .schrodinger import eval_J, eval_L, schrodinger_residual, sinkhorn
 from .verify import (
-    ToleranceConfig,
     check_optimality,
     compare_curve,
     oracle_bernoulli_hamming,

@@ -6,7 +6,11 @@ D_KL(pi || gamma) over couplings of (mu, nu) has density f(x) g(y) with
 respect to gamma.  The log-potentials solve the Schrodinger system and
 are computed by Sinkhorn iteration in the scaling domain, on a cached
 kernel into which large scalings are absorbed in the log domain
-(Schmitzer, SIAM J. Sci. Comput. 2019).
+(Schmitzer, SIAM J. Sci. Comput. 2019).  The iteration starts from
+g = 1, where the first F-update gives the tilted coupling
+pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i of the rate-distortion
+parametrization: that half-step is read off the Blahut-Arimoto
+solver's evaluator, whose kernel the iteration then takes over.
 
 The iteration is over-relaxed once it has reached its linear tail
 (Thibault, Chizat, Dossal & Papadakis, Algorithms 2021; Lehmann, von
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import _check_compat, _log_kernel, _log_weights, _logsumexp
+from .blahut import _Tilt, _check_compat, _logsumexp
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
 from .measures import Coupling, ProbabilityVector
@@ -121,12 +125,6 @@ def _flush_subnormals(kernel: np.ndarray) -> None:
     products slow.
     """
     kernel[kernel < TINY] = 0.0
-
-
-def _support_log_kernel(dist: DistortionMatrix, beta: float, rows, cols, full: bool) -> np.ndarray:
-    """-beta rho on supp(mu) x supp(nu), in a fresh array."""
-    log_phi = _log_kernel(dist, beta)
-    return log_phi if full else log_phi[np.ix_(rows, cols)]
 
 
 def _absorbed_kernel(kernel: np.ndarray, log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -217,7 +215,6 @@ def sinkhorn(
     beta: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    logg0: np.ndarray | None = None,
 ) -> tuple[ScalingPair, Coupling]:
     """Solve the two-marginal scaling problem by Sinkhorn iteration.
 
@@ -244,10 +241,9 @@ def sinkhorn(
     best residual ends relaxation for good.  The stop rule reads the
     iterate that is returned, relaxed or not.
 
-    The default initialization logG = 0 is deterministic; an alternative
-    ``logg0`` converges to the same gauge-fixed potentials and exists
-    mainly to make that uniqueness testable.  logF needs no start:
-    iteration 1 computes it from logG.
+    The iteration starts from logG = 0, so its first F-update is the
+    tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i, read off
+    the blahut ``_Tilt`` of (mu, rho, beta) evaluated at nu.
 
     Returns:
         (ScalingPair, Coupling), gauge-fixed so sum_j nu_j logG_j = 0.
@@ -259,71 +255,58 @@ def sinkhorn(
         ConvergenceError: iteration budget exhausted; ``.partial`` holds
             the (ScalingPair, Coupling) of the final iterate.
     """
-    _check_compat(mu, dist, beta, nu)
+    return _sinkhorn(_Tilt(mu, dist, beta, nu), mu, nu, tol, max_iter)
+
+
+def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPair, Coupling]:
+    """``sinkhorn`` from a ``_Tilt`` evaluated at nu, whose kernel it takes over."""
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
 
-    log_mu = _log_weights(mu.weights)
-    log_nu = _log_weights(nu.weights)
     rows = mu.support
     cols = nu.support
-    mu_w = mu.weights[rows]
+    mu_w = tilt.mu
     nu_w = nu.weights[cols]
-    full = rows.size == len(mu) and cols.size == len(nu)
-    log_mu_s = log_mu[rows]
-    log_nu_s = log_nu[cols]
+    every_col = cols.size == len(nu)
+    log_mu_s = np.log(mu_w)
+    log_nu_s = np.log(nu_w)
+
+    def log_phi_s() -> np.ndarray:
+        """-beta rho on the supports."""
+        return tilt.log_phi() if every_col else tilt.log_phi()[:, cols]
+
+    # A column no row reaches has c = 0, but so may one whose kernel
+    # entries were all flushed; -beta rho tells them apart.
+    dead = cols[tilt.c[cols] == 0.0]
+    if dead.size:
+        dead = dead[np.isneginf(tilt.log_phi()[:, dead]).all(axis=0)]
+    if dead.size:
+        raise InvalidInputError(
+            f"reconstruction atom {int(dead[0])} carries mass but no source in "
+            "supp(mu) can reach it: reference is infeasible"
+        )
 
     # Standard Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(e^b v),
     # with a = ln mu + logK + logF and b = ln nu + logG.  The log-scalings
     # (a, b) are absorbed into the cached kernel, which is the coupling at
     # u = v = 1; u and v are folded into them when they grow past
     # ABSORB_LOG_SCALE or a kernel product leaves the normal range.
-    # Iteration 1's F-update is taken in the log domain: the kernel is
-    # exp(log_phi_s + b) with each row scaled to its source mass, the
-    # exponentials of the row logsumexp that this update computes.
-    b = log_nu_s.copy() if logg0 is None else log_nu_s + np.asarray(logg0, dtype=float)[cols]
-    # -beta rho on the supports is read once for the feasibility tests
-    # and then becomes the kernel in its own buffer.  The log-domain
-    # steps and absorptions, which the scaling-domain path never takes,
-    # form it again on first use.
-    kernel = _support_log_kernel(dist, beta, rows, cols, full)
-    col_dead = np.isneginf(kernel.max(axis=0))
-    row_reach = None if logg0 is None else _logsumexp(kernel + log_nu_s, axis=1)
-    kernel += b
-    top = kernel.max(axis=1)
-    top[~np.isfinite(top)] = 0.0
-    kernel -= top[:, None]
-    np.exp(kernel, out=kernel)
-    row_mass = kernel.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(row_mass) + top
-    if row_reach is None:
-        row_reach = log_rows
-    if np.any(np.isneginf(row_reach)):
-        bad = int(rows[np.isneginf(row_reach)][0])
-        raise InvalidInputError(
-            f"source atom {bad} carries mass but every reconstruction in "
-            "supp(nu) has infinite loss for it: reference is infeasible"
-        )
-    if np.any(col_dead):
-        bad = int(cols[col_dead][0])
-        raise InvalidInputError(
-            f"reconstruction atom {bad} carries mass but no source in "
-            "supp(mu) can reach it: reference is infeasible"
-        )
+    # Iteration 1's F-update, from logG = 0, gives the tilted coupling:
+    # a = ln mu - ln Z and b = ln nu.
+    row_reach = tilt.log_z + tilt.shift
     logK = float(-_logsumexp(log_mu_s + row_reach, axis=0))
-    a = log_mu_s - log_rows
-    kernel *= (mu_w / row_mass)[:, None]
-    _flush_subnormals(kernel)
-    formed = []
-
-    def log_phi_s() -> np.ndarray:
-        """-beta rho on the supports, formed again on first use."""
-        if not formed:
-            formed.append(_support_log_kernel(dist, beta, rows, cols, full))
-        return formed[0]
+    a = log_mu_s - row_reach
+    b = log_nu_s.copy()
+    kernel = tilt.ker if every_col else tilt.ker[:, cols]
+    if tilt.scaled:
+        # w_i K_ij nu_j, with w = mu / (K nu) and K the tilt's shifted kernel.
+        kernel *= tilt.w[:, None]
+        kernel *= nu_w
+        _flush_subnormals(kernel)
+    else:
+        _absorbed_kernel(kernel, log_phi_s(), a, b)
 
     # u and v share one buffer, so the absorption test is two reductions.
     uv = np.ones(len(rows) + len(cols))
@@ -423,17 +406,17 @@ def sinkhorn(
         _absorbed_kernel(kernel, log_phi_s(), a, b)
     kernel *= u[:, None]
     kernel *= v
-    if full:
+    if tilt.full and every_col:
         pi = kernel
     else:
-        pi = np.zeros(dist.shape)
+        pi = np.zeros(tilt.dist.shape)
         pi[np.ix_(rows, cols)] = kernel
 
     pair = ScalingPair(
         logF=logF,
         logG=logG,
         logK=logK,
-        beta=float(beta),
+        beta=float(tilt.beta),
         log_z=log_z,
         log_zg=log_zg,
         residuals=(float(row_res), float(col_res), float(np.abs(eq8 - 1.0).max())),

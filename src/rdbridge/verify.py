@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import RDCurve, RDPoint, _tilted_state
-from .distortion import DistortionMatrix, SourceSpec, normalize_loss, slb_mse
+from .blahut import RDCurve, RDPoint, _Tilt
+from .distortion import DistortionMatrix, SourceSpec, slb_mse
 from .errors import ConvergenceError, EmptyComparisonError, InvalidInputError
 from .measures import ProbabilityVector, entropy
-from .schrodinger import eval_L, sinkhorn
+from .schrodinger import _sinkhorn, eval_L
 
 logger = logging.getLogger(__name__)
 
@@ -154,16 +154,16 @@ def check_optimality(
         A filled OptimalityReport.
     """
     cfg = config if config is not None else ToleranceConfig()
-    work = dist if dist.normalized else normalize_loss(dist)[0]
-    _, _, rate, slack, dual_value = _tilted_state(mu, work, beta, nu)
+    # One kernel serves the certificate and then Sinkhorn, whose first
+    # F-update is the same tilted coupling.
+    tilt = _Tilt(mu, dist, beta, nu)
+    _, rate, slack, dual_value = tilt.certificate(nu.weights, tilt.c)
     dual_gap = rate - dual_value
 
     effective = nu.weights >= cfg.mass_threshold
     strict = nu.weights > 0
     try:
-        pair, _ = sinkhorn(
-            mu, nu, dist, beta, tol=cfg.sinkhorn_tol, max_iter=cfg.sinkhorn_max_iter
-        )
+        pair, _ = _sinkhorn(tilt, mu, nu, cfg.sinkhorn_tol, cfg.sinkhorn_max_iter)
     except ConvergenceError as err:
         pair, _ = err.partial
         detail = str(err)

@@ -14,11 +14,13 @@ from scipy.special import logsumexp
 import rdbridge.blahut as blahut
 from rdbridge.blahut import (
     NEWTON_TOL,
+    ROW_SUM_FLOOR,
     RDCurve,
     RDPoint,
     _logsumexp,
     _nonneg_qp,
     _shifted_kernel,
+    _Tilt,
     _tilted_state,
     ba_fixed_point,
     dual_certificate,
@@ -625,6 +627,46 @@ def test_certificate_matches_the_explicit_tilted_coupling(problem):
     assert dual_certificate(mu, dist, beta, point.nu_star)[1] == point.certificate_slack
 
 
+def test_a_row_sum_below_the_floor_is_taken_in_the_log_domain():
+    # Row 1's sum over the cached kernel is nu_1 = 1e-305: positive, but
+    # below ROW_SUM_FLOOR.  Its entry e^-711.5 = 2.2e-309 in column 0 is
+    # subnormal and flushed from the kernel, yet it is 2e-4 of the true
+    # Z_1, so F, c, D, R and the slack must all come from the log domain.
+    mu = ProbabilityVector([0.5, 0.5])
+    dist = DistortionMatrix(np.array([[0.5, 712.0], [711.5, 0.0]]))
+    nu = ProbabilityVector([1.0 - 1e-305, 1e-305])
+    beta = 1.0
+    log_phi = -beta * dist.rho
+    log_z = logsumexp(log_phi + np.log(nu.weights), axis=1)
+    c_ref = np.exp(logsumexp(np.log(mu.weights)[:, None] + log_phi - log_z[:, None], axis=0))
+    pi = mu.weights[:, None] * np.exp(log_phi + np.log(nu.weights) - log_z[:, None])
+    d_ref = float((pi * dist.rho).sum())
+
+    tilt = _Tilt(mu, dist, beta)
+    c = np.empty(2)
+    f = tilt.evaluate(nu.weights, c)
+    assert 0.0 < (tilt.ker @ nu.weights).min() < ROW_SUM_FLOOR and not tilt.scaled
+    # The evaluator's F leaves out the row shifts of its kernel.
+    assert f == pytest.approx(-(mu.weights @ (log_z - log_phi.max(axis=1))), rel=1e-12)
+    assert c == pytest.approx(c_ref, rel=1e-12)
+    _, distortion, rate, slack, _ = _tilted_state(mu, dist, beta, nu)
+    assert distortion == pytest.approx(d_ref, rel=1e-12)
+    assert rate == pytest.approx(-(mu.weights @ log_z) - beta * d_ref, rel=1e-12)
+    assert slack == pytest.approx(c_ref.max() - 1.0, rel=1e-12)
+
+
+def test_a_row_of_zero_partition_mass_raises_only_when_strict():
+    # Row 1 reaches only column 1, which the law leaves empty: a solver
+    # candidate like this gets F = +inf and is never kept.
+    inf = math.inf
+    mu = ProbabilityVector([0.5, 0.5])
+    tilt = _Tilt(mu, DistortionMatrix(np.array([[0.0, inf], [inf, 0.0]])), 1.0)
+    c = np.empty(2)
+    assert tilt.evaluate(np.array([1.0, 0.0]), c, strict=False) == inf
+    with pytest.raises(InvalidInputError, match="source row 1 has zero partition mass"):
+        tilt.evaluate(np.array([1.0, 0.0]), c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
@@ -906,15 +948,12 @@ def test_target_search_solves_from_the_given_law(monkeypatch):
     assert point.nu_star.labels is not None
 
 
-def test_shifted_kernel_zeroes_all_forbidden_rows_and_can_overwrite():
+def test_shifted_kernel_zeroes_all_forbidden_rows_in_place():
     log_phi = np.array([[0.0, -1.0, -np.inf], [-np.inf, -np.inf, -np.inf], [-2.0, -720.0, -0.5]])
-    shift, ker = _shifted_kernel(log_phi.copy())
+    shift, ker = _shifted_kernel(log_phi)
+    assert ker is log_phi
     assert shift[0] == 0.0 and shift[1] == -np.inf and shift[2] == -0.5
     assert np.array_equal(ker[0], np.exp([0.0, -1.0, -np.inf]))
     assert np.array_equal(ker[1], np.zeros(3))
     # exp(-719.5) is subnormal and is flushed.
     assert np.array_equal(ker[2], [np.exp(-1.5), 0.0, 1.0])
-    own = log_phi.copy()
-    shift_in_place, ker_in_place = _shifted_kernel(own, overwrite=True)
-    assert ker_in_place is own
-    assert np.array_equal(ker_in_place, ker) and np.array_equal(shift_in_place, shift)

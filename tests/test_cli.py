@@ -155,6 +155,16 @@ def test_point_by_beta(capsys):
     assert doc["nu_star"]["labels"] == [0.0, 1.0]
 
 
+def test_point_by_beta_unconverged_exits_2_with_its_report(capsys):
+    code, out, _ = run_cli(capsys, ["point", "--beta", "4", "--max_iter", "3"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["iterations"] == 3
+    # The report of the partial law is still written, and flags it.
+    assert doc["report"]["verdict"] == "suboptimal"
+
+
 def test_point_by_beta_on_a_sparse_gaussian_law(capsys):
     # Blahut-Arimoto alone needed 146,426 iterations here, more than the
     # default max_iter of 100,000, and the command exited 2.
@@ -407,6 +417,23 @@ def test_sinkhorn_json_contract(tmp_path, capsys):
     assert abs(p00 - 0.36552928931500245) < 1e-11
     assert abs(doc["distortion"] - 1.0 / (1.0 + math.e)) < 1e-11
     assert abs(doc["L"]) < 1e-11
+
+
+def test_sinkhorn_unconverged_exits_2_without_dual_values(tmp_path, capsys):
+    # Column 1 needs mass 0.8 and only row 1, of mass 0.5, reaches it, so
+    # the scaling iteration runs out of budget and the pair is stale.
+    loss = tmp_path / "loss.txt"
+    loss.write_text("0 inf\n0 0\n")
+    nu_file = tmp_path / "law.txt"
+    nu_file.write_text("0.2\n0.8\n")
+    argv = ["sinkhorn", "--source.kind", "custom", "--source.weights", "0.5 0.5"]
+    argv += ["--distortion.kind", "custom", "--distortion.file", str(loss)]
+    code, out, _ = run_cli(capsys, argv + ["--nu", str(nu_file), "--beta", "1"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["iterations"] == 2000
+    assert doc["distortion"] is None and doc["J"] is None and doc["L"] is None
 
 
 @pytest.mark.parametrize(

@@ -229,22 +229,6 @@ def test_gauge_normalization_of_potentials():
     assert abs(nu.weights @ pair.logG) <= 1e-14
 
 
-def test_initialization_does_not_change_the_limit():
-    mu = ProbabilityVector([0.7, 0.3])
-    nu = ProbabilityVector([0.6, 0.4])
-    ref, _ = sinkhorn(mu, nu, hamming(2), 1.3, tol=1e-13)
-    alt, _ = sinkhorn(
-        mu,
-        nu,
-        hamming(2),
-        1.3,
-        tol=1e-13,
-        logg0=np.array([-0.2, 0.4]),
-    )
-    assert np.abs(ref.logF - alt.logF).max() <= 1e-8
-    assert np.abs(ref.logG - alt.logG).max() <= 1e-8
-
-
 def test_zero_mass_atoms_keep_zero_potentials():
     mu = ProbabilityVector([0.5, 0.5])
     nu = ProbabilityVector([0.5, 0.5, 0.0])
