@@ -51,7 +51,6 @@ from .verify import (
     OptimalityReport,
     SupportCluster,
     SupportReport,
-    ToleranceConfig,
     check_optimality,
     compare_curve,
     oracle_bernoulli_hamming,
@@ -97,7 +96,6 @@ __all__ = [
     "OptimalityReport",
     "SupportCluster",
     "SupportReport",
-    "ToleranceConfig",
     "check_optimality",
     "compare_curve",
     "oracle_bernoulli_hamming",

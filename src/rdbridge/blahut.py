@@ -114,9 +114,6 @@ class RDCurve:
     def __len__(self) -> int:
         return len(self.points)
 
-    def betas(self) -> np.ndarray:
-        return np.array([p.beta for p in self.points])
-
     def distortions(self) -> np.ndarray:
         return np.array([p.distortion for p in self.points])
 
@@ -364,14 +361,12 @@ def dual_certificate(
 
     lower-bounds the optimal rate at the distortion D induced by nu.
 
+    Rows of rho need not attain zero: adding m_i to row i scales alpha_i
+    by exp(beta m_i) and leaves every c_j, the slack and the dual value.
+
     Returns:
         (alpha, slack, dual_value) with slack = max_j c_j - 1.
     """
-    if not dist.normalized:
-        raise InvalidInputError(
-            "dual certificate requires a normalized loss (zero row minima); "
-            "apply normalize_loss first"
-        )
     log_z, _, _, slack, dual_value = _tilted_state(mu, dist, beta, nu)
     return np.exp(-log_z), slack, dual_value
 
@@ -476,6 +471,11 @@ def ba_fixed_point(
     or a line search that finds no step ends the Newton phase, and
     Blahut-Arimoto goes on from the last law.
 
+    At beta = 0 the answer is the beta -> 0+ limit.  With D_max finite it
+    is the zero-rate end of the curve, whatever ``nu0``: all mass on the
+    column attaining D_max (the smallest index on ties), D = D_max, R = 0
+    and 0 iterations.  Otherwise the solve iterates as at any slope.
+
     Every evaluation, the final certificate included, is one ``_Tilt``'s:
     two matrix products with a kernel cached once per call, or per-row
     logsumexp in the rare event a row sum falls below ROW_SUM_FLOOR.
@@ -505,6 +505,14 @@ def ba_fixed_point(
         raise InvalidInputError(
             f"min_iter must be in [1, max_iter], got {min_iter} with max_iter {max_iter}"
         )
+
+    if beta == 0:
+        ceiling, col = d_max(mu, dist)
+        if ceiling < math.inf:
+            nu_star = ProbabilityVector(np.arange(n) == col, labels=nu0.labels)
+            tilt = _Tilt(mu, dist, 0.0, nu_star)
+            distortion, rate, slack, _ = tilt.certificate(nu_star.weights, tilt.c)
+            return RDPoint(0.0, distortion, rate, nu_star, 0, 0.0, slack)
 
     tilt = _Tilt(mu, dist, beta)
     evaluate = tilt.evaluate
@@ -751,7 +759,7 @@ def rd_curve(
     The points are solved in schedule order.  With ``warm_start`` (the
     default) each solve starts from the previous optimum mixed with
     ``WARM_START_MIX`` uniform mass; without it every solve starts from
-    ``nu0``.
+    ``nu0``.  A beta of 0 gives ``ba_fixed_point``'s beta -> 0+ limit.
 
     Points whose solve exhausts its budget are kept with
     ``converged=False`` rather than aborting the sweep.

@@ -1,8 +1,11 @@
 """Distortion matrices, discretized sources, and characteristic distortions.
 
 A distortion matrix holds rho[i][j] >= 0 (possibly +inf for forbidden
-reconstructions).  ``normalized`` means every row attains a zero minimum,
-which is what the dual certificate machinery assumes.
+reconstructions).  No solver or certificate needs a row to attain zero:
+adding m_i to row i of rho moves the expected distortion by
+sum_i mu_i m_i and leaves the optimal law, the rate, the certificate
+slack and the dual value as they were.  ``normalize_loss`` subtracts the
+row minima where a zero floor is wanted.
 """
 from __future__ import annotations
 
@@ -24,12 +27,10 @@ class DistortionMatrix:
 
     Args:
         rho: matrix of nonnegative reals; +inf marks forbidden pairs.
-        normalized: True when every row minimum is exactly 0.  Computed
-            from the data when omitted.
+            Rows need not attain zero.
     """
 
     rho: np.ndarray
-    normalized: bool | None = None
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -40,9 +41,6 @@ class DistortionMatrix:
         # One pass: the minimum is nan if any entry is.
         if not self.rho.min() >= 0.0:
             raise InvalidInputError("rho entries must be nonnegative (or +inf)")
-        if self.normalized is None:
-            row_min = np.min(self.rho, axis=1)
-            self.normalized = bool(np.all(row_min == 0.0))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,23 +81,20 @@ def hamming(n: int) -> DistortionMatrix:
     """0/1 loss on an n-letter alphabet."""
     if n < 1:
         raise InvalidInputError(f"alphabet size must be >= 1, got {n}")
-    rho = 1.0 - np.eye(n)
-    return DistortionMatrix(rho, normalized=True)
+    return DistortionMatrix(1.0 - np.eye(n))
 
 
 def squared_error(xgrid, ygrid) -> DistortionMatrix:
     """Squared difference (x_i - y_j)^2 between two real grids.
 
-    The result is normalized exactly when every source point also appears
-    in the reconstruction grid (each row then has an exact zero).
+    A row attains zero only where its source point lies on the
+    reconstruction grid; the solvers and certificates take either kind.
     """
     x = np.asarray(xgrid, dtype=float)
     y = np.asarray(ygrid, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
         raise InvalidInputError("grids must be non-empty 1-D arrays")
-    rho = (x[:, None] - y[None, :]) ** 2
-    normalized = x is y or bool(np.all(np.isin(x, y)))
-    return DistortionMatrix(rho, normalized=normalized)
+    return DistortionMatrix((x[:, None] - y[None, :]) ** 2)
 
 
 def normalize_loss(dist: DistortionMatrix) -> tuple[DistortionMatrix, np.ndarray]:
@@ -117,7 +112,7 @@ def normalize_loss(dist: DistortionMatrix) -> tuple[DistortionMatrix, np.ndarray
         bad = int(np.flatnonzero(~np.isfinite(finite_min))[0])
         raise InvalidInputError(f"row {bad} has no finite entry; cannot normalize")
     shifted = dist.rho - finite_min[:, None]
-    return DistortionMatrix(shifted, normalized=True), finite_min
+    return DistortionMatrix(shifted), finite_min
 
 
 def _column_expectations(mu: ProbabilityVector, dist: DistortionMatrix) -> np.ndarray:

@@ -27,18 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .blahut import (
-    RDCurve,
-    RDPoint,
-    ba_fixed_point,
-    rd_curve,
-    rd_value_from_nu,
-    solve_point_for_distortion,
-)
+from .blahut import RDCurve, ba_fixed_point, rd_curve, solve_point_for_distortion
 from .distortion import (
     DistortionMatrix,
     SourceSpec,
-    d_max,
     discretize_gaussian,
     discretize_uniform,
     expected_loss,
@@ -402,21 +394,6 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
     return 0 if all(p.converged for p in curve.points) else 2
 
 
-def _zero_rate_endpoint(
-    mu: ProbabilityVector, dist: DistortionMatrix, labels: np.ndarray | None
-) -> RDPoint:
-    """The beta = 0 end of the curve: all mass on the best single column."""
-    value, col = d_max(mu, dist)
-    weights = np.zeros(dist.shape[1])
-    weights[col] = 1.0
-    nu = ProbabilityVector(weights, labels=labels)
-    distortion, rate = rd_value_from_nu(mu, dist, 0.0, nu)
-    return RDPoint(
-        beta=0.0, distortion=distortion, rate=rate, nu_star=nu, iterations=0,
-        fixpoint_residual=0.0, certificate_slack=0.0, converged=True,
-    )
-
-
 def _cmd_point(cfg: RunConfig, args) -> int:
     if (args.beta is None) == (args.distortion is None):
         raise InvalidInputError("point needs exactly one of --beta or --distortion")
@@ -427,8 +404,6 @@ def _cmd_point(cfg: RunConfig, args) -> int:
     try:
         if args.distortion is not None:
             point = solve_point_for_distortion(mu, dist, args.distortion, nu0=start, **budget)
-        elif args.beta == 0.0:
-            point = _zero_rate_endpoint(mu, dist, labels)
         else:
             point = ba_fixed_point(mu, dist, args.beta, nu0=start, min_iter=cfg["min_iter"], **budget)
     except ConvergenceError as err:
@@ -523,15 +498,13 @@ def _cmd_compare(cfg: RunConfig, args) -> int:
             )
         p = cfg["source.p"]
         oracle = lambda d: oracle_bernoulli_hamming(p, d)
-    elif args.oracle == "gaussian":
+    else:  # "gaussian": the parser's choices admit no other oracle
         if cfg["source.kind"] != "gaussian" or cfg["distortion.kind"] != "mse":
             raise InvalidInputError(
                 "gaussian oracle needs source.kind=gaussian and distortion.kind=mse"
             )
         sigma = cfg["source.sigma"]
         oracle = lambda d: oracle_gaussian_mse(sigma, d)
-    else:
-        raise InvalidInputError(f"unknown oracle {args.oracle!r}")
 
     curve = _sweep(cfg, mu, dist, labels)
     max_err, table = compare_curve(curve, oracle, cfg["compare.d_lo"], cfg["compare.d_hi"])

@@ -6,7 +6,7 @@ a caller bug we refuse to paper over.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,6 @@ class Coupling:
     """A joint distribution on a product of two finite alphabets."""
 
     joint: np.ndarray
-    source_dim: int = field(init=False)
-    target_dim: int = field(init=False)
 
     def __post_init__(self):
         self.joint = np.asarray(self.joint, dtype=float)
@@ -88,7 +86,6 @@ class Coupling:
             raise InvalidInputError(
                 f"joint mass must be 1 within {MASS_TOL:g}; got {mass!r}"
             )
-        self.source_dim, self.target_dim = self.joint.shape
 
     def source_marginal(self) -> ProbabilityVector:
         return ProbabilityVector(self.joint.sum(axis=1))

@@ -20,27 +20,19 @@ from .blahut import RDCurve, RDPoint, _Tilt
 from .distortion import DistortionMatrix, SourceSpec, slb_mse
 from .errors import ConvergenceError, EmptyComparisonError, InvalidInputError
 from .measures import ProbabilityVector, entropy
-from .schrodinger import _sinkhorn, eval_L
+from .schrodinger import DEFAULT_MAX_ITER, DEFAULT_TOL, _sinkhorn, eval_L
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class ToleranceConfig:
-    """Thresholds for optimality verdicts and support censuses.
-
-    The verdict tolerances sit an order of magnitude above the solver
-    tolerances they are checked against so that a verdict never flips on
-    solver noise.  ``mass_threshold`` separates genuine support atoms
-    from mass still decaying toward zero.
-    """
-
-    g_tol: float = 1e-5
-    l_tol: float = 1e-7
-    d_tol: float = 1e-6
-    mass_threshold: float = 1e-6
-    sinkhorn_tol: float = 1e-12
-    sinkhorn_max_iter: int = 2000
+# Verdict thresholds on the potential spread, |L| and the dual gap, an
+# order of magnitude above the solver tolerances they are checked against
+# so that a verdict never flips on solver noise; and the mass that
+# separates support atoms from mass still decaying toward zero.
+G_TOL = 1e-5
+L_TOL = 1e-7
+D_TOL = 1e-6
+MASS_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -49,9 +41,8 @@ class OptimalityReport:
 
     Attributes:
         g_spread: max - min of the Sinkhorn log-potential logG over the
-            numerical support of nu (atoms with mass >= the configured
-            threshold); constant g on the support characterizes the
-            optimal law.
+            numerical support of nu (atoms with mass >= MASS_THRESHOLD);
+            constant g on the support characterizes the optimal law.
         g_spread_strict: the same spread over every atom with strictly
             positive mass, however small.  Diagnostic only: atoms still
             decaying toward zero carry arbitrarily off potentials.
@@ -128,42 +119,39 @@ def check_optimality(
     dist: DistortionMatrix,
     beta: float,
     nu: ProbabilityVector,
-    config: ToleranceConfig | None = None,
 ) -> OptimalityReport:
     """Decide whether nu is the optimal reconstruction law at slope beta.
 
     Runs Sinkhorn on (mu, nu), evaluates the potential spread, the
-    transport defect L, and the Csiszar dual gap, then compares each
-    against the configured tolerance.  The verdict is "optimal" only
-    when all three pass, "inconclusive" when Sinkhorn fails to converge
+    transport defect L, and the Csiszar dual gap, then compares them
+    with G_TOL, L_TOL and D_TOL.  The verdict is "optimal" only when all
+    three pass, "inconclusive" when Sinkhorn fails to converge
     (nothing can then be certified either way), and "suboptimal"
     otherwise.  After a failed solve a transport-feasibility LP tells
     whether (mu, nu) can be coupled on finite-loss pairs at all; if not,
     ``detail`` says so.
 
-    The spread is taken over atoms with mass >= ``mass_threshold``: a
+    The spread is taken over atoms with mass >= MASS_THRESHOLD: a
     candidate produced by an iterative solver carries stray mass of
     order its tolerance on atoms outside the true support, and the
     potentials there say nothing about optimality.  The strict-support
-    spread is reported alongside as a diagnostic.
-
-    Args:
-        config: thresholds and solver knobs; defaults throughout.
+    spread is reported alongside as a diagnostic.  Sinkhorn runs at its
+    own defaults, and the dual gap is taken on the loss as given: it need
+    not be normalized (see ``dual_certificate``).
 
     Returns:
         A filled OptimalityReport.
     """
-    cfg = config if config is not None else ToleranceConfig()
     # One kernel serves the certificate and then Sinkhorn, whose first
     # F-update is the same tilted coupling.
     tilt = _Tilt(mu, dist, beta, nu)
     _, rate, slack, dual_value = tilt.certificate(nu.weights, tilt.c)
     dual_gap = rate - dual_value
 
-    effective = nu.weights >= cfg.mass_threshold
+    effective = nu.weights >= MASS_THRESHOLD
     strict = nu.weights > 0
     try:
-        pair, _ = _sinkhorn(tilt, mu, nu, cfg.sinkhorn_tol, cfg.sinkhorn_max_iter)
+        pair, _ = _sinkhorn(tilt, mu, nu, DEFAULT_TOL, DEFAULT_MAX_ITER)
     except ConvergenceError as err:
         pair, _ = err.partial
         detail = str(err)
@@ -183,7 +171,7 @@ def check_optimality(
 
     g_spread = _spread(pair.logG, effective)
     l_value = eval_L(mu, nu, dist, beta, pair)
-    passed = g_spread <= cfg.g_tol and abs(l_value) <= cfg.l_tol and dual_gap <= cfg.d_tol
+    passed = g_spread <= G_TOL and abs(l_value) <= L_TOL and dual_gap <= D_TOL
     return OptimalityReport(
         beta=float(beta),
         g_spread=g_spread,
@@ -197,7 +185,7 @@ def check_optimality(
 
 def support_atoms(
     nu: ProbabilityVector,
-    mass_threshold: float = 1e-6,
+    mass_threshold: float = MASS_THRESHOLD,
     gap_threshold: float = 3.0,
 ) -> SupportReport:
     """Group the significant atoms of a grid law into isolated clusters.

@@ -338,8 +338,8 @@ def test_criterion_7_uniform_source_grows_isolated_atoms():
     )
 
 
-def test_criterion_8_runs_are_deterministic(tmp_path, monkeypatch):
-    # (a) CLI artifacts are byte-identical across repeats and thread caps.
+def test_criterion_8_runs_are_deterministic(tmp_path):
+    # (a) CLI artifacts are byte-identical across repeats.
     nu_file = tmp_path / "half.txt"
     nu_file.write_text("0.5\n0.5\n")
     jobs = {
@@ -357,8 +357,7 @@ def test_criterion_8_runs_are_deterministic(tmp_path, monkeypatch):
     }
     for name, argv in jobs.items():
         outputs = []
-        for run, threads in enumerate(("1", "1", "4")):
-            monkeypatch.setenv("RD_BRIDGE_THREADS", threads)
+        for run in range(3):
             target = tmp_path / f"{name}_{run}.out"
             code = cli_main(argv + ["--out", str(target)])
             assert code == 0
@@ -403,6 +402,5 @@ def test_criterion_8_runs_are_deterministic(tmp_path, monkeypatch):
             assert np.array_equal(a.nu_star.weights, b.nu_star.weights)
     print(
         "criterion 8: PASS (curve/compare/sinkhorn artifacts byte-identical "
-        "across reruns and RD_BRIDGE_THREADS in {1, 4}; library sweeps bit-"
-        "identical across reruns)"
+        "across three reruns; library sweeps bit-identical across reruns)"
     )

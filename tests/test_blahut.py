@@ -120,7 +120,7 @@ def test_unnormalized_loss_matches_its_normalized_version():
     normalized, offsets = normalize_loss(raw)
     tol = 1e-11
     beta = 2.0
-    assert not raw.normalized and beta * raw.rho.max() < 30.0
+    assert np.all(raw.rho.min(axis=1) > 0.0) and beta * raw.rho.max() < 30.0
     point = ba_fixed_point(mu, raw, beta, tol=tol, max_iter=50000)
     ref = ba_fixed_point(mu, normalized, beta, tol=tol, max_iter=50000)
     assert point.converged and ref.converged
@@ -291,6 +291,23 @@ def test_beta_zero_keeps_forbidden_pairs_out_of_the_law():
     assert point.nu_star.weights.tolist() == [1.0, 0.0]
     assert point.distortion == 0.0
     assert point.rate == 0.0
+
+
+def test_beta_zero_is_the_zero_rate_end_of_the_curve():
+    # The beta -> 0+ limit puts all mass on the column that attains D_max,
+    # whatever the start law; the start law itself would give D = 0.5.
+    mu = ProbabilityVector([0.7, 0.3])
+    point = ba_fixed_point(mu, hamming(2), 0.0, nu0=ProbabilityVector([0.5, 0.5]))
+    assert point.converged and point.iterations == 0
+    assert point.nu_star.weights.tolist() == [1.0, 0.0]
+    assert point.distortion == pytest.approx(0.3, abs=1e-15)
+    assert point.rate == 0.0
+    curve = rd_curve(mu, hamming(2), [0.0, 1.0, 2.0], tol=1e-9)
+    first = curve.points[0]
+    assert (first.beta, first.distortion, first.rate) == (0.0, point.distortion, 0.0)
+    assert first.iterations == 0
+    assert first.nu_star.weights.tolist() == [1.0, 0.0]
+    assert curve.points[1].distortion < 0.3
 
 
 # --- the Newton phase -------------------------------------------------------
@@ -541,11 +558,26 @@ def test_dual_certificate_lower_bounds_the_curve():
     assert dual_value <= oracle + 1e-12
 
 
-def test_dual_certificate_requires_normalized_loss():
-    mu = ProbabilityVector([0.5, 0.5])
-    raw = DistortionMatrix(np.array([[1.0, 2.0], [3.0, 0.5]]))
-    with pytest.raises(InvalidInputError):
-        dual_certificate(mu, raw, 1.0, ProbabilityVector([0.5, 0.5]))
+def test_dual_certificate_is_blind_to_row_offsets():
+    # Adding m_i to row i of rho scales alpha_i by exp(beta m_i) and leaves
+    # the constraint values, the slack and the dual value unchanged, so a
+    # loss need not be normalized.  Random losses with +inf entries.
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n, m = (int(k) for k in rng.integers(1, 8, size=2))
+        rho = rng.uniform(0.0, 4.0, size=(n, m))
+        rho[rng.random((n, m)) < 0.2] = math.inf
+        rho[np.arange(n), rng.integers(0, m, size=n)] = rng.uniform(0.0, 1.0, size=n)
+        raw = DistortionMatrix(rho + rng.uniform(0.0, 3.0, size=(n, 1)))
+        normalized, offsets = normalize_loss(raw)
+        mu, nu = (rng.uniform(0.1, 1.0, size=k) for k in (n, m))
+        mu, nu = ProbabilityVector(mu / mu.sum()), ProbabilityVector(nu / nu.sum())
+        beta = float(rng.uniform(0.1, 5.0))
+        alpha, slack, dual_value = dual_certificate(mu, raw, beta, nu)
+        alpha_0, slack_0, dual_0 = dual_certificate(mu, normalized, beta, nu)
+        assert slack == pytest.approx(slack_0, rel=0.0, abs=1e-14)
+        assert dual_value == pytest.approx(dual_0, rel=0.0, abs=1e-14)
+        assert alpha == pytest.approx(alpha_0 * np.exp(beta * offsets), rel=1e-14, abs=0.0)
 
 
 def test_zero_mass_row_outside_the_support_keeps_the_certificate_finite():

@@ -82,7 +82,54 @@ def test_parse_bool_words():
         _parse_bool("maybe")
 
 
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["curve", "--betas.list", "1,x"], {}, "expected a list of reals"),
+        (["curve", "--max_iter", "0"], {}, "max_iter must be >= 1"),
+        (["curve", "--source.p", "1.5"], {}, "source.p must lie in (0, 1)"),
+        (["curve", "--source.kind", "custom"], {}, "requires source.weights"),
+        (
+            ["curve", "--source.kind", "custom", "--source.weights", "0.5,0.5",
+             "--distortion.kind", "mse"],
+            {},
+            "mse distortion needs labelled source atoms",
+        ),
+        (["curve", "--distortion.kind", "custom"], {}, "requires distortion.file"),
+        (
+            ["curve", "--distortion.kind", "custom", "--distortion.file", "{loss}"],
+            {"loss": "0 1\n1 0\n1 1\n"},
+            "distortion matrix has 3 rows for 2 source atoms",
+        ),
+        (
+            ["check", "--beta", "1", "--nu", "{nu}"],
+            {"nu": "0.5\n"},
+            "JSON must be an object or array",
+        ),
+        (["curve", "--config", "{missing}"], {}, "cannot read config"),
+    ],
+)
+def test_input_errors_exit_1_with_their_message(tmp_path, capsys, argv, files, message):
+    paths = {"missing": tmp_path / "missing.conf"}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 1 and out == ""
+    assert message in err
+
+
 # --- curve ------------------------------------------------------------------
+
+
+def test_curve_geometric_schedule(capsys):
+    # Without betas.list the schedule is geomspace(betas.lo, betas.hi, betas.count).
+    code, out, _ = run_cli(
+        capsys, ["curve", "--betas.lo", "0.5", "--betas.hi", "8", "--betas.count", "5"]
+    )
+    assert code == 0
+    betas = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert betas == np.geomspace(0.5, 8.0, 5).tolist()
 
 
 def test_curve_csv_contract(capsys):
@@ -254,6 +301,26 @@ def test_point_beta_zero_endpoint(capsys):
     assert doc["iterations"] == 0
     assert doc["converged"] is True
     assert doc["nu_star"]["weights"] == [1.0, 0.0]
+
+
+def test_point_beta_zero_with_an_infinite_d_max(tmp_path, capsys):
+    # Every single column forbids one source letter, so D_max is infinite
+    # and the beta -> 0+ limit keeps both columns: D = 0 and R = ln 2.
+    loss = tmp_path / "loss.txt"
+    loss.write_text("0 inf\ninf 0\n")
+    code, out, _ = run_cli(
+        capsys,
+        [
+            "point", "--beta", "0", "--source.kind", "custom", "--source.weights", "0.5,0.5",
+            "--distortion.kind", "custom", "--distortion.file", str(loss),
+        ],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert doc["distortion"] == 0.0
+    assert doc["rate"] == pytest.approx(LN2, rel=1e-15)
+    assert doc["nu_star"]["weights"] == [0.5, 0.5]
 
 
 def test_point_distortion_out_of_range(capsys):
@@ -532,6 +599,23 @@ def test_compare_incompatible_oracle(capsys):
     )
     assert code == 1
     assert "gaussian oracle" in err
+
+
+def test_compare_gaussian_oracle(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        [
+            "compare", "--oracle", "gaussian", "--source.kind", "gaussian",
+            "--distortion.kind", "mse", "--source.points", "129", "--tol", "1e-6",
+            "--betas.list", "1,2,4,8",
+        ],
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "distortion,rate,rate_oracle,abs_err"
+    assert len(lines) == 6
+    # The 129-point grid source sits 2.8e-8 from the closed form.
+    assert float(lines[-1].split("=")[1]) <= 1e-7
 
 
 # --- units ------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_coupling_validation_and_marginals():
     with pytest.raises(InvalidInputError, match="nonnegative"):
         Coupling(np.array([[1.0, float("nan")]]))
     pi = Coupling(np.array([[0.2, 0.3], [0.1, 0.4]]))
-    assert (pi.source_dim, pi.target_dim) == (2, 2)
+    assert pi.joint.shape == (2, 2)
     assert np.allclose(pi.source_marginal().weights, [0.5, 0.5])
     assert np.allclose(pi.target_marginal().weights, [0.3, 0.7])
     pi.check_marginals(

@@ -15,10 +15,11 @@ from rdbridge.distortion import (
 )
 from rdbridge.errors import EmptyComparisonError, InvalidInputError
 from rdbridge.measures import ProbabilityVector
+import rdbridge.verify as verify
+from rdbridge.schrodinger import DEFAULT_MAX_ITER, DEFAULT_TOL
 from rdbridge.verify import (
     OptimalityReport,
     SupportReport,
-    ToleranceConfig,
     check_optimality,
     compare_curve,
     oracle_bernoulli_hamming,
@@ -145,10 +146,11 @@ def test_zero_mass_row_outside_the_support_is_optimal():
     assert abs(report.certificate_slack) <= 1e-15
 
 
-def test_failed_inner_solve_gives_inconclusive():
+def test_failed_inner_solve_gives_inconclusive(monkeypatch):
+    # A one-iteration budget leaves the Sinkhorn solve unconverged.
+    monkeypatch.setattr(verify, "DEFAULT_MAX_ITER", 1)
     mu = ProbabilityVector([0.7, 0.3])
-    cfg = ToleranceConfig(sinkhorn_max_iter=1)
-    report = check_optimality(mu, hamming(2), 1.5, ProbabilityVector([0.2, 0.8]), cfg)
+    report = check_optimality(mu, hamming(2), 1.5, ProbabilityVector([0.2, 0.8]))
     assert report.verdict == "inconclusive"
     assert math.isnan(report.l_value)
     assert report.detail != ""
@@ -217,13 +219,13 @@ def test_verdict_dichotomy_under_perturbation():
 
 
 def test_tolerance_defaults_are_stable():
-    cfg = ToleranceConfig()
-    assert cfg.g_tol == 1e-5
-    assert cfg.l_tol == 1e-7
-    assert cfg.d_tol == 1e-6
-    assert cfg.mass_threshold == 1e-6
-    assert cfg.sinkhorn_tol == 1e-12
-    assert cfg.sinkhorn_max_iter == 2000
+    assert verify.G_TOL == 1e-5
+    assert verify.L_TOL == 1e-7
+    assert verify.D_TOL == 1e-6
+    assert verify.MASS_THRESHOLD == 1e-6
+    # The check's Sinkhorn solve runs at Sinkhorn's own defaults.
+    assert (verify.DEFAULT_TOL, verify.DEFAULT_MAX_ITER) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert (DEFAULT_TOL, DEFAULT_MAX_ITER) == (1e-12, 2000)
 
 
 # --- support census ---------------------------------------------------------
