@@ -32,7 +32,8 @@ tolerance (tol <= NEWTON_TOL) therefore runs it in two phases:
    mixture likelihood, and the steps follow mixSQP (Kim, Carbonetto,
    Stephens & Anitescu, JCGS 2020): each solves the quadratic model of f
    over y >= 0 by an active-set method warm-started from the current
-   support, then a line search on f picks the step length.
+   support, and the full step to its minimiser is taken if it does not
+   raise f.
 
 A looser tolerance never leaves phase 1.  A failed Newton step hands the
 solve back to phase 1 for good.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import DistortionMatrix, d_floor, d_max
+from .distortion import DistortionMatrix, _check_rows, d_floor, d_max
 from .errors import ConvergenceError, InvalidInputError
 from .measures import ProbabilityVector
 
@@ -78,9 +79,6 @@ RIDGE = 1e-12
 # 2 m + QP_CHANGE_SLACK active-set changes on m candidate atoms.
 QP_TOL_FLOOR = 1e-14
 QP_CHANGE_SLACK = 10
-# Armijo fraction and number of halvings of the Newton line search.
-ARMIJO = 1e-4
-LINE_SEARCH_STEPS = 30
 # A target-distortion search moves ln beta by at least ln 2 and at most 3
 # while it brackets the target, and gives up after TARGET_SOLVES solves.
 BRACKET_STEP = (math.log(2.0), 3.0)
@@ -89,6 +87,9 @@ TARGET_SOLVES = 100
 # the cached kernel to fall below its rounding error: the evaluation is
 # then taken in the log domain.
 ROW_SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# Chords of a curve over a distortion step below this are skipped by
+# ``RDCurve.shape_report``.
+DEGENERATE_STEP = 1e-9
 
 
 @dataclass
@@ -120,14 +121,14 @@ class RDCurve:
     def rates(self) -> np.ndarray:
         return np.array([p.rate for p in self.points])
 
-    def shape_report(self, degenerate_step: float = 1e-9) -> dict:
+    def shape_report(self) -> dict:
         """Worst violations of the expected curve shape.
 
         Returns a dict with ``max_distortion_increase`` (D should not
         increase with beta), ``max_rate_decrease`` (R should not decrease),
         and ``max_chord_violation`` (consecutive chord slopes of R(D)
         should not increase as D falls).  Chords over distortion steps
-        smaller than ``degenerate_step`` are skipped: below the noise
+        smaller than ``DEGENERATE_STEP`` are skipped: below the noise
         floor of the monotonicity checks a slope ratio carries no signal
         (e.g. between zero-rate points whose distortions differ only by
         residual sub-tolerance mass).
@@ -142,7 +143,7 @@ class RDCurve:
         slopes = []
         for k in range(len(d) - 1):
             dd = d[k + 1] - d[k]
-            if abs(dd) < degenerate_step:
+            if abs(dd) < DEGENERATE_STEP:
                 continue
             slopes.append((r[k + 1] - r[k]) / dd)
         for s_prev, s_next in zip(slopes[:-1], slopes[1:]):
@@ -177,10 +178,7 @@ def _check_compat(
 ):
     if beta < 0 or not np.isfinite(beta):
         raise InvalidInputError(f"beta must be a finite nonnegative real, got {beta}")
-    if len(mu) != dist.shape[0]:
-        raise InvalidInputError(
-            f"mu has {len(mu)} atoms but rho has {dist.shape[0]} rows"
-        )
+    _check_rows(mu, dist)
     if nu is not None and len(nu) != dist.shape[1]:
         raise InvalidInputError(f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns")
 
@@ -191,6 +189,19 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     top[~np.isfinite(top)] = 0.0
     with np.errstate(divide="ignore"):
         return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
+
+
+def _flush_subnormals(kernel: np.ndarray) -> None:
+    """Set the subnormal entries of a kernel to zero, in place.
+
+    A subnormal entry moves a product by less than its rounding error
+    unless a whole row or column is subnormal, and then the product falls
+    below the smallest normal number and the caller takes the log domain
+    instead.  Kept, such entries make the matrix products slow: with 1% of
+    the entries subnormal (257-point Gaussian, beta = 10) a solver
+    iteration took twice as long.
+    """
+    kernel[kernel < np.finfo(float).tiny] = 0.0
 
 
 def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +221,7 @@ def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Subnormal entries (more than 708 nats below the row maximum) move a
     # row sum by less than 2.3e-308 in all, below its rounding error once
     # it reaches ROW_SUM_FLOOR; a smaller row sum falls back to logsumexp.
-    # Kept, they make the matrix products slow: with 1% of the entries
-    # subnormal (257-point Gaussian, beta = 10) a solver iteration took
-    # twice as long.
-    ker[ker < np.finfo(float).tiny] = 0.0
+    _flush_subnormals(ker)
     return shift, ker
 
 
@@ -463,13 +471,12 @@ def ba_fixed_point(
     with A = diag(sqrt(mu) / K nu) K on those columns and H = A'A, it
     solves min y'Hy/2 - (2c - 1)'y over y >= 0 by Lawson and Hanson's
     active set started from supp(nu), factoring the free block of H
-    afresh after each change of the set; then it backtracks from y along
-    y - nu until f meets the Armijo condition, or does not rise and still
-    falls along the step at its end.  The new law is normalized, which
-    never raises f or F.  The stop rule, the plain last step and support
-    pinning are those of the Blahut-Arimoto phase.  A QP that breaks down
-    or a line search that finds no step ends the Newton phase, and
-    Blahut-Arimoto goes on from the last law.
+    afresh after each change of the set; then it takes the full step to
+    y if f falls along y - nu and is no higher at y.  The new law is
+    normalized, which never raises f or F.  The stop rule, the plain last
+    step and support pinning are those of the Blahut-Arimoto phase.  A QP
+    that breaks down or a step that would raise f ends the Newton phase,
+    and Blahut-Arimoto goes on from the last law.
 
     At beta = 0 the answer is the beta -> 0+ limit.  With D_max finite it
     is the zero-rate end of the curve, whatever ``nu0``: all mass on the
@@ -484,8 +491,9 @@ def ba_fixed_point(
     call.
 
     Args:
-        nu0: initial reconstruction law (defaults to uniform); must be
-            strictly positive on its intended support.
+        nu0: initial reconstruction law (defaults to the uniform law,
+            unlabelled); must be strictly positive on its intended
+            support.
         tol: joint threshold for the fixed-point residual and slack.
         max_iter: iteration budget.
 
@@ -493,12 +501,9 @@ def ba_fixed_point(
         ConvergenceError: budget exhausted before both residuals reached
             ``tol``; the partial RDPoint is attached as ``.partial``.
     """
-    _check_compat(mu, dist, beta)
+    _check_compat(mu, dist, beta, nu0)
     n = dist.shape[1]
-    if nu0 is None:
-        nu0 = ProbabilityVector(np.full(n, 1.0 / n))
-    if len(nu0) != n:
-        raise InvalidInputError(f"nu0 has {len(nu0)} atoms but rho has {n} columns")
+    labels = None if nu0 is None else nu0.labels
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if min_iter < 1 or min_iter > max_iter:
@@ -509,7 +514,7 @@ def ba_fixed_point(
     if beta == 0:
         ceiling, col = d_max(mu, dist)
         if ceiling < math.inf:
-            nu_star = ProbabilityVector(np.arange(n) == col, labels=nu0.labels)
+            nu_star = ProbabilityVector(np.arange(n) == col, labels=labels)
             tilt = _Tilt(mu, dist, 0.0, nu_star)
             distortion, rate, slack, _ = tilt.certificate(nu_star.weights, tilt.c)
             return RDPoint(0.0, distortion, rate, nu_star, 0, 0.0, slack)
@@ -529,7 +534,7 @@ def ba_fixed_point(
 
         Returns (next law, normalized; its F; free atoms; active-set
         changes) and writes c at the next law to c_out, or returns None
-        when the QP or the line search fails.
+        when the QP fails or the full step would raise f.
         """
         cand = (x > 0) | (c_x >= 1.0 - CANDIDATE_GAP)
         sub = tilt.ker[:, cand]
@@ -550,32 +555,25 @@ def ba_fixed_point(
             return None
         y, free, changes = solved
         d = y - xc
-        # f(x + t d) - f(x) and the slope of f along d, taken from K d
+        # The slope of f along d and f(x + d) - f(x), taken from K d
         # directly: their own size, not that of f, sets their rounding
-        # error, so the search still sees a decrease far below f's rounding.
+        # error, so the test still sees a decrease far below f's rounding.
         ratio = (sub @ d) / z
         mass = d.sum()
-        slope = mass - float(tilt.mu @ ratio)
-        if not slope < 0.0:
+        if not mass - float(tilt.mu @ ratio) < 0.0:
             return None
-        t = 1.0
-        for _ in range(LINE_SEARCH_STEPS):
-            change = t * mass - float(tilt.mu @ np.log1p(t * ratio))
-            end_slope = mass - float(tilt.mu @ (ratio / (1.0 + t * ratio)))
-            # Armijo, or no rise and no overshoot (f still falls along d
-            # at the trial point).
-            if change <= ARMIJO * t * slope or (change <= 0.0 and end_slope <= 0.0):
-                trial = np.zeros(n)
-                trial[cand] = np.maximum(xc + t * d, 0.0)
-                f_t = evaluate(trial, c_out, strict=False)
-                s = trial.sum()
-                trial /= s
-                c_out *= s
-                return trial, f_t + math.log(s), free, changes
-            t *= 0.5
-        return None
+        if not mass - float(tilt.mu @ np.log1p(ratio)) <= 0.0:
+            return None
+        # y >= 0, so xc + d, rounded, is too.
+        trial = np.zeros(n)
+        trial[cand] = xc + d
+        f_t = evaluate(trial, c_out, strict=False)
+        s = trial.sum()
+        trial /= s
+        c_out *= s
+        return trial, f_t + math.log(s), free, changes
 
-    nu = nu0.weights.copy()
+    nu = np.full(n, 1.0 / n) if nu0 is None else nu0.weights.copy()
     c, c_trial, plain, trial, r, v = (np.empty(n) for _ in range(6))
     # The first two laws of the current cycle; nu is law number ``maps``,
     # or a kept candidate awaiting its stabilizing map when ``jumped``.
@@ -712,7 +710,7 @@ def ba_fixed_point(
                         f = evaluate(nu, c)
                 dead, alive, has_dead = support_masks(nu)
             if final:
-                nu_star = ProbabilityVector(nu / nu.sum(), labels=nu0.labels)
+                nu_star = ProbabilityVector(nu / nu.sum(), labels=labels)
                 # c_trial holds nothing the loop needs once the stop rule fired.
                 evaluate(nu_star.weights, c_trial)
                 distortion, rate, slack_final, _ = tilt.certificate(nu_star.weights, c_trial)

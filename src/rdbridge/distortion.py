@@ -17,9 +17,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .measures import ProbabilityVector
 
-# Recomputed diff-entropy offsets must match the stored one this closely.
-OFFSET_TOL = 1e-12
-
 
 @dataclass
 class DistortionMatrix:
@@ -51,30 +48,31 @@ class DistortionMatrix:
 class SourceSpec:
     """A continuous source discretized onto a grid.
 
+    ``weights`` is labelled by the grid points, which ``grid`` returns,
+    and ``cell_widths`` holds the width Delta_i of each point's cell.
     ``diff_entropy_offset`` is sum_i w_i ln(Delta_i): adding it to the
     discrete entropy of ``weights`` estimates the differential entropy.
     """
 
-    grid: np.ndarray
     weights: ProbabilityVector
     cell_widths: np.ndarray
-    diff_entropy_offset: float
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
         self.cell_widths = np.asarray(self.cell_widths, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size != len(self.weights):
-            raise InvalidInputError("grid and weights must have matching length")
+        if self.grid is None:
+            raise InvalidInputError("source weights need grid labels")
         if np.any(np.diff(self.grid) <= 0):
             raise InvalidInputError("grid must be strictly increasing")
         if self.cell_widths.shape != self.grid.shape or np.any(self.cell_widths <= 0):
             raise InvalidInputError("cell widths must be positive, one per grid point")
-        recomputed = float(np.sum(self.weights.weights * np.log(self.cell_widths)))
-        if abs(recomputed - self.diff_entropy_offset) > OFFSET_TOL:
-            raise InvalidInputError(
-                "diff_entropy_offset inconsistent with weights and cell widths: "
-                f"stored {self.diff_entropy_offset!r}, recomputed {recomputed!r}"
-            )
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.weights.labels
+
+    @property
+    def diff_entropy_offset(self) -> float:
+        return float(np.sum(self.weights.weights * np.log(self.cell_widths)))
 
 
 def hamming(n: int) -> DistortionMatrix:
@@ -121,6 +119,11 @@ def _column_expectations(mu: ProbabilityVector, dist: DistortionMatrix) -> np.nd
     return mu.weights[live] @ dist.rho[live, :]
 
 
+def _check_rows(mu: ProbabilityVector, dist: DistortionMatrix) -> None:
+    if len(mu) != dist.shape[0]:
+        raise InvalidInputError(f"mu has {len(mu)} atoms but rho has {dist.shape[0]} rows")
+
+
 def d_max(mu: ProbabilityVector, dist: DistortionMatrix) -> tuple[float, int]:
     """Smallest distortion achievable at zero rate, with its witness column.
 
@@ -129,10 +132,7 @@ def d_max(mu: ProbabilityVector, dist: DistortionMatrix) -> tuple[float, int]:
         single-reconstruction expected loss; ties resolve to the smallest
         column index.
     """
-    if len(mu) != dist.shape[0]:
-        raise InvalidInputError(
-            f"mu has {len(mu)} atoms but rho has {dist.shape[0]} rows"
-        )
+    _check_rows(mu, dist)
     expect = _column_expectations(mu, dist)
     j = int(np.argmin(expect))
     return float(expect[j]), j
@@ -140,10 +140,7 @@ def d_max(mu: ProbabilityVector, dist: DistortionMatrix) -> tuple[float, int]:
 
 def d_floor(mu: ProbabilityVector, dist: DistortionMatrix) -> float:
     """Smallest achievable expected distortion: sum_i mu_i min_j rho[i][j]."""
-    if len(mu) != dist.shape[0]:
-        raise InvalidInputError(
-            f"mu has {len(mu)} atoms but rho has {dist.shape[0]} rows"
-        )
+    _check_rows(mu, dist)
     live = mu.weights > 0
     return float(np.sum(mu.weights[live] * np.min(dist.rho[live, :], axis=1)))
 
@@ -183,7 +180,7 @@ def discretize_gaussian(
 
     The grid is uniform on [-W, W] with W = half_width_sigmas * sigma and
     an odd number of points so that 0 is a grid point.  Weights are the
-    renormalized density values; the diff-entropy offset is ln(Delta).
+    renormalized density values, and every cell is Delta wide.
     """
     if sigma <= 0:
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
@@ -198,9 +195,7 @@ def discretize_gaussian(
     delta = grid[1] - grid[0]
     dens = np.exp(-(grid**2) / (2.0 * sigma**2))
     dens /= dens.sum()
-    weights = ProbabilityVector(dens, labels=grid)
-    offset = float(np.sum(dens * math.log(delta)))
-    return SourceSpec(grid, weights, np.full(points, delta), offset)
+    return SourceSpec(ProbabilityVector(dens, labels=grid), np.full(points, delta))
 
 
 def discretize_uniform(lo: float, hi: float, points: int) -> SourceSpec:
@@ -216,5 +211,4 @@ def discretize_uniform(lo: float, hi: float, points: int) -> SourceSpec:
     delta = (hi - lo) / points
     grid = lo + delta * (np.arange(points) + 0.5)
     weights = ProbabilityVector(np.full(points, 1.0 / points), labels=grid)
-    offset = float(np.sum(weights.weights * math.log(delta)))
-    return SourceSpec(grid, weights, np.full(points, delta), offset)
+    return SourceSpec(weights, np.full(points, delta))

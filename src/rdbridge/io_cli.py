@@ -11,18 +11,18 @@ loss matrix, and runs one of five commands:
     compare   swept rates against a closed-form oracle, as CSV
 
 All outputs are deterministic byte-for-byte for a fixed config: the
-solvers are seedless.  Exit codes: 0 success, 1 invalid input or
-config, 2 partial or failed convergence (or an inconclusive verdict /
-exceeded comparison bound), 3 suboptimal verdict.
+solvers are seedless.  Exit codes: 0 success (or --help), 1 invalid
+input, config or command line, 2 partial or failed convergence (or an
+inconclusive verdict / exceeded comparison bound), 3 suboptimal verdict.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,28 +103,6 @@ _SCHEMA: dict[str, tuple] = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters (defaults + config file + flags)."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def as_dict(self) -> dict:
-        """JSON-ready copy of the resolved configuration."""
-        out = {}
-        for key, val in self.values.items():
-            if isinstance(val, np.ndarray):
-                out[key] = [float(v) for v in val]
-            elif isinstance(val, float) and math.isinf(val):
-                out[key] = "inf"
-            else:
-                out[key] = val
-        return out
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse a flat key=value document into raw string values.
 
@@ -146,8 +124,10 @@ def parse_config_text(text: str) -> dict[str, str]:
 def resolve_config(
     file_values: dict[str, str] | None = None,
     overrides: dict[str, str] | None = None,
-) -> RunConfig:
-    """Layer defaults, config-file values, and flag overrides into a RunConfig.
+) -> dict:
+    """Layer defaults, config-file values, and flag overrides into one dict.
+
+    The result holds every key of the schema with its parsed value.
 
     Raises:
         InvalidInputError: unknown key, unparseable value, or a value
@@ -189,11 +169,24 @@ def resolve_config(
                 "geometric beta schedule needs lo > 0, hi > lo, count >= 2; "
                 f"got lo={lo}, hi={hi}, count={count}"
             )
-    return RunConfig(values)
+    return values
+
+
+def _config_json(cfg: dict) -> dict:
+    """JSON-ready copy of a resolved configuration."""
+    out = {}
+    for key, val in cfg.items():
+        if isinstance(val, np.ndarray):
+            out[key] = [float(v) for v in val]
+        elif isinstance(val, float) and math.isinf(val):
+            out[key] = "inf"
+        else:
+            out[key] = val
+    return out
 
 
 def build_problem(
-    cfg: RunConfig,
+    cfg: dict,
 ) -> tuple[ProbabilityVector, DistortionMatrix, np.ndarray | None, SourceSpec | None]:
     """Construct (mu, rho, reconstruction labels, source spec) from a config.
 
@@ -244,10 +237,6 @@ def build_problem(
     return mu, dist, labels, spec
 
 
-def _uniform_start(n: int, labels: np.ndarray | None) -> ProbabilityVector:
-    return ProbabilityVector(np.full(n, 1.0 / n), labels=labels)
-
-
 def _rate_scale(units: str) -> float:
     """Single conversion site: multiply a nats-valued rate by this."""
     return 1.0 if units == "nats" else 1.0 / LN2
@@ -276,21 +265,12 @@ def _curve_csv(curve: RDCurve, units: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_none_if_nan(x: float) -> float | None:
-    return None if isinstance(x, float) and math.isnan(x) else x
-
-
-def _report_dict(report) -> dict:
-    return {
-        "beta": report.beta,
-        "g_spread": report.g_spread,
-        "g_spread_strict": report.g_spread_strict,
-        "l_value": _json_none_if_nan(report.l_value),
-        "dual_gap": report.dual_gap,
-        "certificate_slack": report.certificate_slack,
-        "verdict": report.verdict,
-        "detail": report.detail,
-    }
+def _report_json(report) -> dict:
+    """An OptimalityReport's fields in order, with a NaN l_value as null."""
+    doc = dataclasses.asdict(report)
+    if math.isnan(doc["l_value"]):
+        doc["l_value"] = None
+    return doc
 
 
 def _json_text(doc: dict) -> str:
@@ -368,13 +348,13 @@ def load_nu(path: str, labels: np.ndarray | None = None) -> ProbabilityVector:
     raise InvalidInputError(f"{path}: JSON must be an object or array")
 
 
-def _beta_schedule(cfg: RunConfig) -> np.ndarray:
+def _beta_schedule(cfg: dict) -> np.ndarray:
     if cfg["betas.list"] is not None:
         return np.asarray(cfg["betas.list"], dtype=float)
     return np.geomspace(cfg["betas.lo"], cfg["betas.hi"], cfg["betas.count"])
 
 
-def _sweep(cfg: RunConfig, mu: ProbabilityVector, dist: DistortionMatrix, labels) -> RDCurve:
+def _sweep(cfg: dict, mu: ProbabilityVector, dist: DistortionMatrix) -> RDCurve:
     """The configured beta schedule, swept from the uniform law."""
     return rd_curve(
         mu,
@@ -382,36 +362,34 @@ def _sweep(cfg: RunConfig, mu: ProbabilityVector, dist: DistortionMatrix, labels
         _beta_schedule(cfg),
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
-        nu0=_uniform_start(dist.shape[1], labels),
         warm_start=cfg["warm_start"],
     )
 
 
-def _cmd_curve(cfg: RunConfig, args) -> int:
-    mu, dist, labels, _ = build_problem(cfg)
-    curve = _sweep(cfg, mu, dist, labels)
+def _cmd_curve(cfg: dict, args) -> int:
+    mu, dist, _, _ = build_problem(cfg)
+    curve = _sweep(cfg, mu, dist)
     _emit(_curve_csv(curve, cfg["units"]), args.out)
     return 0 if all(p.converged for p in curve.points) else 2
 
 
-def _cmd_point(cfg: RunConfig, args) -> int:
+def _cmd_point(cfg: dict, args) -> int:
     if (args.beta is None) == (args.distortion is None):
         raise InvalidInputError("point needs exactly one of --beta or --distortion")
     mu, dist, labels, _ = build_problem(cfg)
-    start = _uniform_start(dist.shape[1], labels)
     budget = {"tol": cfg["tol"], "max_iter": cfg["max_iter"]}
     exit_code = 0
     try:
         if args.distortion is not None:
-            point = solve_point_for_distortion(mu, dist, args.distortion, nu0=start, **budget)
+            point = solve_point_for_distortion(mu, dist, args.distortion, **budget)
         else:
-            point = ba_fixed_point(mu, dist, args.beta, nu0=start, min_iter=cfg["min_iter"], **budget)
+            point = ba_fixed_point(mu, dist, args.beta, min_iter=cfg["min_iter"], **budget)
     except ConvergenceError as err:
         point, exit_code = err.partial, 2
     report = check_optimality(mu, dist, point.beta, point.nu_star)
     scale = _rate_scale(cfg["units"])
     doc = {
-        "config": cfg.as_dict(),
+        "config": _config_json(cfg),
         "beta": point.beta,
         "distortion": point.distortion,
         "rate": point.rate * scale,
@@ -419,41 +397,33 @@ def _cmd_point(cfg: RunConfig, args) -> int:
         "converged": point.converged,
         "nu_star": {
             "weights": [float(w) for w in point.nu_star.weights],
-            "labels": None
-            if point.nu_star.labels is None
-            else [float(v) for v in point.nu_star.labels],
+            "labels": None if labels is None else [float(v) for v in labels],
         },
-        "report": _report_dict(report),
+        "report": _report_json(report),
     }
     _emit(_json_text(doc), args.out)
     return exit_code
 
 
-def _candidate(cfg: RunConfig, args, command: str):
+def _candidate(cfg: dict, args, command: str):
     """(mu, rho, nu) for a command that takes --beta and a --nu law file."""
     if args.beta is None:
         raise InvalidInputError(f"{command} needs --beta")
     if args.nu is None:
         raise InvalidInputError(f"{command} needs --nu FILE")
     mu, dist, labels, _ = build_problem(cfg)
-    nu = load_nu(args.nu, labels=labels)
-    if len(nu) != dist.shape[1]:
-        raise InvalidInputError(
-            f"nu has {len(nu)} atoms but the reconstruction alphabet has "
-            f"{dist.shape[1]}"
-        )
-    return mu, dist, nu
+    return mu, dist, load_nu(args.nu, labels=labels)
 
 
-def _cmd_check(cfg: RunConfig, args) -> int:
+def _cmd_check(cfg: dict, args) -> int:
     mu, dist, nu = _candidate(cfg, args, "check")
     report = check_optimality(mu, dist, args.beta, nu)
-    doc = {"config": cfg.as_dict(), "report": _report_dict(report)}
+    doc = {"config": _config_json(cfg), "report": _report_json(report)}
     _emit(_json_text(doc), args.out)
     return {"optimal": 0, "suboptimal": 3, "inconclusive": 2}[report.verdict]
 
 
-def _cmd_sinkhorn(cfg: RunConfig, args) -> int:
+def _cmd_sinkhorn(cfg: dict, args) -> int:
     mu, dist, nu = _candidate(cfg, args, "sinkhorn")
     exit_code = 0
     try:
@@ -472,7 +442,7 @@ def _cmd_sinkhorn(cfg: RunConfig, args) -> int:
         j_value = None
         l_value = None
     doc = {
-        "config": cfg.as_dict(),
+        "config": _config_json(cfg),
         "beta": float(args.beta),
         "logF": [float(v) for v in pair.logF],
         "logG": [float(v) for v in pair.logG],
@@ -488,8 +458,8 @@ def _cmd_sinkhorn(cfg: RunConfig, args) -> int:
     return exit_code
 
 
-def _cmd_compare(cfg: RunConfig, args) -> int:
-    mu, dist, labels, spec = build_problem(cfg)
+def _cmd_compare(cfg: dict, args) -> int:
+    mu, dist, _, _ = build_problem(cfg)
     if args.oracle == "bernoulli":
         if cfg["source.kind"] != "bernoulli" or cfg["distortion.kind"] != "hamming":
             raise InvalidInputError(
@@ -506,7 +476,7 @@ def _cmd_compare(cfg: RunConfig, args) -> int:
         sigma = cfg["source.sigma"]
         oracle = lambda d: oracle_gaussian_mse(sigma, d)
 
-    curve = _sweep(cfg, mu, dist, labels)
+    curve = _sweep(cfg, mu, dist)
     max_err, table = compare_curve(curve, oracle, cfg["compare.d_lo"], cfg["compare.d_hi"])
     scale = _rate_scale(cfg["units"])
     lines = ["distortion,rate,rate_oracle,abs_err"]
@@ -576,9 +546,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the exit code instead of raising SystemExit."""
+    """Entry point; returns the exit code instead of raising SystemExit.
+
+    ``--help`` returns 0 and a usage error 1, after argparse has printed
+    its message.
+    """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:
+        return 0 if exit_.code == 0 else 1
     if args.command is None:
         parser.print_help(sys.stderr)
         return 1

@@ -14,8 +14,6 @@ from .errors import InvalidInputError
 
 # Mass must match 1 to this absolute tolerance at validation time.
 MASS_TOL = 1e-12
-# Declared marginals of a coupling must be reproduced to this tolerance.
-MARGINAL_TOL = 1e-10
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -86,36 +84,6 @@ class Coupling:
             raise InvalidInputError(
                 f"joint mass must be 1 within {MASS_TOL:g}; got {mass!r}"
             )
-
-    def source_marginal(self) -> ProbabilityVector:
-        return ProbabilityVector(self.joint.sum(axis=1))
-
-    def target_marginal(self) -> ProbabilityVector:
-        return ProbabilityVector(self.joint.sum(axis=0))
-
-    def check_marginals(
-        self,
-        source: ProbabilityVector | None = None,
-        target: ProbabilityVector | None = None,
-        tol: float = MARGINAL_TOL,
-    ) -> None:
-        """Verify declared marginals are reproduced within ``tol``.
-
-        Raises:
-            InvalidInputError: if a declared marginal deviates in sup-norm.
-        """
-        if source is not None:
-            dev = float(np.abs(self.joint.sum(axis=1) - source.weights).max())
-            if dev > tol:
-                raise InvalidInputError(
-                    f"row sums deviate from declared source marginal by {dev:g} > {tol:g}"
-                )
-        if target is not None:
-            dev = float(np.abs(self.joint.sum(axis=0) - target.weights).max())
-            if dev > tol:
-                raise InvalidInputError(
-                    f"column sums deviate from declared target marginal by {dev:g} > {tol:g}"
-                )
 
 
 def _kl_core(p: np.ndarray, q: np.ndarray) -> float:

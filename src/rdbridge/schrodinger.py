@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import _Tilt, _check_compat, _logsumexp
+from .blahut import _Tilt, _check_compat, _flush_subnormals, _logsumexp
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
 from .measures import Coupling, ProbabilityVector
@@ -113,18 +113,6 @@ class ScalingPair:
     def marginal_residual(self) -> float:
         """Sup-norm deviation of the induced coupling's marginals from (mu, nu)."""
         return max(self.residuals[:2])
-
-
-def _flush_subnormals(kernel: np.ndarray) -> None:
-    """Set the subnormal entries of a kernel to zero, in place.
-
-    A subnormal entry moves a product by less than its rounding error
-    unless a whole row or column is subnormal, and then the product falls
-    below the smallest normal number and the caller takes a log-domain
-    half-step instead.  Kept, such entries make the matrix-vector
-    products slow.
-    """
-    kernel[kernel < TINY] = 0.0
 
 
 def _absorbed_kernel(kernel: np.ndarray, log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray):

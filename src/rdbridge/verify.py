@@ -33,6 +33,8 @@ G_TOL = 1e-5
 L_TOL = 1e-7
 D_TOL = 1e-6
 MASS_THRESHOLD = 1e-6
+# Support atoms at least this many grid cells apart start a new cluster.
+CLUSTER_GAP = 3.0
 
 
 @dataclass
@@ -148,8 +150,7 @@ def check_optimality(
     _, rate, slack, dual_value = tilt.certificate(nu.weights, tilt.c)
     dual_gap = rate - dual_value
 
-    effective = nu.weights >= MASS_THRESHOLD
-    strict = nu.weights > 0
+    detail = ""
     try:
         pair, _ = _sinkhorn(tilt, mu, nu, DEFAULT_TOL, DEFAULT_MAX_ITER)
     except ConvergenceError as err:
@@ -158,42 +159,32 @@ def check_optimality(
         if not _couplable(mu, nu, dist):
             detail = f"marginals cannot be coupled on finite-loss pairs; {detail}"
         logger.warning("optimality check at beta=%g is inconclusive: %s", beta, detail)
-        return OptimalityReport(
-            beta=float(beta),
-            g_spread=_spread(pair.logG, effective),
-            g_spread_strict=_spread(pair.logG, strict),
-            l_value=float("nan"),
-            dual_gap=dual_gap,
-            certificate_slack=slack,
-            verdict="inconclusive",
-            detail=detail,
-        )
-
-    g_spread = _spread(pair.logG, effective)
-    l_value = eval_L(mu, nu, dist, beta, pair)
-    passed = g_spread <= G_TOL and abs(l_value) <= L_TOL and dual_gap <= D_TOL
+    g_spread = _spread(pair.logG, nu.weights >= MASS_THRESHOLD)
+    if pair.converged:
+        l_value = eval_L(mu, nu, dist, beta, pair)
+        passed = g_spread <= G_TOL and abs(l_value) <= L_TOL and dual_gap <= D_TOL
+        verdict = "optimal" if passed else "suboptimal"
+    else:
+        l_value, verdict = float("nan"), "inconclusive"
     return OptimalityReport(
         beta=float(beta),
         g_spread=g_spread,
-        g_spread_strict=_spread(pair.logG, strict),
+        g_spread_strict=_spread(pair.logG, nu.weights > 0),
         l_value=l_value,
         dual_gap=dual_gap,
         certificate_slack=slack,
-        verdict="optimal" if passed else "suboptimal",
+        verdict=verdict,
+        detail=detail,
     )
 
 
-def support_atoms(
-    nu: ProbabilityVector,
-    mass_threshold: float = MASS_THRESHOLD,
-    gap_threshold: float = 3.0,
-) -> SupportReport:
+def support_atoms(nu: ProbabilityVector) -> SupportReport:
     """Group the significant atoms of a grid law into isolated clusters.
 
-    Atoms with mass >= ``mass_threshold`` are selected and split into
-    clusters wherever two consecutive selected atoms sit at least
-    ``gap_threshold`` grid cells apart (so the default 3 means at least
-    two unselected grid points in between).  Each cluster reports its
+    Atoms with mass >= MASS_THRESHOLD, the support of the verdict, are
+    selected and split into clusters wherever two consecutive selected
+    atoms sit at least CLUSTER_GAP grid cells apart (3: at least two
+    unselected grid points in between).  Each cluster reports its
     mass-weighted center, total mass, label width, and atom count.
 
     Args:
@@ -207,19 +198,14 @@ def support_atoms(
     labels = nu.labels
     if labels.size > 1 and np.any(np.diff(labels) <= 0):
         raise InvalidInputError("labels must be strictly increasing")
-    if mass_threshold < 0 or gap_threshold <= 0:
-        raise InvalidInputError(
-            f"need mass_threshold >= 0 and gap_threshold > 0, got "
-            f"{mass_threshold} and {gap_threshold}"
-        )
 
-    selected = np.flatnonzero(nu.weights >= mass_threshold)
+    selected = np.flatnonzero(nu.weights >= MASS_THRESHOLD)
     if selected.size == 0:
         return SupportReport(clusters=[], covered_mass=0.0)
 
     cell = float(np.median(np.diff(labels))) if labels.size > 1 else 1.0
     breaks = np.flatnonzero(
-        np.diff(labels[selected]) >= gap_threshold * cell * (1.0 - 1e-9)
+        np.diff(labels[selected]) >= CLUSTER_GAP * cell * (1.0 - 1e-9)
     )
     clusters = []
     for run in np.split(selected, breaks + 1):

@@ -365,6 +365,42 @@ def test_failed_newton_step_falls_back_to_blahut_arimoto(monkeypatch, caplog):
     assert np.array_equal(point.nu_star.weights, reference.nu_star.weights)
 
 
+def _factor_breaks_down(monkeypatch):
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dpotrf", lambda a: (a, 1))
+
+
+def _model_not_finite(monkeypatch):
+    monkeypatch.setattr(blahut, "RIDGE", math.inf)
+
+
+def _full_step_raises_f(monkeypatch):
+    solve = blahut._nonneg_qp
+
+    def overshoot(*args):
+        y, free, changes = solve(*args)
+        return 5.0 * y, free, changes
+
+    monkeypatch.setattr(blahut, "_nonneg_qp", overshoot)
+
+
+@pytest.mark.parametrize("fail", [_factor_breaks_down, _model_not_finite, _full_step_raises_f])
+def test_each_newton_failure_hands_back_to_blahut_arimoto(monkeypatch, caplog, fail):
+    # A Cholesky breakdown in the QP, a Newton model that is not finite and
+    # a full step that would raise f each end the Newton phase; the solve
+    # then converges by Blahut-Arimoto to the same point.
+    mu = ProbabilityVector([0.7, 0.3])
+    reference = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12)
+    fail(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        point = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12)
+    assert any("Newton step failed" in r.getMessage() for r in caplog.records)
+    assert point.converged and point.certificate_slack <= 1e-12
+    assert point.iterations > reference.iterations
+    assert abs(point.distortion - reference.distortion) <= 1e-15
+
+
 def _random_qp(m, seed):
     """Entries, b and a full-support start for an m-variable QP."""
     rng = np.random.default_rng(seed)
@@ -843,10 +879,10 @@ def test_each_solve_logs_its_blahut_arimoto_phase_once(caplog):
     assert int(phase_1.group(1)) < tight.iterations
 
 
-def test_shape_report_skips_degenerate_chords():
+def test_shape_report_skips_degenerate_chords(monkeypatch):
     # Two nearly coincident low-distortion points create a junk chord whose
-    # slope ratio would look like a convexity violation; the default step
-    # filter drops it, while a zero filter exposes it.
+    # slope ratio would look like a convexity violation; the step filter
+    # drops it, while a zero filter exposes it.
     mk = lambda b, d, r: RDPoint(
         beta=b,
         distortion=d,
@@ -860,12 +896,12 @@ def test_shape_report_skips_degenerate_chords():
     curve = RDCurve(
         [mk(0.5, 0.2, 0.1), mk(1.0, 0.1, 0.3), mk(1.5, 0.1 - 1e-10, 0.3 + 1e-10)]
     )
-    noisy = curve.shape_report(degenerate_step=0.0)
-    assert noisy["max_chord_violation"] > 0.9
     clean = curve.shape_report()
     assert clean["max_chord_violation"] == 0.0
     assert clean["max_distortion_increase"] == 0.0
     assert clean["max_rate_decrease"] == 0.0
+    monkeypatch.setattr(blahut, "DEGENERATE_STEP", 0.0)
+    assert curve.shape_report()["max_chord_violation"] > 0.9
 
 
 # --- target-distortion search -----------------------------------------------

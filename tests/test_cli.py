@@ -107,6 +107,13 @@ def test_parse_bool_words():
             "JSON must be an object or array",
         ),
         (["curve", "--config", "{missing}"], {}, "cannot read config"),
+        (["curve", "--distortion.kind", "bogus"], {}, "distortion.kind must be one of"),
+        (
+            ["compare", "--oracle", "bernoulli", "--source.kind", "uniform"],
+            {},
+            "bernoulli oracle needs source.kind=bernoulli",
+        ),
+        (["check", "--no-such-flag"], {}, "unrecognized arguments: --no-such-flag"),
     ],
 )
 def test_input_errors_exit_1_with_their_message(tmp_path, capsys, argv, files, message):
@@ -744,10 +751,8 @@ def test_commands_in_one_process_match_separate_runs(tmp_path, capsys):
         )
         separate.append((proc.returncode, proc.stdout))
     assert [run_cli(capsys, argv)[:2] for argv in runs] == separate
-    # An argparse error still exits 2, and the next command is unchanged.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["check", "--no-such-flag"])
-    assert excinfo.value.code == 2
+    # A usage error returns 1, and the next command is unchanged.
+    assert main(["check", "--no-such-flag"]) == 1
     capsys.readouterr()
     assert run_cli(capsys, runs[0])[:2] == separate[0]
 
@@ -788,3 +793,10 @@ def test_no_command_prints_help(capsys):
     code, _, err = run_cli(capsys, [])
     assert code == 1
     assert "curve" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["curve", "--help"]])
+def test_help_returns_0(capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.startswith("usage: rdbridge")

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from rdbridge.blahut import ba_fixed_point
 from rdbridge.distortion import (
     DistortionMatrix,
     SourceSpec,
+    _check_rows,
     d_floor,
     d_max,
     discretize_gaussian,
@@ -86,6 +88,16 @@ def test_d_floor():
     assert d_floor(mu, hamming(2)) == 0.0
     shifted = DistortionMatrix(np.array([[1.0, 2.0], [3.0, 1.5]]))
     assert d_floor(mu, shifted) == pytest.approx(0.6 * 1.0 + 0.4 * 1.5, abs=1e-15)
+
+
+def test_one_row_count_check_serves_every_caller():
+    mu = ProbabilityVector([0.2, 0.3, 0.5])
+    message = "mu has 3 atoms but rho has 2 rows"
+    with pytest.raises(InvalidInputError, match=message):
+        _check_rows(mu, hamming(2))
+    for caller in (d_max, d_floor, lambda m, d: ba_fixed_point(m, d, 1.0)):
+        with pytest.raises(InvalidInputError, match=message):
+            caller(mu, hamming(2))
 
 
 def test_expected_loss_guards_infinities():
@@ -173,8 +185,18 @@ def test_uniform_source_d_max_regression():
     assert value == pytest.approx(0.33333126037773403, abs=1e-14)
 
 
-def test_source_spec_offset_consistency_enforced():
-    grid = np.array([0.0, 1.0])
-    weights = ProbabilityVector([0.5, 0.5], labels=grid)
-    with pytest.raises(InvalidInputError):
-        SourceSpec(grid, weights, np.array([1.0, 1.0]), diff_entropy_offset=0.5)
+def test_source_spec_derives_grid_and_offset():
+    grid = np.array([0.0, 1.0, 3.0])
+    weights = ProbabilityVector([0.25, 0.25, 0.5], labels=grid)
+    spec = SourceSpec(weights, np.array([1.0, 1.5, 2.5]))
+    assert spec.grid is weights.labels
+    assert spec.diff_entropy_offset == pytest.approx(
+        0.25 * math.log(1.5) + 0.5 * math.log(2.5), abs=1e-15
+    )
+    with pytest.raises(InvalidInputError, match="labels"):
+        SourceSpec(ProbabilityVector([0.5, 0.5]), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="increasing"):
+        SourceSpec(ProbabilityVector([0.5, 0.5], labels=[1.0, 0.0]), np.array([1.0, 1.0]))
+    for widths in ([1.0, 0.0], [1.0, -1.0], [1.0]):
+        with pytest.raises(InvalidInputError, match="cell widths"):
+            SourceSpec(ProbabilityVector([0.5, 0.5], labels=[0.0, 1.0]), np.array(widths))

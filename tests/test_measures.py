@@ -161,10 +161,3 @@ def test_coupling_validation_and_marginals():
         Coupling(np.array([[1.0, float("nan")]]))
     pi = Coupling(np.array([[0.2, 0.3], [0.1, 0.4]]))
     assert pi.joint.shape == (2, 2)
-    assert np.allclose(pi.source_marginal().weights, [0.5, 0.5])
-    assert np.allclose(pi.target_marginal().weights, [0.3, 0.7])
-    pi.check_marginals(
-        source=ProbabilityVector([0.5, 0.5]), target=ProbabilityVector([0.3, 0.7])
-    )
-    with pytest.raises(InvalidInputError):
-        pi.check_marginals(source=ProbabilityVector([0.4, 0.6]))

@@ -266,7 +266,7 @@ def test_gap_splits_clusters():
     )
 
 
-def test_mass_threshold_filters_atoms():
+def test_mass_threshold_filters_atoms(monkeypatch):
     # A run of sub-threshold atoms opens a gap wide enough to split; with
     # the threshold at zero the same law is a single contiguous cluster.
     labels = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -274,22 +274,18 @@ def test_mass_threshold_filters_atoms():
     report = support_atoms(ProbabilityVector(w, labels=labels))
     assert len(report.clusters) == 2
     assert report.covered_mass == pytest.approx(1.0 - 3e-9, abs=1e-15)
-    everything = support_atoms(ProbabilityVector(w, labels=labels), mass_threshold=0.0)
+    monkeypatch.setattr(verify, "MASS_THRESHOLD", 0.0)
+    everything = support_atoms(ProbabilityVector(w, labels=labels))
     assert len(everything.clusters) == 1
 
 
-def test_census_validation():
+def test_census_validation(monkeypatch):
     with pytest.raises(InvalidInputError):
         support_atoms(ProbabilityVector([0.5, 0.5]))
     with pytest.raises(InvalidInputError):
         support_atoms(ProbabilityVector([0.5, 0.5], labels=[1.0, 0.0]))
-    with pytest.raises(InvalidInputError):
-        support_atoms(
-            ProbabilityVector([0.5, 0.5], labels=[0.0, 1.0]), gap_threshold=0.0
-        )
-    empty = support_atoms(
-        ProbabilityVector([0.5, 0.5], labels=[0.0, 1.0]), mass_threshold=0.9
-    )
+    monkeypatch.setattr(verify, "MASS_THRESHOLD", 0.9)
+    empty = support_atoms(ProbabilityVector([0.5, 0.5], labels=[0.0, 1.0]))
     assert empty.clusters == [] and empty.covered_mass == 0.0
 
 
