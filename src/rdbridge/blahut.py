@@ -79,10 +79,12 @@ RIDGE = 1e-12
 # 2 m + QP_CHANGE_SLACK active-set changes on m candidate atoms.
 QP_TOL_FLOOR = 1e-14
 QP_CHANGE_SLACK = 10
-# A target-distortion search moves ln beta by at least ln 2 and at most 3
-# while it brackets the target, and gives up after TARGET_SOLVES solves.
-BRACKET_STEP = (math.log(2.0), 3.0)
+# A target-distortion search moves ln D_nu0 by at most BRACKET_STEP while it
+# brackets the target, and gives up after TARGET_SOLVES solves.  Mapping
+# one ln D_nu0 back to beta takes at most MODEL_EVALS evaluations of D_nu0.
+BRACKET_STEP = 3.0
 TARGET_SOLVES = 100
+MODEL_EVALS = 60
 # A row partition sum below this is too small for the flushed entries of
 # the cached kernel to fall below its rounding error: the evaluation is
 # then taken in the log domain.
@@ -790,6 +792,73 @@ def rd_curve(
     return curve
 
 
+def _slope_for_model(model, u: float, known: dict, tol: float) -> tuple[float, float]:
+    """A slope beta whose start-law value model(beta) = ln D_nu0(beta) lies within tol of u.
+
+    The model is nonincreasing in beta.  ``known`` maps every beta
+    evaluated so far to its model value and gains the new ones; the
+    closest known values on either side of u start the search, and at
+    least one new beta is evaluated.  The search runs in t = ln beta: by
+    secant steps (slope -1 before there are two points), each at most
+    twice as long as the one before, until u is bracketed or the model
+    stops moving (u lies beyond the end of its range), then by Illinois
+    steps inside the bracket.
+
+    Returns (beta, model(beta)) of the last evaluation.
+    """
+    # (t, model value - u) closest to the root with value >= u (lo) and < u (hi).
+    lo = hi = None
+    for beta, v in known.items():
+        t = math.log(beta)
+        if v >= u and (lo is None or t > lo[0]):
+            lo = (t, v - u)
+        elif v < u and (hi is None or t < hi[0]):
+            hi = (t, v - u)
+    fall, reach, side = 1.0, 1.0, 0
+    for _ in range(MODEL_EVALS):
+        end = lo or hi
+        if lo and hi:
+            (t0, f0), (t1, f1) = lo, hi
+            t = t0 - f0 * (t1 - t0) / (f1 - f0)
+            if not t0 < t < t1:
+                t = 0.5 * (t0 + t1)
+        elif end:
+            step = math.copysign(min(abs(end[1]) / fall, reach), end[1])
+            # Past |t| = 700 beta under- or overflows and the model is flat.
+            t = min(max(end[0] + step, -700.0), 700.0)
+            reach *= 2.0
+        else:
+            t = 0.0
+        beta = math.exp(t)
+        v = known[beta] = model(beta)
+        f = v - u
+        if abs(f) <= tol:
+            break
+        if lo and hi:
+            # Illinois: the value of an end kept twice in a row is halved.
+            if f >= 0.0:
+                if side == 1:
+                    hi = (hi[0], 0.5 * hi[1])
+                lo, side = (t, f), 1
+            else:
+                if side == -1:
+                    lo = (lo[0], 0.5 * lo[1])
+                hi, side = (t, f), -1
+            if hi[0] - lo[0] <= 1e-12 * max(1.0, abs(t)):
+                break
+            continue
+        if end:
+            if f == end[1] and math.isfinite(f):
+                break  # the model no longer moves: u lies beyond its range
+            secant = (end[1] - f) / (t - end[0])
+            fall = secant if 0.0 < secant < math.inf else fall
+        if f >= 0.0:
+            lo = (t, f)
+        else:
+            hi = (t, f)
+    return beta, v
+
+
 def solve_point_for_distortion(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -798,23 +867,32 @@ def solve_point_for_distortion(
     max_iter: int = 100000,
     nu0: ProbabilityVector | None = None,
 ) -> RDPoint:
-    """Find the curve point at a prescribed distortion by a root search on ln beta.
+    """Find the curve point at a prescribed distortion by a root search on ln D_nu0.
 
-    With x = ln beta, g(x) = ln D(e^x) - ln target is nonincreasing.  From
-    beta = 1 the search follows the secant of its last two points, moving
-    beta by a factor between 2 and e^3, until the target is bracketed.
-    Inside the bracket it takes Illinois regula falsi steps; an end on the
-    D = D_max plateau below a critical slope (one side's last two points
-    share their D) carries no slope, so the other side's secant is used
-    instead.  A step that leaves the bracket becomes a bisection in x.  The
-    search ends once |D - target| <= 10 * tol * D_max.  Every solve starts
-    from ``nu0``, so D depends on beta alone, not on the search path.
+    Every solve starts from ``nu0`` (the uniform law by default), so D
+    depends on beta alone, not on the search path.  The search runs in
+    u = ln D_nu0(beta), the log distortion of the tilted coupling of that
+    start law, which ``rd_value_from_nu`` gives with one kernel and no
+    iterations.  D_nu0 is nonincreasing in beta with the shape of D (under
+    Hamming loss from the uniform law it equals D above the critical
+    slope), so g(u) = ln D - ln target rises with u at a slope near 1.
+    From u = ln target the search steps u <- u - g on its first miss,
+    then to the root of the secant of its last two points, each step at
+    most twice the one before and at most BRACKET_STEP, until the target
+    is bracketed.  Inside the bracket it takes Illinois regula falsi
+    steps; an end on the D = D_max plateau below a critical slope (one
+    side's last two points share their D) carries no slope, so the other
+    side's secant is used instead.  A step that leaves the bracket becomes
+    a bisection in u.  Each u is mapped back to a beta by a root find on
+    D_nu0 (``_slope_for_model``), and the search records u at the beta it
+    solved, so an inexact inversion never moves the bracket.  The search
+    ends once |D - target| <= 10 * tol * D_max.
 
     Raises:
         InvalidInputError: target outside (d_floor, d_max); note that
             R(D) = 0 for D > D_max, so no positive-rate point exists there.
         ConvergenceError: an inner solve failed (its D never moves the
-            bracket), the bracket shrank to 1e-12 in x, or TARGET_SOLVES
+            bracket), the bracket shrank to 1e-12 in u, or TARGET_SOLVES
             solves missed the band; ``.partial`` is the converged point
             closest to the target (the failed solve's partial if none).
     """
@@ -827,48 +905,73 @@ def solve_point_for_distortion(
             "below the distortion floor"
         )
     band = 10.0 * tol * ceiling
-    # The (x, g) seen above (key 1) and below (key -1) the target, in order,
+    n = dist.shape[1]
+    start = ProbabilityVector(np.full(n, 1.0 / n)) if nu0 is None else nu0
+
+    def model(beta: float) -> float:
+        distortion, _ = rd_value_from_nu(mu, dist, beta, start)
+        return math.log(distortion) if distortion > 0 else -math.inf
+
+    # The (u, g) seen above (key 1) and below (key -1) the target, in order,
     # and the Illinois weight on the g of each side's last point.
     seen: dict[int, list[tuple[float, float]]] = {1: [], -1: []}
     weight = {1: 1.0, -1: 1.0}
     best = last = None
-    x = 0.0
-    for _ in range(TARGET_SOLVES):
-        try:
-            point = ba_fixed_point(mu, dist, math.exp(x), nu0=nu0, tol=tol, max_iter=max_iter)
-        except ConvergenceError as err:
-            partial = err.partial if best is None else best
-            raise ConvergenceError(f"search stopped: {err}", partial=partial) from err
-        if abs(point.distortion - target) <= band:
-            return point
-        if best is None or abs(point.distortion - target) < abs(best.distortion - target):
-            best = point
-        g = math.log(point.distortion / target) if point.distortion > 0 else -math.inf
-        side = 1 if g > 0 else -1
-        seen[side].append((x, g))
-        if seen[-side] and side == last:
-            weight[-side] *= 0.5  # Illinois: the other end was kept twice in a row
-        weight[side], last = 1.0, side
-        if not seen[-side]:
-            step = BRACKET_STEP[0]
-            if len(seen[side]) > 1:
-                x0, g0 = seen[side][-2]
-                step = abs(g * (x - x0) / (g0 - g)) if side * (g0 - g) > 0 else math.inf
-            x += side * min(max(step, BRACKET_STEP[0]), BRACKET_STEP[1])
-            continue
-        (xa, ga), (xb, gb) = seen[1][-1], seen[-1][-1]
-        if abs(xb - xa) <= 1e-12:
-            break
-        flat = [s for s in (1, -1) if len(seen[s]) > 1 and seen[s][-1][1] == seen[s][-2][1]]
-        if flat:
-            # With one point on the other side, g1 == g2 and the step bisects.
-            (x1, g1), (x2, g2) = (seen[-flat[0]] * 2)[-2:]
-            x = x2 - g2 * (x2 - x1) / (g2 - g1) if g2 != g1 else math.nan
-        else:
-            ga, gb = weight[1] * ga, weight[-1] * gb
-            x = (xa * gb - xb * ga) / (gb - ga)
-        if not min(xa, xb) < x < max(xa, xb):
-            x = 0.5 * (xa + xb)
+    known: dict[float, float] = {}
+    solves = 0
+    u = math.log(target)
+    try:
+        for _ in range(TARGET_SOLVES):
+            beta, u = _slope_for_model(model, u, known, tol)
+            solves += 1
+            try:
+                point = ba_fixed_point(mu, dist, beta, nu0=nu0, tol=tol, max_iter=max_iter)
+            except ConvergenceError as err:
+                partial = err.partial if best is None else best
+                raise ConvergenceError(f"search stopped: {err}", partial=partial) from err
+            logger.debug(
+                "target search solve %d: beta %.17g, u %.9f, D %.17g after %d evaluations",
+                solves, beta, u, point.distortion, point.iterations,
+            )
+            if abs(point.distortion - target) <= band:
+                return point
+            if best is None or abs(point.distortion - target) < abs(best.distortion - target):
+                best = point
+            g = math.log(point.distortion / target) if point.distortion > 0 else -math.inf
+            side = 1 if g > 0 else -1
+            seen[side].append((u, g))
+            if seen[-side] and side == last:
+                weight[-side] *= 0.5  # Illinois: the other end was kept twice in a row
+            weight[side], last = 1.0, side
+            if not seen[-side]:
+                # A step to the root of the line through this point with
+                # slope 1 at first, then with the secant slope of this
+                # side's last two points, at most twice the last step.
+                step = abs(g)
+                if len(seen[side]) > 1:
+                    u0, g0 = seen[side][-2]
+                    secant = (g0 - g) / (u0 - u) if u0 != u else 0.0
+                    step = min(step / secant if secant > 0 else math.inf, 2.0 * stride)
+                stride = min(step, BRACKET_STEP)
+                u -= side * stride
+                continue
+            (ua, ga), (ub, gb) = seen[1][-1], seen[-1][-1]
+            if abs(ub - ua) <= 1e-12:
+                break
+            flat = [s for s in (1, -1) if len(seen[s]) > 1 and seen[s][-1][1] == seen[s][-2][1]]
+            if flat:
+                # With one point on the other side, g1 == g2 and the step bisects.
+                (u1, g1), (u2, g2) = (seen[-flat[0]] * 2)[-2:]
+                u = u2 - g2 * (u2 - u1) / (g2 - g1) if g2 != g1 else math.nan
+            else:
+                ga, gb = weight[1] * ga, weight[-1] * gb
+                u = (ua * gb - ub * ga) / (gb - ga)
+            # u is mapped back to beta to within tol, so a u closer than
+            # that to an end of the bracket may solve that end again.
+            if not min(ua, ub) + tol < u < max(ua, ub) - tol:
+                u = 0.5 * (ua + ub)
+    finally:
+        logger.debug("target search ends after %d solves and %d model evaluations", solves, len(known))
     raise ConvergenceError(
         f"no beta reaches distortion {target:g} within {band:g} (closest "
         f"{best.distortion:g}); D(beta) may jump over the target",

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -57,6 +58,7 @@ LN2 = math.log(2.0)
 SOURCE_KINDS = ("bernoulli", "uniform", "gaussian", "custom")
 DISTORTION_KINDS = ("hamming", "mse", "custom")
 UNITS = ("nats", "bits")
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 # Every config key, its parser, and its default.  The config file is a
 # flat key=value document; '#' starts a comment.  All keys double as
@@ -519,6 +521,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="flat key=value config file")
         cmd.add_argument("--out", help="output path (default stdout)")
+        cmd.add_argument(
+            "--log-level",
+            type=str.lower,
+            choices=LOG_LEVELS,
+            help="log rdbridge's records at this level and above to stderr",
+        )
         for key in _SCHEMA:
             cmd.add_argument(f"--{key}", dest=key, metavar="V")
         if name == "point":
@@ -534,6 +542,17 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--oracle", choices=("bernoulli", "gaussian"), required=True
             )
     return parser
+
+
+def _configure_logging(level: str) -> None:
+    """Send the records of rdbridge's loggers at ``level`` and above to stderr.
+
+    The stderr handler goes on the root logger at the first call of the
+    process (``logging.basicConfig`` leaves a configured root alone); each
+    call sets the level.  Log records never enter a command's output.
+    """
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("rdbridge").setLevel(level.upper())
 
 
 _COMMANDS = {
@@ -559,6 +578,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return 1
+    if args.log_level is not None:
+        _configure_logging(args.log_level)
     try:
         file_values = None
         if args.config is not None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import _Tilt, _check_compat, _flush_subnormals, _logsumexp
+from .blahut import ROW_SUM_FLOOR, _Tilt, _check_compat, _flush_subnormals, _logsumexp
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
 from .measures import Coupling, ProbabilityVector
@@ -48,7 +48,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 2000
-TINY = np.finfo(float).tiny
 # Scalings u, v are folded into the cached kernel once some |ln u_i| or
 # |ln v_j| passes this, so the kernel stays near the current coupling.
 ABSORB_LOG_SCALE = 30.0
@@ -134,11 +133,13 @@ _max = np.maximum.reduce
 
 
 def _normal(x: np.ndarray) -> bool:
-    """True when every entry of x is a finite, normal positive number.
+    """True when every entry of x is finite and at least ROW_SUM_FLOOR.
 
-    Subnormal values carry too few significant bits to divide by.
+    The rule of ``blahut._Tilt.evaluate``: a kernel product below the floor
+    may have lost flushed subnormal entries of its own size, so the
+    half-step that would divide by it is taken in the log domain.
     """
-    return bool(_min(x) >= TINY and _max(x) < np.inf)
+    return bool(_min(x) >= ROW_SUM_FLOOR and _max(x) < np.inf)
 
 
 def _sup_residual(scaling: np.ndarray, product: np.ndarray, mass: np.ndarray) -> float:
@@ -373,10 +374,14 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
     log_z[rows] = row_reach
     if scaled:
         log_zg[rows] = np.log(row_sum) - a
-        eq8 = v * (kernel.T @ (mu_w / row_sum)) / nu_w
+        col_sum = kernel.T @ (mu_w / row_sum)
     else:
         log_zg[rows] = log_mu_s - a_next
-        eq8 = np.exp(b - log_nu_s + _logsumexp(log_phi_s() + a_next[:, None], axis=0))
+    if scaled and _normal(col_sum):
+        eq8 = v * col_sum / nu_w
+    else:
+        a_next = log_mu_s - log_zg[rows]
+        eq8 = np.exp(b + np.log(v) - log_nu_s + _logsumexp(log_phi_s() + a_next[:, None], axis=0))
 
     logG = np.zeros(len(nu))
     logF[rows] = a + np.log(u) - log_mu_s - logK

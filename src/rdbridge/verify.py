@@ -87,8 +87,7 @@ class SupportReport:
 
 
 def _spread(values: np.ndarray, where: np.ndarray) -> float:
-    if not np.any(where):
-        return 0.0
+    # Never empty: a law on fewer than 1e6 atoms has one of mass >= MASS_THRESHOLD.
     picked = values[where]
     return float(picked.max() - picked.min())
 

@@ -30,7 +30,9 @@ from rdbridge.blahut import (
 )
 from rdbridge.distortion import (
     DistortionMatrix,
+    d_max,
     discretize_gaussian,
+    discretize_uniform,
     expected_loss,
     hamming,
     normalize_loss,
@@ -837,6 +839,21 @@ def test_rd_curve_keeps_degraded_points():
     assert all(p.iterations == 3 for p in curve.points)
 
 
+def test_rd_curve_warns_when_its_points_break_monotonicity(monkeypatch, caplog):
+    # A stubbed solver whose distortion rises with beta: the sweep keeps
+    # the points and logs the shape report.
+    def rising(mu, dist, beta, *args, **kwargs):
+        return RDPoint(beta, 0.1 * beta, 1.0, ProbabilityVector([0.5, 0.5]), 1, 0.0, 0.0)
+
+    monkeypatch.setattr(blahut, "ba_fixed_point", rising)
+    with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
+        curve = rd_curve(ProbabilityVector([0.7, 0.3]), hamming(2), [0.5, 1.0, 2.0])
+    assert curve.distortions().tolist() == [0.05, 0.1, 0.2]
+    [record] = caplog.records
+    assert record.getMessage().startswith("curve shape violates monotonicity")
+    assert "'max_distortion_increase': 0.1" in record.getMessage()
+
+
 # Evaluations the sweep below needs today (27 + 13 + 127 + 162), plus 15%.
 GAUSSIAN_SWEEP_BUDGET = 379
 
@@ -907,9 +924,16 @@ def test_shape_report_skips_degenerate_chords(monkeypatch):
 # --- target-distortion search -----------------------------------------------
 
 # Most solves one search took on Bernoulli(p) under Hamming loss at tol 1e-9:
-# 17, measured over 1,440 targets with p in [0.02, 0.48] (worst case a
-# target 1.3e-7 below D_max = p = 0.269), plus margin.
-TARGET_SOLVES_BERNOULLI = 24
+# 1, measured over 1,440 targets with p in [0.02, 0.48] and targets from
+# 1e-3 p to 1e-7 below D_max = p (the search coordinate ln D_nu0 is then
+# exact above the critical slope), plus a margin of one solve.
+TARGET_SOLVES_BERNOULLI = 2
+
+
+def uniform_mse(points: int):
+    """(mu, rho) of the uniform source on [-1, 1] under squared error."""
+    spec = discretize_uniform(-1.0, 1.0, points)
+    return spec.weights, squared_error(spec.grid, spec.grid)
 
 
 def recording_solves(betas, fail_at=None, target=None):
@@ -934,11 +958,13 @@ def recording_solves(betas, fail_at=None, target=None):
 
 @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
 def test_unconverged_inner_solve_never_moves_the_bracket(monkeypatch, fail_at):
-    # Fair coin, target 0.1 at beta* = ln 9.  The solve numbered fail_at
-    # reports a distortion on the wrong side of the target; used, it would
-    # close a bracket that misses the root.  The search must stop there and
-    # return the converged point closest to the target.
-    mu, dist, target = ProbabilityVector([0.5, 0.5]), hamming(2), 0.1
+    # 21-point uniform source under squared error, target 0.1: the start
+    # law's D_nu0 is inexact there, and the search takes 8 solves when
+    # every solve converges.  The solve numbered fail_at reports a
+    # distortion on the wrong side of the target; used, it would close a
+    # bracket that misses the root.  The search must stop there and return
+    # the converged point closest to the target.
+    (mu, dist), target = uniform_mse(21), 0.1
     betas = []
     monkeypatch.setattr(blahut, "ba_fixed_point", recording_solves(betas, fail_at, target))
     with pytest.raises(ConvergenceError) as info:
@@ -1000,8 +1026,8 @@ def test_target_inside_a_jump_of_the_distortion_stops_with_the_closest_point():
 def test_target_search_solves_from_the_given_law(monkeypatch):
     # Cold starts: every inner solve starts from nu0, so D depends on beta
     # alone and not on the path the search took.
-    mu, dist = ProbabilityVector([0.3, 0.7]), hamming(2)
-    start = ProbabilityVector([0.5, 0.5], labels=[0.0, 1.0])
+    mu, dist = uniform_mse(21)
+    start = ProbabilityVector(np.full(21, 1.0 / 21), labels=mu.labels)
     starts = []
     solve = blahut.ba_fixed_point
 
@@ -1010,10 +1036,23 @@ def test_target_search_solves_from_the_given_law(monkeypatch):
         return solve(*args, nu0=nu0, **kwargs)
 
     monkeypatch.setattr(blahut, "ba_fixed_point", recorded)
-    point = solve_point_for_distortion(mu, dist, 0.05, nu0=start)
+    point = solve_point_for_distortion(mu, dist, 0.1, nu0=start)
     assert len(starts) > 2
     assert all(s is start for s in starts)
     assert point.nu_star.labels is not None
+
+
+def test_target_search_on_the_201_point_uniform_source_takes_few_solves():
+    # At tol 1e-3, targets f * D_max with f in [0.35, 0.63] took 1-3 solves
+    # each, measured over 29 targets.
+    mu, dist = uniform_mse(201)
+    ceiling, _ = d_max(mu, dist)
+    for f in np.linspace(0.35, 0.63, 8):
+        betas = []
+        with mock.patch.object(blahut, "ba_fixed_point", recording_solves(betas)):
+            point = solve_point_for_distortion(mu, dist, f * ceiling, tol=1e-3)
+        assert abs(point.distortion - f * ceiling) <= 10 * 1e-3 * ceiling
+        assert len(betas) <= 3, f
 
 
 def test_shifted_kernel_zeroes_all_forbidden_rows_in_place():

@@ -55,6 +55,13 @@ def test_squared_error_normalization_detection():
     assert np.all(offset.rho.min(axis=1) == 0.0625)
 
 
+def test_squared_error_rejects_empty_or_non_vector_grids():
+    grid = np.array([-1.0, 0.0, 1.0])
+    for x, y in [([], grid), (grid, []), (np.ones((2, 2)), grid), (grid, 1.0)]:
+        with pytest.raises(InvalidInputError, match="non-empty 1-D"):
+            squared_error(x, y)
+
+
 def test_normalize_loss_shifts_and_is_idempotent():
     raw = DistortionMatrix(np.array([[1.0, 3.0], [2.0, 0.5]]))
     fixed, offsets = normalize_loss(raw)

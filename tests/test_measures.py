@@ -159,5 +159,8 @@ def test_coupling_validation_and_marginals():
         Coupling(np.array([[1.2, -0.2]]))
     with pytest.raises(InvalidInputError, match="nonnegative"):
         Coupling(np.array([[1.0, float("nan")]]))
+    for joint in (np.array([0.5, 0.5]), np.ones((1, 1, 1)), np.zeros((0, 2))):
+        with pytest.raises(InvalidInputError, match="non-empty matrix"):
+            Coupling(joint)
     pi = Coupling(np.array([[0.2, 0.3], [0.1, 0.4]]))
     assert pi.joint.shape == (2, 2)

@@ -307,8 +307,18 @@ STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0
             DistortionMatrix(np.array([[0.0, 0.69], [0.0, 0.713]])),
             1000.0,
         ),
+        # Column 1 of the coupling kernel mu_i nu_j holds 5e-308 (normal)
+        # and 2.1e-308 (subnormal, flushed): its product 5e-308 lies
+        # between tiny and tiny / eps, 30% short of the true sum, so the
+        # G-update and the eq. 8 sums are taken in the log domain.
+        (
+            ProbabilityVector([0.7, 0.3]),
+            ProbabilityVector([1.0 - 5e-308 / 0.7, 5e-308 / 0.7]),
+            DistortionMatrix(np.zeros((2, 2))),
+            1.0,
+        ),
     ],
-    ids=["subnormal-column", "flushed-row", "absorbed-entry"],
+    ids=["subnormal-column", "flushed-row", "absorbed-entry", "short-column"],
 )
 def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
     with warnings.catch_warnings():
