@@ -37,6 +37,10 @@ tolerance (tol <= NEWTON_TOL) therefore runs it in two phases:
 
 A looser tolerance never leaves phase 1.  A failed Newton step hands the
 solve back to phase 1 for good.
+
+A point at a target distortion is one saddle-point solve over the law and
+beta together, by a primal-dual interior-point method on the same mixture
+likelihood (``solve_point_for_distortion``).
 """
 from __future__ import annotations
 
@@ -72,19 +76,25 @@ STEADY_TOL = 1e-4
 STEP_MAX = 4.0
 # An atom of zero mass enters a Newton step only if c_j >= 1 - CANDIDATE_GAP.
 CANDIDATE_GAP = 1e-2
-# Ridge added to the Newton Hessian, relative to its largest diagonal entry.
+# Ridge added to the Newton Hessian: RIDGE times its largest diagonal entry
+# in a Newton step, RIDGE times each diagonal entry in an interior-point one.
 RIDGE = 1e-12
 # The Newton QP ends once no atom held at zero lowers its model at a rate
 # above max(tol / 10, QP_TOL_FLOOR), and fails after more than
 # 2 m + QP_CHANGE_SLACK active-set changes on m candidate atoms.
 QP_TOL_FLOOR = 1e-14
 QP_CHANGE_SLACK = 10
-# A target-distortion search moves ln D_nu0 by at most BRACKET_STEP while it
-# brackets the target, and gives up after TARGET_SOLVES solves.  Mapping
-# one ln D_nu0 back to beta takes at most MODEL_EVALS evaluations of D_nu0.
-BRACKET_STEP = 3.0
-TARGET_SOLVES = 100
-MODEL_EVALS = 60
+# A target-distortion solve drives its optimality measures to
+# min(tol, IP_TOL).  Each step goes at most BOUNDARY_STEP of the way to the
+# boundary of x, s, beta, lambda >= 0 and at most ROW_STEP of the way to a
+# zero row sum K x, and moves beta by a factor of at most BETA_STEP; after
+# an iteration that did not lower the complementarity gap the centring
+# parameter is at least STALL_SIGMA.
+IP_TOL = 1e-9
+BOUNDARY_STEP = 0.995
+ROW_STEP = 0.9
+BETA_STEP = 2.0
+STALL_SIGMA = 0.5
 # A row partition sum below this is too small for the flushed entries of
 # the cached kernel to fall below its rounding error: the evaluation is
 # then taken in the log domain.
@@ -381,6 +391,13 @@ def dual_certificate(
     return np.exp(-log_z), slack, dual_value
 
 
+def _gram(ker: np.ndarray, mu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H, K x): the Hessian H = A'A of F at x, with A = diag(sqrt(mu) / K x) K."""
+    z = ker @ x
+    a = ker * (np.sqrt(mu) / z)[:, None]
+    return a.T @ a, z
+
+
 def _nonneg_qp(h: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float, max_changes: int):
     """Minimise y'hy/2 - b'y over y >= 0 by Lawson and Hanson's active set.
 
@@ -528,7 +545,6 @@ def ba_fixed_point(
         dead = x == 0
         return dead, ~dead, bool(dead.any())
 
-    sqrt_mu = np.sqrt(tilt.mu)
     qp_tol = max(0.1 * tol, QP_TOL_FLOOR)
 
     def newton_step(x: np.ndarray, c_x: np.ndarray, c_out: np.ndarray):
@@ -541,9 +557,7 @@ def ba_fixed_point(
         cand = (x > 0) | (c_x >= 1.0 - CANDIDATE_GAP)
         sub = tilt.ker[:, cand]
         xc = x[cand]
-        z = sub @ xc
-        a = sub * (sqrt_mu / z)[:, None]
-        h = a.T @ a
+        h, z = _gram(sub, tilt.mu, xc)
         ridge = RIDGE * h.diagonal().max()
         h.flat[:: len(xc) + 1] += ridge
         # The gradient of f is 1 - c and h x = c, so the Newton model of f
@@ -792,71 +806,10 @@ def rd_curve(
     return curve
 
 
-def _slope_for_model(model, u: float, known: dict, tol: float) -> tuple[float, float]:
-    """A slope beta whose start-law value model(beta) = ln D_nu0(beta) lies within tol of u.
-
-    The model is nonincreasing in beta.  ``known`` maps every beta
-    evaluated so far to its model value and gains the new ones; the
-    closest known values on either side of u start the search, and at
-    least one new beta is evaluated.  The search runs in t = ln beta: by
-    secant steps (slope -1 before there are two points), each at most
-    twice as long as the one before, until u is bracketed or the model
-    stops moving (u lies beyond the end of its range), then by Illinois
-    steps inside the bracket.
-
-    Returns (beta, model(beta)) of the last evaluation.
-    """
-    # (t, model value - u) closest to the root with value >= u (lo) and < u (hi).
-    lo = hi = None
-    for beta, v in known.items():
-        t = math.log(beta)
-        if v >= u and (lo is None or t > lo[0]):
-            lo = (t, v - u)
-        elif v < u and (hi is None or t < hi[0]):
-            hi = (t, v - u)
-    fall, reach, side = 1.0, 1.0, 0
-    for _ in range(MODEL_EVALS):
-        end = lo or hi
-        if lo and hi:
-            (t0, f0), (t1, f1) = lo, hi
-            t = t0 - f0 * (t1 - t0) / (f1 - f0)
-            if not t0 < t < t1:
-                t = 0.5 * (t0 + t1)
-        elif end:
-            step = math.copysign(min(abs(end[1]) / fall, reach), end[1])
-            # Past |t| = 700 beta under- or overflows and the model is flat.
-            t = min(max(end[0] + step, -700.0), 700.0)
-            reach *= 2.0
-        else:
-            t = 0.0
-        beta = math.exp(t)
-        v = known[beta] = model(beta)
-        f = v - u
-        if abs(f) <= tol:
-            break
-        if lo and hi:
-            # Illinois: the value of an end kept twice in a row is halved.
-            if f >= 0.0:
-                if side == 1:
-                    hi = (hi[0], 0.5 * hi[1])
-                lo, side = (t, f), 1
-            else:
-                if side == -1:
-                    lo = (lo[0], 0.5 * lo[1])
-                hi, side = (t, f), -1
-            if hi[0] - lo[0] <= 1e-12 * max(1.0, abs(t)):
-                break
-            continue
-        if end:
-            if f == end[1] and math.isfinite(f):
-                break  # the model no longer moves: u lies beyond its range
-            secant = (end[1] - f) / (t - end[0])
-            fall = secant if 0.0 < secant < math.inf else fall
-        if f >= 0.0:
-            lo = (t, f)
-        else:
-            hi = (t, f)
-    return beta, v
+def _boundary(u: np.ndarray, du: np.ndarray) -> float:
+    """The step t at which u + t du first reaches zero; inf if it never does."""
+    shrink = du < 0.0
+    return float(np.min(u[shrink] / -du[shrink])) if shrink.any() else math.inf
 
 
 def solve_point_for_distortion(
@@ -865,36 +818,39 @@ def solve_point_for_distortion(
     target: float,
     tol: float = 1e-9,
     max_iter: int = 100000,
-    nu0: ProbabilityVector | None = None,
 ) -> RDPoint:
-    """Find the curve point at a prescribed distortion by a root search on ln D_nu0.
+    """The curve point at a prescribed distortion, by one saddle-point solve.
 
-    Every solve starts from ``nu0`` (the uniform law by default), so D
-    depends on beta alone, not on the search path.  The search runs in
-    u = ln D_nu0(beta), the log distortion of the tilted coupling of that
-    start law, which ``rd_value_from_nu`` gives with one kernel and no
-    iterations.  D_nu0 is nonincreasing in beta with the shape of D (under
-    Hamming loss from the uniform law it equals D above the critical
-    slope), so g(u) = ln D - ln target rises with u at a slope near 1.
-    From u = ln target the search steps u <- u - g on its first miss,
-    then to the root of the secant of its last two points, each step at
-    most twice the one before and at most BRACKET_STEP, until the target
-    is bracketed.  Inside the bracket it takes Illinois regula falsi
-    steps; an end on the D = D_max plateau below a critical slope (one
-    side's last two points share their D) carries no slope, so the other
-    side's secant is used instead.  A step that leaves the bracket becomes
-    a bisection in u.  Each u is mapped back to a beta by a root find on
-    D_nu0 (``_slope_for_model``), and the search records u at the beta it
-    solved, so an inexact inversion never moves the bracket.  The search
-    ends once |D - target| <= 10 * tol * D_max.
+    R(target) = max_{beta >= 0} min_{x >= 0} F_beta(x) + sum_j x_j - beta target is
+    convex in x and concave in beta, with d/dbeta = D - target (Csiszar 1974).
+    A primal-dual interior-point method (Mehrotra's predictor-corrector)
+    solves 1 - c - s = 0, D - target + lambda = 0, x s = 0 and beta lambda = 0
+    for x, s, beta, lambda >= 0.  Each iteration factors M = H + diag(s / x)
+    (``_gram``, ridge RIDGE times each diagonal entry) and eliminates beta:
+
+        dbeta = (r_beta - g'M^-1 r) / (g'M^-1 g + v + lambda / beta),  dx = M^-1 (r + g dbeta),
+
+    with g = dc/dbeta = K'(w o d) - (K o rho)'w, w = mu / K x, d_i row i's
+    conditional distortion and v = sum_i mu_i Var_i(rho) = -dD/dbeta, on a
+    ``_Tilt`` at each iterate's beta.  It starts from the uniform law at
+    beta = 1 / (D_max - d_floor).  Primal (x, beta) and dual (s, lambda)
+    steps have their own lengths; the safeguards in the constants' comment
+    stopped one random 5 x 5 instance in about 600 from cycling or driving
+    beta to zero.  It stops once x / sum(x) meets ``ba_fixed_point``'s rule
+    at the final beta, |D - target| <= 10 tol D_max, and the gap
+    x.s + beta lambda, the slack, the residual and every min(x_j / sum(x), s_j)
+    are at most min(tol, IP_TOL); without the last, small support atoms sit
+    off c_j = 1 and beta misses next to the D = D_max plateau.  D, R and the
+    slack come from ``_Tilt.certificate``; ``iterations`` counts
+    interior-point iterations, bounded by ``max_iter``.  A target inside a
+    jump of D(beta) gets the mixture of the optima at the critical slope
+    (the search over beta before this solve raised ConvergenceError there).
 
     Raises:
-        InvalidInputError: target outside (d_floor, d_max); note that
-            R(D) = 0 for D > D_max, so no positive-rate point exists there.
-        ConvergenceError: an inner solve failed (its D never moves the
-            bracket), the bracket shrank to 1e-12 in u, or TARGET_SOLVES
-            solves missed the band; ``.partial`` is the converged point
-            closest to the target (the failed solve's partial if none).
+        InvalidInputError: target outside (d_floor, d_max), or tol <= 0.
+        ConvergenceError: ``max_iter`` iterations missed the rule, or the
+            Newton system could not be solved; ``.partial`` is the last
+            iterate's point, with ``converged=False``.
     """
     floor = d_floor(mu, dist)
     ceiling, _ = d_max(mu, dist)
@@ -904,76 +860,113 @@ def solve_point_for_distortion(
             "R(D) = 0 for D > D_max and no finite-rate point exists at or "
             "below the distortion floor"
         )
+    if tol <= 0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
+    # scipy.linalg takes about 60 ms to import; only a solve loads it.
+    from scipy.linalg import lapack
+
     band = 10.0 * tol * ceiling
+    eps = min(tol, IP_TOL)
     n = dist.shape[1]
-    start = ProbabilityVector(np.full(n, 1.0 / n)) if nu0 is None else nu0
+    spread = (ceiling if ceiling < math.inf else target) - floor
+    x = np.full(n, 1.0 / n)
+    beta = 1.0 / spread
+    c = np.empty(n)
+    s = None
+    iterations = 0
+    failure = ""
+    last_gap = math.inf
+    while True:
+        tilt = _Tilt(mu, dist, beta)
+        mass = x.sum()
+        law = x / mass
+        tilt.evaluate(law, c)
+        distortion, rate, slack, _ = tilt.certificate(law, c)
+        plain = law * c
+        residual = float(np.abs(plain / plain.sum() - law).max())
+        # c at x, whose mass is not 1 before the solve ends.
+        c_x = c / mass
+        miss = distortion - target
+        if s is None:
+            s = np.maximum(1.0 - c_x, 0.0) + 1e-2
+            lam = max(-miss, 0.0) + 1e-2 * spread
+        gap = float(x @ s) + beta * lam
+        worst = max(gap, slack, residual, np.minimum(law, s).max())
+        done = bool(abs(miss) <= band and worst <= eps)
+        if done or iterations >= max_iter:
+            break
+        rho = tilt.dist.rho if tilt.full else tilt.dist.rho[tilt.live]
+        ker = tilt.ker
+        m, z = _gram(ker, tilt.mu, x)
+        w = tilt.mu / z
+        # 0 * inf guard: forbidden pairs carry no kernel mass.
+        allowed = ker > 0.0
+        loss = np.multiply(ker, rho, out=np.zeros_like(ker), where=allowed)
+        d = (loss @ x) / z
+        g = (w * d) @ ker - w @ loss
+        dev = np.subtract(rho, d[:, None], out=np.zeros_like(ker), where=allowed)
+        v = float(w @ ((ker * dev * dev) @ x))
+        m.flat[:: n + 1] += s / x
+        m.flat[:: n + 1] *= 1.0 + RIDGE
+        factor, info = lapack.dpotrf(m)
+        m_g = lapack.dpotrs(factor, g)[0]
+        schur = float(g @ m_g) + v + lam / beta
+        r_dual = c_x + s - 1.0
 
-    def model(beta: float) -> float:
-        distortion, _ = rd_value_from_nu(mu, dist, beta, start)
-        return math.log(distortion) if distortion > 0 else -math.inf
+        def newton(r_comp: np.ndarray, r_beta: float):
+            """(dx, ds, dbeta, dlambda) for the complementarity targets r_comp and r_beta."""
+            m_r = lapack.dpotrs(factor, r_dual + r_comp / x)[0]
+            d_beta = (miss + lam + r_beta / beta - g @ m_r) / schur
+            dx = m_r + m_g * d_beta
+            return dx, (r_comp - s * dx) / x, d_beta, (r_beta - lam * d_beta) / beta
 
-    # The (u, g) seen above (key 1) and below (key -1) the target, in order,
-    # and the Illinois weight on the g of each side's last point.
-    seen: dict[int, list[tuple[float, float]]] = {1: [], -1: []}
-    weight = {1: 1.0, -1: 1.0}
-    best = last = None
-    known: dict[float, float] = {}
-    solves = 0
-    u = math.log(target)
-    try:
-        for _ in range(TARGET_SOLVES):
-            beta, u = _slope_for_model(model, u, known, tol)
-            solves += 1
-            try:
-                point = ba_fixed_point(mu, dist, beta, nu0=nu0, tol=tol, max_iter=max_iter)
-            except ConvergenceError as err:
-                partial = err.partial if best is None else best
-                raise ConvergenceError(f"search stopped: {err}", partial=partial) from err
-            logger.debug(
-                "target search solve %d: beta %.17g, u %.9f, D %.17g after %d evaluations",
-                solves, beta, u, point.distortion, point.iterations,
-            )
-            if abs(point.distortion - target) <= band:
-                return point
-            if best is None or abs(point.distortion - target) < abs(best.distortion - target):
-                best = point
-            g = math.log(point.distortion / target) if point.distortion > 0 else -math.inf
-            side = 1 if g > 0 else -1
-            seen[side].append((u, g))
-            if seen[-side] and side == last:
-                weight[-side] *= 0.5  # Illinois: the other end was kept twice in a row
-            weight[side], last = 1.0, side
-            if not seen[-side]:
-                # A step to the root of the line through this point with
-                # slope 1 at first, then with the secant slope of this
-                # side's last two points, at most twice the last step.
-                step = abs(g)
-                if len(seen[side]) > 1:
-                    u0, g0 = seen[side][-2]
-                    secant = (g0 - g) / (u0 - u) if u0 != u else 0.0
-                    step = min(step / secant if secant > 0 else math.inf, 2.0 * stride)
-                stride = min(step, BRACKET_STEP)
-                u -= side * stride
-                continue
-            (ua, ga), (ub, gb) = seen[1][-1], seen[-1][-1]
-            if abs(ub - ua) <= 1e-12:
-                break
-            flat = [s for s in (1, -1) if len(seen[s]) > 1 and seen[s][-1][1] == seen[s][-2][1]]
-            if flat:
-                # With one point on the other side, g1 == g2 and the step bisects.
-                (u1, g1), (u2, g2) = (seen[-flat[0]] * 2)[-2:]
-                u = u2 - g2 * (u2 - u1) / (g2 - g1) if g2 != g1 else math.nan
-            else:
-                ga, gb = weight[1] * ga, weight[-1] * gb
-                u = (ua * gb - ub * ga) / (gb - ga)
-            # u is mapped back to beta to within tol, so a u closer than
-            # that to an end of the bracket may solve that end again.
-            if not min(ua, ub) + tol < u < max(ua, ub) - tol:
-                u = 0.5 * (ua + ub)
-    finally:
-        logger.debug("target search ends after %d solves and %d model evaluations", solves, len(known))
-    raise ConvergenceError(
-        f"no beta reaches distortion {target:g} within {band:g} (closest "
-        f"{best.distortion:g}); D(beta) may jump over the target",
-        partial=best,
+        mean = gap / (n + 1)
+        dx, ds, d_beta, d_lam = newton(-x * s, -beta * lam)
+        primal = min(1.0, _boundary(np.append(x, beta), np.append(dx, d_beta)))
+        dual = min(1.0, _boundary(np.append(s, lam), np.append(ds, d_lam)))
+        affine = (x + primal * dx) @ (s + dual * ds)
+        affine += (beta + primal * d_beta) * (lam + dual * d_lam)
+        sigma = (affine / (n + 1) / mean) ** 3
+        if gap >= last_gap:
+            sigma = max(sigma, STALL_SIGMA)
+        last_gap = gap
+        dx, ds, d_beta, d_lam = newton(
+            sigma * mean - x * s - dx * ds, sigma * mean - beta * lam - d_beta * d_lam
+        )
+        if info or not (np.isfinite(dx).all() and np.isfinite(ds).all() and math.isfinite(d_beta)):
+            failure = "the Newton system is singular; "
+            break
+        cap = math.inf
+        if d_beta:
+            cap = (BETA_STEP - 1.0 if d_beta > 0 else 1.0 - 1.0 / BETA_STEP) * beta / abs(d_beta)
+        reach = min(_boundary(x, dx), ROW_STEP * _boundary(z, ker @ dx))
+        primal = min(1.0, BOUNDARY_STEP * reach, cap)
+        dual = min(1.0, BOUNDARY_STEP * _boundary(np.append(s, lam), np.append(ds, d_lam)))
+        x = x + primal * dx
+        beta += primal * d_beta
+        s = s + dual * ds
+        lam += dual * d_lam
+        iterations += 1
+    logger.debug(
+        "interior point ends after %d iterations: beta %.17g, |D - target| %.3e, "
+        "gap %.3e, slack %.3e, residual %.3e",
+        iterations, beta, abs(miss), gap, slack, residual,
     )
+    point = RDPoint(
+        beta=float(beta),
+        distortion=distortion,
+        rate=rate,
+        nu_star=ProbabilityVector(law),
+        iterations=iterations,
+        fixpoint_residual=residual,
+        certificate_slack=slack,
+        converged=done,
+    )
+    if not done:
+        raise ConvergenceError(
+            f"{failure}no point at distortion {target:g} within {iterations} interior-point "
+            f"iterations (|D - target| {abs(miss):.3e}, gap {gap:.3e}, slack {slack:.3e}, "
+            f"residual {residual:.3e})",
+            partial=point,
+        )
+    return point

@@ -376,6 +376,10 @@ def _cmd_curve(cfg: dict, args) -> int:
 
 
 def _cmd_point(cfg: dict, args) -> int:
+    """Solve one point by --beta or --distortion; exit 0 if it converged, else 2.
+
+    A --distortion inside a jump of D(beta) now converges and exits 0 (2 before).
+    """
     if (args.beta is None) == (args.distortion is None):
         raise InvalidInputError("point needs exactly one of --beta or --distortion")
     mu, dist, labels, _ = build_problem(cfg)

@@ -1,13 +1,13 @@
 """Tests for the fixed-point solver, dual certificates, and curve sweeps."""
+import json
 import logging
 import math
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -30,6 +30,7 @@ from rdbridge.blahut import (
 )
 from rdbridge.distortion import (
     DistortionMatrix,
+    d_floor,
     d_max,
     discretize_gaussian,
     discretize_uniform,
@@ -39,6 +40,7 @@ from rdbridge.distortion import (
     squared_error,
 )
 from rdbridge.errors import ConvergenceError, InvalidInputError
+from rdbridge.io_cli import main
 from rdbridge.measures import Coupling, ProbabilityVector, kl_divergence, mutual_information
 
 
@@ -921,13 +923,13 @@ def test_shape_report_skips_degenerate_chords(monkeypatch):
     assert curve.shape_report()["max_chord_violation"] > 0.9
 
 
-# --- target-distortion search -----------------------------------------------
+# --- target-distortion solve ------------------------------------------------
 
-# Most solves one search took on Bernoulli(p) under Hamming loss at tol 1e-9:
-# 1, measured over 1,440 targets with p in [0.02, 0.48] and targets from
-# 1e-3 p to 1e-7 below D_max = p (the search coordinate ln D_nu0 is then
-# exact above the critical slope), plus a margin of one solve.
-TARGET_SOLVES_BERNOULLI = 2
+# Most interior-point iterations one solve took on Bernoulli(p) under
+# Hamming loss at tol 1e-9: 19, measured over 4,620 draws of p in
+# [0.02, 0.48] with targets from 1e-3 p to 1e-7 below D_max = p, plus a
+# margin of 6.
+TARGET_ITERATIONS_BERNOULLI = 25
 
 
 def uniform_mse(points: int):
@@ -936,50 +938,25 @@ def uniform_mse(points: int):
     return spec.weights, squared_error(spec.grid, spec.grid)
 
 
-def recording_solves(betas, fail_at=None, target=None):
-    """A stand-in for ba_fixed_point that records each beta it solves at.
-
-    The solve numbered ``fail_at`` (from 1) raises ConvergenceError with a
-    partial whose distortion lies on the wrong side of ``target``.
-    """
-    solve = blahut.ba_fixed_point
-
-    def recorded(mu, dist, beta, *args, **kwargs):
-        point = solve(mu, dist, beta, *args, **kwargs)
-        betas.append(beta)
-        if len(betas) == fail_at:
-            point.distortion = 0.1 * target if point.distortion > target else 2.0 * target
-            point.converged = False
-            raise ConvergenceError("budget exhausted", partial=point)
-        return point
-
-    return recorded
-
-
-@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
-def test_unconverged_inner_solve_never_moves_the_bracket(monkeypatch, fail_at):
-    # 21-point uniform source under squared error, target 0.1: the start
-    # law's D_nu0 is inexact there, and the search takes 8 solves when
-    # every solve converges.  The solve numbered fail_at reports a
-    # distortion on the wrong side of the target; used, it would close a
-    # bracket that misses the root.  The search must stop there and return
-    # the converged point closest to the target.
+def test_a_target_solve_out_of_budget_is_flagged(capsys):
+    # 21-point uniform source under squared error, target 0.1: the solve
+    # takes 9 iterations.  With fewer it raises, its partial says so, and
+    # the CLI exits 2 with that partial point.
     (mu, dist), target = uniform_mse(21), 0.1
-    betas = []
-    monkeypatch.setattr(blahut, "ba_fixed_point", recording_solves(betas, fail_at, target))
-    with pytest.raises(ConvergenceError) as info:
-        solve_point_for_distortion(mu, dist, target)
-    assert len(betas) == fail_at
-    partial = info.value.partial
-    if fail_at == 1:
-        assert not partial.converged
-        return
-    monkeypatch.undo()
-    converged = [ba_fixed_point(mu, dist, beta, tol=1e-9, max_iter=100000) for beta in betas[:-1]]
-    best = min(converged, key=lambda p: abs(p.distortion - target))
-    assert partial.converged
-    assert partial.beta == best.beta
-    assert partial.distortion == best.distortion
+    assert solve_point_for_distortion(mu, dist, target).iterations > 8
+    for max_iter in (1, 8):
+        with pytest.raises(ConvergenceError) as info:
+            solve_point_for_distortion(mu, dist, target, max_iter=max_iter)
+        assert not info.value.partial.converged
+        assert info.value.partial.iterations == max_iter
+    argv = [
+        "point", "--source.kind", "uniform", "--source.points", "21", "--distortion.kind", "mse",
+        "--distortion", "0.1", "--max_iter", "8",
+    ]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is False
+    assert doc["iterations"] == 8
 
 
 @settings(max_examples=100, deadline=None)
@@ -998,61 +975,74 @@ def test_target_search_matches_the_bernoulli_closed_form(p, fraction):
     mu, dist, tol = ProbabilityVector([1.0 - p, p]), hamming(2), 1e-9
     target = min(p, 1.0 - p) * fraction
     band = 10.0 * tol * min(p, 1.0 - p)
-    betas = []
-    with mock.patch.object(blahut, "ba_fixed_point", recording_solves(betas)):
-        point = solve_point_for_distortion(mu, dist, target, tol=tol)
+    point = solve_point_for_distortion(mu, dist, target, tol=tol)
     assert point.converged
     assert abs(point.distortion - target) <= band
     # The band maps to |beta - beta*| <= band / |D'(beta*)|; 2 covers curvature.
     beta_star = math.log((1.0 - target) / target)
     assert abs(point.beta - beta_star) <= 2.0 * band / (target * (1.0 - target))
-    assert len(betas) <= TARGET_SOLVES_BERNOULLI
+    assert point.iterations <= TARGET_ITERATIONS_BERNOULLI
 
 
-def test_target_inside_a_jump_of_the_distortion_stops_with_the_closest_point():
+def test_target_inside_a_jump_of_the_distortion_gets_the_mixture():
     # A fair bit with an erasure symbol (loss 1/2, crossings forbidden) has
     # the linear curve R(D) = (1 - 2 D) ln 2, so D(beta) jumps from 1/2 to 0
-    # at beta = 2 ln 2 and no slope gives D = 1/4.  The bracket closes on
-    # that slope and the search stops with the closest converged point.
+    # at beta = 2 ln 2 and no single optimum at any slope has D strictly
+    # between.  The optima at 2 ln 2 form the segment x = (1/2 - D, 1/2 - D, 2 D),
+    # and D = target picks its point.
     mu = ProbabilityVector([0.5, 0.5])
     dist = DistortionMatrix(np.array([[0.0, np.inf, 0.5], [np.inf, 0.0, 0.5]]))
-    with pytest.raises(ConvergenceError, match="jump") as info:
-        solve_point_for_distortion(mu, dist, 0.25)
-    partial = info.value.partial
-    assert partial.converged
-    assert abs(partial.beta - 2.0 * math.log(2.0)) <= 1e-6
+    for target in (0.1, 0.25, 0.4):
+        point = solve_point_for_distortion(mu, dist, target)
+        assert point.converged
+        assert abs(point.beta - 2.0 * math.log(2.0)) <= 1e-8
+        assert abs(point.rate - (1.0 - 2.0 * point.distortion) * math.log(2.0)) <= 1e-12
+        if target == 0.25:
+            # The band of 10 tol D_max = 5e-9 on D bounds x's error by 1e-8.
+            assert np.allclose(point.nu_star.weights, [0.25, 0.25, 0.5], rtol=0.0, atol=1e-8)
 
 
-def test_target_search_solves_from_the_given_law(monkeypatch):
-    # Cold starts: every inner solve starts from nu0, so D depends on beta
-    # alone and not on the path the search took.
-    mu, dist = uniform_mse(21)
-    start = ProbabilityVector(np.full(21, 1.0 / 21), labels=mu.labels)
-    starts = []
-    solve = blahut.ba_fixed_point
+@st.composite
+def target_instances(draw):
+    """(mu, rho, target): n, m <= 5, one zero-mass source atom, one +inf loss."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    weights[draw(st.integers(0, n - 1))] = 0.0
+    rho = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+    rho[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = np.inf
+    mu, dist = ProbabilityVector(weights / weights.sum()), DistortionMatrix(rho)
+    floor, (ceiling, _) = d_floor(mu, dist), d_max(mu, dist)
+    assume(ceiling < np.inf and ceiling - floor > 1e-6)
+    return mu, dist, floor + draw(st.floats(1e-3, 1.0 - 1e-3)) * (ceiling - floor)
 
-    def recorded(*args, nu0=None, **kwargs):
-        starts.append(nu0)
-        return solve(*args, nu0=nu0, **kwargs)
 
-    monkeypatch.setattr(blahut, "ba_fixed_point", recorded)
-    point = solve_point_for_distortion(mu, dist, 0.1, nu0=start)
-    assert len(starts) > 2
-    assert all(s is start for s in starts)
-    assert point.nu_star.labels is not None
+@settings(max_examples=100, deadline=None)
+@given(target_instances())
+def test_target_solve_agrees_with_the_fixed_point_at_its_slope(instance):
+    # The referee is ba_fixed_point at the returned slope.  The Lagrangian
+    # value R + beta D = -sum_i mu_i ln Z_i of the optimum at a slope is
+    # unique even where D(beta) jumps, so it must match there too.
+    mu, dist, target = instance
+    tol = 1e-9
+    point = solve_point_for_distortion(mu, dist, target, tol=tol)
+    assert abs(point.distortion - target) <= 10.0 * tol * d_max(mu, dist)[0]
+    tilt = _Tilt(mu, dist, point.beta, point.nu_star)
+    assert tilt.certificate(point.nu_star.weights, tilt.c)[3] <= point.rate
+    fixed = ba_fixed_point(mu, dist, point.beta, tol=1e-11, max_iter=1000000)
+    value = point.rate + point.beta * point.distortion
+    assert abs(value - (fixed.rate + fixed.beta * fixed.distortion)) <= 1e-8
 
 
 def test_target_search_on_the_201_point_uniform_source_takes_few_solves():
-    # At tol 1e-3, targets f * D_max with f in [0.35, 0.63] took 1-3 solves
-    # each, measured over 29 targets.
+    # At tol 1e-3, targets f * D_max with f in [0.35, 0.63] took 7-11
+    # interior-point iterations each, measured over 29 targets; the bound
+    # adds a margin of 3.
     mu, dist = uniform_mse(201)
     ceiling, _ = d_max(mu, dist)
     for f in np.linspace(0.35, 0.63, 8):
-        betas = []
-        with mock.patch.object(blahut, "ba_fixed_point", recording_solves(betas)):
-            point = solve_point_for_distortion(mu, dist, f * ceiling, tol=1e-3)
+        point = solve_point_for_distortion(mu, dist, f * ceiling, tol=1e-3)
         assert abs(point.distortion - f * ceiling) <= 10 * 1e-3 * ceiling
-        assert len(betas) <= 3, f
+        assert point.iterations <= 14, f
 
 
 def test_shifted_kernel_zeroes_all_forbidden_rows_in_place():

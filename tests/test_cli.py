@@ -9,7 +9,6 @@ import sys
 import numpy as np
 import pytest
 
-import rdbridge.blahut as blahut
 from rdbridge.distortion import d_max
 from rdbridge.errors import InvalidInputError
 from rdbridge.io_cli import (
@@ -244,29 +243,15 @@ def test_point_by_distortion(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    # The bisection band is 10 * tol * d_max = 5e-9 at the default tol.
+    # The band is 10 * tol * d_max = 5e-9 at the default tol.
     assert abs(doc["distortion"] - 0.1) < 5e-9
     assert abs(doc["beta"] - math.log(9.0)) < 1e-6
     assert doc["report"]["verdict"] == "optimal"
 
 
-def count_solves(monkeypatch) -> list:
-    """Record the beta of every inner solve a target search makes."""
-    betas = []
-    solve = blahut.ba_fixed_point
-
-    def counted(mu, dist, beta, *args, **kwargs):
-        betas.append(beta)
-        return solve(mu, dist, beta, *args, **kwargs)
-
-    monkeypatch.setattr(blahut, "ba_fixed_point", counted)
-    return betas
-
-
-def test_point_by_distortion_just_below_a_plateau(monkeypatch, capsys):
+def test_point_by_distortion_just_below_a_plateau(capsys):
     # Bernoulli(0.1) keeps D = D_max = 0.1 for every beta below ln 9; the
     # target 0.0999 lies 0.1% below that plateau, at beta* = ln(0.9001 / 0.0999).
-    betas = count_solves(monkeypatch)
     code, out, _ = run_cli(
         capsys, ["point", "--source.p", "0.1", "--distortion", "0.0999"]
     )
@@ -274,9 +259,8 @@ def test_point_by_distortion_just_below_a_plateau(monkeypatch, capsys):
     doc = json.loads(out)
     assert abs(doc["distortion"] - 0.0999) <= 10 * 1e-9 * 0.1
     assert abs(doc["beta"] - math.log(0.9001 / 0.0999)) <= 1e-6
-    # 1 solve measured: from the uniform start law, the search coordinate
-    # ln D_nu0 equals ln D above the critical slope.  One solve of margin.
-    assert len(betas) <= 2
+    # 11 interior-point iterations measured; the bound adds a margin of 3.
+    assert doc["iterations"] <= 14
 
 
 @pytest.mark.parametrize("fraction", [0.647, 0.649, 0.651])
@@ -299,6 +283,24 @@ def test_point_by_distortion_where_the_uniform_curve_drops(capsys, fraction):
     d = doc["distortion"]
     assert abs(d - target) <= 10 * 1e-3 * ceiling
     assert doc["rate"] >= LN2 - 0.5 * math.log(2 * math.pi * math.e * d) - 5e-3
+    assert doc["report"]["verdict"] == "optimal"
+
+
+def test_point_by_distortion_inside_a_jump_of_the_uniform_curve(capsys):
+    # 201-point uniform source under squared error at tol 1e-6: D(beta)
+    # jumps over 0.999 D_max, where a search over beta once gave up with
+    # exit 2.  The saddle-point solve answers with a mixture at the jump.
+    source = {"source.kind": "uniform", "source.points": "201", "distortion.kind": "mse"}
+    mu, dist, _, _ = build_problem(resolve_config(overrides=source))
+    ceiling, _ = d_max(mu, dist)
+    argv = ["point", "--tol", "1e-6", "--distortion", repr(0.999 * ceiling)]
+    for key, value in source.items():
+        argv += [f"--{key}", value]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert abs(doc["distortion"] - 0.999 * ceiling) <= 10 * 1e-6 * ceiling
 
 
 def test_point_beta_zero_endpoint(capsys):
@@ -775,6 +777,10 @@ def test_module_entry_runs_as_subprocess():
 
 
 PLATEAU_POINT = ["point", "--source.p", "0.1", "--distortion", "0.0999"]
+INTERIOR_POINT_END = (
+    r"interior point ends after \d+ iterations: beta \S+, \|D - target\| \S+, "
+    r"gap \S+, slack \S+, residual \S+"
+)
 
 
 def test_log_level_debug_shows_the_target_search_and_leaves_the_output_alone(capsys, caplog):
@@ -788,9 +794,8 @@ def test_log_level_debug_shows_the_target_search_and_leaves_the_output_alone(cap
     assert code == 0
     assert out == plain
     messages = [r.getMessage() for r in caplog.records if r.name == "rdbridge.blahut"]
-    [step] = [m for m in messages if m.startswith("target search solve")]
-    assert re.fullmatch(r"target search solve 1: beta \S+, u \S+, D \S+ after \d+ evaluations", step)
-    assert [m for m in messages if re.fullmatch(r"target search ends after 1 solves and \d+ model evaluations", m)]
+    [end] = [m for m in messages if m.startswith("interior point ends")]
+    assert re.fullmatch(INTERIOR_POINT_END, end)
 
 
 def test_log_level_sends_records_to_stderr_only(capsys):
@@ -803,14 +808,15 @@ def test_log_level_sends_records_to_stderr_only(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == plain
-    ends = [line for line in proc.stderr.splitlines() if "target search ends" in line]
+    ends = [line for line in proc.stderr.splitlines() if "interior point ends" in line]
     assert len(ends) == 1
-    assert re.fullmatch(r"DEBUG rdbridge.blahut: target search ends after 1 solves and \d+ model evaluations", ends[0])
+    assert re.fullmatch(r"DEBUG rdbridge.blahut: " + INTERIOR_POINT_END, ends[0])
 
 
 def test_import_loads_no_scipy():
     # scipy.special costs about 0.2 s of CPU to import, scipy.optimize about
-    # 0.8 s; only a Newton phase loads scipy.linalg, on first use.
+    # 0.8 s; only a Newton phase or a target-distortion solve loads
+    # scipy.linalg, on first use.
     proc = subprocess.run(
         [
             sys.executable,
