@@ -959,6 +959,40 @@ def test_a_target_solve_out_of_budget_is_flagged(capsys):
     assert doc["iterations"] == 8
 
 
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+def test_unconverged_inner_solve_never_moves_the_bracket(monkeypatch, fail_at):
+    # 21-point uniform source under squared error, target 0.1: the solve
+    # takes 9 iterations when every Newton system factors.  The factor
+    # numbered fail_at reports a breakdown; a step from it would move
+    # (x, beta) by a direction of an unsolved system.  The solve must stop
+    # there, flagged, at the iterate the failed step would have left: the
+    # one a budget of fail_at - 1 iterations ends at.
+    from scipy.linalg import lapack
+
+    (mu, dist), target = uniform_mse(21), 0.1
+    with pytest.raises(ConvergenceError) as info:
+        solve_point_for_distortion(mu, dist, target, max_iter=fail_at - 1)
+    before = info.value.partial
+    factor, calls = lapack.dpotrf, []
+
+    def breaks_down(m):
+        calls.append(None)
+        c, code = factor(m)
+        return c, (1 if len(calls) == fail_at else code)
+
+    monkeypatch.setattr(lapack, "dpotrf", breaks_down)
+    with pytest.raises(ConvergenceError, match="singular") as info:
+        solve_point_for_distortion(mu, dist, target)
+    assert len(calls) == fail_at
+    partial = info.value.partial
+    assert not partial.converged
+    assert partial.iterations == fail_at - 1
+    assert partial.beta == before.beta
+    assert partial.distortion == before.distortion
+    assert partial.rate == before.rate
+    assert np.array_equal(partial.nu_star.weights, before.nu_star.weights)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(0.02, 0.48),
