@@ -3,9 +3,10 @@ with the Shannon lower bound: R(D) = (1/2) ln(sigma^2 / D) everywhere.
 
 This sweeps a few slopes on a 257-point grid and prints the gap between
 the computed rate and the bound.  The sweep warms up each solve from the
-previous optimum, which is what makes the tight tolerances affordable.
+previous optimum, and Newton steps finish every solve at these tight
+tolerances.
 
-Run:  python3 demos/gaussian_slb.py   (takes ~half a minute)
+Run:  python3 demos/gaussian_slb.py   (takes a few seconds)
 """
 import math
 
@@ -27,7 +28,7 @@ def main():
     n = len(src.grid)
     print(f"N(0, 1) discretized to {n} points on [-6, 6]")
 
-    # A cheap low-accuracy presolve gives the sweep a sane starting law.
+    # A presolve at the first slope gives the sweep a sane starting law.
     pre = ba_fixed_point(
         src.weights,
         dist,
@@ -35,7 +36,6 @@ def main():
         nu0=ProbabilityVector(np.full(n, 1.0 / n), labels=src.grid),
         tol=3e-6,
         max_iter=60000,
-        min_iter=20000,
     )
     curve = rd_curve(
         src.weights,

@@ -18,8 +18,8 @@ x' = x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|), and backtracks a to
 or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x2).  A kept x' is
 followed by one plain map, kept unless it raises F; on two atoms x'
 itself starts the next cycle.  The plain map never raises F, so F is
-nonincreasing along the iteration.  Below STEADY_TOL the step is capped,
-and a solve that Newton steps finish extrapolates only on two atoms.
+nonincreasing along the iteration.  A solve that Newton steps finish
+extrapolates only on two atoms.
 
 Blahut-Arimoto is a first-order method and slows down without bound at
 critical slopes and on sparse optimal laws.  A solve with a tight
@@ -62,18 +62,12 @@ SUPPORT_FLOOR = 1e-300
 # Uniform mass mixed into the previous optimum when warm-starting a sweep.
 WARM_START_MIX = 1e-6
 # Solves with tol at or below NEWTON_TOL hand over from Blahut-Arimoto to
-# projected Newton steps once the slack has fallen to HANDOVER_SLACK.
-NEWTON_TOL = 1e-6
+# projected Newton steps once the slack has fallen to HANDOVER_SLACK.  Such
+# a solve extrapolates only on two atoms: on more, extrapolated laws leave
+# atoms of small mass far from equilibrium, and the Newton QP then changes
+# its active set by tens of atoms per step.
+NEWTON_TOL = 1e-4
 HANDOVER_SLACK = 1e-3
-# Solves with tol at or below STEADY_TOL cap the extrapolation at
-# |a| <= STEP_MAX, the longest step over whose cycle no mode of a linear
-# contraction grows (max of (1 - 4 (1 - l))^2 l over l in [0, 1] is 1): a
-# longer one can meet the stop rule while atoms of small mass are far
-# from equilibrium, leaving the returned law uneven on its support.  A
-# solve that Newton steps finish extrapolates only on two atoms: such
-# atoms make the Newton QP change its active set by tens of atoms per step.
-STEADY_TOL = 1e-4
-STEP_MAX = 4.0
 # An atom of zero mass enters a Newton step only if c_j >= 1 - CANDIDATE_GAP.
 CANDIDATE_GAP = 1e-2
 # Ridge added to the Newton Hessian: RIDGE times its largest diagonal entry
@@ -383,12 +377,17 @@ def dual_certificate(
 
     Rows of rho need not attain zero: adding m_i to row i scales alpha_i
     by exp(beta m_i) and leaves every c_j, the slack and the dual value.
+    Where 1 / Z_i overflows (every allowed loss of row i above about
+    709 / beta nats) alpha_i is +inf, without a warning; a row of zero
+    source mass takes no part in c, the slack or the dual value, so it can
+    carry such an alpha_i next to a finite certificate.
 
     Returns:
         (alpha, slack, dual_value) with slack = max_j c_j - 1.
     """
     log_z, _, _, slack, dual_value = _tilted_state(mu, dist, beta, nu)
-    return np.exp(-log_z), slack, dual_value
+    with np.errstate(over="ignore"):
+        return np.exp(-log_z), slack, dual_value
 
 
 def _gram(ker: np.ndarray, mu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -457,7 +456,6 @@ def ba_fixed_point(
     nu0: ProbabilityVector | None = None,
     tol: float = 1e-9,
     max_iter: int = 5000,
-    min_iter: int = 1,
 ) -> RDPoint:
     """Solve for the optimal reconstruction law at a single trade-off slope.
 
@@ -476,26 +474,24 @@ def ba_fixed_point(
     it is when the budget runs out, and its own slack must be at most
     ``tol`` too, or the update stands as an ordinary one.  Where no
     candidate is kept the solve ends exactly where the plain iteration
-    would.  The rule is not tested before ``min_iter`` iterations: on
-    broad instances the slack can dip below tolerance transiently while
-    the bulk of nu is still equilibrating, and a floor on the iteration
-    count is the simple guard.  Atoms that decay below ``SUPPORT_FLOOR``
-    are pinned to exact zero and never revived by a Blahut-Arimoto step.
+    would.  Atoms that decay below ``SUPPORT_FLOOR`` are pinned to exact
+    zero and never revived by a Blahut-Arimoto step.
 
     With ``tol <= NEWTON_TOL`` the solve hands over to projected Newton
-    steps once ``min_iter`` is reached and the slack is at most
-    ``HANDOVER_SLACK`` at any law whose c is known, a kept extrapolated
-    one included.  A Newton step works on the candidate atoms (nu_j > 0,
-    or c_j >= 1 - CANDIDATE_GAP, so an atom may come back):
-    with A = diag(sqrt(mu) / K nu) K on those columns and H = A'A, it
-    solves min y'Hy/2 - (2c - 1)'y over y >= 0 by Lawson and Hanson's
-    active set started from supp(nu), factoring the free block of H
-    afresh after each change of the set; then it takes the full step to
+    steps once the slack is at most ``HANDOVER_SLACK`` at any law whose c
+    is known, a kept extrapolated one included.  A Newton step works on
+    the candidate atoms (nu_j > 0, or c_j >= 1 - CANDIDATE_GAP, so an atom
+    may come back): with A = diag(sqrt(mu) / K nu) K on those columns and
+    H = A'A, it solves min y'Hy/2 - (2c - 1)'y over y >= 0 by Lawson and
+    Hanson's active set started from supp(nu), factoring the free block of
+    H afresh after each change of the set; then it takes the full step to
     y if f falls along y - nu and is no higher at y.  The new law is
     normalized, which never raises f or F.  The stop rule, the plain last
     step and support pinning are those of the Blahut-Arimoto phase.  A QP
     that breaks down or a step that would raise f ends the Newton phase,
-    and Blahut-Arimoto goes on from the last law.
+    and Blahut-Arimoto goes on from the last law.  HANDOVER_SLACK lies
+    above NEWTON_TOL, so a tight solve can stop at a law of Blahut-Arimoto
+    only at the hand-over itself or after a failed Newton step.
 
     At beta = 0 the answer is the beta -> 0+ limit.  With D_max finite it
     is the zero-rate end of the curve, whatever ``nu0``: all mass on the
@@ -514,7 +510,7 @@ def ba_fixed_point(
             unlabelled); must be strictly positive on its intended
             support.
         tol: joint threshold for the fixed-point residual and slack.
-        max_iter: iteration budget.
+        max_iter: iteration budget, at least 1.
 
     Raises:
         ConvergenceError: budget exhausted before both residuals reached
@@ -525,10 +521,8 @@ def ba_fixed_point(
     labels = None if nu0 is None else nu0.labels
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
-    if min_iter < 1 or min_iter > max_iter:
-        raise InvalidInputError(
-            f"min_iter must be in [1, max_iter], got {min_iter} with max_iter {max_iter}"
-        )
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
 
     if beta == 0:
         ceiling, col = d_max(mu, dist)
@@ -597,8 +591,7 @@ def ba_fixed_point(
     maps = accepted = backtracks = rejected = 0
     residual = float("inf")
     shrunk = 0
-    newton = tol <= NEWTON_TOL
-    step_max = 1.0 if newton else STEP_MAX if tol <= STEADY_TOL else math.inf
+    newton = newton_bound = tol <= NEWTON_TOL
     in_newton = handed_over = jumped = False
 
     def phase_1_ends(how: str) -> None:
@@ -617,7 +610,7 @@ def ba_fixed_point(
         while True:
             # c and f belong to nu, and ``iterations`` evaluations are spent.
             slack = float(c.max()) - 1.0
-            if newton and not in_newton and slack <= HANDOVER_SLACK and iterations >= min_iter:
+            if newton and not in_newton and slack <= HANDOVER_SLACK:
                 in_newton = handed_over = True
                 phase_1_ends(f"slack {slack:.3e}, handing over to Newton steps")
             # Dead columns can carry an infinite update factor (their dual
@@ -628,7 +621,7 @@ def ba_fixed_point(
                 np.copyto(plain, 0.0, where=dead)
             plain /= plain.sum()
             final = False
-            if (iterations >= min_iter and slack <= tol and not jumped) or iterations >= max_iter:
+            if (slack <= tol and not jumped) or iterations >= max_iter:
                 # The residual only matters when the stop rule can fire or
                 # the budget ends.
                 np.subtract(plain, nu, out=trial)
@@ -661,16 +654,16 @@ def ba_fixed_point(
             elif maps == 2:
                 # Squared extrapolation from x0, x1 = G(x0) and nu = G(x1).  On
                 # two atoms the law has one degree of freedom and no other
-                # mode to amplify: the step is not capped, and a kept
-                # candidate starts the next cycle.
+                # mode to amplify: a Newton-bound solve extrapolates too, and
+                # a kept candidate starts the next cycle.
                 x0, x1 = cycle
                 np.subtract(x1, x0, out=r)
                 np.subtract(nu, x1, out=v)
                 v -= r
                 ratio = math.sqrt((r @ r) / (v @ v))
                 one_mode = np.count_nonzero(alive) == 2
-                cap = math.inf if one_mode else step_max
-                alpha = -min(ratio, cap) if 1.0 < ratio < math.inf else -1.0
+                extrapolate = one_mode or not newton_bound
+                alpha = -ratio if extrapolate and 1.0 < ratio < math.inf else -1.0
                 while alpha < -1.0 and iterations + 2 <= max_iter:
                     np.multiply(v, alpha * alpha, out=trial)
                     trial += x0

@@ -96,7 +96,6 @@ _SCHEMA: dict[str, tuple] = {
     "betas.list": (_parse_floats, None),
     "tol": (float, 1e-9),
     "max_iter": (int, 100000),
-    "min_iter": (int, 1),
     "units": (str, "nats"),
     "warm_start": (_parse_bool, True),
     "compare.bound": (float, 1e-6),
@@ -389,7 +388,7 @@ def _cmd_point(cfg: dict, args) -> int:
         if args.distortion is not None:
             point = solve_point_for_distortion(mu, dist, args.distortion, **budget)
         else:
-            point = ba_fixed_point(mu, dist, args.beta, min_iter=cfg["min_iter"], **budget)
+            point = ba_fixed_point(mu, dist, args.beta, **budget)
     except ConvergenceError as err:
         point, exit_code = err.partial, 2
     report = check_optimality(mu, dist, point.beta, point.nu_star)

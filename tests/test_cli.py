@@ -115,6 +115,13 @@ def test_parse_bool_words():
             "bernoulli oracle needs source.kind=bernoulli",
         ),
         (["check", "--no-such-flag"], {}, "unrecognized arguments: --no-such-flag"),
+        # Retired with the iteration floor of the solver.
+        (["point", "--beta", "1", "--min_iter", "5"], {}, "unrecognized arguments: --min_iter"),
+        (
+            ["point", "--beta", "1", "--config", "{conf}"],
+            {"conf": "min_iter = 5\n"},
+            "unknown config key 'min_iter'",
+        ),
     ],
 )
 def test_input_errors_exit_1_with_their_message(tmp_path, capsys, argv, files, message):
@@ -206,6 +213,7 @@ def test_point_by_beta(capsys):
     assert abs(doc["rate"] - 0.36806420716849707) < 1e-8
     assert doc["report"]["verdict"] == "optimal"
     assert doc["config"]["source.p"] == 0.5
+    assert "min_iter" not in doc["config"]
     assert len(doc["nu_star"]["weights"]) == 2
     assert doc["nu_star"]["labels"] == [0.0, 1.0]
 

@@ -9,7 +9,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["potentials_and_duality.py", "bernoulli_curve.py"])
+@pytest.mark.parametrize(
+    "demo", ["potentials_and_duality.py", "bernoulli_curve.py", "gaussian_slb.py"]
+)
 def test_demo_exits_cleanly(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

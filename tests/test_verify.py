@@ -49,7 +49,7 @@ def gaussian_point():
     n = len(src.grid)
     nu0 = ProbabilityVector(np.full(n, 1.0 / n), labels=src.grid)
     point = ba_fixed_point(
-        src.weights, dist, 2.0, nu0=nu0, tol=2e-5, max_iter=60000, min_iter=5000
+        src.weights, dist, 2.0, nu0=nu0, tol=2e-5, max_iter=60000
     )
     return src, dist, point
 
@@ -320,11 +320,15 @@ def test_compare_curve_window_and_empty():
 
 
 def test_gaussian_gap_is_tiny(gaussian_point):
+    # The optimum does not fix the census: laws certified optimal at this
+    # slope, with D and R equal to 1e-9, have 7 to 16 clusters, the largest
+    # holding 0.21 to 0.9996 of the mass.  So the test asks for the
+    # certificate, not for a cluster count.
     src, dist, point = gaussian_point
     assert point.converged
     assert abs(slb_gap(point, src, dist)) <= 5e-3
+    assert check_optimality(src.weights, dist, point.beta, point.nu_star).verdict == "optimal"
     census = support_atoms(point.nu_star)
-    assert len(census.clusters) == 1
     assert census.covered_mass >= 0.999
 
 
