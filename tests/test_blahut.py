@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import rdbridge.blahut as blahut
 from rdbridge.blahut import (
+    IP_TOL,
     NEWTON_TOL,
     ROW_SUM_FLOOR,
     RDCurve,
@@ -957,25 +958,51 @@ def uniform_mse(points: int):
     return spec.weights, squared_error(spec.grid, spec.grid)
 
 
-def test_a_target_solve_out_of_budget_is_flagged(capsys):
-    # 21-point uniform source under squared error, target 0.1: the solve
-    # takes 9 iterations.  With fewer it raises, its partial says so, and
-    # the CLI exits 2 with that partial point.
-    (mu, dist), target = uniform_mse(21), 0.1
-    assert solve_point_for_distortion(mu, dist, target).iterations > 8
-    for max_iter in (1, 8):
-        with pytest.raises(ConvergenceError) as info:
-            solve_point_for_distortion(mu, dist, target, max_iter=max_iter)
-        assert not info.value.partial.converged
-        assert info.value.partial.iterations == max_iter
-    argv = [
-        "point", "--source.kind", "uniform", "--source.points", "21", "--distortion.kind", "mse",
-        "--distortion", "0.1", "--max_iter", "8",
+# One DEBUG record per round of a target solve.
+ROUND_RECORD = re.compile(
+    r"round (\d+): (\d+) of (\d+) columns in play, (\d+) enter, (\d+) interior-point iterations"
+)
+
+
+def round_records(caplog) -> list[tuple[int, ...]]:
+    """(round, columns in play, columns, columns entering, iterations) of each round record."""
+    matches = (ROUND_RECORD.fullmatch(r.getMessage()) for r in caplog.records)
+    return [tuple(int(g) for g in m.groups()) for m in matches if m]
+
+
+def test_a_target_solve_out_of_budget_is_flagged(capsys, caplog):
+    # Uniform source under squared error.  With too few iterations the
+    # solve raises, its partial says so and carries a law on every column,
+    # and the CLI exits 2 with that partial point.
+    cases = [
+        # 21 columns: one round of 9 iterations.
+        (21, 0.1, 1e-9, (1, 8), 1),
+        # 201 columns at tol 1e-3: rounds of 7 and 9 iterations, so a
+        # budget of 12 runs out in round 2, on the columns round 1 priced in.
+        (201, 0.15, 1e-3, (1, 12), 2),
     ]
-    assert main(argv) == 2
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["converged"] is False
-    assert doc["iterations"] == 8
+    for points, target, tol, budgets, rounds in cases:
+        mu, dist = uniform_mse(points)
+        assert solve_point_for_distortion(mu, dist, target, tol=tol).iterations > budgets[-1]
+        for max_iter in budgets:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+                with pytest.raises(ConvergenceError) as info:
+                    solve_point_for_distortion(mu, dist, target, tol=tol, max_iter=max_iter)
+            assert not info.value.partial.converged
+            assert info.value.partial.iterations == max_iter
+            assert len(info.value.partial.nu_star) == points
+            assert len(round_records(caplog)) == (1 if max_iter == 1 else rounds)
+        argv = [
+            "point", "--source.kind", "uniform", "--source.points", str(points),
+            "--distortion.kind", "mse", "--tol", str(tol), "--distortion", str(target),
+            "--max_iter", str(budgets[-1]),
+        ]
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is False
+        assert doc["iterations"] == budgets[-1]
+        assert len(doc["nu_star"]["weights"]) == points
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
@@ -1086,16 +1113,121 @@ def test_target_solve_agrees_with_the_fixed_point_at_its_slope(instance):
     assert abs(value - (fixed.rate + fixed.beta * fixed.distortion)) <= 1e-8
 
 
-def test_target_search_on_the_201_point_uniform_source_takes_few_solves():
-    # At tol 1e-3, targets f * D_max with f in [0.35, 0.63] took 7-11
-    # interior-point iterations each, measured over 29 targets; the bound
-    # adds a margin of 3.
+@st.composite
+def wide_target_instances(draw):
+    """(mu, rho, target) with 71-161 columns, enough for the solve to run in rounds.
+
+    Either a uniform or Gaussian grid source under squared error, or a
+    random rho over 2-8 source atoms with one zero-mass atom and one +inf
+    loss.
+    """
+    m = 2 * draw(st.integers(35, 80)) + 1
+    kind = draw(st.sampled_from(["uniform", "gaussian", "random"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(2, 8))
+        weights = rng.uniform(0.05, 1.0, n)
+        weights[draw(st.integers(0, n - 1))] = 0.0
+        rho = rng.uniform(0.0, 3.0, (n, m))
+        rho[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = np.inf
+        mu, dist = ProbabilityVector(weights / weights.sum()), DistortionMatrix(rho)
+    else:
+        if kind == "uniform":
+            spec = discretize_uniform(-1.0, 1.0, m)
+        else:
+            spec = discretize_gaussian(1.0, points=m)
+        mu, dist = spec.weights, squared_error(spec.grid, spec.grid)
+    floor, (ceiling, _) = d_floor(mu, dist), d_max(mu, dist)
+    assume(ceiling < np.inf and ceiling - floor > 1e-6)
+    return mu, dist, floor + draw(st.floats(0.05, 1.0 - 1e-3)) * (ceiling - floor)
+
+
+def floor_rule_instance():
+    """Three source letters, each at loss 0 on a column of its own (1, 2 and 4,
+    none of them a start column) and 1 elsewhere, but 1/2 on column 0, the
+    D_max column.  The start columns reach no distortion below D_max = 1/2,
+    so the target 1/4 needs each row's cheapest column.
+    """
+    rho = np.ones((3, 101))
+    rho[:, 0] = 0.5
+    rho[[0, 1, 2], [1, 2, 4]] = 0.0
+    return ProbabilityVector(np.full(3, 1.0 / 3.0)), DistortionMatrix(rho), 0.25
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_target_instances())
+@example(floor_rule_instance())
+def test_target_solve_in_rounds_agrees_with_the_fixed_point_at_its_slope(instance):
+    # The referee of the n, m <= 5 test above, on alphabets where the solve
+    # prices columns: the law must also meet the stop rule's slack bound on
+    # every column, not only on those it solved on.
+    mu, dist, target = instance
+    tol = 1e-9
+    point = solve_point_for_distortion(mu, dist, target, tol=tol)
+    assert abs(point.distortion - target) <= 10.0 * tol * d_max(mu, dist)[0]
+    assert len(point.nu_star) == dist.shape[1]
+    tilt = _Tilt(mu, dist, point.beta, point.nu_star)
+    assert tilt.certificate(point.nu_star.weights, tilt.c)[2] <= min(tol, IP_TOL)
+    fixed = ba_fixed_point(mu, dist, point.beta, tol=1e-11, max_iter=1000000)
+    value = point.rate + point.beta * point.distortion
+    assert abs(value - (fixed.rate + fixed.beta * fixed.distortion)) <= 1e-8
+
+
+def test_target_search_on_the_201_point_uniform_source_takes_few_solves(caplog):
+    # At tol 1e-3, targets f * D_max with f in [0.35, 0.63] took 2 rounds
+    # of 6-10 interior-point iterations each, measured over 29 targets.  The
+    # bound of 14 per round is the one a single solve on every column had
+    # (7-11 iterations, plus a margin of 3).
     mu, dist = uniform_mse(201)
     ceiling, _ = d_max(mu, dist)
     for f in np.linspace(0.35, 0.63, 8):
-        point = solve_point_for_distortion(mu, dist, f * ceiling, tol=1e-3)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+            point = solve_point_for_distortion(mu, dist, f * ceiling, tol=1e-3)
         assert abs(point.distortion - f * ceiling) <= 10 * 1e-3 * ceiling
-        assert point.iterations <= 14, f
+        rounds = round_records(caplog)
+        assert len(rounds) <= 2, f
+        assert all(r[4] <= 14 for r in rounds), f
+        assert point.iterations == sum(r[4] for r in rounds)
+
+
+def test_a_full_support_target_ends_within_three_rounds(caplog):
+    # The 257-point Gaussian at 0.1 D_max has 165 atoms: once the priced
+    # set would cover half the alphabet, the next round solves on all of it.
+    spec = discretize_gaussian(1.0)
+    mu, dist = spec.weights, squared_error(spec.grid, spec.grid)
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        point = solve_point_for_distortion(mu, dist, 0.1 * d_max(mu, dist)[0], tol=1e-9)
+    assert point.converged
+    rounds = round_records(caplog)
+    assert len(rounds) <= 3
+    assert rounds[-1][1:3] == (257, 257)
+
+
+def test_each_target_solve_round_logs_one_record(capsys, caplog):
+    # The 201-point uniform target prices its columns once and solves again
+    # on those that entered; the Bernoulli target next to the D = D_max
+    # plateau (test_cli's PLATEAU_POINT) solves on both columns in one round.
+    uniform = [
+        "point", "--source.kind", "uniform", "--source.points", "201", "--distortion.kind", "mse",
+        "--tol", "1e-3", "--distortion", "0.15",
+    ]
+    plateau = ["point", "--source.p", "0.1", "--distortion", "0.0999"]
+    for argv, columns in ((uniform, 201), (plateau, 2)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+            assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rounds = round_records(caplog)
+        assert [r[0] for r in rounds] == list(range(1, len(rounds) + 1))
+        assert all(r[2] == columns for r in rounds)
+        assert sum(r[4] for r in rounds) == doc["iterations"]
+        assert rounds[-1][3] == 0
+        if columns == 2:
+            assert rounds == [(1, 2, 2, 0, doc["iterations"])]
+        else:
+            assert len(rounds) == 2
+            assert rounds[1][1] == rounds[0][1] + rounds[0][3] < columns
 
 
 def test_shifted_kernel_zeroes_all_forbidden_rows_in_place():
