@@ -2,9 +2,8 @@
 with the Shannon lower bound: R(D) = (1/2) ln(sigma^2 / D) everywhere.
 
 This sweeps a few slopes on a 257-point grid and prints the gap between
-the computed rate and the bound.  The sweep warms up each solve from the
-previous optimum, and Newton steps finish every solve at these tight
-tolerances.
+the computed rate and the bound.  At these tight tolerances every solve
+runs the fixed-slope interior point from the uniform law.
 
 Run:  python3 demos/gaussian_slb.py   (takes a few seconds)
 """
@@ -14,7 +13,6 @@ import numpy as np
 
 from rdbridge import (
     ProbabilityVector,
-    ba_fixed_point,
     discretize_gaussian,
     rd_curve,
     slb_gap,
@@ -28,22 +26,13 @@ def main():
     n = len(src.grid)
     print(f"N(0, 1) discretized to {n} points on [-6, 6]")
 
-    # A presolve at the first slope gives the sweep a sane starting law.
-    pre = ba_fixed_point(
-        src.weights,
-        dist,
-        1.0,
-        nu0=ProbabilityVector(np.full(n, 1.0 / n), labels=src.grid),
-        tol=3e-6,
-        max_iter=60000,
-    )
     curve = rd_curve(
         src.weights,
         dist,
         np.geomspace(1.0, 10.0, 8),
         tol=2e-5,
         max_iter=300000,
-        nu0=pre.nu_star,
+        nu0=ProbabilityVector(np.full(n, 1.0 / n), labels=src.grid),
     )
 
     print(f"{'beta':>8} {'D':>10} {'R':>10} {'(1/2)ln(1/D)':>14} {'SLB gap':>10} {'iters':>8}")

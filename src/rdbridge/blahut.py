@@ -1,4 +1,4 @@
-"""Blahut-Arimoto fixed-point solver and parametric curve sweep.
+"""Blahut-Arimoto fixed-point solver, second-order fixed-slope solves and curve sweeps.
 
 For a trade-off slope beta >= 0 the alternating update is
 
@@ -18,29 +18,22 @@ x' = x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|), and backtracks a to
 or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x2).  A kept x' is
 followed by one plain map, kept unless it raises F; on two atoms x'
 itself starts the next cycle.  The plain map never raises F, so F is
-nonincreasing along the iteration.  A solve that Newton steps finish
-extrapolates only on two atoms.
+nonincreasing along the iteration.
 
-Blahut-Arimoto is a first-order method and slows down without bound at
-critical slopes and on sparse optimal laws.  A solve with a tight
-tolerance (tol <= NEWTON_TOL) therefore runs it in two phases:
-
-1. Blahut-Arimoto, until the slack max_j c_j - 1 falls to
-   HANDOVER_SLACK;
-2. projected Newton steps on f(x) = F(x) + sum_j x_j over x >= 0, whose
-   minimiser is the optimal law (it sums to 1).  This is the NPMLE
-   mixture likelihood, and the steps follow mixSQP (Kim, Carbonetto,
-   Stephens & Anitescu, JCGS 2020): each solves the quadratic model of f
-   over y >= 0 by an active-set method warm-started from the current
-   support, and the full step to its minimiser is taken if it does not
-   raise f.
-
-A looser tolerance never leaves phase 1.  A failed Newton step hands the
-solve back to phase 1 for good.
+The optimal law at a fixed slope minimises f(x) = F(x) + sum_j x_j over
+x >= 0, whose minimiser sums to 1: the mixture likelihood of the
+Kiefer-Wolfowitz NPMLE.  Blahut-Arimoto is a first-order method on it and
+slows down without bound at critical slopes and on sparse optimal laws,
+so a solve with a tight tolerance (tol <= SECOND_ORDER_TOL) takes
+second-order steps instead.  On two reconstruction columns f depends on
+one weight and is minimised exactly, by safeguarded Newton steps in a
+bisection bracket.  On three or more it runs the primal-dual
+interior-point method of the target solve below with beta held fixed, as
+Koenker & Mizera (JASA 2014) solve the NPMLE.
 
 A point at a target distortion is a saddle point over the law and beta
-together, solved by a primal-dual interior-point method on the same mixture
-likelihood, in rounds on the reconstruction columns in play
+together, solved by the same interior-point method with beta free, in
+rounds on the reconstruction columns in play
 (``solve_point_for_distortion``).
 """
 from __future__ import annotations
@@ -62,29 +55,19 @@ logger = logging.getLogger(__name__)
 SUPPORT_FLOOR = 1e-300
 # Uniform mass mixed into the previous optimum when warm-starting a sweep.
 WARM_START_MIX = 1e-6
-# Solves with tol at or below NEWTON_TOL hand over from Blahut-Arimoto to
-# projected Newton steps once the slack has fallen to HANDOVER_SLACK.  Such
-# a solve extrapolates only on two atoms: on more, extrapolated laws leave
-# atoms of small mass far from equilibrium, and the Newton QP then changes
-# its active set by tens of atoms per step.
-NEWTON_TOL = 1e-4
-HANDOVER_SLACK = 1e-3
-# An atom of zero mass enters a Newton step only if c_j >= 1 - CANDIDATE_GAP.
-CANDIDATE_GAP = 1e-2
-# Ridge added to the Newton Hessian: RIDGE times its largest diagonal entry
-# in a Newton step, RIDGE times each diagonal entry in an interior-point one.
+# Solves with tol at or below SECOND_ORDER_TOL take second-order steps
+# (an exact two-column solve, or the interior point) instead of
+# Blahut-Arimoto.
+SECOND_ORDER_TOL = 1e-4
+# Ridge added to the interior-point Newton matrix: RIDGE times each
+# diagonal entry.
 RIDGE = 1e-12
-# The Newton QP ends once no atom held at zero lowers its model at a rate
-# above max(tol / 10, QP_TOL_FLOOR), and fails after more than
-# 2 m + QP_CHANGE_SLACK active-set changes on m candidate atoms.
-QP_TOL_FLOOR = 1e-14
-QP_CHANGE_SLACK = 10
-# A target-distortion solve drives its optimality measures to
-# min(tol, IP_TOL).  Each step goes at most BOUNDARY_STEP of the way to the
+# A second-order solve drives its optimality measures to min(tol, IP_TOL).
+# An interior-point step goes at most BOUNDARY_STEP of the way to the
 # boundary of x, s, beta, lambda >= 0 and at most ROW_STEP of the way to a
-# zero row sum K x, and moves beta by a factor of at most BETA_STEP; after
-# an iteration that did not lower the complementarity gap the centring
-# parameter is at least STALL_SIGMA.
+# zero row sum K x, and moves a free beta by a factor of at most BETA_STEP;
+# after an iteration that did not lower the complementarity gap the
+# centring parameter is at least STALL_SIGMA.
 IP_TOL = 1e-9
 BOUNDARY_STEP = 0.995
 ROW_STEP = 0.9
@@ -402,191 +385,21 @@ def _gram(ker: np.ndarray, mu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     return a.T @ a, z
 
 
-def _nonneg_qp(h: np.ndarray, b: np.ndarray, y: np.ndarray, tol: float, max_changes: int):
-    """Minimise y'hy/2 - b'y over y >= 0 by Lawson and Hanson's active set.
-
-    ``h`` must be positive definite.  The passive (free) set starts as the
-    support of the feasible start ``y``, and its block of ``h`` is factored
-    afresh after every change of the set.  The solve ends once no
-    variable held at zero can lower the objective at a rate above ``tol``.
-
-    Returns (y, passive set size, set changes), or None when the set
-    changes more than ``max_changes`` times or the factor breaks down.
-    """
-    # scipy.linalg takes about 60 ms to import, and only solves with a
-    # tight tol reach this point.
-    from scipy.linalg import lapack
-
-    y = y.copy()
-    passive = np.flatnonzero(y > 0)
-    changes = 0
-    while changes <= max_changes:
-        z, info = b[:0], 0
-        if len(passive):
-            r, info = lapack.dpotrf(h[passive][:, passive])
-            if not info:
-                z, info = lapack.dpotrs(r, b[passive])
-        if info:
-            return None
-        if np.all(z > 0.0):
-            y[:] = 0.0
-            y[passive] = z
-            gain = b - h @ y
-            gain[passive] = -np.inf
-            j = int(np.argmax(gain))
-            if not gain[j] > tol:
-                return y, len(passive), changes
-            passive = np.append(passive, j)
-            changes += 1
-        else:
-            # Move towards z until the first free variable reaches zero,
-            # and bind every variable that did.
-            yp = y[passive]
-            neg = np.flatnonzero(z <= 0.0)
-            ratios = yp[neg] / (yp[neg] - z[neg])
-            first = neg[np.argmin(ratios)]
-            yp += ratios.min() * (z - yp)
-            yp[first] = 0.0
-            leave = yp <= 0.0
-            y[passive] = np.maximum(yp, 0.0)
-            passive = passive[~leave]
-            changes += int(leave.sum())
-    return None
-
-
-def ba_fixed_point(
-    mu: ProbabilityVector,
-    dist: DistortionMatrix,
-    beta: float,
-    nu0: ProbabilityVector | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 5000,
+def _blahut_arimoto(
+    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu0: ProbabilityVector | None,
+    tol: float, max_iter: int,
 ) -> RDPoint:
-    """Solve for the optimal reconstruction law at a single trade-off slope.
+    """The Blahut-Arimoto solve of ``ba_fixed_point``, from nu0 (uniform if None).
 
-    Blahut-Arimoto runs in the extrapolation cycles of the module
-    docstring around the plain update nu <- nu * c (renormalized).
-    ``iterations`` counts update-factor evaluations (two matrix-vector
-    products each: the start law, every plain update and every candidate
-    tried; not the re-evaluation after support pinning) plus Newton
-    steps, and ``max_iter`` bounds that count.
-
-    The stop rule is that of the plain iteration, tested at every law
-    reached by a plain update or a Newton step, never at a candidate: the
-    fixed-point residual (the sup-norm change the plain update makes to
-    nu) and the dual certificate slack, both at the current nu, must fall
-    to ``tol``; the returned law is then the plain update of that nu, as
-    it is when the budget runs out, and its own slack must be at most
-    ``tol`` too, or the update stands as an ordinary one.  Where no
-    candidate is kept the solve ends exactly where the plain iteration
-    would.  Atoms that decay below ``SUPPORT_FLOOR`` are pinned to exact
-    zero and never revived by a Blahut-Arimoto step.
-
-    With ``tol <= NEWTON_TOL`` the solve hands over to projected Newton
-    steps once the slack is at most ``HANDOVER_SLACK`` at any law whose c
-    is known, a kept extrapolated one included.  A Newton step works on
-    the candidate atoms (nu_j > 0, or c_j >= 1 - CANDIDATE_GAP, so an atom
-    may come back): with A = diag(sqrt(mu) / K nu) K on those columns and
-    H = A'A, it solves min y'Hy/2 - (2c - 1)'y over y >= 0 by Lawson and
-    Hanson's active set started from supp(nu), factoring the free block of
-    H afresh after each change of the set; then it takes the full step to
-    y if f falls along y - nu and is no higher at y.  The new law is
-    normalized, which never raises f or F.  The stop rule, the plain last
-    step and support pinning are those of the Blahut-Arimoto phase.  A QP
-    that breaks down or a step that would raise f ends the Newton phase,
-    and Blahut-Arimoto goes on from the last law.  HANDOVER_SLACK lies
-    above NEWTON_TOL, so a tight solve can stop at a law of Blahut-Arimoto
-    only at the hand-over itself or after a failed Newton step.
-
-    At beta = 0 the answer is the beta -> 0+ limit.  With D_max finite it
-    is the zero-rate end of the curve, whatever ``nu0``: all mass on the
-    column attaining D_max (the smallest index on ties), D = D_max, R = 0
-    and 0 iterations.  Otherwise the solve iterates as at any slope.
-
-    Every evaluation, the final certificate included, is one ``_Tilt``'s:
-    two matrix products with a kernel cached once per call, or per-row
-    logsumexp in the rare event a row sum falls below ROW_SUM_FLOOR.
-    Outside that fallback, support pinning and Newton steps, the loop
-    allocates no arrays: every step writes into buffers made once per
-    call.
-
-    Args:
-        nu0: initial reconstruction law (defaults to the uniform law,
-            unlabelled); must be strictly positive on its intended
-            support.
-        tol: joint threshold for the fixed-point residual and slack.
-        max_iter: iteration budget, at least 1.
-
-    Raises:
-        ConvergenceError: budget exhausted before both residuals reached
-            ``tol``; the partial RDPoint is attached as ``.partial``.
+    Returns the point, unlabelled, whether or not it converged.
     """
-    _check_compat(mu, dist, beta, nu0)
-    n = dist.shape[1]
-    labels = None if nu0 is None else nu0.labels
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
-
-    if beta == 0:
-        ceiling, col = d_max(mu, dist)
-        if ceiling < math.inf:
-            nu_star = ProbabilityVector(np.arange(n) == col, labels=labels)
-            tilt = _Tilt(mu, dist, 0.0, nu_star)
-            distortion, rate, slack, _ = tilt.certificate(nu_star.weights, tilt.c)
-            return RDPoint(0.0, distortion, rate, nu_star, 0, 0.0, slack)
-
     tilt = _Tilt(mu, dist, beta)
     evaluate = tilt.evaluate
+    n = dist.shape[1]
 
     def support_masks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         dead = x == 0
         return dead, ~dead, bool(dead.any())
-
-    qp_tol = max(0.1 * tol, QP_TOL_FLOOR)
-
-    def newton_step(x: np.ndarray, c_x: np.ndarray, c_out: np.ndarray):
-        """One projected Newton step on f(x) = F(x) + sum(x) from the normalized law x.
-
-        Returns (next law, normalized; its F; free atoms; active-set
-        changes) and writes c at the next law to c_out, or returns None
-        when the QP fails or the full step would raise f.
-        """
-        cand = (x > 0) | (c_x >= 1.0 - CANDIDATE_GAP)
-        sub = tilt.ker[:, cand]
-        xc = x[cand]
-        h, z = _gram(sub, tilt.mu, xc)
-        ridge = RIDGE * h.diagonal().max()
-        h.flat[:: len(xc) + 1] += ridge
-        # The gradient of f is 1 - c and h x = c, so the Newton model of f
-        # is y'hy/2 - (2c - 1)'y; the ridge damps the step without moving
-        # its fixed point.
-        b = 2.0 * c_x[cand] - 1.0 + ridge * xc
-        if not (math.isfinite(ridge) and np.isfinite(b).all()):
-            return None  # a row sum underflowed or c overflowed
-        solved = _nonneg_qp(h, b, xc, qp_tol, 2 * len(xc) + QP_CHANGE_SLACK)
-        if solved is None:
-            return None
-        y, free, changes = solved
-        d = y - xc
-        # The slope of f along d and f(x + d) - f(x), taken from K d
-        # directly: their own size, not that of f, sets their rounding
-        # error, so the test still sees a decrease far below f's rounding.
-        ratio = (sub @ d) / z
-        mass = d.sum()
-        if not mass - float(tilt.mu @ ratio) < 0.0:
-            return None
-        if not mass - float(tilt.mu @ np.log1p(ratio)) <= 0.0:
-            return None
-        # y >= 0, so xc + d, rounded, is too.
-        trial = np.zeros(n)
-        trial[cand] = xc + d
-        f_t = evaluate(trial, c_out, strict=False)
-        s = trial.sum()
-        trial /= s
-        c_out *= s
-        return trial, f_t + math.log(s), free, changes
 
     nu = np.full(n, 1.0 / n) if nu0 is None else nu0.weights.copy()
     c, c_trial, plain, trial, r, v = (np.empty(n) for _ in range(6))
@@ -596,14 +409,7 @@ def ba_fixed_point(
     maps = accepted = backtracks = rejected = 0
     residual = float("inf")
     shrunk = 0
-    newton = newton_bound = tol <= NEWTON_TOL
-    in_newton = handed_over = jumped = False
-
-    def phase_1_ends(how: str) -> None:
-        logger.debug(
-            "iteration %d: %s; %d extrapolations accepted, %d backtracks, "
-            "%d stabilizing maps rejected", iterations, how, accepted, backtracks, rejected
-        )
+    jumped = False
 
     # Every overflow, underflow and 0 * inf in the loop is either masked
     # out (dead columns) or lands in a candidate whose F is not finite,
@@ -615,9 +421,6 @@ def ba_fixed_point(
         while True:
             # c and f belong to nu, and ``iterations`` evaluations are spent.
             slack = float(c.max()) - 1.0
-            if newton and not in_newton and slack <= HANDOVER_SLACK:
-                in_newton = handed_over = True
-                phase_1_ends(f"slack {slack:.3e}, handing over to Newton steps")
             # Dead columns can carry an infinite update factor (their dual
             # constraint is violated without bound); they hold zero mass,
             # and no Blahut-Arimoto step revives them.
@@ -632,43 +435,20 @@ def ba_fixed_point(
                 np.subtract(plain, nu, out=trial)
                 residual = float(np.abs(trial, out=trial).max())
                 final = residual <= tol or iterations >= max_iter
-            stepped = None
-            if in_newton and not final:
-                stepped = newton_step(nu, c, c_trial)
-                if stepped is None:
-                    in_newton = newton = False
-                    logger.debug(
-                        "iteration %d: Newton step failed, back to Blahut-Arimoto",
-                        iterations + 1,
-                    )
             extrapolated = False
             if final:
                 nu, plain = plain, nu
-            elif stepped is not None:
-                nu, f, free, changes = stepped
-                c, c_trial = c_trial, c
-                iterations += 1
-                maps = 0
-                dead, alive, has_dead = support_masks(nu)
-                logger.debug(
-                    "iteration %d: Newton step, %d free atoms after %d active-set changes",
-                    iterations,
-                    free,
-                    changes,
-                )
             elif maps == 2:
                 # Squared extrapolation from x0, x1 = G(x0) and nu = G(x1).  On
                 # two atoms the law has one degree of freedom and no other
-                # mode to amplify: a Newton-bound solve extrapolates too, and
-                # a kept candidate starts the next cycle.
+                # mode to amplify: a kept candidate starts the next cycle.
                 x0, x1 = cycle
                 np.subtract(x1, x0, out=r)
                 np.subtract(nu, x1, out=v)
                 v -= r
                 ratio = math.sqrt((r @ r) / (v @ v))
                 one_mode = np.count_nonzero(alive) == 2
-                extrapolate = one_mode or not newton_bound
-                alpha = -ratio if extrapolate and 1.0 < ratio < math.inf else -1.0
+                alpha = -ratio if 1.0 < ratio < math.inf else -1.0
                 while alpha < -1.0 and iterations + 2 <= max_iter:
                     np.multiply(v, alpha * alpha, out=trial)
                     trial += x0
@@ -692,7 +472,7 @@ def ba_fixed_point(
                     c, c_trial = c_trial, c
                     f, f_kept = f_trial, f
                     maps = 0 if one_mode else -1
-            if not (final or stepped is not None or extrapolated):
+            if not (final or extrapolated):
                 cycle[maps], nu, plain = nu, plain, cycle[maps]
                 f = evaluate(nu, c)
                 iterations += 1
@@ -724,34 +504,206 @@ def ba_fixed_point(
                         f = evaluate(nu, c)
                 dead, alive, has_dead = support_masks(nu)
             if final:
-                nu_star = ProbabilityVector(nu / nu.sum(), labels=labels)
+                law = nu / nu.sum()
                 # c_trial holds nothing the loop needs once the stop rule fired.
-                evaluate(nu_star.weights, c_trial)
-                distortion, rate, slack_final, _ = tilt.certificate(nu_star.weights, c_trial)
+                evaluate(law, c_trial)
+                distortion, rate, slack_final, _ = tilt.certificate(law, c_trial)
                 if slack_final <= tol or iterations >= max_iter:
                     break
                 # The law to be returned misses tol: it stands as a plain map.
                 f = evaluate(nu, c)
                 iterations += 1
                 maps = 0
-    if not handed_over:
-        phase_1_ends("Blahut-Arimoto stops")
+    logger.debug(
+        "iteration %d: Blahut-Arimoto stops; %d extrapolations accepted, %d backtracks, "
+        "%d stabilizing maps rejected", iterations, accepted, backtracks, rejected
+    )
     if shrunk:
         logger.debug("support shrank by %d atoms in total", shrunk)
-    point = RDPoint(
+    return RDPoint(
         beta=float(beta),
         distortion=distortion,
         rate=rate,
-        nu_star=nu_star,
+        nu_star=ProbabilityVector(law),
         iterations=iterations,
         fixpoint_residual=residual,
         certificate_slack=slack_final,
         converged=residual <= tol and slack_final <= tol,
     )
+
+
+def _two_columns(
+    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, eps: float, max_iter: int
+) -> RDPoint:
+    """The fixed-slope solve of ``ba_fixed_point`` on one or two columns.
+
+    On two columns the law is (t, 1 - t), and t maximises
+    g(t) = sum_i mu_i ln(t a_i + (1 - t) b_i), where a and b are the
+    columns of the ``_Tilt`` kernel.  g is concave, and the signs of g'
+    seen so far bracket its maximiser.  From t = 1/2 each step is the
+    Newton step on g' = 0; one that leaves the bracket goes to the end
+    t = 1 or t = 0 it passed, once, if every row sum is positive there,
+    and to the bracket's midpoint otherwise.  Steps stop once the slack
+    and the residual at the law are at most ``eps``, or after
+    ``max_iter`` of them.  One column is the trivial law, with no step.
+    Returns the point, unlabelled, whether or not it converged.
+    """
+    tilt = _Tilt(mu, dist, beta)
+    n = dist.shape[1]
+    x, c = np.full(n, 1.0 / n), np.empty(n)
+    lo, hi = 0.0, 1.0
+    a, b = tilt.ker[:, 0], tilt.ker[:, -1]
+    d = a - b
+    # The ends that may still be tried.
+    ends = {0.0: b.min() > 0.0, 1.0: a.min() > 0.0}
+    iterations = 0
+    while True:
+        distortion, rate, slack, residual = _stop_values(tilt, x, c)
+        done = slack <= eps and residual <= eps
+        if done or n == 1 or iterations >= max_iter:
+            break
+        t = float(x[0])
+        # Z is formed as t a + (1 - t) b: b + t (a - b) rounds to 0 at
+        # t = 1 when a << b.  Where a row sum is tiny the curvature
+        # overflows, and a step that is not finite goes to the bracket.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = d / (t * a + (1.0 - t) * b)
+            slope = float(tilt.mu @ ratio)
+            step = t + slope / float(tilt.mu @ (ratio * ratio))
+        if slope > 0.0:
+            lo = t
+        else:
+            hi = t
+        if not lo < step < hi:
+            end = hi if step >= hi else lo
+            if ends.get(end, False):
+                ends[end] = False
+                step = end
+            else:
+                step = 0.5 * (lo + hi)
+        x = np.array([step, 1.0 - step])
+        iterations += 1
+    return RDPoint(
+        float(beta), distortion, rate, ProbabilityVector(x), iterations, residual, slack, done
+    )
+
+
+def ba_fixed_point(
+    mu: ProbabilityVector,
+    dist: DistortionMatrix,
+    beta: float,
+    nu0: ProbabilityVector | None = None,
+    tol: float = 1e-9,
+    max_iter: int = 5000,
+) -> RDPoint:
+    """Solve for the optimal reconstruction law at a single trade-off slope.
+
+    With ``tol > SECOND_ORDER_TOL``, Blahut-Arimoto runs from ``nu0`` in
+    the extrapolation cycles of the module docstring around the plain
+    update nu <- nu * c (renormalized).  ``iterations`` counts
+    update-factor evaluations (two matrix-vector products each: the start
+    law, every plain update and every candidate tried; not the
+    re-evaluation after support pinning), and ``max_iter`` bounds that
+    count.  The stop rule is that of the plain iteration, tested at every
+    law reached by a plain update, never at a candidate: the fixed-point
+    residual (the sup-norm change the plain update makes to nu) and the
+    dual certificate slack, both at the current nu, must fall to ``tol``;
+    the returned law is then the plain update of that nu, as it is when
+    the budget runs out, and its own slack must be at most ``tol`` too, or
+    the update stands as an ordinary one.  Where no candidate is kept the
+    solve ends exactly where the plain iteration would.  Atoms that decay
+    below ``SUPPORT_FLOOR`` are pinned to exact zero and never revived.
+    Outside support pinning and the log-domain fallback of ``_Tilt``, the
+    loop allocates no arrays: every step writes into buffers made once per
+    call.
+
+    With ``tol <= SECOND_ORDER_TOL`` the solve takes second-order steps
+    from the uniform law, whatever ``nu0`` (which then gives only the
+    labels), on the columns that some row of positive mass reaches with a
+    finite loss; the others get zero mass.  On one or two such columns it
+    is the exact solve of ``_two_columns``, and on three or more the
+    interior-point core of ``solve_point_for_distortion`` with beta held
+    fixed (no beta row, and lambda = 0).  Both stop once the slack and the
+    fixed-point residual of the law are at most min(tol, IP_TOL), the
+    interior point once its gap x.s and every min(x_j / sum(x), s_j) are
+    too.  ``iterations`` counts the steps (factorizations, on the interior
+    point), and ``max_iter`` bounds them.  An interior-point Newton system
+    that cannot be solved ends the solve at the iterate it would have
+    moved.  One DEBUG record per solve names the path and gives its
+    iterations, slack and residual.
+
+    At beta = 0 the answer is the beta -> 0+ limit.  With D_max finite it
+    is the zero-rate end of the curve, whatever ``nu0``: all mass on the
+    column attaining D_max (the smallest index on ties), D = D_max, R = 0
+    and 0 iterations.  Otherwise the solve iterates as at any slope.
+
+    Every evaluation, the final certificate included, is one ``_Tilt``'s:
+    two matrix products with a kernel cached once per call, or per-row
+    logsumexp in the rare event a row sum falls below ROW_SUM_FLOOR.
+
+    Args:
+        nu0: initial reconstruction law of a Blahut-Arimoto solve
+            (defaults to the uniform law, unlabelled); must be strictly
+            positive on its intended support.  Its labels label the answer.
+        tol: joint threshold for the fixed-point residual and slack.
+        max_iter: iteration budget, at least 1.
+
+    Raises:
+        ConvergenceError: the stop rule was not met within the budget, or
+            an interior-point Newton system could not be solved; the
+            partial RDPoint is attached as ``.partial``.
+    """
+    _check_compat(mu, dist, beta, nu0)
+    n = dist.shape[1]
+    labels = None if nu0 is None else nu0.labels
+    if tol <= 0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+
+    if beta == 0:
+        ceiling, col = d_max(mu, dist)
+        if ceiling < math.inf:
+            nu_star = ProbabilityVector(np.arange(n) == col, labels=labels)
+            tilt = _Tilt(mu, dist, 0.0, nu_star)
+            distortion, rate, slack, _ = tilt.certificate(nu_star.weights, tilt.c)
+            return RDPoint(0.0, distortion, rate, nu_star, 0, 0.0, slack)
+
+    failure = ""
+    if tol > SECOND_ORDER_TOL:
+        how = "Blahut-Arimoto"
+        point = _blahut_arimoto(mu, dist, beta, nu0, tol, max_iter)
+    else:
+        eps = min(tol, IP_TOL)
+        # Columns that no row of positive mass reaches have c = 0 at every
+        # law and carry no mass at the optimum: the solve leaves them out.
+        # With none reached, the first evaluation names a row.
+        cols = np.flatnonzero(np.isfinite(dist.rho[mu.weights > 0]).any(axis=0))
+        part = dist if len(cols) in (0, n) else DistortionMatrix(dist.rho[:, cols])
+        if part.shape[1] > 2:
+            how = "the interior point"
+            point, _, failure = _saddle_point(mu, part, beta, eps, max_iter)
+        else:
+            how = "the two-column solve"
+            point = _two_columns(mu, part, beta, eps, max_iter)
+        if part is not dist:
+            law, c = np.zeros(n), np.empty(n)
+            law[cols] = point.nu_star.weights
+            distortion, rate, slack, residual = _stop_values(_Tilt(mu, dist, beta), law, c)
+            point = RDPoint(
+                point.beta, distortion, rate, ProbabilityVector(law), point.iterations,
+                residual, slack, point.converged,
+            )
+        logger.debug(
+            "fixed slope %.17g: %s ends after %d iterations, slack %.3e, residual %.3e",
+            beta, how, point.iterations, point.certificate_slack, point.fixpoint_residual,
+        )
+    point.nu_star = ProbabilityVector(point.nu_star.weights, labels=labels)
     if not point.converged:
         raise ConvergenceError(
-            f"Blahut-Arimoto did not converge at beta={beta:g} within "
-            f"{max_iter} iterations (residual {residual:.3e}, slack {slack_final:.3e})",
+            f"{failure}{how} did not converge at beta={beta:g} within {max_iter} "
+            f"iterations (residual {point.fixpoint_residual:.3e}, "
+            f"slack {point.certificate_slack:.3e})",
             partial=point,
         )
     return point
@@ -769,9 +721,11 @@ def rd_curve(
     """Sweep a strictly increasing beta schedule into an RDCurve.
 
     The points are solved in schedule order.  With ``warm_start`` (the
-    default) each solve starts from the previous optimum mixed with
-    ``WARM_START_MIX`` uniform mass; without it every solve starts from
-    ``nu0``.  A beta of 0 gives ``ba_fixed_point``'s beta -> 0+ limit.
+    default) each Blahut-Arimoto solve starts from the previous optimum
+    mixed with ``WARM_START_MIX`` uniform mass; without it every solve
+    starts from ``nu0``.  Solves with ``tol <= SECOND_ORDER_TOL`` start
+    from the uniform law either way (``ba_fixed_point``).  A beta of 0
+    gives ``ba_fixed_point``'s beta -> 0+ limit.
 
     Points whose solve exhausts its budget are kept with
     ``converged=False`` rather than aborting the sweep.
@@ -819,74 +773,88 @@ def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, fl
 
 
 def _saddle_point(
-    mu: ProbabilityVector, dist: DistortionMatrix, target: float, band: float, eps: float,
-    spread: float, max_iter: int,
+    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, eps: float, max_iter: int,
+    target: float | None = None, band: float = 0.0, spread: float = 0.0,
 ) -> tuple[RDPoint, float, str]:
-    """The interior-point solve of ``solve_point_for_distortion`` on the columns of ``dist``.
+    """The interior-point solve on the columns of ``dist``, from the uniform law at ``beta``.
 
-    Returns (point, complementarity gap, failure): ``point.converged`` says
-    whether the stop rule was met within ``max_iter`` iterations, and
-    ``failure`` names a Newton system that could not be solved.
+    With a ``target`` it is the saddle-point solve of
+    ``solve_point_for_distortion``, and beta moves.  Without one, beta
+    stays fixed: the beta row is left out and lambda = 0, so that the solve
+    is the fixed-slope one of ``ba_fixed_point``.  Returns (point,
+    complementarity gap, failure): ``point.converged`` says whether the
+    stop rule was met within ``max_iter`` iterations, and ``failure`` names
+    a Newton system that could not be solved.
     """
     # scipy.linalg takes about 60 ms to import; only a solve loads it.
     from scipy.linalg import lapack
 
+    free = target is not None
     n = dist.shape[1]
     x = np.full(n, 1.0 / n)
-    beta = 1.0 / spread
     c = np.empty(n)
     s = None
+    lam = 0.0
     iterations = 0
     failure = ""
     last_gap = math.inf
+    tilt = None
     while True:
-        tilt = _Tilt(mu, dist, beta)
+        if free or tilt is None:
+            tilt = _Tilt(mu, dist, beta)
         mass = x.sum()
         law = x / mass
         distortion, rate, slack, residual = _stop_values(tilt, law, c)
         # c at x, whose mass is not 1 before the solve ends.
         c_x = c / mass
-        miss = distortion - target
+        miss = distortion - target if free else 0.0
         if s is None:
             s = np.maximum(1.0 - c_x, 0.0) + 1e-2
-            lam = max(-miss, 0.0) + 1e-2 * spread
+            if free:
+                lam = max(-miss, 0.0) + 1e-2 * spread
         gap = float(x @ s) + beta * lam
         worst = max(gap, slack, residual, np.minimum(law, s).max())
         done = bool(abs(miss) <= band and worst <= eps)
         if done or iterations >= max_iter:
             break
-        rho = tilt.dist.rho if tilt.full else tilt.dist.rho[tilt.live]
         ker = tilt.ker
         m, z = _gram(ker, tilt.mu, x)
-        w = tilt.mu / z
-        # 0 * inf guard: forbidden pairs carry no kernel mass.
-        allowed = ker > 0.0
-        loss = np.multiply(ker, rho, out=np.zeros_like(ker), where=allowed)
-        d = (loss @ x) / z
-        g = (w * d) @ ker - w @ loss
-        dev = np.subtract(rho, d[:, None], out=np.zeros_like(ker), where=allowed)
-        v = float(w @ ((ker * dev * dev) @ x))
+        if free:
+            rho = tilt.dist.rho if tilt.full else tilt.dist.rho[tilt.live]
+            w = tilt.mu / z
+            # 0 * inf guard: forbidden pairs carry no kernel mass.
+            allowed = ker > 0.0
+            loss = np.multiply(ker, rho, out=np.zeros_like(ker), where=allowed)
+            d = (loss @ x) / z
+            g = (w * d) @ ker - w @ loss
+            dev = np.subtract(rho, d[:, None], out=np.zeros_like(ker), where=allowed)
+            v = float(w @ ((ker * dev * dev) @ x))
         m.flat[:: n + 1] += s / x
         m.flat[:: n + 1] *= 1.0 + RIDGE
         factor, info = lapack.dpotrf(m)
-        m_g = lapack.dpotrs(factor, g)[0]
-        schur = float(g @ m_g) + v + lam / beta
+        if free:
+            m_g = lapack.dpotrs(factor, g)[0]
+            schur = float(g @ m_g) + v + lam / beta
         r_dual = c_x + s - 1.0
 
         def newton(r_comp: np.ndarray, r_beta: float):
             """(dx, ds, dbeta, dlambda) for the complementarity targets r_comp and r_beta."""
             m_r = lapack.dpotrs(factor, r_dual + r_comp / x)[0]
+            if not free:
+                return m_r, (r_comp - s * m_r) / x, 0.0, 0.0
             d_beta = (miss + lam + r_beta / beta - g @ m_r) / schur
             dx = m_r + m_g * d_beta
             return dx, (r_comp - s * dx) / x, d_beta, (r_beta - lam * d_beta) / beta
 
-        mean = gap / (n + 1)
+        # A fixed beta takes its (beta, lambda) pair out of the gap.
+        pairs = n + free
+        mean = gap / pairs
         dx, ds, d_beta, d_lam = newton(-x * s, -beta * lam)
         primal = min(1.0, _boundary(np.append(x, beta), np.append(dx, d_beta)))
         dual = min(1.0, _boundary(np.append(s, lam), np.append(ds, d_lam)))
         affine = (x + primal * dx) @ (s + dual * ds)
         affine += (beta + primal * d_beta) * (lam + dual * d_lam)
-        sigma = (affine / (n + 1) / mean) ** 3
+        sigma = (affine / pairs / mean) ** 3
         if gap >= last_gap:
             sigma = max(sigma, STALL_SIGMA)
         last_gap = gap
@@ -1004,7 +972,7 @@ def solve_point_for_distortion(
         whole = len(cols) == n
         point, gap, failure = _saddle_point(
             mu, dist if whole else DistortionMatrix(dist.rho[:, cols]),
-            target, band, eps, spread, max_iter - iterations,
+            1.0 / spread, eps, max_iter - iterations, target, band, spread,
         )
         solved, spent = point.converged, point.iterations
         iterations += spent

@@ -93,27 +93,29 @@ def test_criterion_1_bernoulli_curve_matches_closed_form(bernoulli_fixture):
     assert table.shape[0] >= 8
     assert max_err <= 1e-6
     assert wall < 1.0
-    # Machine-independent budget, set at 548 iterations plus a 15% margin.
-    # The sweep needs 246 today (update-factor evaluations plus Newton
-    # steps); Blahut-Arimoto alone needed 2,330.
+    # Machine-independent budget: the 30 two-column Newton steps the sweep
+    # takes (one per beta) plus a 15% margin.  Blahut-Arimoto finished by
+    # Newton steps on a QP needed 246 iterations (evaluations plus steps),
+    # and Blahut-Arimoto alone 2,330.
     iterations = sum(p.iterations for p in curve.points)
-    assert iterations <= 630
+    assert iterations <= 35
     print(
         f"criterion 1: PASS (max |R - closed form| = {max_err:.3e} over "
         f"{table.shape[0]} points with D in [0.01, 0.29], sweep wall {wall:.2f}s, "
-        f"{iterations} iterations <= 630)"
+        f"{iterations} iterations <= 35)"
     )
 
 
 def test_criterion_2_gaussian_curve_meets_lower_bound(gaussian_solves):
     src, dist, curve, wall, iterations = gaussian_solves
     assert wall < 30.0
-    # Machine-independent budget, set at the 2,546 iterations (update-factor
-    # evaluations plus Newton steps, pre-solve plus sweep) measured when
-    # Newton steps began to finish every solve at tol <= 1e-4, plus a 15%
-    # margin.  Blahut-Arimoto alone needed 228,538 evaluations with a capped
-    # step, and the plain iteration 412,926.
-    assert iterations <= 2_928
+    # Machine-independent budget: the 178 fixed-slope interior-point
+    # iterations (pre-solve plus sweep, each solve cold from the uniform
+    # law) plus a 15% margin.  Blahut-Arimoto finished by Newton steps on a
+    # QP needed 2,546 iterations (evaluations plus steps), Blahut-Arimoto
+    # alone 228,538 evaluations with a capped step, and the plain iteration
+    # 412,926.
+    assert iterations <= 205
     assert all(p.converged for p in curve.points)
     worst_rate = 0.0
     worst_gap = 0.0
@@ -130,7 +132,7 @@ def test_criterion_2_gaussian_curve_meets_lower_bound(gaussian_solves):
         f"[{curve.distortions().min():.4f}, {curve.distortions().max():.4f}], "
         f"max |R - (1/2)ln(1/D)| = {worst_rate:.2e}, max |SLB gap| = "
         f"{worst_gap:.2e}, wall {wall:.1f}s < 30s, {iterations} iterations "
-        f"<= 2928)"
+        f"<= 205)"
     )
 
 

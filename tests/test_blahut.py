@@ -14,12 +14,12 @@ from scipy.special import logsumexp
 import rdbridge.blahut as blahut
 from rdbridge.blahut import (
     IP_TOL,
-    NEWTON_TOL,
     ROW_SUM_FLOOR,
+    SECOND_ORDER_TOL,
     RDCurve,
     RDPoint,
+    _blahut_arimoto,
     _logsumexp,
-    _nonneg_qp,
     _shifted_kernel,
     _Tilt,
     _tilted_state,
@@ -97,7 +97,7 @@ def test_support_pinning_reaches_exact_zero(caplog):
     mu = ProbabilityVector([0.7, 0.3])
     start = ProbabilityVector([1.0, 1.05 * blahut.SUPPORT_FLOOR])
     with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
-        point = ba_fixed_point(mu, hamming(2), 0.5, nu0=start, tol=10.0 * NEWTON_TOL)
+        point = ba_fixed_point(mu, hamming(2), 0.5, nu0=start, tol=10.0 * SECOND_ORDER_TOL)
     assert any("pinned 1 reconstruction atoms" in r.getMessage() for r in caplog.records)
     assert point.converged
     assert point.nu_star.weights.tolist() == [1.0, 0.0]
@@ -142,14 +142,16 @@ def test_restricted_support_start_reports_unbounded_slack():
     # residual is zero, but the dual slack is infinite -- the certificate
     # correctly refuses to bless the restricted-support law.  This also
     # exercises the per-call logsumexp fallback (the cached shifted sum
-    # underflows to zero on a live row).
+    # underflows to zero on a live row).  Only Blahut-Arimoto starts from
+    # the given law, so the tolerance is above SECOND_ORDER_TOL.
     mu = ProbabilityVector([0.5, 0.5])
     dist = DistortionMatrix(np.array([[0.0, 1e4], [1e4, 0.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ConvergenceError) as excinfo:
             ba_fixed_point(
-                mu, dist, 1.0, nu0=ProbabilityVector([0.0, 1.0]), max_iter=50
+                mu, dist, 1.0, nu0=ProbabilityVector([0.0, 1.0]),
+                tol=10.0 * SECOND_ORDER_TOL, max_iter=50,
             )
     partial = excinfo.value.partial
     assert partial.converged is False
@@ -175,8 +177,9 @@ def test_rate_equals_mutual_information_of_tilted_coupling():
 
 
 def test_fixpoint_residual_decreases_along_the_iteration():
-    # Rerunning with an increasing budget exposes the residual after k
-    # steps; it should never grow.
+    # Rerunning Blahut-Arimoto with an increasing budget exposes the
+    # residual after k steps; it should never grow.  A tol of 1e-300 keeps
+    # every budget running to its end.
     instances = []
     mu1 = ProbabilityVector([0.65, 0.35])
     instances.append((mu1, hamming(2), 1.0, None))
@@ -189,23 +192,19 @@ def test_fixpoint_residual_decreases_along_the_iteration():
     for mu, dist, beta, nu0 in instances:
         residuals = []
         for k in range(1, 41):
-            try:
-                point = ba_fixed_point(
-                    mu, dist, beta, nu0=nu0, tol=1e-300, max_iter=k
-                )
-            except ConvergenceError as err:
-                point = err.partial
+            point = _blahut_arimoto(mu, dist, beta, nu0, 1e-300, k)
             residuals.append(point.fixpoint_residual)
         diffs = np.diff(residuals)
         assert np.all(diffs <= 1e-15), residuals
 
 
 def test_objective_never_increases_along_the_iteration():
-    # An extrapolated law is kept only if F(nu) = -sum_i mu_i ln Z_i does not
-    # increase, and so is the plain map taken from it; plain maps never
-    # increase F.  The third instance hands over to Newton steps after two
-    # maps.  The fourth starts far from the optimum at a steep slope, where
-    # the first extrapolation raises F and is rejected.
+    # An extrapolated Blahut-Arimoto law is kept only if
+    # F(nu) = -sum_i mu_i ln Z_i does not increase, and so is the plain map
+    # taken from it; plain maps never increase F.  The third instance
+    # starts near the optimum at a steep slope.  The fourth starts far from
+    # the optimum at a steep slope, where the first extrapolation raises F
+    # and is rejected.
     def objective(mu, dist, beta, nu):
         z = np.exp(-beta * dist.rho) @ nu
         return float(-(mu.weights @ np.log(z)))
@@ -241,37 +240,34 @@ def test_objective_never_increases_along_the_iteration():
     candidate = x0 - 2.0 * alpha * r + alpha**2 * v
     assert alpha < -1.0 and candidate.min() >= 0.0
     assert objective(mu3, hamming(2), 4.0, candidate) > objective(mu3, hamming(2), 4.0, x2) + 1e-3
-    with pytest.raises(ConvergenceError) as excinfo:
-        ba_fixed_point(mu3, hamming(2), 4.0, nu0=nu4, tol=1e-300, max_iter=5)
-    np.testing.assert_allclose(
-        excinfo.value.partial.nu_star.weights, plain_map(plain_map(x2)), rtol=1e-12
-    )
+    partial = _blahut_arimoto(mu3, hamming(2), 4.0, nu4, 1e-300, 5)
+    assert not partial.converged
+    np.testing.assert_allclose(partial.nu_star.weights, plain_map(plain_map(x2)), rtol=1e-12)
 
-    # Tolerances at or below NEWTON_TOL extrapolate only on two atoms, so
-    # the 4 x 6 instance also runs at a Blahut-Arimoto-only tolerance,
-    # where it keeps 6 extrapolated laws before it converges at 33.
-    loose = (mu2, DistortionMatrix(rho), 1.7, None, 10.0 * NEWTON_TOL)
+    # The 4 x 6 instance also runs at a tolerance where it converges, at
+    # 33 evaluations after 6 extrapolated laws.
+    loose = (mu2, DistortionMatrix(rho), 1.7, None, 10.0 * SECOND_ORDER_TOL)
     runs = [(*instance, 1e-300) for instance in instances] + [loose]
     for mu, dist, beta, nu0, tol in runs:
         n = dist.shape[1]
         start = np.full(n, 1.0 / n) if nu0 is None else nu0.weights
         values = [objective(mu, dist, beta, start)]
         for k in range(1, 41):
-            try:
-                point = ba_fixed_point(mu, dist, beta, nu0=nu0, tol=tol, max_iter=k)
-            except ConvergenceError as err:
-                point = err.partial
+            point = _blahut_arimoto(mu, dist, beta, nu0, tol, k)
             values.append(objective(mu, dist, beta, point.nu_star.weights))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-15), values
 
 
 def test_extrapolation_never_slows_a_fast_plain_iteration():
-    # At steep slopes the plain map converges in a few steps, and an
-    # extrapolation costs two evaluations (the candidate and the plain map
-    # from it) whether it is kept or not.  Reference: the plain iteration
-    # with the same stop rule, from the same uniform start, counting its
-    # update-factor evaluations.
+    # At steep slopes the plain map converges in a few steps.  Reference:
+    # the plain iteration with the same stop rule, from the same uniform
+    # start, counting its update-factor evaluations.  At this tol the
+    # solver takes second-order steps, which never outnumber them.
+    # Blahut-Arimoto's extrapolation cycle alone does not keep this bound:
+    # on these slopes it spends 1-2 evaluations more than the plain map
+    # (5 against 4 at beta = 4 and tol 1e-3, 8 against 7 at beta = 6 and
+    # tol 1e-12).
     mu = ProbabilityVector([0.7, 0.3])
     dist = hamming(2)
 
@@ -319,25 +315,40 @@ def test_beta_zero_is_the_zero_rate_end_of_the_curve():
     assert curve.points[1].distortion < 0.3
 
 
-# --- the Newton phase -------------------------------------------------------
+# --- second-order fixed-slope solves ------------------------------------------
+
+# One DEBUG record per fixed-slope solve at tol <= SECOND_ORDER_TOL.
+FIXED_SLOPE_RECORD = re.compile(
+    r"fixed slope (\S+): (the two-column solve|the interior point) ends after (\d+) "
+    r"iterations, slack (\S+), residual (\S+)"
+)
+
+
+def fixed_slope_records(caplog) -> list[re.Match]:
+    return [m for m in (FIXED_SLOPE_RECORD.fullmatch(r.getMessage()) for r in caplog.records) if m]
 
 
 def test_newton_phase_runs_only_below_newton_tol(caplog):
-    # A looser tol keeps the Blahut-Arimoto path; a tight one hands over
-    # once the slack reaches 1e-3 and logs each step's active-set size.
+    # A tol above SECOND_ORDER_TOL keeps the Blahut-Arimoto path; a tight
+    # one takes second-order steps, exact ones on two columns, and logs one
+    # record with the path, its iterations, slack and residual.
     mu = ProbabilityVector([0.7, 0.3])
     with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
-        loose = ba_fixed_point(mu, hamming(2), 2.0, tol=10.0 * NEWTON_TOL, max_iter=5000)
+        loose = ba_fixed_point(mu, hamming(2), 2.0, tol=10.0 * SECOND_ORDER_TOL, max_iter=5000)
     assert loose.converged
-    assert not any("Newton" in r.getMessage() for r in caplog.records)
+    assert not fixed_slope_records(caplog)
+    assert any("Blahut-Arimoto stops" in r.getMessage() for r in caplog.records)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
-        tight = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12, max_iter=5000)
-    messages = [r.getMessage() for r in caplog.records]
-    assert tight.converged and tight.certificate_slack <= 1e-12
-    assert sum("handing over to Newton steps" in m for m in messages) == 1
-    steps = [m for m in messages if "Newton step, 2 free atoms" in m]
-    assert 1 <= len(steps) < tight.iterations
+        tight = ba_fixed_point(mu, hamming(2), 2.0, tol=SECOND_ORDER_TOL, max_iter=5000)
+    assert tight.converged and tight.certificate_slack <= IP_TOL
+    assert not any("Blahut-Arimoto" in r.getMessage() for r in caplog.records)
+    (record,) = fixed_slope_records(caplog)
+    assert float(record.group(1)) == 2.0
+    assert record.group(2) == "the two-column solve"
+    assert int(record.group(3)) == tight.iterations >= 1
+    assert float(record.group(4)) == pytest.approx(tight.certificate_slack, abs=1e-15)
+    assert float(record.group(5)) == pytest.approx(tight.fixpoint_residual, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -345,11 +356,11 @@ def test_newton_phase_runs_only_below_newton_tol(caplog):
     [(0.362832, 8.02233), (0.15384094587729213, 2.2329533632507323)],
 )
 def test_newton_line_search_sees_a_decrease_below_the_rounding_of_f(p, beta):
-    # Near the optimum a Newton step lowers f by about 1e-20, far below
-    # the rounding of f itself.  A line search that compares two rounded
-    # values of f accepts only fractions of such steps: on the second case
-    # it stalls at slack 3e-10 > tol until the budget runs out.  The first
-    # case stalled an earlier line search of that kind at residual 2.3e-11.
+    # Near the optimum a step lowers f by about 1e-20, far below the
+    # rounding of f itself, so a solve that compares two rounded values of
+    # f stalls: an earlier Newton line search stalled here at slack
+    # 3e-10 > tol and at residual 2.3e-11.  The two-column solve steps on
+    # the slope g', whose own size sets its rounding error.
     mu = ProbabilityVector([1.0 - p, p])
     point = ba_fixed_point(mu, hamming(2), beta, tol=1e-11, max_iter=200)
     assert point.converged
@@ -358,100 +369,95 @@ def test_newton_line_search_sees_a_decrease_below_the_rounding_of_f(p, beta):
     assert abs(point.rate - (binary_entropy(p) - binary_entropy(d))) <= 1e-15
 
 
-def test_failed_newton_step_falls_back_to_blahut_arimoto(monkeypatch, caplog):
-    # A QP that breaks down ends the Newton phase at its first step, and
-    # the solve goes on exactly as a Blahut-Arimoto-only solve does.
-    mu = ProbabilityVector([0.7, 0.3])
-    monkeypatch.setattr(blahut, "NEWTON_TOL", 0.0)
-    reference = ba_fixed_point(mu, hamming(2), 1.2, tol=1e-12, max_iter=20000)
-    monkeypatch.setattr(blahut, "NEWTON_TOL", NEWTON_TOL)
-    monkeypatch.setattr(blahut, "_nonneg_qp", lambda *args: None)
-    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
-        point = ba_fixed_point(mu, hamming(2), 1.2, tol=1e-12, max_iter=20000)
-    assert any("Newton step failed" in r.getMessage() for r in caplog.records)
-    assert point.converged
-    assert point.iterations == reference.iterations
-    assert np.array_equal(point.nu_star.weights, reference.nu_star.weights)
-
-
-def _factor_breaks_down(monkeypatch):
+@pytest.mark.parametrize("fail_at", [2, 3, 4, 5])
+def test_a_failed_factor_stops_the_fixed_slope_interior_point(monkeypatch, fail_at):
+    # 21-point uniform source under squared error at beta = 2: the fixed-slope
+    # interior point takes more than 5 iterations when every Newton system
+    # factors.  The factor numbered fail_at reports a breakdown; the solve
+    # must stop there, flagged, at the iterate the failed step would have
+    # moved: the one a budget of fail_at - 1 iterations ends at.
     from scipy.linalg import lapack
 
-    monkeypatch.setattr(lapack, "dpotrf", lambda a: (a, 1))
+    (mu, dist), beta = uniform_mse(21), 2.0
+    assert ba_fixed_point(mu, dist, beta).iterations > 5
+    with pytest.raises(ConvergenceError) as info:
+        ba_fixed_point(mu, dist, beta, max_iter=fail_at - 1)
+    before = info.value.partial
+    factor, calls = lapack.dpotrf, []
+
+    def breaks_down(m):
+        calls.append(None)
+        c, code = factor(m)
+        return c, (1 if len(calls) == fail_at else code)
+
+    monkeypatch.setattr(lapack, "dpotrf", breaks_down)
+    with pytest.raises(ConvergenceError, match="singular; the interior point") as info:
+        ba_fixed_point(mu, dist, beta)
+    assert len(calls) == fail_at
+    partial = info.value.partial
+    assert not partial.converged
+    assert partial.iterations == fail_at - 1
+    assert partial.beta == beta
+    assert partial.distortion == before.distortion
+    assert partial.rate == before.rate
+    assert np.array_equal(partial.nu_star.weights, before.nu_star.weights)
 
 
-def _model_not_finite(monkeypatch):
-    monkeypatch.setattr(blahut, "RIDGE", math.inf)
+def bernoulli_hamming(p, beta):
+    """(mu, rho, beta, F*) of Bernoulli(p) under Hamming loss, with F* = R + beta D at the optimum."""
+    d = 1.0 / (1.0 + math.exp(beta)) if beta < 700.0 else 0.0
+    value = binary_entropy(p) - binary_entropy(d) + beta * d if d < p else beta * p
+    return ProbabilityVector([1.0 - p, p]), hamming(2), beta, value
 
 
-def _full_step_raises_f(monkeypatch):
-    solve = blahut._nonneg_qp
+@st.composite
+def two_column_problems(draw):
+    """(mu, rho, beta, F*): m x 2 losses, m <= 6, with +inf entries and zero-mass rows.
 
-    def overshoot(*args):
-        y, free, changes = solve(*args)
-        return 5.0 * y, free, changes
-
-    monkeypatch.setattr(blahut, "_nonneg_qp", overshoot)
-
-
-@pytest.mark.parametrize("fail", [_factor_breaks_down, _model_not_finite, _full_step_raises_f])
-def test_each_newton_failure_hands_back_to_blahut_arimoto(monkeypatch, caplog, fail):
-    # A Cholesky breakdown in the QP, a Newton model that is not finite and
-    # a full step that would raise f each end the Newton phase; the solve
-    # then converges by Blahut-Arimoto to the same point.
-    mu = ProbabilityVector([0.7, 0.3])
-    reference = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12)
-    fail(monkeypatch)
-    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
-        point = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12)
-    assert any("Newton step failed" in r.getMessage() for r in caplog.records)
-    assert point.converged and point.certificate_slack <= 1e-12
-    assert point.iterations > reference.iterations
-    assert abs(point.distortion - reference.distortion) <= 1e-15
+    Every row of positive mass has a finite loss.  F* is known in closed
+    form for Bernoulli(p) under Hamming loss, and None otherwise.
+    """
+    beta = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    if draw(st.booleans()):
+        return bernoulli_hamming(draw(st.floats(0.01, 0.5)), beta)
+    m = draw(st.integers(1, 6))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    mu = np.array(draw(st.lists(mass, min_size=m, max_size=m)))
+    if mu.sum() == 0:
+        mu[0] = 1.0
+    loss = st.one_of(st.just(math.inf), st.floats(0.0, 4.0))
+    rho = np.array(draw(st.lists(st.lists(loss, min_size=2, max_size=2), min_size=m, max_size=m)))
+    rho[np.arange(m), draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))] = 0.0
+    return ProbabilityVector(mu / mu.sum()), DistortionMatrix(rho), beta, None
 
 
-def _random_qp(m, seed):
-    """Entries, b and a full-support start for an m-variable QP."""
-    rng = np.random.default_rng(seed)
-    return (
-        rng.uniform(-2.0, 2.0, m * (m + 2)),
-        rng.uniform(-1.0, 2.0, m),
-        rng.uniform(1e-3, 1.0, m),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(
-        st.integers(1, 8).flatmap(
-            lambda m: st.tuples(
-                st.lists(st.floats(-2.0, 2.0), min_size=m * (m + 2), max_size=m * (m + 2)),
-                st.lists(st.floats(-1.0, 2.0), min_size=m, max_size=m),
-                st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=m, max_size=m),
-            )
-        ),
-        st.builds(_random_qp, st.integers(9, 60), st.integers(0, 2**32 - 1)),
-    )
-)
-def test_active_set_qp_meets_its_optimality_conditions(data):
-    # From any feasible start, the active-set solve ends at the KKT point
-    # of min y'hy/2 - b'y over y >= 0, and counts its set changes exactly.
-    # The larger QPs start from full support, so many variables leave.
-    entries, b, start = data
-    m = len(b)
-    a = np.array(entries).reshape(m + 2, m)
-    h = a.T @ a + 1e-3 * np.eye(m)
-    b = np.array(b)
-    solved = _nonneg_qp(h, b, np.array(start), 1e-12, 10 * m)
-    assert solved is not None
-    y, free, changes = solved
-    gain = b - h @ y
-    assert np.all(y >= 0.0)
-    assert free == np.count_nonzero(y)
-    scale = 1e-9 * (1.0 + np.abs(h).max() * np.abs(y).max() + np.abs(b).max())
-    assert np.all(np.abs(gain[y > 0]) <= scale)
-    assert np.all(gain[y == 0] <= scale)
-    assert _nonneg_qp(h, b, np.array(start), 1e-12, changes - 1) is None
+@settings(max_examples=300, deadline=None)
+@given(two_column_problems())
+@example(bernoulli_hamming(0.362832, 8.02233))
+@example(bernoulli_hamming(0.15384094587729213, 2.2329533632507323))
+def test_two_column_solve_agrees_with_plain_blahut_arimoto(problem):
+    # The referee of the exact two-column solve: F = R + beta D of its law
+    # is within 1e-9 of the closed form, or of the plain iteration's where
+    # that converges (never above it: F is minimal at the optimum), and
+    # its slack and residual are at most tol.  No step may warn: a row sum
+    # formed as b + t (a - b) rounds to 0 at t = 1 when a << b, and the
+    # curvature overflows at steep beta.
+    mu, dist, beta, value_ref = problem
+    tol = 1e-11
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = ba_fixed_point(mu, dist, beta, tol=tol, max_iter=200)
+    assert point.converged
+    assert point.certificate_slack <= tol and point.fixpoint_residual <= tol
+    value = point.rate + beta * point.distortion
+    converged = True
+    if value_ref is None:
+        nu_ref, converged = plain_blahut_arimoto(mu, dist, beta, 1e-10, 20000)
+        _, d_ref, r_ref, _, _ = _tilted_state(mu, dist, beta, ProbabilityVector(nu_ref))
+        value_ref = r_ref + beta * d_ref
+    assert value <= value_ref + 1e-9
+    if converged:
+        assert abs(value - value_ref) <= 1e-9
 
 
 def plain_blahut_arimoto(mu, dist, beta, tol, max_iter):
@@ -477,7 +483,7 @@ def plain_blahut_arimoto(mu, dist, beta, tol, max_iter):
 
 @st.composite
 def engine_problems(draw):
-    """Random problems with the cases the Newton phase must survive.
+    """Random problems with the cases the second-order paths must survive.
 
     Returns (mu, dist, beta, F*) where F* = R + beta D at the optimum is
     known in closed form, and (mu, dist, beta, None) otherwise.
@@ -487,12 +493,9 @@ def engine_problems(draw):
         # Bernoulli(p) under Hamming loss within 0.1% of its critical
         # slope, where plain Blahut-Arimoto needs thousands of iterations.
         p = draw(st.floats(0.05, 0.45))
-        beta = math.log((1.0 - p) / p) * (1.0 + draw(st.floats(-1e-3, 1e-3)))
-        d = 1.0 / (1.0 + math.exp(beta))
-        value = binary_entropy(p) - binary_entropy(d) + beta * d if d < p else beta * p
-        return ProbabilityVector([1.0 - p, p]), hamming(2), beta, value
+        return bernoulli_hamming(p, math.log((1.0 - p) / p) * (1.0 + draw(st.floats(-1e-3, 1e-3))))
     mu, dist, _, _ = draw(tilted_problems())
-    # Near-flat kernels make the Newton Hessian numerically rank-deficient.
+    # Near-flat kernels make the Hessian of F numerically rank-deficient.
     beta = draw(st.floats(5e-4, 2e-3) if kind == "flat" else st.floats(0.05, 30.0))
     return mu, dist, beta, None
 
@@ -503,7 +506,8 @@ def test_two_phase_engine_agrees_with_plain_blahut_arimoto(problem):
     # The optimal law need not be unique, but F(nu) = R + beta D at the
     # optimum is, and a law whose slack is at most tol has F within tol of
     # it.  The reference is the closed form where there is one, else the
-    # plain iteration.
+    # plain iteration.  At this tol the solver takes second-order steps:
+    # the exact two-column solve on n = 2, the interior point on more.
     mu, dist, beta, value_ref = problem
     tol = 1e-9
     point = ba_fixed_point(mu, dist, beta, tol=tol, max_iter=20000)
@@ -545,8 +549,8 @@ def plain_reference(mu, dist, beta, tol, max_iter=200000):
 @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5, 1e-7])
 def test_engine_agrees_with_plain_blahut_arimoto_on_larger_instances(tol, seed):
     # Random 20-60 x 20-60 instances with +inf losses and zero-mass source
-    # rows, in both regimes of the engine: extrapolated Blahut-Arimoto alone
-    # (1e-3) and Blahut-Arimoto finished by Newton steps (1e-4 = NEWTON_TOL,
+    # rows, in both regimes of the engine: extrapolated Blahut-Arimoto
+    # (1e-3) and the fixed-slope interior point (1e-4 = SECOND_ORDER_TOL,
     # the boundary, then 1e-5 and 1e-7).  F = R + beta D is within
     # ln(1 + slack) <= tol of its optimum for both laws; D moves by
     # O(sqrt(tol)) within that band (at most 1.2 sqrt(tol) over 6,000 such
@@ -854,8 +858,10 @@ def test_rd_curve_schedule_validation():
 
 
 def test_rd_curve_keeps_degraded_points():
+    # Blahut-Arimoto runs out of a budget of 3 at both slopes.  (At a tol
+    # below SECOND_ORDER_TOL the two-column solve ends each in one step.)
     mu = ProbabilityVector([0.7, 0.3])
-    curve = rd_curve(mu, hamming(2), [0.5, 2.0], tol=1e-14, max_iter=3)
+    curve = rd_curve(mu, hamming(2), [0.5, 2.0], tol=10.0 * SECOND_ORDER_TOL, max_iter=3)
     assert len(curve) == 2
     assert all(not p.converged for p in curve.points)
     assert all(p.iterations == 3 for p in curve.points)
@@ -894,28 +900,35 @@ def test_gaussian_curve_sweep_stays_within_its_evaluation_budget():
 
 
 def test_each_solve_logs_its_blahut_arimoto_phase_once(caplog):
-    # One DEBUG record per solve, at the end of phase 1: the hand-over to
-    # Newton steps, or the end of the solve when there is none.
+    # One DEBUG record per solve: a Blahut-Arimoto solve logs its counts at
+    # its end, and a second-order solve its path, iterations, slack and
+    # residual instead; the interior point also logs its own end.
     src = discretize_gaussian(1.0)
-    dist = squared_error(src.grid, src.grid)
+    gaussian = (src.weights, squared_error(src.grid, src.grid))
     pattern = re.compile(
         r"iteration (\d+): (.*); (\d+) extrapolations accepted, (\d+) backtracks, "
         r"(\d+) stabilizing maps rejected"
     )
     with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
-        loose = ba_fixed_point(src.weights, dist, 3.0, tol=1e-3)
+        loose = ba_fixed_point(*gaussian, 3.0, tol=1e-3)
     records = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
     (phase_1,) = [m for m in records if m]
     assert phase_1.group(2) == "Blahut-Arimoto stops"
     assert int(phase_1.group(1)) == loose.iterations
     assert 1 <= int(phase_1.group(3)) < loose.iterations
-    caplog.clear()
-    mu = ProbabilityVector([0.7, 0.3])
-    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
-        tight = ba_fixed_point(mu, hamming(2), 2.0, tol=1e-12)
-    (phase_1,) = [m for m in map(pattern.fullmatch, (r.getMessage() for r in caplog.records)) if m]
-    assert "handing over to Newton steps" in phase_1.group(2)
-    assert int(phase_1.group(1)) < tight.iterations
+    assert not fixed_slope_records(caplog)
+    bernoulli = (ProbabilityVector([0.7, 0.3]), hamming(2))
+    for problem, path in ((gaussian, "the interior point"), (bernoulli, "the two-column solve")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+            tight = ba_fixed_point(*problem, 3.0, tol=1e-9)
+        messages = [r.getMessage() for r in caplog.records]
+        assert not any(map(pattern.fullmatch, messages))
+        (record,) = fixed_slope_records(caplog)
+        assert record.group(2) == path
+        assert int(record.group(3)) == tight.iterations
+        ends = [m for m in messages if m.startswith("interior point ends")]
+        assert len(ends) == (path == "the interior point")
 
 
 def test_shape_report_skips_degenerate_chords(monkeypatch):

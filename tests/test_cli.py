@@ -167,12 +167,33 @@ def test_curve_csv_contract(capsys):
 
 
 def test_curve_degraded_points_exit_2(capsys):
+    # Blahut-Arimoto runs out of a budget of 2 at both slopes.  (At the
+    # default tol the two-column solve ends each in one step.)
     code, out, _ = run_cli(
-        capsys, ["curve", "--betas.list", "1.0,2.0", "--max_iter", "2"]
+        capsys, ["curve", "--betas.list", "1.0,2.0", "--max_iter", "2", "--tol", "1e-3"]
     )
     assert code == 2
     rows = out.strip().splitlines()[1:]
     assert all(row.split(",")[5] == "0" for row in rows)
+
+
+def test_curve_sweep_never_reports_a_distortion_above_d_max(capsys, caplog):
+    # Bernoulli(0.3) under Hamming loss at the default tol 1e-9.  A sweep
+    # warm-started by Blahut-Arimoto stopped at beta = 1e-4 after one
+    # evaluation, on the beta = 1e-8 optimum mixed with 1e-6 uniform mass,
+    # at D = 0.300000199942 > D_max, and warned that the curve broke
+    # monotonicity.  A tight solve starts from the uniform law.
+    mu, dist, _, _ = build_problem(resolve_config())
+    ceiling, _ = d_max(mu, dist)
+    with caplog.at_level(logging.WARNING, logger="rdbridge"):
+        code, out, _ = run_cli(
+            capsys, ["curve", "--betas.lo", "1e-8", "--betas.hi", "1e8", "--betas.count", "5"]
+        )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(float(row[1]) <= ceiling for row in rows), rows
+    assert not caplog.records
 
 
 def test_curve_rejects_bad_tolerance(capsys):
@@ -219,7 +240,12 @@ def test_point_by_beta(capsys):
 
 
 def test_point_by_beta_unconverged_exits_2_with_its_report(capsys):
-    code, out, _ = run_cli(capsys, ["point", "--beta", "4", "--max_iter", "3"])
+    # The fixed-slope interior point on 21 columns runs out of a budget of 3.
+    code, out, _ = run_cli(
+        capsys,
+        ["point", "--beta", "4", "--max_iter", "3", "--source.kind", "uniform",
+         "--source.points", "21", "--distortion.kind", "mse"],
+    )
     assert code == 2
     doc = json.loads(out)
     assert doc["converged"] is False
@@ -823,8 +849,8 @@ def test_log_level_sends_records_to_stderr_only(capsys):
 
 def test_import_loads_no_scipy():
     # scipy.special costs about 0.2 s of CPU to import, scipy.optimize about
-    # 0.8 s; only a Newton phase or a target-distortion solve loads
-    # scipy.linalg, on first use.
+    # 0.8 s; only an interior-point solve (a target distortion, or a tight
+    # fixed slope on three or more columns) loads scipy.linalg, on first use.
     proc = subprocess.run(
         [
             sys.executable,
@@ -838,6 +864,27 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_two_column_compare_loads_no_scipy(tmp_path):
+    # A Bernoulli compare sweep runs only two-column solves, which need no
+    # LAPACK; scipy.linalg alone takes about 0.3 s to import.
+    out = tmp_path / "compare.csv"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from rdbridge.io_cli import main; "
+            f"code = main(['compare', '--oracle', 'bernoulli', '--out', {str(out)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert out.read_text().startswith("distortion,rate,rate_oracle")
 
 
 def test_no_command_prints_help(capsys):
