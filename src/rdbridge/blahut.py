@@ -378,13 +378,6 @@ def dual_certificate(
         return np.exp(-log_z), slack, dual_value
 
 
-def _gram(ker: np.ndarray, mu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H, K x): the Hessian H = A'A of F at x, with A = diag(sqrt(mu) / K x) K."""
-    z = ker @ x
-    a = ker * (np.sqrt(mu) / z)[:, None]
-    return a.T @ a, z
-
-
 def _blahut_arimoto(
     mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu0: ProbabilityVector | None,
     tol: float, max_iter: int,
@@ -818,7 +811,10 @@ def _saddle_point(
         if done or iterations >= max_iter:
             break
         ker = tilt.ker
-        m, z = _gram(ker, tilt.mu, x)
+        # The Hessian H = A'A of F at x, with A = diag(sqrt(mu) / K x) K.
+        z = ker @ x
+        a = ker * (np.sqrt(tilt.mu) / z)[:, None]
+        m = a.T @ a
         if free:
             rho = tilt.dist.rho if tilt.full else tilt.dist.rho[tilt.live]
             w = tilt.mu / z
@@ -907,7 +903,8 @@ def solve_point_for_distortion(
     A primal-dual interior-point method (Mehrotra's predictor-corrector)
     solves 1 - c - s = 0, D - target + lambda = 0, x s = 0 and beta lambda = 0
     for x, s, beta, lambda >= 0.  Each iteration factors M = H + diag(s / x)
-    (``_gram``, ridge RIDGE times each diagonal entry) and eliminates beta:
+    (H the Hessian of F at x, ridge RIDGE times each diagonal entry) and
+    eliminates beta:
 
         dbeta = (r_beta - g'M^-1 r) / (g'M^-1 g + v + lambda / beta),  dx = M^-1 (r + g dbeta),
 
