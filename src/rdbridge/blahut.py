@@ -32,9 +32,10 @@ interior-point method of the target solve below with beta held fixed, as
 Koenker & Mizera (JASA 2014) solve the NPMLE.
 
 A point at a target distortion is a saddle point over the law and beta
-together, solved by the same interior-point method with beta free, in
-rounds on the reconstruction columns in play
-(``solve_point_for_distortion``).
+together, solved by the same interior-point method with beta free
+(``solve_point_for_distortion``).  Every second-order solve, at a fixed
+slope or at a target, runs one loop of rounds on the reachable
+reconstruction columns (``_priced_rounds``).
 """
 from __future__ import annotations
 
@@ -612,18 +613,20 @@ def ba_fixed_point(
 
     With ``tol <= SECOND_ORDER_TOL`` the solve takes second-order steps
     from the uniform law, whatever ``nu0`` (which then gives only the
-    labels), on the columns that some row of positive mass reaches with a
-    finite loss; the others get zero mass.  On one or two such columns it
-    is the exact solve of ``_two_columns``, and on three or more the
-    interior-point core of ``solve_point_for_distortion`` with beta held
-    fixed (no beta row, and lambda = 0).  Both stop once the slack and the
-    fixed-point residual of the law are at most min(tol, IP_TOL), the
-    interior point once its gap x.s and every min(x_j / sum(x), s_j) are
-    too.  ``iterations`` counts the steps (factorizations, on the interior
-    point), and ``max_iter`` bounds them.  An interior-point Newton system
-    that cannot be solved ends the solve at the iterate it would have
-    moved.  One DEBUG record per solve names the path and gives its
-    iterations, slack and residual.
+    labels), in the rounds of ``_priced_rounds``, the loop every
+    second-order solve runs on the reachable columns; starting on every
+    column, it takes one round, and unreachable columns get zero mass.  On
+    one or two reachable columns the round is the exact solve of
+    ``_two_columns``, and on three or more the interior-point core of
+    ``solve_point_for_distortion`` with beta held fixed (no beta row, and
+    lambda = 0).  Both stop once the slack and the fixed-point residual of
+    the law are at most min(tol, IP_TOL), the interior point once its gap
+    x.s and every min(x_j / sum(x), s_j) are too.  ``iterations`` counts
+    the steps (factorizations, on the interior point), and ``max_iter``
+    bounds them.  An interior-point Newton system that cannot be solved
+    ends the solve at the iterate it would have moved.  One DEBUG record
+    per solve names the path and gives its iterations, slack and residual,
+    after the round's own record.
 
     At beta = 0 the answer is the beta -> 0+ limit.  With D_max finite it
     is the zero-rate end of the curve, whatever ``nu0``: all mass on the
@@ -667,26 +670,7 @@ def ba_fixed_point(
         how = "Blahut-Arimoto"
         point = _blahut_arimoto(mu, dist, beta, nu0, tol, max_iter)
     else:
-        eps = min(tol, IP_TOL)
-        # Columns that no row of positive mass reaches have c = 0 at every
-        # law and carry no mass at the optimum: the solve leaves them out.
-        # With none reached, the first evaluation names a row.
-        cols = np.flatnonzero(np.isfinite(dist.rho[mu.weights > 0]).any(axis=0))
-        part = dist if len(cols) in (0, n) else DistortionMatrix(dist.rho[:, cols])
-        if part.shape[1] > 2:
-            how = "the interior point"
-            point, _, failure = _saddle_point(mu, part, beta, eps, max_iter)
-        else:
-            how = "the two-column solve"
-            point = _two_columns(mu, part, beta, eps, max_iter)
-        if part is not dist:
-            law, c = np.zeros(n), np.empty(n)
-            law[cols] = point.nu_star.weights
-            distortion, rate, slack, residual = _stop_values(_Tilt(mu, dist, beta), law, c)
-            point = RDPoint(
-                point.beta, distortion, rate, ProbabilityVector(law), point.iterations,
-                residual, slack, point.converged,
-            )
+        point, _, failure, how = _priced_rounds(mu, dist, beta, min(tol, IP_TOL), max_iter)
         logger.debug(
             "fixed slope %.17g: %s ends after %d iterations, slack %.3e, residual %.3e",
             beta, how, point.iterations, point.certificate_slack, point.fixpoint_residual,
@@ -889,6 +873,75 @@ def _saddle_point(
     return point, gap, failure
 
 
+def _priced_rounds(
+    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, eps: float, max_iter: int,
+    cols: np.ndarray | None = None, target: float | None = None, band: float = 0.0,
+    spread: float = 0.0,
+) -> tuple[RDPoint, float, str, str]:
+    """Every second-order solve: rounds on a column set S, pricing the columns off S.
+
+    A column is reachable when some row of positive mass reaches it with a
+    finite loss.  The others have c = 0 at every law and no mass at the
+    optimum, so S holds only reachable columns (every column when none is
+    reachable: the first evaluation then names a row).  S starts as the
+    reachable columns of ``cols`` (all of them by default), and once it
+    would hold more than half of the reachable columns it holds all of
+    them.  A round solves on rho[:, S]: with beta fixed (no ``target``) by
+    ``_two_columns`` on at most two columns, and by ``_saddle_point``
+    otherwise, from ``beta`` and with the remaining budget.  Unless S is
+    the whole alphabet, one ``_Tilt`` at the round's beta evaluates the
+    law with x_j = 0 off S on every column, and each column with
+    c_j > 1 + eps enters S, as in vertex-exchange methods for this mixture
+    likelihood (Lindsay 1983).  The solve ends when none enters.  Off S,
+    x_j = 0 zeroes the residual, the gap and min(x_j, s_j), and the
+    pricing bounds the slack, so the answer meets the stop rule on the
+    full alphabet.  ``iterations`` sums the rounds' iterations, and
+    ``max_iter`` bounds that sum.  One DEBUG record per round gives the
+    columns in play, those entering and the round's iterations.
+
+    Returns (point, gap, failure, how): the last round's point on the full
+    alphabet, its complementarity gap (0 on the two-column solve), the
+    Newton system failure of ``_saddle_point`` and the last round's method.
+    """
+    n = dist.shape[1]
+    reached = np.isfinite(dist.rho[mu.weights > 0]).any(axis=0)
+    reach = np.flatnonzero(reached) if reached.any() else np.arange(n)
+    cols = reach if cols is None else np.intersect1d(cols, reach)
+    iterations = rounds = 0
+    while True:
+        if 2 * len(cols) > len(reach):
+            cols = reach
+        whole = len(cols) == n
+        part = dist if whole else DistortionMatrix(dist.rho[:, cols])
+        if target is None and len(cols) <= 2:
+            how, gap, failure = "the two-column solve", 0.0, ""
+            point = _two_columns(mu, part, beta, eps, max_iter - iterations)
+        else:
+            how = "the interior point"
+            point, gap, failure = _saddle_point(
+                mu, part, beta, eps, max_iter - iterations, target, band, spread
+            )
+        solved, spent = point.converged, point.iterations
+        iterations += spent
+        rounds += 1
+        enter = ()
+        if not whole:
+            law, c = np.zeros(n), np.empty(n)
+            law[cols] = point.nu_star.weights
+            distortion, rate, slack, residual = _stop_values(_Tilt(mu, dist, point.beta), law, c)
+            enter = np.setdiff1d(np.flatnonzero(c > 1.0 + eps), cols)
+            nu = ProbabilityVector(law)
+            point = RDPoint(point.beta, distortion, rate, nu, iterations, residual, slack)
+        point.iterations, point.converged = iterations, solved and not len(enter)
+        logger.debug(
+            "round %d: %d of %d columns in play, %d enter, %d iterations",
+            rounds, len(cols), n, len(enter), spent,
+        )
+        if not (solved and len(enter)) or iterations >= max_iter:
+            return point, gap, failure, how
+        cols = np.union1d(cols, enter)
+
+
 def solve_point_for_distortion(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -921,26 +974,22 @@ def solve_point_for_distortion(
     off c_j = 1 and beta misses next to the D = D_max plateau.
 
     The optimal law of a bounded source is discrete (Rose 1994), so the
-    solve runs in rounds on a column set S, pricing the other columns as
-    vertex-exchange methods do for this mixture likelihood (Lindsay 1983).
-    S starts as the D_max column and START_COLUMNS columns evenly spaced by
-    index, plus each live row's cheapest column when the target is not
-    above S's distortion floor.  A round solves on rho[:, S], evaluates c on
-    every column with one ``_Tilt`` at the returned beta and x_j = 0 off S,
-    and adds each column with c_j > 1 + min(tol, IP_TOL) to S; the solve
-    ends when none enters.  Off S, x_j = 0 zeroes the residual, the gap and
-    min(x_j, s_j), and pricing bounds the slack, so the answer meets the
-    rule on the full alphabet.  Once S would hold more than half of the
-    columns it holds all of them, and a round on the whole alphabet needs
-    no pricing: an alphabet of at most 2 START_COLUMNS - 1 columns takes
-    one round.  D, R and the slack come from ``_Tilt.certificate`` on the
-    full alphabet; ``iterations`` sums the interior-point iterations of
-    every round, and ``max_iter`` bounds that sum.  A target inside a jump
-    of D(beta) gets the mixture of the optima at the critical slope (the
-    search over beta before this solve raised ConvergenceError there).
+    solve runs in the rounds of ``_priced_rounds``, the loop every
+    second-order solve runs on the reachable columns, pricing the columns
+    off the set S in play with eps = min(tol, IP_TOL).  S starts as the
+    D_max column and START_COLUMNS columns evenly spaced by index, plus
+    each live row's cheapest column when the target is not above S's
+    distortion floor.  With every column reachable, an alphabet of at most
+    2 START_COLUMNS - 1 columns takes one round, on all of them.  D, R and
+    the slack come from ``_Tilt.certificate`` on the full alphabet;
+    ``iterations`` sums the interior-point iterations of every round, and
+    ``max_iter`` bounds that sum.  A target inside a jump of D(beta) gets
+    the mixture of the optima at the critical slope (the search over beta
+    before this solve raised ConvergenceError there).
 
     Raises:
-        InvalidInputError: target outside (d_floor, d_max), or tol <= 0.
+        InvalidInputError: target outside (d_floor, d_max), tol <= 0, or
+            max_iter < 1.
         ConvergenceError: ``max_iter`` iterations missed the rule, or the
             Newton system could not be solved; ``.partial`` is the last
             round's point on the full alphabet, with ``converged=False``.
@@ -955,49 +1004,22 @@ def solve_point_for_distortion(
         )
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     band = 10.0 * tol * ceiling
-    eps = min(tol, IP_TOL)
-    n = dist.shape[1]
     spread = (ceiling if ceiling < math.inf else target) - floor
-    cols = np.union1d(column, np.linspace(0, n - 1, START_COLUMNS).round().astype(int))
+    cols = np.union1d(column, np.linspace(0, dist.shape[1] - 1, START_COLUMNS).round().astype(int))
     if not target > d_floor(mu, DistortionMatrix(dist.rho[:, cols])):
         cols = np.union1d(cols, dist.rho[mu.weights > 0].argmin(axis=1))
-    iterations = rounds = 0
-    while True:
-        if 2 * len(cols) > n:
-            cols = np.arange(n)
-        whole = len(cols) == n
-        point, gap, failure = _saddle_point(
-            mu, dist if whole else DistortionMatrix(dist.rho[:, cols]),
-            1.0 / spread, eps, max_iter - iterations, target, band, spread,
-        )
-        solved, spent = point.converged, point.iterations
-        iterations += spent
-        rounds += 1
-        enter = cols[:0]
-        if not whole:
-            law = np.zeros(n)
-            law[cols] = point.nu_star.weights
-            c = np.empty(n)
-            distortion, rate, slack, residual = _stop_values(_Tilt(mu, dist, point.beta), law, c)
-            enter = np.setdiff1d(np.flatnonzero(c > 1.0 + eps), cols)
-            point = RDPoint(
-                point.beta, distortion, rate, ProbabilityVector(law), iterations, residual, slack,
-                solved and not len(enter),
-            )
-        point.iterations = iterations
-        logger.debug(
-            "round %d: %d of %d columns in play, %d enter, %d interior-point iterations",
-            rounds, len(cols), n, len(enter), spent,
-        )
-        if not (solved and len(enter)) or iterations >= max_iter:
-            break
-        cols = np.union1d(cols, enter)
+    point, gap, failure, _ = _priced_rounds(
+        mu, dist, 1.0 / spread, min(tol, IP_TOL), max_iter, cols, target, band, spread
+    )
     if not point.converged:
         raise ConvergenceError(
-            f"{failure}no point at distortion {target:g} within {iterations} interior-point "
-            f"iterations (|D - target| {abs(point.distortion - target):.3e}, gap {gap:.3e}, "
-            f"slack {point.certificate_slack:.3e}, residual {point.fixpoint_residual:.3e})",
+            f"{failure}no point at distortion {target:g} within {point.iterations} "
+            f"interior-point iterations (|D - target| {abs(point.distortion - target):.3e}, "
+            f"gap {gap:.3e}, slack {point.certificate_slack:.3e}, "
+            f"residual {point.fixpoint_residual:.3e})",
             partial=point,
         )
     return point

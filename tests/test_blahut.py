@@ -831,6 +831,8 @@ def test_solver_input_validation():
         ba_fixed_point(mu, dist, 1.0, nu0=ProbabilityVector([1.0]))
     with pytest.raises(InvalidInputError):
         ba_fixed_point(ProbabilityVector([1.0]), dist, 1.0)
+    with pytest.raises(InvalidInputError, match="max_iter must be >= 1"):
+        solve_point_for_distortion(mu, dist, 0.25, max_iter=-3)
 
 
 def test_rd_value_from_nu_validates_length():
@@ -927,6 +929,9 @@ def test_each_solve_logs_its_blahut_arimoto_phase_once(caplog):
         (record,) = fixed_slope_records(caplog)
         assert record.group(2) == path
         assert int(record.group(3)) == tight.iterations
+        # One round on every column, which no column can enter.
+        n = problem[1].shape[1]
+        assert round_records(caplog) == [(1, n, n, 0, tight.iterations)]
         ends = [m for m in messages if m.startswith("interior point ends")]
         assert len(ends) == (path == "the interior point")
 
@@ -971,9 +976,9 @@ def uniform_mse(points: int):
     return spec.weights, squared_error(spec.grid, spec.grid)
 
 
-# One DEBUG record per round of a target solve.
+# One DEBUG record per round of a second-order solve.
 ROUND_RECORD = re.compile(
-    r"round (\d+): (\d+) of (\d+) columns in play, (\d+) enter, (\d+) interior-point iterations"
+    r"round (\d+): (\d+) of (\d+) columns in play, (\d+) enter, (\d+) iterations"
 )
 
 
@@ -1025,13 +1030,21 @@ def test_unconverged_inner_solve_never_moves_the_bracket(monkeypatch, fail_at):
     # numbered fail_at reports a breakdown; a step from it would move
     # (x, beta) by a direction of an unsolved system.  The solve must stop
     # there, flagged, at the iterate the failed step would have left: the
-    # one a budget of fail_at - 1 iterations ends at.
+    # one a budget of fail_at - 1 iterations ends at, or on the first
+    # factor (no budget below 1 is accepted) the start, the uniform law at
+    # beta = 1 / (D_max - d_floor).
     from scipy.linalg import lapack
 
     (mu, dist), target = uniform_mse(21), 0.1
-    with pytest.raises(ConvergenceError) as info:
-        solve_point_for_distortion(mu, dist, target, max_iter=fail_at - 1)
-    before = info.value.partial
+    if fail_at == 1:
+        beta = 1.0 / (d_max(mu, dist)[0] - d_floor(mu, dist))
+        x = np.full(21, 1.0 / 21)
+        law = ProbabilityVector(x / x.sum())
+        before = RDPoint(beta, *rd_value_from_nu(mu, dist, beta, law), law, 0, 0.0, 0.0)
+    else:
+        with pytest.raises(ConvergenceError) as info:
+            solve_point_for_distortion(mu, dist, target, max_iter=fail_at - 1)
+        before = info.value.partial
     factor, calls = lapack.dpotrf, []
 
     def breaks_down(m):
@@ -1109,15 +1122,28 @@ def target_instances(draw):
     return mu, dist, floor + draw(st.floats(1e-3, 1.0 - 1e-3)) * (ceiling - floor)
 
 
+def unreachable_column_instance():
+    """Column 2 is reached with a finite loss only by the source letter of
+    zero mass.  A solve that kept it in play once left 4e-12 on it, a law
+    that ``check_optimality`` refuses.
+    """
+    rho = np.array([[0.0, 1.0, np.inf, 1.0], [1.0, 0.0, np.inf, 1.0], [1.0, 1.0, 0.0, 1.0]])
+    return ProbabilityVector([0.5, 0.5, 0.0]), DistortionMatrix(rho), 0.1
+
+
 @settings(max_examples=100, deadline=None)
 @given(target_instances())
+@example(unreachable_column_instance())
 def test_target_solve_agrees_with_the_fixed_point_at_its_slope(instance):
     # The referee is ba_fixed_point at the returned slope.  The Lagrangian
     # value R + beta D = -sum_i mu_i ln Z_i of the optimum at a slope is
-    # unique even where D(beta) jumps, so it must match there too.
+    # unique even where D(beta) jumps, so it must match there too.  A
+    # column that no row of positive mass reaches gets exactly zero mass.
     mu, dist, target = instance
     tol = 1e-9
     point = solve_point_for_distortion(mu, dist, target, tol=tol)
+    unreachable = ~np.isfinite(dist.rho[mu.weights > 0]).any(axis=0)
+    assert not point.nu_star.weights[unreachable].any()
     assert abs(point.distortion - target) <= 10.0 * tol * d_max(mu, dist)[0]
     tilt = _Tilt(mu, dist, point.beta, point.nu_star)
     assert tilt.certificate(point.nu_star.weights, tilt.c)[3] <= point.rate

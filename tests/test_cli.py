@@ -337,6 +337,21 @@ def test_point_by_distortion_inside_a_jump_of_the_uniform_curve(capsys):
     assert abs(doc["distortion"] - 0.999 * ceiling) <= 10 * 1e-6 * ceiling
 
 
+def test_point_by_distortion_leaves_unreachable_columns_empty(tmp_path, capsys):
+    # Column 2 is reached with a finite loss only by the source letter of
+    # zero mass.  A target solve that kept it in play once left 4e-12 on
+    # it, and the embedded check refused that law with exit 1.
+    loss = tmp_path / "loss.txt"
+    loss.write_text("0 1 inf 1\n1 0 inf 1\n1 1 0 1\n")
+    argv = ["point", "--source.kind", "custom", "--source.weights", "0.5 0.5 0"]
+    argv += ["--distortion.kind", "custom", "--distortion.file", str(loss), "--distortion", "0.1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["nu_star"]["weights"][2] == 0.0
+    assert doc["report"]["verdict"] == "optimal"
+
+
 def test_point_beta_zero_endpoint(capsys):
     code, out, _ = run_cli(capsys, ["point", "--source.p", "0.3", "--beta", "0"])
     assert code == 0
