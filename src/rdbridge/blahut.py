@@ -675,7 +675,7 @@ def ba_fixed_point(
             "fixed slope %.17g: %s ends after %d iterations, slack %.3e, residual %.3e",
             beta, how, point.iterations, point.certificate_slack, point.fixpoint_residual,
         )
-    point.nu_star = ProbabilityVector(point.nu_star.weights, labels=labels)
+    point.nu_star.labels = labels  # validated with nu0
     if not point.converged:
         raise ConvergenceError(
             f"{failure}{how} did not converge at beta={beta:g} within {max_iter} "

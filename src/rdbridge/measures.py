@@ -40,7 +40,8 @@ class ProbabilityVector:
 
     def __post_init__(self):
         self.weights = _as_float_array(self.weights, "weights")
-        if np.any(np.isnan(self.weights)) or np.any(self.weights < 0):
+        # One pass: the minimum is nan if any entry is.
+        if not self.weights.min() >= 0.0:
             raise InvalidInputError("weights must be nonnegative reals")
         mass = float(self.weights.sum())
         if abs(mass - 1.0) > MASS_TOL:

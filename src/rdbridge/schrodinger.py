@@ -20,8 +20,7 @@ estimated from the contraction lambda of the plain iterations once their
 residual ratios have settled, and is at most OMEGA_MAX.  A relaxed
 half-step is kept only if it does not lower the Sinkhorn dual
 mu . ln u + nu . ln v - u^T K v, an O(n) test; otherwise the plain
-half-step is taken.  Relaxation ends for good when a stretch of relaxed
-iterations fails to lower the residual.
+half-step is taken.
 
 The dual quantities J(nu, beta) and L(nu, beta) derived from the
 potentials measure how far a candidate reconstruction law nu sits from
@@ -64,8 +63,6 @@ RELAX_LAMBDA_MAX = 1.0 - (2.0 / OMEGA_MAX - 1.0) ** 2
 # RELAX_SETTLE * (1 - lambda).
 RELAX_SETTLE = 0.05
 RELAX_CALM = 2
-# Relaxed iterations between checks that the residual has fallen.
-RELAX_STRETCH = 10
 # At omega <= OMEGA_MAX, a relaxed half-step cannot lower the dual while
 # every ratio plain / current lies within e^(+-RELAX_SAFE_LOG).
 RELAX_SAFE_LOG = 0.3
@@ -225,10 +222,8 @@ def sinkhorn(
     over-relaxed, u <- u (mu / (u M v))^omega with
     omega = 2 / (1 + sqrt(1 - lambda)) <= OMEGA_MAX, in the scaling or the
     log domain alike.  A relaxed half-step that would lower the Sinkhorn
-    dual mu . ln u + nu . ln v - u^T M v falls back to the plain one, and
-    a stretch of RELAX_STRETCH relaxed iterations that does not lower the
-    best residual ends relaxation for good.  The stop rule reads the
-    iterate that is returned, relaxed or not.
+    dual mu . ln u + nu . ln v - u^T M v falls back to the plain one.  The
+    stop rule reads the iterate that is returned, relaxed or not.
 
     The iteration starts from logG = 0, so its first F-update is the
     tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i, read off
@@ -301,9 +296,8 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
     uv = np.ones(len(rows) + len(cols))
     u, v = uv[: len(rows)], uv[len(rows) :]
 
-    # omega = 1 until RELAX_CALM settled residual ratios; the relaxation
-    # then runs while each stretch of RELAX_STRETCH iterations lowers the
-    # best residual (``checkpoint`` at the stretch's start).
+    # omega = 1 until RELAX_CALM settled residual ratios, then relaxed to
+    # the end, each half-step guarded by the dual test.
     omega = 1.0
     calm = 0
     last_res, last_ratio = math.inf, math.nan
@@ -344,15 +338,7 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
             calm = calm + 1 if settled and ratio <= RELAX_LAMBDA_MAX else 0
             if calm == RELAX_CALM:
                 omega = 2.0 / (1.0 + math.sqrt(1.0 - ratio))
-                checkpoint = best = residual
-                check_at = iterations + RELAX_STRETCH
             last_res, last_ratio = residual, ratio
-        elif omega > 1.0:
-            best = min(best, residual)
-            if iterations == check_at:
-                if best >= checkpoint:
-                    omega = 1.0
-                checkpoint, check_at = best, iterations + RELAX_STRETCH
 
         if scaled:
             u[:] = _relaxed_scaling(mu_w, mu_w / row_sum, u, omega)

@@ -328,6 +328,27 @@ def fixed_slope_records(caplog) -> list[re.Match]:
     return [m for m in (FIXED_SLOPE_RECORD.fullmatch(r.getMessage()) for r in caplog.records) if m]
 
 
+# The fixed-slope paths, each named by its DEBUG record; beta = 0 logs none.
+@pytest.mark.parametrize(
+    "n, beta, tol, record",
+    [
+        (3, 2.0, 1e-3, "Blahut-Arimoto stops"),
+        (2, 2.0, 1e-9, "the two-column solve ends"),
+        (3, 2.0, 1e-9, "the interior point ends"),
+        (3, 0.0, 1e-9, None),
+    ],
+)
+def test_the_answer_carries_the_start_laws_labels(caplog, n, beta, tol, record):
+    labels = np.linspace(-1.0, 1.0, n)
+    nu0 = ProbabilityVector(np.full(n, 1.0 / n), labels=labels)
+    mu = ProbabilityVector(np.arange(1.0, n + 1.0) / (n * (n + 1) / 2))
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        point = ba_fixed_point(mu, hamming(n), beta, nu0=nu0, tol=tol)
+    assert point.converged
+    assert np.array_equal(point.nu_star.labels, labels)
+    assert record in caplog.text if record else not caplog.records
+
+
 def test_newton_phase_runs_only_below_newton_tol(caplog):
     # A tol above SECOND_ORDER_TOL keeps the Blahut-Arimoto path; a tight
     # one takes second-order steps, exact ones on two columns, and logs one

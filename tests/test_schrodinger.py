@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -28,7 +28,6 @@ from rdbridge.schrodinger import (
     RELAX_LAMBDA_MAX,
     RELAX_SAFE_LOG,
     RELAX_SETTLE,
-    RELAX_STRETCH,
     ScalingPair,
     _keeps_dual,
     eval_J,
@@ -112,23 +111,14 @@ def log_domain_sinkhorn(mu, nu, dist, beta, tol, max_iter, relaxed=True):
         if not relaxed:
             continue
         # Relax once RELAX_CALM successive residual ratios have settled
-        # below RELAX_LAMBDA_MAX; back to plain for good after a stretch
-        # of RELAX_STRETCH relaxed iterations that lowers no residual.
+        # below RELAX_LAMBDA_MAX, and from then on to the end.
         if calm < RELAX_CALM:
             ratio = residual / last_res
             settled = abs(ratio - last_ratio) < RELAX_SETTLE * (1.0 - ratio)
             calm = calm + 1 if settled and ratio <= RELAX_LAMBDA_MAX else 0
             if calm == RELAX_CALM:
                 omega = 2.0 / (1.0 + math.sqrt(1.0 - ratio))
-                checkpoint = best = residual
-                check_at = iterations + RELAX_STRETCH
             last_res, last_ratio = residual, ratio
-        elif omega > 1.0:
-            best = min(best, residual)
-            if iterations == check_at:
-                if best >= checkpoint:
-                    omega = 1.0
-                checkpoint, check_at = best, iterations + RELAX_STRETCH
     shift = float(nu.weights[cols] @ logG[cols])
     logG[cols] -= shift
     logF[rows] += shift
@@ -359,7 +349,7 @@ def test_underflowing_kernel_rows_converge_without_warnings():
     assert pair.marginal_residual <= 1e-12
     # The iteration count of the log-domain reference loop on this law;
     # the plain loop takes 1,453.
-    assert pair.iterations == 1398
+    assert pair.iterations == 172
 
 
 def test_near_optimal_law_takes_the_log_domain_iteration_count():
@@ -402,20 +392,42 @@ def test_relaxed_half_steps_that_lower_the_dual_fall_back_to_plain():
 
 def test_relaxation_cuts_the_near_optimal_iterations():
     # A machine-independent budget: over-relaxation takes the near-optimal
-    # law of the optimality check in at most 45% of the plain iterations.
+    # law of the optimality check in at most 45% of the plain iterations,
+    # and so the law on atoms 100 and 160 at beta = 50, whose first settled
+    # residual ratios fall in the transient.
     mu, dist, grid = gaussian_problem()
     beta = 4.0
     law = np.exp(-(grid**2) / (2.0 * (1.0 - 1.0 / (2.0 * beta))))
-    nu = ProbabilityVector(0.99 * law / law.sum() + 0.01 / len(grid))
-    pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
-    *_, plain_iterations, _ = log_domain_sinkhorn(
-        mu, nu, dist, beta, 1e-12, DEFAULT_MAX_ITER, relaxed=False
+    two_atoms = np.zeros(257)
+    two_atoms[[100, 160]] = 0.5
+    for nu, beta in [
+        (ProbabilityVector(0.99 * law / law.sum() + 0.01 / len(grid)), beta),
+        (ProbabilityVector(two_atoms), 50.0),
+    ]:
+        pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
+        *_, plain_iterations, _ = log_domain_sinkhorn(
+            mu, nu, dist, beta, 1e-12, DEFAULT_MAX_ITER, relaxed=False
+        )
+        assert pair.iterations <= 0.45 * plain_iterations, beta
+
+
+def ceiling_instance():
+    """A problem whose plain residual stalls near 0.056 for about 170
+    iterations, at ratios that settle above RELAX_LAMBDA_MAX.  Relaxed
+    there, the loop misses the 300-iteration budget that the plain loop
+    meets in 287.
+    """
+    mu = ProbabilityVector([0.6824051321409179, 0.1170486224809258, 0.20054624537815627])
+    nu = ProbabilityVector([0.17285977157433619, 0.8271402284256638])
+    rho = np.array(
+        [[2.3929968172724503, 0.0], [0.0, 2.286732891743314], [1.4250621104623122, 0.0]]
     )
-    assert pair.iterations <= 0.45 * plain_iterations
+    return mu, nu, DistortionMatrix(rho), 71.99792158016326
 
 
 @settings(max_examples=300, deadline=None)
 @given(scaling_problems())
+@example(ceiling_instance())
 def test_relaxation_converges_wherever_the_plain_loop_does(problem):
     mu, nu, dist, beta = problem
     tol, max_iter = 1e-10, 300
