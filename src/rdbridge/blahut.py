@@ -55,7 +55,9 @@ logger = logging.getLogger(__name__)
 # and never revived by a Blahut-Arimoto step.
 SUPPORT_FLOOR = 1e-300
 # Uniform mass mixed into the previous optimum when warm-starting a sweep.
-WARM_START_MIX = 1e-6
+# Of 1e-6 to 3e-3, 3e-4 took the fewest Blahut-Arimoto evaluations on
+# 257-point Gaussian sweeps at tol 5e-4, over beta 2 -> 10 and 0.5 -> 50.
+WARM_START_MIX = 3e-4
 # Solves with tol at or below SECOND_ORDER_TOL take second-order steps
 # (an exact two-column solve, or the interior point) instead of
 # Blahut-Arimoto.
@@ -78,10 +80,12 @@ STALL_SIGMA = 0.5
 # columns evenly spaced by index.  On the 201-point uniform source at
 # tol 1e-3, 16 ran about as fast and 64 a third slower.
 START_COLUMNS = 32
-# A row partition sum below this is too small for the flushed entries of
-# the cached kernel to fall below its rounding error: the evaluation is
-# then taken in the log domain.
-ROW_SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# Kernel entries below KERNEL_FLOOR = sqrt(tiny) are flushed to zero, so
+# the product of any two kept entries is a normal number.  A row partition
+# sum below ROW_SUM_FLOOR is too small for the flushed entries to fall below
+# its rounding error: the evaluation is then taken in the log domain.
+KERNEL_FLOOR = math.sqrt(np.finfo(float).tiny)
+ROW_SUM_FLOOR = KERNEL_FLOOR / np.finfo(float).eps
 # Chords of a curve over a distortion step below this are skipped by
 # ``RDCurve.shape_report``.
 DEGENERATE_STEP = 1e-9
@@ -186,17 +190,19 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
-def _flush_subnormals(kernel: np.ndarray) -> None:
-    """Set the subnormal entries of a kernel to zero, in place.
+def _flush_kernel(kernel: np.ndarray) -> None:
+    """Set the entries of a kernel below KERNEL_FLOOR to zero, in place.
 
-    A subnormal entry moves a product by less than its rounding error
-    unless a whole row or column is subnormal, and then the product falls
-    below the smallest normal number and the caller takes the log domain
-    instead.  Kept, such entries make the matrix products slow: with 1% of
-    the entries subnormal (257-point Gaussian, beta = 10) a solver
-    iteration took twice as long.
+    Each flushed entry is below eps times ROW_SUM_FLOOR, so it moves a
+    product of at least ROW_SUM_FLOOR by at most one rounding error, and
+    the absolute error it leaves on c = (mu / Z) K is within eps; a smaller
+    product sends the caller to the log domain.  Entries just above the
+    smallest normal number, times a law weight, a row weight or each other,
+    give subnormal products inside the matrix products, and those are slow:
+    on the 257-point Gaussian at beta = 10, a product with the kernel
+    flushed only below tiny took twice as long.
     """
-    kernel[kernel < np.finfo(float).tiny] = 0.0
+    kernel[kernel < KERNEL_FLOOR] = 0.0
 
 
 def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +219,10 @@ def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rows of all-infinite loss produce nan from (-inf) - (-inf); they
     # carry no kernel mass at all.  Elsewhere exp(-inf) is already 0.
     ker[np.isneginf(shift)] = 0.0
-    # Subnormal entries (more than 708 nats below the row maximum) move a
-    # row sum by less than 2.3e-308 in all, below its rounding error once
-    # it reaches ROW_SUM_FLOOR; a smaller row sum falls back to logsumexp.
-    _flush_subnormals(ker)
+    # Entries more than 354 nats below the row maximum (below KERNEL_FLOOR)
+    # are flushed: each moves a row sum of at least ROW_SUM_FLOOR by less
+    # than its rounding error, and a smaller row sum falls back to logsumexp.
+    _flush_kernel(ker)
     return shift, ker
 
 
@@ -227,8 +233,10 @@ class _Tilt:
     on the rows where mu > 0: rows of zero source mass take no part in F,
     c, D or R.  ``evaluate`` gives Z = K x (ln Z - s in ``log_z``), F and
     c = (mu / Z) K; ``certificate`` adds D = (mu / Z) . ((K o rho) x), R,
-    the slack and the dual value.  A row sum below ROW_SUM_FLOOR sends the
-    pass to per-row logsumexp over -beta rho, formed on first use
+    the slack and the dual value.  Kernel entries below KERNEL_FLOOR are
+    zero, so no product of two kept entries is subnormal; a row sum below
+    ROW_SUM_FLOOR, where the flushed entries could pass its rounding error,
+    sends the pass to per-row logsumexp over -beta rho, formed on first use
     (``scaled`` is then False).  Given ``nu``, the tilt is evaluated at
     nu at once, with c at nu in ``c``.
     """
@@ -537,7 +545,9 @@ def _two_columns(
     seen so far bracket its maximiser.  From t = 1/2 each step is the
     Newton step on g' = 0; one that leaves the bracket goes to the end
     t = 1 or t = 0 it passed, once, if every row sum is positive there,
-    and to the bracket's midpoint otherwise.  Steps stop once the slack
+    and to the bracket's midpoint otherwise.  A Newton step longer than
+    half the step before it goes to the midpoint too: next to an end whose
+    row sum is tiny, Newton steps only double.  Steps stop once the slack
     and the residual at the law are at most ``eps``, or after
     ``max_iter`` of them.  One column is the trivial law, with no step.
     Returns the point, unlabelled, whether or not it converged.
@@ -545,7 +555,7 @@ def _two_columns(
     tilt = _Tilt(mu, dist, beta)
     n = dist.shape[1]
     x, c = np.full(n, 1.0 / n), np.empty(n)
-    lo, hi = 0.0, 1.0
+    lo, hi, last = 0.0, 1.0, 1.0
     a, b = tilt.ker[:, 0], tilt.ker[:, -1]
     d = a - b
     # The ends that may still be tried.
@@ -570,11 +580,10 @@ def _two_columns(
             hi = t
         if not lo < step < hi:
             end = hi if step >= hi else lo
-            if ends.get(end, False):
-                ends[end] = False
-                step = end
-            else:
-                step = 0.5 * (lo + hi)
+            step = end if ends.pop(end, False) else 0.5 * (lo + hi)
+        elif abs(step - t) > 0.5 * last:
+            step = 0.5 * (lo + hi)
+        last = abs(step - t)
         x = np.array([step, 1.0 - step])
         iterations += 1
     return RDPoint(
@@ -634,8 +643,9 @@ def ba_fixed_point(
     and 0 iterations.  Otherwise the solve iterates as at any slope.
 
     Every evaluation, the final certificate included, is one ``_Tilt``'s:
-    two matrix products with a kernel cached once per call, or per-row
-    logsumexp in the rare event a row sum falls below ROW_SUM_FLOOR.
+    two matrix products with a kernel cached once per call, whose entries
+    below KERNEL_FLOOR are zero, or per-row logsumexp in the rare event a
+    row sum falls below ROW_SUM_FLOOR.
 
     Args:
         nu0: initial reconstruction law of a Blahut-Arimoto solve
@@ -735,10 +745,11 @@ def rd_curve(
     return curve
 
 
-def _boundary(u: np.ndarray, du: np.ndarray) -> float:
-    """The step t at which u + t du first reaches zero; inf if it never does."""
+def _boundary(u: np.ndarray, du: np.ndarray, v: float = 0.0, dv: float = 0.0) -> float:
+    """The step t at which u + t du, or the scalar v + t dv, first reaches zero; inf if never."""
     shrink = du < 0.0
-    return float(np.min(u[shrink] / -du[shrink])) if shrink.any() else math.inf
+    t = float(np.min(u[shrink] / -du[shrink])) if shrink.any() else math.inf
+    return min(t, v / -dv) if dv < 0.0 else t
 
 
 def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, float, float, float]:
@@ -830,8 +841,8 @@ def _saddle_point(
         pairs = n + free
         mean = gap / pairs
         dx, ds, d_beta, d_lam = newton(-x * s, -beta * lam)
-        primal = min(1.0, _boundary(np.append(x, beta), np.append(dx, d_beta)))
-        dual = min(1.0, _boundary(np.append(s, lam), np.append(ds, d_lam)))
+        primal = min(1.0, _boundary(x, dx, beta, d_beta))
+        dual = min(1.0, _boundary(s, ds, lam, d_lam))
         affine = (x + primal * dx) @ (s + dual * ds)
         affine += (beta + primal * d_beta) * (lam + dual * d_lam)
         sigma = (affine / pairs / mean) ** 3
@@ -849,7 +860,7 @@ def _saddle_point(
             cap = (BETA_STEP - 1.0 if d_beta > 0 else 1.0 - 1.0 / BETA_STEP) * beta / abs(d_beta)
         reach = min(_boundary(x, dx), ROW_STEP * _boundary(z, ker @ dx))
         primal = min(1.0, BOUNDARY_STEP * reach, cap)
-        dual = min(1.0, BOUNDARY_STEP * _boundary(np.append(s, lam), np.append(ds, d_lam)))
+        dual = min(1.0, BOUNDARY_STEP * _boundary(s, ds, lam, d_lam))
         x = x + primal * dx
         beta += primal * d_beta
         s = s + dual * ds

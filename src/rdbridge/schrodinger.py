@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import ROW_SUM_FLOOR, _Tilt, _check_compat, _flush_subnormals, _logsumexp
+from .blahut import ROW_SUM_FLOOR, _Tilt, _check_compat, _flush_kernel, _logsumexp
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
 from .measures import Coupling, ProbabilityVector
@@ -112,7 +112,7 @@ class ScalingPair:
 
 
 def _absorbed_kernel(kernel: np.ndarray, log_phi_s: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Overwrite ``kernel`` with exp(a_i + log_phi_s_ij + b_j), subnormals flushed.
+    """Overwrite ``kernel`` with exp(a_i + log_phi_s_ij + b_j), flushed by ``_flush_kernel``.
 
     Written in place: a fresh n x n array per rebuild costs more in
     page faults than the exp itself.
@@ -120,7 +120,7 @@ def _absorbed_kernel(kernel: np.ndarray, log_phi_s: np.ndarray, a: np.ndarray, b
     np.add(log_phi_s, a[:, None], out=kernel)
     kernel += b
     np.exp(kernel, out=kernel)
-    _flush_subnormals(kernel)
+    _flush_kernel(kernel)
 
 
 # The reductions of the per-iteration tests, without the ndarray-method
@@ -133,8 +133,9 @@ def _normal(x: np.ndarray) -> bool:
     """True when every entry of x is finite and at least ROW_SUM_FLOOR.
 
     The rule of ``blahut._Tilt.evaluate``: a kernel product below the floor
-    may have lost flushed subnormal entries of its own size, so the
-    half-step that would divide by it is taken in the log domain.
+    may have lost entries flushed below KERNEL_FLOOR that pass its rounding
+    error, so the half-step that would divide by it is taken in the log
+    domain.
     """
     return bool(_min(x) >= ROW_SUM_FLOOR and _max(x) < np.inf)
 
@@ -288,7 +289,7 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
         # w_i K_ij nu_j, with w = mu / (K nu) and K the tilt's shifted kernel.
         kernel *= tilt.w[:, None]
         kernel *= nu_w
-        _flush_subnormals(kernel)
+        _flush_kernel(kernel)
     else:
         _absorbed_kernel(kernel, log_phi_s(), a, b)
 

@@ -456,6 +456,14 @@ def two_column_problems(draw):
 @given(two_column_problems())
 @example(bernoulli_hamming(0.362832, 8.02233))
 @example(bernoulli_hamming(0.15384094587729213, 2.2329533632507323))
+@example(
+    (
+        ProbabilityVector([0.000999, 0.0, 0.999001, 0.0]),
+        DistortionMatrix(np.array([[0.0, 3.0], [0.0, math.inf], [0.125, 0.0], [0.0, math.inf]])),
+        54.598150033144236,
+        None,
+    )
+)
 def test_two_column_solve_agrees_with_plain_blahut_arimoto(problem):
     # The referee of the exact two-column solve: F = R + beta D of its law
     # is within 1e-9 of the closed form, or of the plain iteration's where
@@ -747,31 +755,35 @@ def test_certificate_matches_the_explicit_tilted_coupling(problem):
 
 
 def test_a_row_sum_below_the_floor_is_taken_in_the_log_domain():
-    # Row 1's sum over the cached kernel is nu_1 = 1e-305: positive, but
-    # below ROW_SUM_FLOOR.  Its entry e^-711.5 = 2.2e-309 in column 0 is
-    # subnormal and flushed from the kernel, yet it is 2e-4 of the true
-    # Z_1, so F, c, D, R and the slack must all come from the log domain.
+    # Row 1's sum over the cached kernel is nu_1: positive, but below
+    # ROW_SUM_FLOOR.  Its entry e^-rho_10 in column 0 lies below
+    # KERNEL_FLOOR and is flushed from the kernel, yet it is part of the
+    # true Z_1 (2e-4 of it at nu_1 = 1e-305, where the entry is subnormal,
+    # and 63% of it at nu_1 = 1e-200, where it lies between the smallest
+    # normal number and KERNEL_FLOOR), so F, c, D, R and the slack must all come from
+    # the log domain.
     mu = ProbabilityVector([0.5, 0.5])
-    dist = DistortionMatrix(np.array([[0.5, 712.0], [711.5, 0.0]]))
-    nu = ProbabilityVector([1.0 - 1e-305, 1e-305])
     beta = 1.0
-    log_phi = -beta * dist.rho
-    log_z = logsumexp(log_phi + np.log(nu.weights), axis=1)
-    c_ref = np.exp(logsumexp(np.log(mu.weights)[:, None] + log_phi - log_z[:, None], axis=0))
-    pi = mu.weights[:, None] * np.exp(log_phi + np.log(nu.weights) - log_z[:, None])
-    d_ref = float((pi * dist.rho).sum())
+    for rho_10, nu_1 in ((711.5, 1e-305), (460.0, 1e-200)):
+        dist = DistortionMatrix(np.array([[0.5, 712.0], [rho_10, 0.0]]))
+        nu = ProbabilityVector([1.0 - nu_1, nu_1])
+        log_phi = -beta * dist.rho
+        log_z = logsumexp(log_phi + np.log(nu.weights), axis=1)
+        c_ref = np.exp(logsumexp(np.log(mu.weights)[:, None] + log_phi - log_z[:, None], axis=0))
+        pi = mu.weights[:, None] * np.exp(log_phi + np.log(nu.weights) - log_z[:, None])
+        d_ref = float((pi * dist.rho).sum())
 
-    tilt = _Tilt(mu, dist, beta)
-    c = np.empty(2)
-    f = tilt.evaluate(nu.weights, c)
-    assert 0.0 < (tilt.ker @ nu.weights).min() < ROW_SUM_FLOOR and not tilt.scaled
-    # The evaluator's F leaves out the row shifts of its kernel.
-    assert f == pytest.approx(-(mu.weights @ (log_z - log_phi.max(axis=1))), rel=1e-12)
-    assert c == pytest.approx(c_ref, rel=1e-12)
-    _, distortion, rate, slack, _ = _tilted_state(mu, dist, beta, nu)
-    assert distortion == pytest.approx(d_ref, rel=1e-12)
-    assert rate == pytest.approx(-(mu.weights @ log_z) - beta * d_ref, rel=1e-12)
-    assert slack == pytest.approx(c_ref.max() - 1.0, rel=1e-12)
+        tilt = _Tilt(mu, dist, beta)
+        c = np.empty(2)
+        f = tilt.evaluate(nu.weights, c)
+        assert 0.0 < (tilt.ker @ nu.weights).min() < ROW_SUM_FLOOR and not tilt.scaled
+        # The evaluator's F leaves out the row shifts of its kernel.
+        assert f == pytest.approx(-(mu.weights @ (log_z - log_phi.max(axis=1))), rel=1e-12)
+        assert c == pytest.approx(c_ref, rel=1e-12)
+        _, distortion, rate, slack, _ = _tilted_state(mu, dist, beta, nu)
+        assert distortion == pytest.approx(d_ref, rel=1e-12)
+        assert rate == pytest.approx(-(mu.weights @ log_z) - beta * d_ref, rel=1e-12)
+        assert slack == pytest.approx(c_ref.max() - 1.0, rel=1e-12)
 
 
 def test_a_row_of_zero_partition_mass_raises_only_when_strict():
@@ -905,8 +917,10 @@ def test_rd_curve_warns_when_its_points_break_monotonicity(monkeypatch, caplog):
     assert "'max_distortion_increase': 0.1" in record.getMessage()
 
 
-# Evaluations the sweep below needs today (27 + 13 + 127 + 162), plus 15%.
-GAUSSIAN_SWEEP_BUDGET = 379
+# Evaluations the sweep below needs today (27 + 60 + 118 + 118), plus 15%.
+GAUSSIAN_SWEEP_BUDGET = 371
+# Evaluations the wide uniform sweep below needs today (10,132), plus 15%.
+UNIFORM_SWEEP_BUDGET = 11651
 
 
 def test_gaussian_curve_sweep_stays_within_its_evaluation_budget():
@@ -920,6 +934,18 @@ def test_gaussian_curve_sweep_stays_within_its_evaluation_budget():
     curve = rd_curve(src.weights, dist, np.geomspace(2.0, 10.0, 4), tol=5e-4, max_iter=300000, nu0=start)
     assert all(p.converged for p in curve.points)
     assert sum(p.iterations for p in curve.points) <= GAUSSIAN_SWEEP_BUDGET
+
+
+def test_wide_uniform_curve_sweep_stays_within_its_evaluation_budget():
+    # The 201-point uniform source under squared error, beta from 0.5 to 50
+    # in 12 warm-started steps at tol 5e-4.  The warm start's mix of
+    # uniform mass sets the count: with WARM_START_MIX = 1e-6 the sweep
+    # needed 12,288 evaluations.
+    spec = discretize_uniform(-1.0, 1.0, 201)
+    dist = squared_error(spec.grid, spec.grid)
+    curve = rd_curve(spec.weights, dist, np.geomspace(0.5, 50.0, 12), tol=5e-4, max_iter=300000)
+    assert all(p.converged for p in curve.points)
+    assert sum(p.iterations for p in curve.points) <= UNIFORM_SWEEP_BUDGET
 
 
 def test_each_solve_logs_its_blahut_arimoto_phase_once(caplog):

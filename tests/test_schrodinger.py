@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import rdbridge.schrodinger as schrodinger
 from rdbridge import discretize_gaussian
-from rdbridge.blahut import _log_kernel, _log_weights, ba_fixed_point
+from rdbridge.blahut import KERNEL_FLOOR, _log_kernel, _log_weights, _Tilt, ba_fixed_point
 from rdbridge.distortion import DistortionMatrix, expected_loss, hamming, squared_error
 from rdbridge.errors import (
     ConvergenceError,
@@ -29,6 +30,7 @@ from rdbridge.schrodinger import (
     RELAX_SAFE_LOG,
     RELAX_SETTLE,
     ScalingPair,
+    _absorbed_kernel,
     _keeps_dual,
     eval_J,
     eval_L,
@@ -297,18 +299,27 @@ STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0
             DistortionMatrix(np.array([[0.0, 0.69], [0.0, 0.713]])),
             1000.0,
         ),
-        # Column 1 of the coupling kernel mu_i nu_j holds 5e-308 (normal)
-        # and 2.1e-308 (subnormal, flushed): its product 5e-308 lies
-        # between tiny and tiny / eps, 30% short of the true sum, so the
-        # G-update and the eq. 8 sums are taken in the log domain.
+        # Column 1 of the coupling kernel mu_i nu_j holds 5e-308 and
+        # 2.1e-308, both below KERNEL_FLOOR and flushed, so the G-update
+        # and the eq. 8 sums are taken in the log domain.
         (
             ProbabilityVector([0.7, 0.3]),
             ProbabilityVector([1.0 - 5e-308 / 0.7, 5e-308 / 0.7]),
             DistortionMatrix(np.zeros((2, 2))),
             1.0,
         ),
+        # Column 1 holds 3e-154 (kept) and 1.3e-154 (below KERNEL_FLOOR,
+        # flushed): its product 3e-154 is positive but below ROW_SUM_FLOOR,
+        # 30% short of the true sum, so these sums too are taken in the
+        # log domain.
+        (
+            ProbabilityVector([0.7, 0.3]),
+            ProbabilityVector([1.0 - 3e-154 / 0.7, 3e-154 / 0.7]),
+            DistortionMatrix(np.zeros((2, 2))),
+            1.0,
+        ),
     ],
-    ids=["subnormal-column", "flushed-row", "absorbed-entry", "short-column"],
+    ids=["subnormal-column", "flushed-row", "absorbed-entry", "short-column", "partly-flushed-column"],
 )
 def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
     with warnings.catch_warnings():
@@ -350,6 +361,36 @@ def test_underflowing_kernel_rows_converge_without_warnings():
     # The iteration count of the log-domain reference loop on this law;
     # the plain loop takes 1,453.
     assert pair.iterations == 172
+
+
+@pytest.mark.parametrize("beta", [5.85, 10.0, 21.6, 50.0])
+def test_no_kernel_entry_lies_between_zero_and_the_floor(beta, monkeypatch):
+    # Any two kept entries multiply to a normal number, so no matrix
+    # product with the kernel meets a subnormal product of two entries.
+    # At these slopes the Gaussian's kernel has entries just above the
+    # smallest normal number before the flush.  Checked: the solver's
+    # kernel, and each kernel Sinkhorn's flush records: those of the
+    # certificate of the Blahut-Arimoto answer and the kernel with the
+    # answer's scalings absorbed.
+    mu, dist, _ = gaussian_problem()
+    kernels = [_Tilt(mu, dist, beta).ker]
+    flush = schrodinger._flush_kernel
+
+    def keep(kernel):
+        flush(kernel)
+        kernels.append(kernel.copy())
+
+    monkeypatch.setattr(schrodinger, "_flush_kernel", keep)
+    nu = ba_fixed_point(mu, dist, beta, tol=5e-4, max_iter=300000).nu_star
+    pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
+    assert pair.converged and len(kernels) > 1
+    absorbed = np.empty(dist.shape)
+    a = np.log(mu.weights) + pair.logK + pair.logF
+    _absorbed_kernel(absorbed, -beta * dist.rho, a, np.log(nu.weights) + pair.logG)
+    for kernel in kernels:
+        low = kernel[kernel > 0.0].min()
+        assert low >= KERNEL_FLOOR
+        assert low * low >= np.finfo(float).tiny
 
 
 def test_near_optimal_law_takes_the_log_domain_iteration_count():
