@@ -15,10 +15,11 @@ S3; Varadhan & Roland, Scand. J. Statist. 2008): from x0, x1 = G(x0) and
 x2 = G(x1), with r = x1 - x0 and v = x2 - 2 x1 + x0, it tries
 x' = x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|), and backtracks a to
 (a - 1) / 2 until it reaches -1 (x' = x2) while x' has a negative entry
-or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x2).  A kept x' is
-followed by one plain map, kept unless it raises F; on two atoms x'
-itself starts the next cycle.  The plain map never raises F, so F is
-nonincreasing along the iteration.
+or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x2).  A kept x' holds
+no mass on an atom that x2 leaves empty, and is followed by one plain
+map, kept unless it raises F; on two atoms x' itself starts the next
+cycle.  The plain map never raises F, so F is nonincreasing along the
+iteration.
 
 The optimal law at a fixed slope minimises f(x) = F(x) + sum_j x_j over
 x >= 0, whose minimiser sums to 1: the mixture likelihood of the
@@ -182,6 +183,14 @@ def _check_compat(
         raise InvalidInputError(f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns")
 
 
+def _check_budget(tol: float, max_iter: int) -> None:
+    """Refuse a tolerance that is not positive and a budget below one iteration."""
+    if tol <= 0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log sum exp(a) along ``axis``, shifted by the maximum; -inf for all--inf lines."""
     top = np.max(a, axis=axis, keepdims=True)
@@ -327,19 +336,6 @@ class _Tilt:
         return distortion, rate, slack, dual_value
 
 
-def _tilted_state(
-    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu: ProbabilityVector
-) -> tuple[np.ndarray, float, float, float, float]:
-    """(log Z_i over all rows, D, R, slack, dual_value) of the tilted coupling at nu."""
-    tilt = _Tilt(mu, dist, beta, nu)
-    log_z = np.empty(len(mu))
-    log_z[tilt.live] = tilt.log_z + tilt.shift
-    if not tilt.full:
-        dead = ~tilt.live
-        log_z[dead] = _logsumexp(_log_kernel(dist, beta)[dead] + _log_weights(nu.weights), axis=1)
-    return (log_z, *tilt.certificate(nu.weights, tilt.c))
-
-
 def rd_value_from_nu(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -352,7 +348,8 @@ def rd_value_from_nu(
     is the parametric value R = -sum_i mu_i ln Z_i - beta D, which upper
     bounds R(D) for any nu and matches it at the optimum.
     """
-    _, distortion, rate, _, _ = _tilted_state(mu, dist, beta, nu)
+    tilt = _Tilt(mu, dist, beta, nu)
+    distortion, rate, _, _ = tilt.certificate(nu.weights, tilt.c)
     return distortion, rate
 
 
@@ -382,7 +379,13 @@ def dual_certificate(
     Returns:
         (alpha, slack, dual_value) with slack = max_j c_j - 1.
     """
-    log_z, _, _, slack, dual_value = _tilted_state(mu, dist, beta, nu)
+    tilt = _Tilt(mu, dist, beta, nu)
+    _, _, slack, dual_value = tilt.certificate(nu.weights, tilt.c)
+    log_z = np.empty(len(mu))
+    log_z[tilt.live] = tilt.log_z + tilt.shift
+    if not tilt.full:
+        dead = ~tilt.live
+        log_z[dead] = _logsumexp(_log_kernel(dist, beta)[dead] + _log_weights(nu.weights), axis=1)
     with np.errstate(over="ignore"):
         return np.exp(-log_z), slack, dual_value
 
@@ -396,126 +399,111 @@ def _blahut_arimoto(
     Returns the point, unlabelled, whether or not it converged.
     """
     tilt = _Tilt(mu, dist, beta)
-    evaluate = tilt.evaluate
     n = dist.shape[1]
-
-    def support_masks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-        dead = x == 0
-        return dead, ~dead, bool(dead.any())
-
     nu = np.full(n, 1.0 / n) if nu0 is None else nu0.weights.copy()
-    c, c_trial, plain, trial, r, v = (np.empty(n) for _ in range(6))
-    # The first two laws of the current cycle; nu is law number ``maps``,
-    # or a kept candidate awaiting its stabilizing map when ``jumped``.
-    cycle = [np.empty(n), np.empty(n)]
-    maps = accepted = backtracks = rejected = 0
-    residual = float("inf")
-    shrunk = 0
-    jumped = False
+    c = np.empty(n)
+    # The laws of the current cycle, x0 first and nu last.  Until the
+    # stabilizing map of a kept candidate is known, ``kept`` holds the law
+    # x2 the candidate was extrapolated from, with its F and c.
+    cycle, kept = [nu], None
+    accepted = backtracks = rejected = shrunk = 0
 
     # Every overflow, underflow and 0 * inf in the loop is either masked
-    # out (dead columns) or lands in a candidate whose F is not finite,
+    # out (empty columns) or lands in a candidate whose F is not finite,
     # which is never kept.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = evaluate(nu, c)
+        f = tilt.evaluate(nu, c)
         iterations = 1
-        dead, alive, has_dead = support_masks(nu)
         while True:
             # c and f belong to nu, and ``iterations`` evaluations are spent.
             slack = float(c.max()) - 1.0
-            # Dead columns can carry an infinite update factor (their dual
-            # constraint is violated without bound); they hold zero mass,
-            # and no Blahut-Arimoto step revives them.
-            np.multiply(nu, c, out=plain, where=alive)
-            if has_dead:
-                np.copyto(plain, 0.0, where=dead)
-            plain /= plain.sum()
+            plain = nu * c
+            total = plain.sum()
+            if not math.isfinite(total):
+                # Empty columns can carry an infinite update factor (their
+                # dual constraint is violated without bound); they hold zero
+                # mass, and no Blahut-Arimoto step revives them.
+                plain[nu == 0] = 0.0
+                total = plain.sum()
+            plain /= total
             final = False
-            if (slack <= tol and not jumped) or iterations >= max_iter:
+            if (slack <= tol and kept is None) or iterations >= max_iter:
                 # The residual only matters when the stop rule can fire or
                 # the budget ends.
-                np.subtract(plain, nu, out=trial)
-                residual = float(np.abs(trial, out=trial).max())
+                residual = float(np.abs(plain - nu).max())
                 final = residual <= tol or iterations >= max_iter
-            extrapolated = False
+            candidate = None
             if final:
-                nu, plain = plain, nu
-            elif maps == 2:
-                # Squared extrapolation from x0, x1 = G(x0) and nu = G(x1).  On
-                # two atoms the law has one degree of freedom and no other
-                # mode to amplify: a kept candidate starts the next cycle.
-                x0, x1 = cycle
-                np.subtract(x1, x0, out=r)
-                np.subtract(nu, x1, out=v)
-                v -= r
+                nu = plain
+            elif len(cycle) == 3:
+                # Squared extrapolation from x0, x1 = G(x0) and nu = G(x1);
+                # nu starts the next cycle unless a candidate is kept.
+                x0, x1, _ = cycle
+                cycle = [nu]
+                r = x1 - x0
+                v = nu - x1 - r
                 ratio = math.sqrt((r @ r) / (v @ v))
-                one_mode = np.count_nonzero(alive) == 2
                 alpha = -ratio if 1.0 < ratio < math.inf else -1.0
+                c_trial = np.empty(n)
                 while alpha < -1.0 and iterations + 2 <= max_iter:
-                    np.multiply(v, alpha * alpha, out=trial)
-                    trial += x0
-                    np.multiply(r, -2.0 * alpha, out=c_trial)
-                    trial += c_trial
+                    trial = v * (alpha * alpha) + x0 + r * (-2.0 * alpha)
                     # Never clipped: an atom set to zero never comes back.
                     if trial.min() >= 0.0:
-                        f_trial = evaluate(trial, c_trial, strict=False)
+                        f_trial = tilt.evaluate(trial, c_trial, strict=False)
                         iterations += 1
                         if f_trial <= f:
-                            extrapolated = True
+                            candidate = trial
                             break
                     backtracks += 1
                     alpha = 0.5 * (alpha - 1.0)
-                maps = 0
-                if extrapolated:
-                    # nu and its c stay in trial's buffers until the
-                    # stabilizing map is known.
-                    accepted += 1
-                    nu, trial = trial, nu
-                    c, c_trial = c_trial, c
-                    f, f_kept = f_trial, f
-                    maps = 0 if one_mode else -1
-            if not (final or extrapolated):
-                cycle[maps], nu, plain = nu, plain, cycle[maps]
-                f = evaluate(nu, c)
+            if candidate is not None:
+                # Its stabilizing map starts the next cycle.  On two atoms the
+                # law has one degree of freedom and no other mode to amplify:
+                # the candidate itself starts it.  An atom the plain maps
+                # emptied since x0 stays empty: the candidate's (1 + alpha)^2
+                # x0_j there is an artefact of the extrapolation.
+                accepted += 1
+                candidate[nu == 0] = 0.0
+                cycle = [candidate] if np.count_nonzero(nu > 0) == 2 else []
+                kept, nu, f, c = (nu, f, c), candidate, f_trial, c_trial
+            elif not final:
+                # Written in place: ``kept`` holds a c of its own.
+                f_plain = tilt.evaluate(plain, c)
                 iterations += 1
-                maps += 1
-                if jumped and f > f_kept:
+                if kept is not None and f_plain > kept[1]:
                     # The stabilizing map raised F (by rounding): keep the
                     # law the candidate was extrapolated from.
                     rejected += 1
-                    nu, trial = trial, nu
-                    c, c_trial = c_trial, c
-                    f = f_kept
-                    maps = 0
-            jumped = extrapolated
+                    nu, f, c = kept
+                    cycle = [nu]
+                else:
+                    nu, f = plain, f_plain
+                    cycle.append(nu)
+                kept = None
 
-            low = np.minimum.reduce(nu, where=alive, initial=1.0) if has_dead else nu.min()
-            if low < SUPPORT_FLOOR:
+            if nu.min() < SUPPORT_FLOOR:
                 dying = (nu < SUPPORT_FLOOR) & (nu > 0)
-                if np.any(dying):
-                    shrunk += int(dying.sum())
+                pinned = np.count_nonzero(dying)
+                if pinned:
+                    shrunk += pinned
                     logger.debug(
                         "iteration %d: pinned %d reconstruction atoms below %.0e",
-                        iterations,
-                        int(dying.sum()),
-                        SUPPORT_FLOOR,
+                        iterations, pinned, SUPPORT_FLOOR,
                     )
                     nu[dying] = 0.0
-                    maps = 0
+                    cycle = [nu]
                     if not final:
-                        f = evaluate(nu, c)
-                dead, alive, has_dead = support_masks(nu)
+                        f = tilt.evaluate(nu, c)
             if final:
                 law = nu / nu.sum()
-                # c_trial holds nothing the loop needs once the stop rule fired.
-                evaluate(law, c_trial)
-                distortion, rate, slack_final, _ = tilt.certificate(law, c_trial)
+                tilt.evaluate(law, c)
+                distortion, rate, slack_final, _ = tilt.certificate(law, c)
                 if slack_final <= tol or iterations >= max_iter:
                     break
                 # The law to be returned misses tol: it stands as a plain map.
-                f = evaluate(nu, c)
+                f = tilt.evaluate(nu, c)
                 iterations += 1
-                maps = 0
+                cycle = [nu]
     logger.debug(
         "iteration %d: Blahut-Arimoto stops; %d extrapolations accepted, %d backtracks, "
         "%d stabilizing maps rejected", iterations, accepted, backtracks, rejected
@@ -616,9 +604,6 @@ def ba_fixed_point(
     the update stands as an ordinary one.  Where no candidate is kept the
     solve ends exactly where the plain iteration would.  Atoms that decay
     below ``SUPPORT_FLOOR`` are pinned to exact zero and never revived.
-    Outside support pinning and the log-domain fallback of ``_Tilt``, the
-    loop allocates no arrays: every step writes into buffers made once per
-    call.
 
     With ``tol <= SECOND_ORDER_TOL`` the solve takes second-order steps
     from the uniform law, whatever ``nu0`` (which then gives only the
@@ -662,10 +647,7 @@ def ba_fixed_point(
     _check_compat(mu, dist, beta, nu0)
     n = dist.shape[1]
     labels = None if nu0 is None else nu0.labels
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    _check_budget(tol, max_iter)
 
     if beta == 0:
         ceiling, col = d_max(mu, dist)
@@ -1013,10 +995,7 @@ def solve_point_for_distortion(
             "R(D) = 0 for D > D_max and no finite-rate point exists at or "
             "below the distortion floor"
         )
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    _check_budget(tol, max_iter)
     band = 10.0 * tol * ceiling
     spread = (ceiling if ceiling < math.inf else target) - floor
     cols = np.union1d(column, np.linspace(0, dist.shape[1] - 1, START_COLUMNS).round().astype(int))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import ROW_SUM_FLOOR, _Tilt, _check_compat, _flush_kernel, _logsumexp
+from .blahut import ROW_SUM_FLOOR, _Tilt, _check_budget, _check_compat, _flush_kernel, _logsumexp
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
 from .measures import Coupling, ProbabilityVector
@@ -245,10 +245,7 @@ def sinkhorn(
 
 def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPair, Coupling]:
     """``sinkhorn`` from a ``_Tilt`` evaluated at nu, whose kernel it takes over."""
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    _check_budget(tol, max_iter)
 
     rows = mu.support
     cols = nu.support

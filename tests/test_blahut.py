@@ -22,7 +22,6 @@ from rdbridge.blahut import (
     _logsumexp,
     _shifted_kernel,
     _Tilt,
-    _tilted_state,
     ba_fixed_point,
     dual_certificate,
     rd_curve,
@@ -349,7 +348,7 @@ def test_the_answer_carries_the_start_laws_labels(caplog, n, beta, tol, record):
     assert record in caplog.text if record else not caplog.records
 
 
-def test_newton_phase_runs_only_below_newton_tol(caplog):
+def test_second_order_steps_run_only_at_or_below_second_order_tol(caplog):
     # A tol above SECOND_ORDER_TOL keeps the Blahut-Arimoto path; a tight
     # one takes second-order steps, exact ones on two columns, and logs one
     # record with the path, its iterations, slack and residual.
@@ -482,7 +481,7 @@ def test_two_column_solve_agrees_with_plain_blahut_arimoto(problem):
     converged = True
     if value_ref is None:
         nu_ref, converged = plain_blahut_arimoto(mu, dist, beta, 1e-10, 20000)
-        _, d_ref, r_ref, _, _ = _tilted_state(mu, dist, beta, ProbabilityVector(nu_ref))
+        d_ref, r_ref = rd_value_from_nu(mu, dist, beta, ProbabilityVector(nu_ref))
         value_ref = r_ref + beta * d_ref
     assert value <= value_ref + 1e-9
     if converged:
@@ -531,7 +530,7 @@ def engine_problems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(engine_problems())
-def test_two_phase_engine_agrees_with_plain_blahut_arimoto(problem):
+def test_second_order_engine_agrees_with_plain_blahut_arimoto(problem):
     # The optimal law need not be unique, but F(nu) = R + beta D at the
     # optimum is, and a law whose slack is at most tol has F within tol of
     # it.  The reference is the closed form where there is one, else the
@@ -545,7 +544,7 @@ def test_two_phase_engine_agrees_with_plain_blahut_arimoto(problem):
     converged = True
     if value_ref is None:
         nu_ref, converged = plain_blahut_arimoto(mu, dist, beta, tol, 5000)
-        _, d_ref, r_ref, _, _ = _tilted_state(mu, dist, beta, ProbabilityVector(nu_ref))
+        d_ref, r_ref = rd_value_from_nu(mu, dist, beta, ProbabilityVector(nu_ref))
         value_ref = r_ref + beta * d_ref
     assert value <= value_ref + tol
     if converged:
@@ -595,9 +594,9 @@ def test_engine_agrees_with_plain_blahut_arimoto_on_larger_instances(tol, seed):
     beta = math.exp(rng.uniform(math.log(0.1), math.log(30.0)))
     point = ba_fixed_point(mu, dist, beta, tol=tol, max_iter=200000)
     assert point.converged and point.certificate_slack <= tol
-    _, d_ref, r_ref, slack_ref, _ = _tilted_state(
-        mu, dist, beta, ProbabilityVector(plain_reference(mu, dist, beta, tol))
-    )
+    nu_ref = ProbabilityVector(plain_reference(mu, dist, beta, tol))
+    d_ref, r_ref = rd_value_from_nu(mu, dist, beta, nu_ref)
+    _, slack_ref, _ = dual_certificate(mu, dist, beta, nu_ref)
     assert slack_ref <= tol
     value, value_ref = point.rate + beta * point.distortion, r_ref + beta * d_ref
     assert abs(value - value_ref) <= tol
@@ -780,7 +779,8 @@ def test_a_row_sum_below_the_floor_is_taken_in_the_log_domain():
         # The evaluator's F leaves out the row shifts of its kernel.
         assert f == pytest.approx(-(mu.weights @ (log_z - log_phi.max(axis=1))), rel=1e-12)
         assert c == pytest.approx(c_ref, rel=1e-12)
-        _, distortion, rate, slack, _ = _tilted_state(mu, dist, beta, nu)
+        distortion, rate = rd_value_from_nu(mu, dist, beta, nu)
+        _, slack, _ = dual_certificate(mu, dist, beta, nu)
         assert distortion == pytest.approx(d_ref, rel=1e-12)
         assert rate == pytest.approx(-(mu.weights @ log_z) - beta * d_ref, rel=1e-12)
         assert slack == pytest.approx(c_ref.max() - 1.0, rel=1e-12)
@@ -864,6 +864,8 @@ def test_solver_input_validation():
         ba_fixed_point(mu, dist, 1.0, nu0=ProbabilityVector([1.0]))
     with pytest.raises(InvalidInputError):
         ba_fixed_point(ProbabilityVector([1.0]), dist, 1.0)
+    with pytest.raises(InvalidInputError, match="tol must be positive"):
+        solve_point_for_distortion(mu, dist, 0.25, tol=0.0)
     with pytest.raises(InvalidInputError, match="max_iter must be >= 1"):
         solve_point_for_distortion(mu, dist, 0.25, max_iter=-3)
 
@@ -936,16 +938,48 @@ def test_gaussian_curve_sweep_stays_within_its_evaluation_budget():
     assert sum(p.iterations for p in curve.points) <= GAUSSIAN_SWEEP_BUDGET
 
 
-def test_wide_uniform_curve_sweep_stays_within_its_evaluation_budget():
+def blahut_arimoto_totals(caplog) -> tuple[int, int, int]:
+    """(extrapolations accepted, backtracks, stabilizing maps rejected) over the logged solves."""
+    pattern = re.compile(
+        r"iteration \d+: Blahut-Arimoto stops; (\d+) extrapolations accepted, (\d+) backtracks, "
+        r"(\d+) stabilizing maps rejected"
+    )
+    counts = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
+    return tuple(sum(int(m.group(k)) for m in counts if m) for k in (1, 2, 3))
+
+
+def test_gaussian_curve_sweep_takes_the_same_iterates(caplog):
+    # The sweep above, pinned exactly: a rewrite of the extrapolation cycle
+    # that keeps its arithmetic keeps every count.
+    src = discretize_gaussian(1.0)
+    dist = squared_error(src.grid, src.grid)
+    start = ProbabilityVector(np.full(len(src.grid), 1.0 / len(src.grid)))
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        curve = rd_curve(
+            src.weights, dist, np.geomspace(2.0, 10.0, 4), tol=5e-4, max_iter=300000, nu0=start
+        )
+    assert [p.iterations for p in curve.points] == [27, 60, 118, 118]
+    assert blahut_arimoto_totals(caplog) == (77, 14, 0)
+
+
+def test_wide_uniform_curve_sweep_stays_within_its_evaluation_budget(caplog):
     # The 201-point uniform source under squared error, beta from 0.5 to 50
     # in 12 warm-started steps at tol 5e-4.  The warm start's mix of
     # uniform mass sets the count: with WARM_START_MIX = 1e-6 the sweep
-    # needed 12,288 evaluations.
+    # needed 12,288 evaluations.  Atoms are pinned between extrapolations
+    # here, so the exact counts pin the cycle's restart after a pin too.
     spec = discretize_uniform(-1.0, 1.0, 201)
     dist = squared_error(spec.grid, spec.grid)
-    curve = rd_curve(spec.weights, dist, np.geomspace(0.5, 50.0, 12), tol=5e-4, max_iter=300000)
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        curve = rd_curve(spec.weights, dist, np.geomspace(0.5, 50.0, 12), tol=5e-4, max_iter=300000)
     assert all(p.converged for p in curve.points)
     assert sum(p.iterations for p in curve.points) <= UNIFORM_SWEEP_BUDGET
+    assert [p.iterations for p in curve.points] == [
+        345, 21, 1, 1077, 1061, 570, 515, 758, 1849, 1561, 1129, 1245
+    ]
+    pin = re.compile(r"iteration \d+: pinned (\d+) reconstruction atoms below 1e-300")
+    pins = [int(m.group(1)) for r in caplog.records if (m := pin.fullmatch(r.getMessage()))]
+    assert (len(pins), sum(pins)) == (22, 42)
 
 
 def test_each_solve_logs_its_blahut_arimoto_phase_once(caplog):
@@ -1259,7 +1293,7 @@ def test_target_solve_in_rounds_agrees_with_the_fixed_point_at_its_slope(instanc
     assert abs(value - (fixed.rate + fixed.beta * fixed.distortion)) <= 1e-8
 
 
-def test_target_search_on_the_201_point_uniform_source_takes_few_solves(caplog):
+def test_target_solve_on_the_201_point_uniform_source_takes_few_rounds(caplog):
     # At tol 1e-3, targets f * D_max with f in [0.35, 0.63] took 2 rounds
     # of 6-10 interior-point iterations each, measured over 29 targets.  The
     # bound of 14 per round is the one a single solve on every column had
