@@ -401,12 +401,13 @@ def _blahut_arimoto(
     tilt = _Tilt(mu, dist, beta)
     n = dist.shape[1]
     nu = np.full(n, 1.0 / n) if nu0 is None else nu0.weights.copy()
+    start = nu > 0
     c = np.empty(n)
     # The laws of the current cycle, x0 first and nu last.  Until the
     # stabilizing map of a kept candidate is known, ``kept`` holds the law
     # x2 the candidate was extrapolated from, with its F and c.
     cycle, kept = [nu], None
-    accepted = backtracks = rejected = shrunk = 0
+    accepted = backtracks = rejected = 0
 
     # Every overflow, underflow and 0 * inf in the loop is either masked
     # out (empty columns) or lands in a candidate whose F is not finite,
@@ -485,7 +486,6 @@ def _blahut_arimoto(
                 dying = (nu < SUPPORT_FLOOR) & (nu > 0)
                 pinned = np.count_nonzero(dying)
                 if pinned:
-                    shrunk += pinned
                     logger.debug(
                         "iteration %d: pinned %d reconstruction atoms below %.0e",
                         iterations, pinned, SUPPORT_FLOOR,
@@ -497,8 +497,8 @@ def _blahut_arimoto(
             if final:
                 law = nu / nu.sum()
                 tilt.evaluate(law, c)
-                distortion, rate, slack_final, _ = tilt.certificate(law, c)
-                if slack_final <= tol or iterations >= max_iter:
+                slack = float(c.max()) - 1.0
+                if slack <= tol or iterations >= max_iter:
                     break
                 # The law to be returned misses tol: it stands as a plain map.
                 f = tilt.evaluate(nu, c)
@@ -508,18 +508,11 @@ def _blahut_arimoto(
         "iteration %d: Blahut-Arimoto stops; %d extrapolations accepted, %d backtracks, "
         "%d stabilizing maps rejected", iterations, accepted, backtracks, rejected
     )
+    # Pinned atoms, and atoms that a plain map sent straight to zero.
+    shrunk = np.count_nonzero(start & (law == 0.0))
     if shrunk:
         logger.debug("support shrank by %d atoms in total", shrunk)
-    return RDPoint(
-        beta=float(beta),
-        distortion=distortion,
-        rate=rate,
-        nu_star=ProbabilityVector(law),
-        iterations=iterations,
-        fixpoint_residual=residual,
-        certificate_slack=slack_final,
-        converged=residual <= tol and slack_final <= tol,
-    )
+    return _answer(tilt, law, c, iterations, residual, residual <= tol and slack <= tol)
 
 
 def _two_columns(
@@ -550,7 +543,7 @@ def _two_columns(
     ends = {0.0: b.min() > 0.0, 1.0: a.min() > 0.0}
     iterations = 0
     while True:
-        distortion, rate, slack, residual = _stop_values(tilt, x, c)
+        slack, residual = _stop_values(tilt, x, c)
         done = slack <= eps and residual <= eps
         if done or n == 1 or iterations >= max_iter:
             break
@@ -574,9 +567,7 @@ def _two_columns(
         last = abs(step - t)
         x = np.array([step, 1.0 - step])
         iterations += 1
-    return RDPoint(
-        float(beta), distortion, rate, ProbabilityVector(x), iterations, residual, slack, done
-    )
+    return _answer(tilt, x, c, iterations, residual, done)
 
 
 def ba_fixed_point(
@@ -734,12 +725,29 @@ def _boundary(u: np.ndarray, du: np.ndarray, v: float = 0.0, dv: float = 0.0) ->
     return min(t, v / -dv) if dv < 0.0 else t
 
 
-def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, float, float, float]:
-    """(D, R, slack, fixed-point residual) of the law at the tilt's beta; c goes to ``c``."""
+def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """(slack, fixed-point residual) of the law at the tilt's beta; c goes to ``c``.
+
+    The slack is the certificate's own, max_j c_j - 1.
+    """
     tilt.evaluate(law, c)
-    distortion, rate, slack, _ = tilt.certificate(law, c)
     plain = law * c
-    return distortion, rate, slack, float(np.abs(plain / plain.sum() - law).max())
+    return float(c.max()) - 1.0, float(np.abs(plain / plain.sum() - law).max())
+
+
+def _answer(
+    tilt: _Tilt, law: np.ndarray, c: np.ndarray, iterations: int, residual: float, converged: bool
+) -> RDPoint:
+    """The unlabelled point of the law that ``tilt`` evaluated last, with its c.
+
+    Every iterative solve returns through here: D, R and the slack are
+    certified once, at the returned law.
+    """
+    distortion, rate, slack, _ = tilt.certificate(law, c)
+    return RDPoint(
+        float(tilt.beta), distortion, rate, ProbabilityVector(law), iterations, residual, slack,
+        converged,
+    )
 
 
 def _saddle_point(
@@ -774,10 +782,11 @@ def _saddle_point(
             tilt = _Tilt(mu, dist, beta)
         mass = x.sum()
         law = x / mass
-        distortion, rate, slack, residual = _stop_values(tilt, law, c)
+        slack, residual = _stop_values(tilt, law, c)
+        # |D - target| is part of the stop rule.
+        miss = tilt.certificate(law, c)[0] - target if free else 0.0
         # c at x, whose mass is not 1 before the solve ends.
         c_x = c / mass
-        miss = distortion - target if free else 0.0
         if s is None:
             s = np.maximum(1.0 - c_x, 0.0) + 1e-2
             if free:
@@ -853,17 +862,7 @@ def _saddle_point(
         "gap %.3e, slack %.3e, residual %.3e",
         iterations, beta, abs(miss), gap, slack, residual,
     )
-    point = RDPoint(
-        beta=float(beta),
-        distortion=distortion,
-        rate=rate,
-        nu_star=ProbabilityVector(law),
-        iterations=iterations,
-        fixpoint_residual=residual,
-        certificate_slack=slack,
-        converged=done,
-    )
-    return point, gap, failure
+    return _answer(tilt, law, c, iterations, residual, done), gap, failure
 
 
 def _priced_rounds(
@@ -919,12 +918,11 @@ def _priced_rounds(
         rounds += 1
         enter = ()
         if not whole:
-            law, c = np.zeros(n), np.empty(n)
+            tilt, law, c = _Tilt(mu, dist, point.beta), np.zeros(n), np.empty(n)
             law[cols] = point.nu_star.weights
-            distortion, rate, slack, residual = _stop_values(_Tilt(mu, dist, point.beta), law, c)
+            _, residual = _stop_values(tilt, law, c)
             enter = np.setdiff1d(np.flatnonzero(c > 1.0 + eps), cols)
-            nu = ProbabilityVector(law)
-            point = RDPoint(point.beta, distortion, rate, nu, iterations, residual, slack)
+            point = _answer(tilt, law, c, iterations, residual, solved)
         point.iterations, point.converged = iterations, solved and not len(enter)
         logger.debug(
             "round %d: %d of %d columns in play, %d enter, %d iterations",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .measures import ProbabilityVector
+from .measures import ProbabilityVector, _as_float_array
 
 
 @dataclass
@@ -30,11 +30,7 @@ class DistortionMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        if self.rho.ndim != 2 or self.rho.size == 0:
-            raise InvalidInputError(
-                f"rho must be a non-empty matrix, got shape {self.rho.shape}"
-            )
+        self.rho = _as_float_array(self.rho, "rho", 2)
         # One pass: the minimum is nan if any entry is.
         if not self.rho.min() >= 0.0:
             raise InvalidInputError("rho entries must be nonnegative (or +inf)")

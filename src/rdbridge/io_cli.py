@@ -225,12 +225,12 @@ def build_problem(
     else:
         if cfg["distortion.file"] is None:
             raise InvalidInputError("distortion.kind=custom requires distortion.file")
-        rows = [
-            _parse_floats(line)
-            for line in Path(cfg["distortion.file"]).read_text().splitlines()
-            if line.strip()
-        ]
-        dist = DistortionMatrix(np.array(rows))
+        path = cfg["distortion.file"]
+        try:
+            text = Path(path).read_text()
+        except OSError as err:
+            raise InvalidInputError(f"cannot read {path}: {err}") from None
+        dist = DistortionMatrix([_parse_floats(line) for line in text.splitlines() if line.strip()])
         if dist.shape[0] != len(mu):
             raise InvalidInputError(
                 f"distortion matrix has {dist.shape[0]} rows for {len(mu)} source atoms"

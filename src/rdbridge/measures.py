@@ -16,12 +16,18 @@ from .errors import InvalidInputError
 MASS_TOL = 1e-12
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise InvalidInputError(f"{name} must be non-empty")
+def _as_float_array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a non-empty float array of ``ndim`` axes.
+
+    Non-numeric or ragged input is an InvalidInputError, as is any other shape.
+    """
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a regular array of reals") from None
+    if arr.ndim != ndim or arr.size == 0:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise InvalidInputError(f"{name} must be a non-empty {kind}, got shape {arr.shape}")
     return arr
 
 
@@ -72,11 +78,7 @@ class Coupling:
     joint: np.ndarray
 
     def __post_init__(self):
-        self.joint = np.asarray(self.joint, dtype=float)
-        if self.joint.ndim != 2 or self.joint.size == 0:
-            raise InvalidInputError(
-                f"joint must be a non-empty matrix, got shape {self.joint.shape}"
-            )
+        self.joint = _as_float_array(self.joint, "joint", 2)
         # One pass: the minimum is nan if any entry is.
         if not self.joint.min() >= 0.0:
             raise InvalidInputError("joint entries must be nonnegative reals")

@@ -105,6 +105,48 @@ def test_support_pinning_reaches_exact_zero(caplog):
     assert point.rate == 0.0
 
 
+def test_support_total_counts_an_atom_that_underflows_to_zero(caplog):
+    # The third atom starts at 1e-293, above the support floor, and its
+    # update factor is about e^-132, so one plain map sends it straight to
+    # exact zero without a pin.  The total still counts it.
+    mu = ProbabilityVector([0.5, 0.5])
+    dist = DistortionMatrix([[0.0, 1.0, 11.0], [1.0, 0.0, 11.0]])
+    start = ProbabilityVector([0.5, 0.5 - 1e-293, 1e-293])
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        point = ba_fixed_point(mu, dist, 12.0, nu0=start, tol=1e-3)
+    messages = [r.getMessage() for r in caplog.records]
+    assert not any("pinned" in m for m in messages)
+    assert "support shrank by 1 atoms in total" in messages
+    assert point.converged and point.nu_star.weights[2] == 0.0
+
+
+@pytest.mark.parametrize(
+    "problem, beta, tol",
+    [
+        ("bernoulli", 3.0, 1e-11),  # the two-column solve
+        ("gaussian", 9.37, 1e-9),  # the interior point
+    ],
+)
+def test_a_fixed_slope_second_order_answer_is_certified_once(monkeypatch, problem, beta, tol):
+    # The stop rule reads only the slack and the residual; D and R are
+    # certified at the returned law alone.
+    if problem == "bernoulli":
+        mu, dist = ProbabilityVector([0.8, 0.2]), hamming(2)
+    else:
+        src = discretize_gaussian(1.0)
+        mu, dist = src.weights, squared_error(src.grid, src.grid)
+    certificate, calls = _Tilt.certificate, []
+
+    def counted(self, x, c):
+        calls.append(None)
+        return certificate(self, x, c)
+
+    monkeypatch.setattr(_Tilt, "certificate", counted)
+    point = ba_fixed_point(mu, dist, beta, tol=tol)
+    assert point.converged
+    assert len(calls) == 1
+
+
 def test_log_domain_regime_matches_entropy():
     # At beta = 80 the off-diagonal kernel entries are e^-80; the
     # distortion is ~e^-80 so the rate equals the source entropy to far

@@ -122,6 +122,37 @@ def test_parse_bool_words():
             {"conf": "min_iter = 5\n"},
             "unknown config key 'min_iter'",
         ),
+        # Malformed files: a missing or ragged loss matrix, non-numeric law entries.
+        (
+            ["curve", "--distortion.kind", "custom", "--distortion.file", "{missing}"],
+            {},
+            "cannot read {missing}: ",
+        ),
+        (
+            ["curve", "--distortion.kind", "custom", "--distortion.file", "{loss}"],
+            {"loss": "0 1\n1\n"},
+            "rho must be a regular array of reals",
+        ),
+        (
+            ["check", "--beta", "1", "--nu", "{nu}"],
+            {"nu": '{"weights": ["a", "b"]}'},
+            "weights must be a regular array of reals",
+        ),
+        (
+            ["check", "--beta", "1", "--nu", "{nu}"],
+            {"nu": '{"weights": {"a": 1}}'},
+            "weights must be a regular array of reals",
+        ),
+        (
+            ["check", "--beta", "1", "--nu", "{nu}"],
+            {"nu": '{"weights": [0.5, 0.5], "labels": ["a", "b"]}'},
+            "labels must be a regular array of reals",
+        ),
+        (
+            ["check", "--beta", "1", "--nu", "{nu}"],
+            {"nu": '{"weights": [0.5, 0.5], "labels": {"a": 1}}'},
+            "labels must be a regular array of reals",
+        ),
     ],
 )
 def test_input_errors_exit_1_with_their_message(tmp_path, capsys, argv, files, message):
@@ -131,7 +162,7 @@ def test_input_errors_exit_1_with_their_message(tmp_path, capsys, argv, files, m
         paths[name].write_text(text)
     code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
     assert code == 1 and out == ""
-    assert message in err
+    assert message.format(**paths) in err
 
 
 # --- curve ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Smoke tests: the scripts under tools/ run and report on the package."""
+import importlib.util
 import os
 import re
 import subprocess
@@ -48,3 +49,44 @@ def test_line_census_lists_the_lines_a_script_never_runs(tmp_path):
         first, _, last = run.partition("-")
         missed_lines.update(range(int(first), int(last or first) + 1))
     assert newton in missed_lines and two_columns not in missed_lines
+
+
+def _load_src_lines():
+    spec = importlib.util.spec_from_file_location("tools_src_lines", ROOT / "tools" / "src_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks():
+    source = (
+        '"""Module docstring\n'
+        'on two lines."""\n'
+        "import os\n"
+        "\n"
+        "# a comment-only line\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    return x + 1  # a trailing comment\n"
+    )
+    # Code lines: the import, the def and the return.
+    assert _load_src_lines().count(source) == (10, 3)
+
+
+def test_src_lines_lists_every_module_and_their_total():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = proc.stdout.splitlines()
+    assert header.split() == ["module", "lines", "code"]
+    counts = {name: (int(lines), int(code)) for name, lines, code in map(str.split, rows)}
+    assert set(counts) == {p.name for p in (ROOT / "src" / "rdbridge").glob("*.py")}
+    name, lines, code = total.split()
+    assert name == "total"
+    assert (int(lines), int(code)) == tuple(map(sum, zip(*counts.values())))
