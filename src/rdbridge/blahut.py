@@ -214,56 +214,65 @@ def _flush_kernel(kernel: np.ndarray) -> None:
     kernel[kernel < KERNEL_FLOOR] = 0.0
 
 
-def _shifted_kernel(log_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(log_phi - shift) in log_phi's own buffer, shifted by the row maximum of log_phi.
-
-    A row partition sum computed from this kernel is then exactly a
-    logsumexp evaluation whose shift was chosen once instead of per call.
-    For a normalized loss the shift is zero.
-    """
-    shift = np.max(log_phi, axis=1)
-    with np.errstate(invalid="ignore"):
-        ker = np.subtract(log_phi, shift[:, None], out=log_phi)
-        np.exp(ker, out=ker)
-    # Rows of all-infinite loss produce nan from (-inf) - (-inf); they
-    # carry no kernel mass at all.  Elsewhere exp(-inf) is already 0.
-    ker[np.isneginf(shift)] = 0.0
-    # Entries more than 354 nats below the row maximum (below KERNEL_FLOOR)
-    # are flushed: each moves a row sum of at least ROW_SUM_FLOOR by less
-    # than its rounding error, and a smaller row sum falls back to logsumexp.
-    _flush_kernel(ker)
-    return shift, ker
-
-
 class _Tilt:
     """The tilted coupling pi_ij = mu_i x_j exp(-beta rho_ij) / Z_i of a law x.
 
-    Holds the ``_shifted_kernel`` K of (rho, beta), with its row shift s,
-    on the rows where mu > 0: rows of zero source mass take no part in F,
-    c, D or R.  ``evaluate`` gives Z = K x (ln Z - s in ``log_z``), F and
-    c = (mu / Z) K; ``certificate`` adds D = (mu / Z) . ((K o rho) x), R,
-    the slack and the dual value.  Kernel entries below KERNEL_FLOOR are
-    zero, so no product of two kept entries is subnormal; a row sum below
-    ROW_SUM_FLOOR, where the flushed entries could pass its rounding error,
-    sends the pass to per-row logsumexp over -beta rho, formed on first use
-    (``scaled`` is then False).  Given ``nu``, the tilt is evaluated at
-    nu at once, with c at nu in ``c``.
+    Holds, on the rows where mu > 0, the shifted kernel
+    K = exp(-beta rho~) of the loss relative to its row minimum,
+    rho~_ij = rho_ij - min_j rho_ij, with row shift s = -beta min_j rho_ij:
+    rows of zero source mass take no part in F, c, D or R.  Where every row
+    attains a zero loss, K is exp(-beta rho) itself.  ``move`` takes the
+    tilt to another beta in its own buffers.  ``evaluate`` gives Z = K x
+    (ln Z - s in ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
+    D = (mu / Z) . ((K o rho) x), R, the slack and the dual value.  Kernel
+    entries below KERNEL_FLOOR are zero, so no product of two kept entries
+    is subnormal; a row sum below ROW_SUM_FLOOR, where the flushed entries
+    could pass its rounding error, sends the pass to per-row logsumexp over
+    -beta rho, formed on first use (``scaled`` is then False).  Given
+    ``nu``, the tilt is evaluated at nu at once, with c at nu in ``c``.
     """
 
     def __init__(self, mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu=None):
         _check_compat(mu, dist, beta, nu)
-        self.dist, self.beta = dist, beta
+        self.dist = dist
         self.live = mu.weights > 0
         self.full = bool(self.live.all())
         # Copies of rho-sized arrays page-fault; only zero-mass rows need one.
         self.mu = mu.weights if self.full else mu.weights[self.live]
-        log_phi = _log_kernel(dist, beta)
-        self.shift, self.ker = _shifted_kernel(log_phi if self.full else log_phi[self.live])
-        self.z, self.log_z, self.w = (np.empty(len(self.mu)) for _ in range(3))
-        self._log_phi = None
+        self.rho = dist.rho if self.full else dist.rho[self.live]
+        self._low = self.rho.min(axis=1)
+        # Rows that forbid every column keep rho~ = +inf, a zero kernel row,
+        # and s = -inf.
+        self._dead = np.flatnonzero(np.isinf(self._low))
+        self._low[self._dead] = 0.0
+        self.ker = np.empty_like(self.rho)
+        self.shift, self.z, self.log_z, self.w = (np.empty(len(self.mu)) for _ in range(4))
+        self.move(beta)
         if nu is not None:
             self.c = np.empty(len(nu))
             self.evaluate(nu.weights, self.c)
+
+    def move(self, beta: float) -> None:
+        """Move the tilt to slope beta, in its own kernel and shift buffers."""
+        self.beta, self._log_phi = beta, None
+        ker = self.ker
+        np.multiply(self._low, -beta, out=self.shift)
+        self.shift[self._dead] = -np.inf
+        # rho~ is formed in the kernel's buffer; when every row attains
+        # zero it is rho itself.
+        rel = np.subtract(self.rho, self._low[:, None], out=ker) if self._low.any() else self.rho
+        if beta == 0:
+            # The beta -> 0+ limit of ``_log_kernel``: 1 on finite losses
+            # and 0 on +inf ones.
+            np.isfinite(rel, out=ker)
+            return
+        np.multiply(rel, -beta, out=ker)
+        np.exp(ker, out=ker)
+        # Entries more than 354 nats below the row maximum (below
+        # KERNEL_FLOOR) are flushed: each moves a row sum of at least
+        # ROW_SUM_FLOOR by less than its rounding error, and a smaller row
+        # sum falls back to logsumexp.
+        _flush_kernel(ker)
 
     def log_phi(self) -> np.ndarray:
         """-beta rho on the rows of positive mass, formed on first use."""
@@ -311,22 +320,21 @@ class _Tilt:
         These are the values ``rd_value_from_nu`` and ``dual_certificate``
         document.
         """
-        rho = self.dist.rho if self.full else self.dist.rho[self.live]
         slack = float(c.max()) - 1.0
         log_z = self.log_z + self.shift
         if self.scaled:
-            if rho.max() < np.inf:
-                loss = self.ker * rho
+            if self.rho.max() < np.inf:
+                loss = self.ker * self.rho
             else:
                 # 0 * inf guard: forbidden pairs carry no kernel mass.
                 loss = np.zeros_like(self.ker)
-                np.multiply(self.ker, rho, out=loss, where=self.ker > 0.0)
+                np.multiply(self.ker, self.rho, out=loss, where=self.ker > 0.0)
             distortion = float(self.w @ (loss @ x))
         else:
             pi = np.exp(self.log_phi() + _log_weights(x) - log_z[:, None])
             loss = np.zeros_like(pi)
             # 0 * inf guard: a positive pi entry can only sit on finite rho.
-            np.multiply(pi, rho, out=loss, where=pi > 0.0)
+            np.multiply(pi, self.rho, out=loss, where=pi > 0.0)
             distortion = float(self.mu @ loss.sum(axis=1))
         neg_log_z = -(self.mu @ log_z)
         tilt = self.beta * distortion
@@ -720,8 +728,8 @@ def rd_curve(
 
 def _boundary(u: np.ndarray, du: np.ndarray, v: float = 0.0, dv: float = 0.0) -> float:
     """The step t at which u + t du, or the scalar v + t dv, first reaches zero; inf if never."""
-    shrink = du < 0.0
-    t = float(np.min(u[shrink] / -du[shrink])) if shrink.any() else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = float(np.minimum.reduce(u / -du, where=du < 0.0, initial=math.inf))
     return min(t, v / -dv) if dv < 0.0 else t
 
 
@@ -772,21 +780,33 @@ def _saddle_point(
     x = np.full(n, 1.0 / n)
     c = np.empty(n)
     s = None
-    lam = 0.0
+    lam = miss = 0.0
     iterations = 0
     failure = ""
     last_gap = math.inf
-    tilt = None
+    tilt = _Tilt(mu, dist, beta)
+    ker, root_mu = tilt.ker, np.sqrt(tilt.mu)
+    if free:
+        rho = tilt.rho
+        if not rho.max() < math.inf:
+            # Forbidden pairs carry no kernel mass: a zero loss there keeps
+            # K o rho free of 0 * inf.
+            rho = np.where(np.isinf(rho), 0.0, rho)
+        loss = np.empty_like(ker)
     while True:
-        if free or tilt is None:
-            tilt = _Tilt(mu, dist, beta)
+        if free and iterations:
+            tilt.move(beta)
         mass = x.sum()
         law = x / mass
         slack, residual = _stop_values(tilt, law, c)
-        # |D - target| is part of the stop rule.
-        miss = tilt.certificate(law, c)[0] - target if free else 0.0
-        # c at x, whose mass is not 1 before the solve ends.
-        c_x = c / mass
+        # K x and c at x, whose mass is not 1 before the solve ends.
+        z, c_x = tilt.z * mass, c / mass
+        if free:
+            # |D - target| is part of the stop rule; d_i is row i's
+            # conditional distortion.
+            np.multiply(ker, rho, out=loss)
+            d = (loss @ x) / z
+            miss = float(tilt.mu @ d) - target
         if s is None:
             s = np.maximum(1.0 - c_x, 0.0) + 1e-2
             if free:
@@ -796,23 +816,20 @@ def _saddle_point(
         done = bool(abs(miss) <= band and worst <= eps)
         if done or iterations >= max_iter:
             break
-        ker = tilt.ker
         # The Hessian H = A'A of F at x, with A = diag(sqrt(mu) / K x) K.
-        z = ker @ x
-        a = ker * (np.sqrt(tilt.mu) / z)[:, None]
+        a = ker * (root_mu / z)[:, None]
         m = a.T @ a
         if free:
-            rho = tilt.dist.rho if tilt.full else tilt.dist.rho[tilt.live]
             w = tilt.mu / z
-            # 0 * inf guard: forbidden pairs carry no kernel mass.
-            allowed = ker > 0.0
-            loss = np.multiply(ker, rho, out=np.zeros_like(ker), where=allowed)
-            d = (loss @ x) / z
             g = (w * d) @ ker - w @ loss
-            dev = np.subtract(rho, d[:, None], out=np.zeros_like(ker), where=allowed)
-            v = float(w @ ((ker * dev * dev) @ x))
+            # v = sum_i w_i ((K o rho o rho) x)_i - sum_i mu_i d_i^2.
+            loss *= rho
+            v = float(w @ (loss @ x)) - float(tilt.mu @ (d * d))
         m.flat[:: n + 1] += s / x
         m.flat[:: n + 1] *= 1.0 + RIDGE
+        # M >= 0 entrywise: entries this far below its largest diagonal
+        # entry only make the factor's products underflow.
+        m[m < KERNEL_FLOOR * m.diagonal().max()] = 0.0
         factor, info = lapack.dpotrf(m)
         if free:
             m_g = lapack.dpotrs(factor, g)[0]
@@ -953,8 +970,11 @@ def solve_point_for_distortion(
         dbeta = (r_beta - g'M^-1 r) / (g'M^-1 g + v + lambda / beta),  dx = M^-1 (r + g dbeta),
 
     with g = dc/dbeta = K'(w o d) - (K o rho)'w, w = mu / K x, d_i row i's
-    conditional distortion and v = sum_i mu_i Var_i(rho) = -dD/dbeta, on a
-    ``_Tilt`` at each iterate's beta.  It starts from the uniform law at
+    conditional distortion and v = sum_i mu_i Var_i(rho) = -dD/dbeta, on the
+    round's ``_Tilt``, moved to each iterate's beta.  Each iterate forms
+    K x and K o rho once: D, g and v all come from them.  Entries of M below
+    KERNEL_FLOOR times its largest diagonal entry are set to zero before
+    the factor.  It starts from the uniform law at
     beta = 1 / (D_max - d_floor).  Primal (x, beta) and dual (s, lambda)
     steps have their own lengths; the safeguards in the constants' comment
     stopped one random 5 x 5 instance in about 600 from cycling or driving

@@ -14,13 +14,14 @@ from scipy.special import logsumexp
 import rdbridge.blahut as blahut
 from rdbridge.blahut import (
     IP_TOL,
+    KERNEL_FLOOR,
     ROW_SUM_FLOOR,
     SECOND_ORDER_TOL,
     RDCurve,
     RDPoint,
     _blahut_arimoto,
+    _log_kernel,
     _logsumexp,
-    _shifted_kernel,
     _Tilt,
     ba_fixed_point,
     dual_certificate,
@@ -465,6 +466,28 @@ def test_a_failed_factor_stops_the_fixed_slope_interior_point(monkeypatch, fail_
     assert np.array_equal(partial.nu_star.weights, before.nu_star.weights)
 
 
+def test_the_newton_matrix_has_no_entry_between_zero_and_the_floor(monkeypatch):
+    # At beta = 21.6 the Gaussian's Newton matrix M = A'A + diag(s / x)
+    # holds thousands of positive entries below 1e-154 unless they are
+    # flushed, and their products underflow inside the factor.  Every
+    # entry of M is >= 0, so a flushed M has none in (0, floor).
+    from scipy.linalg import lapack
+
+    src = discretize_gaussian(1.0)
+    mu, dist = src.weights, squared_error(src.grid, src.grid)
+    factor, lows = lapack.dpotrf, []
+
+    def recorded(m):
+        lows.append(m[m > 0.0].min() / m.diagonal().max())
+        return factor(m)
+
+    monkeypatch.setattr(lapack, "dpotrf", recorded)
+    point = ba_fixed_point(mu, dist, 21.6, tol=1e-9)
+    assert point.converged
+    assert len(lows) == point.iterations
+    assert min(lows) >= KERNEL_FLOOR
+
+
 def bernoulli_hamming(p, beta):
     """(mu, rho, beta, F*) of Bernoulli(p) under Hamming loss, with F* = R + beta D at the optimum."""
     d = 1.0 / (1.0 + math.exp(beta)) if beta < 700.0 else 0.0
@@ -840,6 +863,50 @@ def test_a_row_of_zero_partition_mass_raises_only_when_strict():
         tilt.evaluate(np.array([1.0, 0.0]), c)
 
 
+def test_a_moved_tilt_equals_a_fresh_one():
+    # Row 0 attains zero and has a +inf loss, row 1's minimum is 0.5, row 2
+    # has no source mass, and row 3 is all +inf on columns 0 and 1, the
+    # column set of a round.  The slopes flush entries (250), and take
+    # the beta -> 0+ limit (0).
+    inf = math.inf
+    mu = ProbabilityVector([0.4, 0.3, 0.0, 0.3])
+    rho = np.array([
+        [0.0, 1.0, 2.0, inf],
+        [0.5, 1.5, 0.7, 3.0],
+        [1.0, 2.0, 3.0, 4.0],
+        [inf, inf, 2.0, 0.3],
+    ])
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    for dist in (DistortionMatrix(rho), DistortionMatrix(rho[:, :2])):
+        m = dist.shape[1]
+        law = x[:m] / x[:m].sum()
+        tilt = _Tilt(mu, dist, 2.0)
+        for beta in (0.7, 250.0, 0.0, 3.0):
+            tilt.move(beta)
+            fresh = _Tilt(mu, dist, beta)
+            assert tilt.beta == beta
+            assert np.array_equal(tilt.ker, fresh.ker) and np.array_equal(tilt.shift, fresh.shift)
+            c, c_fresh = np.empty(m), np.empty(m)
+            f = tilt.evaluate(law, c, strict=False)
+            assert f == fresh.evaluate(law, c_fresh, strict=False)
+            if math.isfinite(f):
+                assert np.array_equal(c, c_fresh)
+            # Against exp(-beta rho - s), s the row maximum of -beta rho:
+            # bitwise on the row that attains zero, to rounding elsewhere.
+            log_phi = _log_kernel(dist, beta)[mu.weights > 0]
+            shift = log_phi.max(axis=1)
+            assert np.array_equal(tilt.shift, shift)
+            with np.errstate(invalid="ignore"):
+                reference = np.exp(log_phi - shift[:, None])
+            reference[np.isneginf(shift)] = 0.0
+            reference[reference < KERNEL_FLOOR] = 0.0
+            assert np.array_equal(tilt.ker[0], reference[0])
+            assert np.allclose(tilt.ker, reference, rtol=1e-12, atol=0.0)
+        if m == 2:
+            # The live row that forbids every column of the round.
+            assert not tilt.ker[2].any() and tilt.shift[2] == -inf
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
@@ -1198,7 +1265,7 @@ def test_unconverged_inner_solve_never_moves_the_bracket(monkeypatch, fail_at):
         st.floats(1e-7, 1e-3).map(lambda r: 1.0 - r),
     ),
 )
-def test_target_search_matches_the_bernoulli_closed_form(p, fraction):
+def test_target_solve_matches_the_bernoulli_closed_form(p, fraction):
     # Under Hamming loss D(beta) = 1 / (1 + e^beta) above the critical
     # slope, so the target D sits at beta* = ln((1 - D) / D).
     mu, dist, tol = ProbabilityVector([1.0 - p, p]), hamming(2), 1e-9
@@ -1353,6 +1420,30 @@ def test_target_solve_on_the_201_point_uniform_source_takes_few_rounds(caplog):
         assert point.iterations == sum(r[4] for r in rounds)
 
 
+def test_target_solves_on_the_201_point_uniform_source_keep_their_iterations(monkeypatch):
+    # A regression guard on the interior point's per-iteration work: the
+    # benchmark's uniform targets, at the midpoints of its eight cells
+    # f * D_max with f in [0.35, 0.63], tol 1e-3.
+    mu, dist = uniform_mse(201)
+    ceiling, _ = d_max(mu, dist)
+    counts = [
+        solve_point_for_distortion(mu, dist, (0.35 + 0.035 * (k + 0.5)) * ceiling, tol=1e-3).iterations
+        for k in range(8)
+    ]
+    assert counts == [15, 14, 15, 15, 17, 15, 15, 17]
+    # D is certified only at each round's answer and at its law lifted to
+    # the whole alphabet, never at an iterate.
+    certificate, calls = _Tilt.certificate, []
+
+    def counted(self, x, c):
+        calls.append(None)
+        return certificate(self, x, c)
+
+    monkeypatch.setattr(_Tilt, "certificate", counted)
+    solve_point_for_distortion(mu, dist, 0.4 * ceiling, tol=1e-3)
+    assert len(calls) == 4
+
+
 def test_a_full_support_target_ends_within_three_rounds(caplog):
     # The 257-point Gaussian at 0.1 D_max has 165 atoms: once the priced
     # set would cover half the alphabet, the next round solves on all of it.
@@ -1392,12 +1483,12 @@ def test_each_target_solve_round_logs_one_record(capsys, caplog):
             assert rounds[1][1] == rounds[0][1] + rounds[0][3] < columns
 
 
-def test_shifted_kernel_zeroes_all_forbidden_rows_in_place():
-    log_phi = np.array([[0.0, -1.0, -np.inf], [-np.inf, -np.inf, -np.inf], [-2.0, -720.0, -0.5]])
-    shift, ker = _shifted_kernel(log_phi)
-    assert ker is log_phi
-    assert shift[0] == 0.0 and shift[1] == -np.inf and shift[2] == -0.5
-    assert np.array_equal(ker[0], np.exp([0.0, -1.0, -np.inf]))
-    assert np.array_equal(ker[1], np.zeros(3))
+def test_the_tilt_kernel_zeroes_all_forbidden_rows():
+    inf = math.inf
+    rho = np.array([[0.0, 1.0, inf], [inf, inf, inf], [2.0, 720.0, 0.5]])
+    tilt = _Tilt(ProbabilityVector(np.full(3, 1.0 / 3.0)), DistortionMatrix(rho), 1.0)
+    assert tilt.shift[0] == 0.0 and tilt.shift[1] == -inf and tilt.shift[2] == -0.5
+    assert np.array_equal(tilt.ker[0], np.exp([0.0, -1.0, -inf]))
+    assert np.array_equal(tilt.ker[1], np.zeros(3))
     # exp(-719.5) is subnormal and is flushed.
-    assert np.array_equal(ker[2], [np.exp(-1.5), 0.0, 1.0])
+    assert np.array_equal(tilt.ker[2], [np.exp(-1.5), 0.0, 1.0])

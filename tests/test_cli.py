@@ -863,7 +863,7 @@ INTERIOR_POINT_END = (
 )
 
 
-def test_log_level_debug_shows_the_target_search_and_leaves_the_output_alone(capsys, caplog):
+def test_log_level_debug_shows_the_target_solve_and_leaves_the_output_alone(capsys, caplog):
     code, plain, _ = run_cli(capsys, PLATEAU_POINT)
     assert code == 0
     assert not [r for r in caplog.records if r.levelno < logging.WARNING]
