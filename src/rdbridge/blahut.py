@@ -648,16 +648,13 @@ def ba_fixed_point(
     labels = None if nu0 is None else nu0.labels
     _check_budget(tol, max_iter)
 
-    if beta == 0:
-        ceiling, col = d_max(mu, dist)
-        if ceiling < math.inf:
-            nu_star = ProbabilityVector(np.arange(n) == col, labels=labels)
-            tilt = _Tilt(mu, dist, 0.0, nu_star)
-            distortion, rate, slack, _ = tilt.certificate(nu_star.weights, tilt.c)
-            return RDPoint(0.0, distortion, rate, nu_star, 0, 0.0, slack)
-
     failure = ""
-    if tol > SECOND_ORDER_TOL:
+    ceiling, col = d_max(mu, dist) if beta == 0 else (math.inf, 0)
+    if ceiling < math.inf:
+        nu_star = ProbabilityVector(np.arange(n) == col)
+        tilt = _Tilt(mu, dist, 0.0, nu_star)
+        point = _answer(tilt, nu_star.weights, tilt.c, 0, 0.0, True)
+    elif tol > SECOND_ORDER_TOL:
         how = "Blahut-Arimoto"
         point = _blahut_arimoto(mu, dist, beta, nu0, tol, max_iter)
     else:
@@ -748,8 +745,8 @@ def _answer(
 ) -> RDPoint:
     """The unlabelled point of the law that ``tilt`` evaluated last, with its c.
 
-    Every iterative solve returns through here: D, R and the slack are
-    certified once, at the returned law.
+    Every solve returns through here, the beta = 0 endpoint included: D,
+    R and the slack are certified once, at the returned law.
     """
     distortion, rate, slack, _ = tilt.certificate(law, c)
     return RDPoint(

@@ -6,21 +6,24 @@ D_KL(pi || gamma) over couplings of (mu, nu) has density f(x) g(y) with
 respect to gamma.  The log-potentials solve the Schrodinger system and
 are computed by Sinkhorn iteration in the scaling domain, on a cached
 kernel into which large scalings are absorbed in the log domain
-(Schmitzer, SIAM J. Sci. Comput. 2019).  The iteration starts from
-g = 1, where the first F-update gives the tilted coupling
-pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i of the rate-distortion
-parametrization: that half-step is read off the Blahut-Arimoto
-solver's evaluator, whose kernel the iteration then takes over.
+(Schmitzer, SIAM J. Sci. Comput. 2019).  nu enters the iteration as a
+vector, never as a kernel column, so a half-step is taken in the log
+domain only where the nu-free kernel itself underflows, not because nu
+has a tiny atom.  The iteration starts from g = 1, where the first
+F-update gives the tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij)
+/ Z_i of the rate-distortion parametrization: that half-step is read
+off the Blahut-Arimoto solver's evaluator, whose kernel the iteration
+then takes over.
 
 The iteration is over-relaxed once it has reached its linear tail
 (Thibault, Chizat, Dossal & Papadakis, Algorithms 2021; Lehmann, von
 Renesse, Sambale & Uschmajew, Optim. Lett. 2022): a half-step becomes
-u <- u^(1-omega) (mu / Kv)^omega.  omega = 2 / (1 + sqrt(1 - lambda)) is
+u <- u^(1-omega) (mu / K(nu v))^omega.  omega = 2 / (1 + sqrt(1 - lambda)) is
 estimated from the contraction lambda of the plain iterations once their
 residual ratios have settled, and is at most OMEGA_MAX.  A relaxed
 half-step is kept only if it does not lower the Sinkhorn dual
-mu . ln u + nu . ln v - u^T K v, an O(n) test; otherwise the plain
-half-step is taken.
+mu . ln u + nu . ln v - u^T K (nu v), an O(n) test; otherwise the
+plain half-step is taken.
 
 The dual quantities J(nu, beta) and L(nu, beta) derived from the
 potentials measure how far a candidate reconstruction law nu sits from
@@ -153,7 +156,7 @@ def _keeps_dual(mass: np.ndarray, log_r: np.ndarray, omega: float) -> bool:
 
     The half-step moves a log-scaling by omega L from where it is, where
     L = log_r is the plain half-step's move.  It changes the dual
-    mu . ln u + nu . ln v - u^T K v by
+    mu . ln u + nu . ln v - u^T K (nu v) by
 
         sum_i mass_i (omega L_i - expm1((omega - 1) L_i) + expm1(-L_i)),
 
@@ -211,20 +214,22 @@ def sinkhorn(
         logG_j <- -ln sum_i mu_i exp(logF_i - beta rho_ij) - logK
 
     until the coupling marginals match (mu, nu) to ``tol`` in sup norm.
-    Each update is one matrix-vector product with a cached kernel
-    (u <- mu / (M v), v <- nu / (M^T u)), and the same products give the
-    marginal residuals.  Scalings are absorbed into the kernel before they
-    grow large, and an update whose product leaves the normal floating
-    point range is taken in the log domain instead.  Atoms with zero mass
-    take no part in the updates.
+    Each update is one matrix-vector product with a cached kernel M that
+    holds no factor of nu (u <- mu / (M (nu v)), v <- 1 / (M^T u)), and
+    the same products give the marginal residuals.  Scalings are absorbed
+    into the kernel before they grow large, and an update whose product
+    leaves the normal floating point range, which happens only where the
+    nu-free kernel underflows, is taken in the log domain instead.  Atoms
+    with zero mass take no part in the updates.
 
     Once RELAX_CALM successive ratios of the residual have settled at a
     contraction lambda <= RELAX_LAMBDA_MAX, both half-steps are
-    over-relaxed, u <- u (mu / (u M v))^omega with
+    over-relaxed, u <- u (mu / (u M (nu v)))^omega with
     omega = 2 / (1 + sqrt(1 - lambda)) <= OMEGA_MAX, in the scaling or the
     log domain alike.  A relaxed half-step that would lower the Sinkhorn
-    dual mu . ln u + nu . ln v - u^T M v falls back to the plain one.  The
-    stop rule reads the iterate that is returned, relaxed or not.
+    dual mu . ln u + nu . ln v - u^T M (nu v) falls back to the plain
+    one.  The stop rule reads the iterate that is returned, relaxed or
+    not.
 
     The iteration starts from logG = 0, so its first F-update is the
     tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i, read off
@@ -270,22 +275,22 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
             "supp(mu) can reach it: reference is infeasible"
         )
 
-    # Standard Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(e^b v),
-    # with a = ln mu + logK + logF and b = ln nu + logG.  The log-scalings
-    # (a, b) are absorbed into the cached kernel, which is the coupling at
-    # u = v = 1; u and v are folded into them when they grow past
-    # ABSORB_LOG_SCALE or a kernel product leaves the normal range.
-    # Iteration 1's F-update, from logG = 0, gives the tilted coupling:
-    # a = ln mu - ln Z and b = ln nu.
+    # Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(nu e^b v), with
+    # a = ln mu + logK + logF and b = logG: nu enters as a vector, never as
+    # a kernel column.  The log-scalings (a, b) are absorbed into the
+    # cached kernel; u and v are folded into them when they grow past
+    # ABSORB_LOG_SCALE or a kernel product leaves the normal range, which
+    # happens only where the nu-free kernel itself underflows.  Iteration
+    # 1's F-update, from logG = 0, gives the tilted coupling: a = ln mu -
+    # ln Z and b = 0.
     row_reach = tilt.log_z + tilt.shift
     logK = float(-_logsumexp(log_mu_s + row_reach, axis=0))
     a = log_mu_s - row_reach
-    b = log_nu_s.copy()
+    b = np.zeros(len(cols))
     kernel = tilt.ker if every_col else tilt.ker[:, cols]
     if tilt.scaled:
-        # w_i K_ij nu_j, with w = mu / (K nu) and K the tilt's shifted kernel.
+        # w_i K_ij, with w = mu / (K nu) and K the tilt's shifted kernel.
         kernel *= tilt.w[:, None]
-        kernel *= nu_w
         _flush_kernel(kernel)
     else:
         _absorbed_kernel(kernel, log_phi_s(), a, b)
@@ -302,29 +307,29 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
     for iterations in range(1, max_iter + 1):
         col_sum = kernel.T @ u
         if _normal(col_sum):
-            v[:] = _relaxed_scaling(nu_w, nu_w / col_sum, v, omega)
-            col_res = _sup_residual(v, col_sum, nu_w)
+            v[:] = _relaxed_scaling(nu_w, 1.0 / col_sum, v, omega)
+            col_res = _sup_residual(v, nu_w * col_sum, nu_w)
         else:
             # A plain log-domain G-update matches the columns by
             # construction; a relaxed one misses them by its own step.
             a += np.log(u)
             u[:] = 1.0
-            b_plain = log_nu_s - _logsumexp(log_phi_s() + a[:, None], axis=0)
+            b_plain = -_logsumexp(log_phi_s() + a[:, None], axis=0)
             b = _relaxed_log(nu_w, b_plain, b + np.log(v), omega)
             v[:] = 1.0
             _absorbed_kernel(kernel, log_phi_s(), a, b)
             col_res = np.abs(nu_w * np.expm1(b - b_plain)).max()
 
-        # The row marginals u * (kernel v) come from the product the next
-        # F-update needs anyway.
-        row_sum = kernel @ v
+        # The row marginals u * (kernel (nu v)) come from the product the
+        # next F-update needs anyway.
+        row_sum = kernel @ (nu_w * v)
         scaled = _normal(row_sum)
         if scaled:
             row_res = _sup_residual(u, row_sum, mu_w)
         else:
             b += np.log(v)
             v[:] = 1.0
-            a_next = log_mu_s - _logsumexp(log_phi_s() + b, axis=1)
+            a_next = log_mu_s - _logsumexp(log_phi_s() + (b + log_nu_s), axis=1)
             row_res = np.abs(np.exp(log_mu_s + a + np.log(u) - a_next) - mu_w).max()
         residual = float(max(row_res, col_res))
         if residual <= tol or iterations == max_iter:
@@ -362,27 +367,27 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
     else:
         log_zg[rows] = log_mu_s - a_next
     if scaled and _normal(col_sum):
-        eq8 = v * col_sum / nu_w
+        eq8 = v * col_sum
     else:
         a_next = log_mu_s - log_zg[rows]
-        eq8 = np.exp(b + np.log(v) - log_nu_s + _logsumexp(log_phi_s() + a_next[:, None], axis=0))
+        eq8 = np.exp(b + np.log(v) + _logsumexp(log_phi_s() + a_next[:, None], axis=0))
 
     logG = np.zeros(len(nu))
     logF[rows] = a + np.log(u) - log_mu_s - logK
-    logG[cols] = b + np.log(v) - log_nu_s
+    logG[cols] = b + np.log(v)
 
     # Gauge fix: shift the shared constant so sum_j nu_j logG_j = 0.
     shift = float(nu.weights[cols] @ logG[cols])
     logG[cols] -= shift
     logF[rows] += shift
     log_zg[rows] -= shift
-    # The coupling of the final iterate, diag(u) kernel diag(v), formed in
-    # the kernel's buffer.  A final log-domain F-update folded v into b
+    # The coupling of the final iterate, diag(u) kernel diag(nu v), formed
+    # in the kernel's buffer.  A final log-domain F-update folded v into b
     # without rebuilding the kernel.
     if not scaled:
         _absorbed_kernel(kernel, log_phi_s(), a, b)
     kernel *= u[:, None]
-    kernel *= v
+    kernel *= nu_w * v
     if tilt.full and every_col:
         pi = kernel
     else:

@@ -418,7 +418,7 @@ def test_second_order_steps_run_only_at_or_below_second_order_tol(caplog):
     "p, beta",
     [(0.362832, 8.02233), (0.15384094587729213, 2.2329533632507323)],
 )
-def test_newton_line_search_sees_a_decrease_below_the_rounding_of_f(p, beta):
+def test_two_column_solve_sees_a_decrease_below_the_rounding_of_f(p, beta):
     # Near the optimum a step lowers f by about 1e-20, far below the
     # rounding of f itself, so a solve that compares two rounded values of
     # f stalls: an earlier Newton line search stalled here at slack
@@ -1214,7 +1214,7 @@ def test_a_target_solve_out_of_budget_is_flagged(capsys, caplog):
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
-def test_unconverged_inner_solve_never_moves_the_bracket(monkeypatch, fail_at):
+def test_a_failed_factor_stops_the_target_interior_point(monkeypatch, fail_at):
     # 21-point uniform source under squared error, target 0.1: the solve
     # takes 9 iterations when every Newton system factors.  The factor
     # numbered fail_at reports a breakdown; a step from it would move

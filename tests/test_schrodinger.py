@@ -283,8 +283,10 @@ STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0
 @pytest.mark.parametrize(
     "mu, nu, dist, beta",
     [
-        # Column 0 of the kernel is subnormal, so the G-update is taken in
-        # the log domain.
+        # nu_0 and mu_1 are subnormal.  nu enters as a vector, so column 0
+        # of the kernel is normal and the G-update is scaled; row 1, which
+        # carries mu_1, is flushed, so the F-update is taken in the log
+        # domain.
         (ProbabilityVector([1.0, 1e-310]), ProbabilityVector([1e-310, 1.0]), hamming(2), 1.0),
         # Row 2 of the kernel is flushed to zero, so every F-update is
         # taken in the log domain.
@@ -299,27 +301,39 @@ STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0
             DistortionMatrix(np.array([[0.0, 0.69], [0.0, 0.713]])),
             1000.0,
         ),
-        # Column 1 of the coupling kernel mu_i nu_j holds 5e-308 and
-        # 2.1e-308, both below KERNEL_FLOOR and flushed, so the G-update
-        # and the eq. 8 sums are taken in the log domain.
+        # Column 1 of the coupling mu_i nu_j holds 5e-308 and 2.1e-308,
+        # both below KERNEL_FLOOR.  nu enters as a vector, not as a kernel
+        # column, so no half-step and no eq. 8 sum is taken in the log
+        # domain.
         (
             ProbabilityVector([0.7, 0.3]),
             ProbabilityVector([1.0 - 5e-308 / 0.7, 5e-308 / 0.7]),
             DistortionMatrix(np.zeros((2, 2))),
             1.0,
         ),
-        # Column 1 holds 3e-154 (kept) and 1.3e-154 (below KERNEL_FLOOR,
-        # flushed): its product 3e-154 is positive but below ROW_SUM_FLOOR,
-        # 30% short of the true sum, so these sums too are taken in the
-        # log domain.
+        # Column 1 of the coupling holds 3e-154 and 1.3e-154, the second
+        # below KERNEL_FLOOR.  nu enters as a vector, not as a kernel
+        # column, so the column is normal and every half-step is scaled.
         (
             ProbabilityVector([0.7, 0.3]),
             ProbabilityVector([1.0 - 3e-154 / 0.7, 3e-154 / 0.7]),
             DistortionMatrix(np.zeros((2, 2))),
             1.0,
         ),
+        # Column 1 of the nu-free kernel is e^-400 and e^-399 before the
+        # row scaling, below KERNEL_FLOOR and flushed, so the first
+        # G-update is taken in the log domain.
+        (
+            ProbabilityVector([0.6, 0.4]),
+            ProbabilityVector([0.7, 0.3]),
+            DistortionMatrix(np.array([[0.0, 400.0], [1.0, 400.0]])),
+            1.0,
+        ),
     ],
-    ids=["subnormal-column", "flushed-row", "absorbed-entry", "short-column", "partly-flushed-column"],
+    ids=[
+        "subnormal-column", "flushed-row", "absorbed-entry", "short-column",
+        "partly-flushed-column", "far-column",
+    ],
 )
 def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
     with warnings.catch_warnings():
@@ -386,7 +400,7 @@ def test_no_kernel_entry_lies_between_zero_and_the_floor(beta, monkeypatch):
     assert pair.converged and len(kernels) > 1
     absorbed = np.empty(dist.shape)
     a = np.log(mu.weights) + pair.logK + pair.logF
-    _absorbed_kernel(absorbed, -beta * dist.rho, a, np.log(nu.weights) + pair.logG)
+    _absorbed_kernel(absorbed, -beta * dist.rho, a, pair.logG)
     for kernel in kernels:
         low = kernel[kernel > 0.0].min()
         assert low >= KERNEL_FLOOR
@@ -407,6 +421,34 @@ def test_near_optimal_law_takes_the_log_domain_iteration_count():
     assert pair.converged
     assert pair.iterations == ref_iterations
     assert abs(pair.logK - ref_logK) <= 1e-12
+    assert np.abs(pair.logF - ref_logF).max() <= 1e-12
+    assert np.abs(pair.logG - ref_logG).max() <= 1e-12
+
+
+def test_a_tiny_atom_takes_no_log_domain_step(monkeypatch):
+    # An atom of mass 1e-200 lies far below ROW_SUM_FLOOR.  nu enters as a
+    # vector, not as a kernel column, so every kernel product stays in the
+    # normal range and no half-step is taken in the log domain.
+    mu, dist, grid = gaussian_problem()
+    beta = 4.0
+    law = np.exp(-(grid**2) / (2.0 * (1.0 - 1.0 / (2.0 * beta))))
+    law /= law.sum()
+    law[100] = 1e-200
+    nu = ProbabilityVector(law / law.sum())
+    normal, calls = schrodinger._normal, []
+
+    def recorded(x):
+        calls.append(normal(x))
+        return calls[-1]
+
+    monkeypatch.setattr(schrodinger, "_normal", recorded)
+    pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
+    ref_logF, ref_logG, _, ref_iterations, _ = log_domain_sinkhorn(
+        mu, nu, dist, beta, 1e-12, DEFAULT_MAX_ITER
+    )
+    assert pair.converged
+    assert calls and all(calls)
+    assert pair.iterations == ref_iterations
     assert np.abs(pair.logF - ref_logF).max() <= 1e-12
     assert np.abs(pair.logG - ref_logG).max() <= 1e-12
 
