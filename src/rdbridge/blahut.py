@@ -43,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -217,13 +218,17 @@ def _flush_kernel(kernel: np.ndarray) -> None:
 class _Tilt:
     """The tilted coupling pi_ij = mu_i x_j exp(-beta rho_ij) / Z_i of a law x.
 
-    Holds, on the rows where mu > 0, the shifted kernel
+    One tilt serves a problem (mu, rho) at every slope it is moved to.  It
+    holds, on the rows where mu > 0, the shifted kernel
     K = exp(-beta rho~) of the loss relative to its row minimum,
     rho~_ij = rho_ij - min_j rho_ij, with row shift s = -beta min_j rho_ij:
     rows of zero source mass take no part in F, c, D or R.  Where every row
-    attains a zero loss, K is exp(-beta rho) itself.  ``move`` takes the
-    tilt to another beta in its own buffers.  ``evaluate`` gives Z = K x
-    (ln Z - s in ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
+    attains a zero loss, K is exp(-beta rho) itself.  The live rows, mu and
+    rho on them, the row minima and the rows that forbid every column do
+    not depend on beta and are found once; so are ``reach`` and
+    ``finite_rho``, on first use.  ``move`` takes the tilt to another beta
+    in its own buffers.  ``evaluate`` gives Z = K x (ln Z - s in
+    ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
     D = (mu / Z) . ((K o rho) x), R, the slack and the dual value.  Kernel
     entries below KERNEL_FLOOR are zero, so no product of two kept entries
     is subnormal; a row sum below ROW_SUM_FLOOR, where the flushed entries
@@ -234,7 +239,7 @@ class _Tilt:
 
     def __init__(self, mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu=None):
         _check_compat(mu, dist, beta, nu)
-        self.dist = dist
+        self.source, self.dist = mu, dist
         self.live = mu.weights > 0
         self.full = bool(self.live.all())
         # Copies of rho-sized arrays page-fault; only zero-mass rows need one.
@@ -273,6 +278,17 @@ class _Tilt:
         # ROW_SUM_FLOOR by less than its rounding error, and a smaller row
         # sum falls back to logsumexp.
         _flush_kernel(ker)
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """The columns some live row reaches at a finite loss; every column when none is."""
+        reached = np.isfinite(self.rho).any(axis=0)
+        return np.flatnonzero(reached) if reached.any() else np.arange(len(reached))
+
+    @cached_property
+    def finite_rho(self) -> np.ndarray:
+        """``rho`` with +inf read as 0: the one 0 * inf guard of K o rho (K is 0 there)."""
+        return self.rho if self.rho.max() < math.inf else np.where(np.isinf(self.rho), 0.0, self.rho)
 
     def log_phi(self) -> np.ndarray:
         """-beta rho on the rows of positive mass, formed on first use."""
@@ -323,19 +339,10 @@ class _Tilt:
         slack = float(c.max()) - 1.0
         log_z = self.log_z + self.shift
         if self.scaled:
-            if self.rho.max() < np.inf:
-                loss = self.ker * self.rho
-            else:
-                # 0 * inf guard: forbidden pairs carry no kernel mass.
-                loss = np.zeros_like(self.ker)
-                np.multiply(self.ker, self.rho, out=loss, where=self.ker > 0.0)
-            distortion = float(self.w @ (loss @ x))
+            distortion = float(self.w @ ((self.ker * self.finite_rho) @ x))
         else:
             pi = np.exp(self.log_phi() + _log_weights(x) - log_z[:, None])
-            loss = np.zeros_like(pi)
-            # 0 * inf guard: a positive pi entry can only sit on finite rho.
-            np.multiply(pi, self.rho, out=loss, where=pi > 0.0)
-            distortion = float(self.mu @ loss.sum(axis=1))
+            distortion = float(self.mu @ (pi * self.finite_rho).sum(axis=1))
         neg_log_z = -(self.mu @ log_z)
         tilt = self.beta * distortion
         # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
@@ -399,15 +406,13 @@ def dual_certificate(
 
 
 def _blahut_arimoto(
-    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu0: ProbabilityVector | None,
-    tol: float, max_iter: int,
+    tilt: _Tilt, nu0: ProbabilityVector | None, tol: float, max_iter: int
 ) -> RDPoint:
-    """The Blahut-Arimoto solve of ``ba_fixed_point``, from nu0 (uniform if None).
+    """The Blahut-Arimoto solve of ``ba_fixed_point`` at the tilt's beta, from nu0 (or uniform).
 
     Returns the point, unlabelled, whether or not it converged.
     """
-    tilt = _Tilt(mu, dist, beta)
-    n = dist.shape[1]
+    n = tilt.ker.shape[1]
     nu = np.full(n, 1.0 / n) if nu0 is None else nu0.weights.copy()
     start = nu > 0
     c = np.empty(n)
@@ -524,9 +529,9 @@ def _blahut_arimoto(
 
 
 def _two_columns(
-    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, eps: float, max_iter: int
-) -> RDPoint:
-    """The fixed-slope solve of ``ba_fixed_point`` on one or two columns.
+    tilt: _Tilt, eps: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
+    """The fixed-slope solve of ``ba_fixed_point`` on the tilt's one or two columns.
 
     On two columns the law is (t, 1 - t), and t maximises
     g(t) = sum_i mu_i ln(t a_i + (1 - t) b_i), where a and b are the
@@ -539,10 +544,10 @@ def _two_columns(
     row sum is tiny, Newton steps only double.  Steps stop once the slack
     and the residual at the law are at most ``eps``, or after
     ``max_iter`` of them.  One column is the trivial law, with no step.
-    Returns the point, unlabelled, whether or not it converged.
+    Returns (law, c at the law, iterations, residual, converged), whether
+    or not it converged; the law is not certified here.
     """
-    tilt = _Tilt(mu, dist, beta)
-    n = dist.shape[1]
+    n = tilt.ker.shape[1]
     x, c = np.full(n, 1.0 / n), np.empty(n)
     lo, hi, last = 0.0, 1.0, 1.0
     a, b = tilt.ker[:, 0], tilt.ker[:, -1]
@@ -575,7 +580,7 @@ def _two_columns(
         last = abs(step - t)
         x = np.array([step, 1.0 - step])
         iterations += 1
-    return _answer(tilt, x, c, iterations, residual, done)
+    return x, c, iterations, residual, done
 
 
 def ba_fixed_point(
@@ -627,9 +632,10 @@ def ba_fixed_point(
     and 0 iterations.  Otherwise the solve iterates as at any slope.
 
     Every evaluation, the final certificate included, is one ``_Tilt``'s:
-    two matrix products with a kernel cached once per call, whose entries
-    below KERNEL_FLOOR are zero, or per-row logsumexp in the rare event a
-    row sum falls below ROW_SUM_FLOOR.
+    two matrix products with a kernel cached once per problem (``rd_curve``
+    moves one tilt across its slopes), whose entries below KERNEL_FLOOR
+    are zero, or per-row logsumexp in the rare event a row sum falls below
+    ROW_SUM_FLOOR.
 
     Args:
         nu0: initial reconstruction law of a Blahut-Arimoto solve
@@ -644,26 +650,28 @@ def ba_fixed_point(
             partial RDPoint is attached as ``.partial``.
     """
     _check_compat(mu, dist, beta, nu0)
-    n = dist.shape[1]
-    labels = None if nu0 is None else nu0.labels
     _check_budget(tol, max_iter)
+    return _fixed_slope(_Tilt(mu, dist, beta), nu0, tol, max_iter)
 
-    failure = ""
-    ceiling, col = d_max(mu, dist) if beta == 0 else (math.inf, 0)
+
+def _fixed_slope(tilt: _Tilt, nu0: ProbabilityVector | None, tol: float, max_iter: int) -> RDPoint:
+    """``ba_fixed_point`` at the tilt's beta, on inputs already validated."""
+    beta, n, failure = tilt.beta, tilt.ker.shape[1], ""
+    ceiling, col = d_max(tilt.source, tilt.dist) if beta == 0 else (math.inf, 0)
     if ceiling < math.inf:
-        nu_star = ProbabilityVector(np.arange(n) == col)
-        tilt = _Tilt(mu, dist, 0.0, nu_star)
-        point = _answer(tilt, nu_star.weights, tilt.c, 0, 0.0, True)
+        law, c = (np.arange(n) == col).astype(float), np.empty(n)
+        tilt.evaluate(law, c)
+        point = _answer(tilt, law, c, 0, 0.0, True)
     elif tol > SECOND_ORDER_TOL:
         how = "Blahut-Arimoto"
-        point = _blahut_arimoto(mu, dist, beta, nu0, tol, max_iter)
+        point = _blahut_arimoto(tilt, nu0, tol, max_iter)
     else:
-        point, _, failure, how = _priced_rounds(mu, dist, beta, min(tol, IP_TOL), max_iter)
+        point, _, failure, how = _priced_rounds(tilt, min(tol, IP_TOL), max_iter)
         logger.debug(
             "fixed slope %.17g: %s ends after %d iterations, slack %.3e, residual %.3e",
             beta, how, point.iterations, point.certificate_slack, point.fixpoint_residual,
         )
-    point.nu_star.labels = labels  # validated with nu0
+    point.nu_star.labels = None if nu0 is None else nu0.labels  # validated with nu0
     if not point.converged:
         raise ConvergenceError(
             f"{failure}{how} did not converge at beta={beta:g} within {max_iter} "
@@ -690,7 +698,11 @@ def rd_curve(
     mixed with ``WARM_START_MIX`` uniform mass; without it every solve
     starts from ``nu0``.  Solves with ``tol <= SECOND_ORDER_TOL`` start
     from the uniform law either way (``ba_fixed_point``).  A beta of 0
-    gives ``ba_fixed_point``'s beta -> 0+ limit.
+    gives ``ba_fixed_point``'s beta -> 0+ limit.  Each point is the
+    ``ba_fixed_point`` answer at its slope, bit for bit, but the inputs
+    are validated once, before any slope is solved (so a NaN or +inf slope
+    is refused up front), and one ``_Tilt``, built at the first slope, is
+    moved to each later one.
 
     Points whose solve exhausts its budget are kept with
     ``converged=False`` rather than aborting the sweep.
@@ -702,12 +714,18 @@ def rd_curve(
         raise InvalidInputError("betas must be nonnegative")
     if np.any(np.diff(betas) <= 0):
         raise InvalidInputError("betas must be strictly increasing")
+    # The largest slope is NaN or +inf if any is.
+    _check_compat(mu, dist, float(betas.max()), nu0)
+    _check_budget(tol, max_iter)
 
     points: list[RDPoint] = []
     start = nu0
+    tilt = _Tilt(mu, dist, float(betas[0]))
     for beta in betas:
+        if beta != tilt.beta:
+            tilt.move(float(beta))
         try:
-            point = ba_fixed_point(mu, dist, float(beta), start, tol=tol, max_iter=max_iter)
+            point = _fixed_slope(tilt, start, tol, max_iter)
         except ConvergenceError as err:
             logger.warning("degraded point at beta=%g: %s", beta, err)
             point = err.partial
@@ -756,24 +774,27 @@ def _answer(
 
 
 def _saddle_point(
-    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, eps: float, max_iter: int,
-    target: float | None = None, band: float = 0.0, spread: float = 0.0,
-) -> tuple[RDPoint, float, str]:
-    """The interior-point solve on the columns of ``dist``, from the uniform law at ``beta``.
+    tilt: _Tilt, eps: float, max_iter: int, target: float | None = None, band: float = 0.0,
+    spread: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, int, float, bool, float, str]:
+    """The interior-point solve on the tilt's columns, from the uniform law at the tilt's beta.
 
     With a ``target`` it is the saddle-point solve of
-    ``solve_point_for_distortion``, and beta moves.  Without one, beta
+    ``solve_point_for_distortion``, and beta moves: the tilt is moved to
+    each iterate's beta and ends at the returned one.  Without one, beta
     stays fixed: the beta row is left out and lambda = 0, so that the solve
-    is the fixed-slope one of ``ba_fixed_point``.  Returns (point,
-    complementarity gap, failure): ``point.converged`` says whether the
-    stop rule was met within ``max_iter`` iterations, and ``failure`` names
-    a Newton system that could not be solved.
+    is the fixed-slope one of ``ba_fixed_point``.  Returns (law, c at the
+    law, iterations, residual, converged, complementarity gap, failure),
+    uncertified: ``converged`` says whether the stop rule was met within
+    ``max_iter`` iterations, and ``failure`` names a Newton system that
+    could not be solved.
     """
     # scipy.linalg takes about 60 ms to import; only a solve loads it.
     from scipy.linalg import lapack
 
     free = target is not None
-    n = dist.shape[1]
+    beta, ker, root_mu = tilt.beta, tilt.ker, np.sqrt(tilt.mu)
+    n = ker.shape[1]
     x = np.full(n, 1.0 / n)
     c = np.empty(n)
     s = None
@@ -781,15 +802,8 @@ def _saddle_point(
     iterations = 0
     failure = ""
     last_gap = math.inf
-    tilt = _Tilt(mu, dist, beta)
-    ker, root_mu = tilt.ker, np.sqrt(tilt.mu)
     if free:
-        rho = tilt.rho
-        if not rho.max() < math.inf:
-            # Forbidden pairs carry no kernel mass: a zero loss there keeps
-            # K o rho free of 0 * inf.
-            rho = np.where(np.isinf(rho), 0.0, rho)
-        loss = np.empty_like(ker)
+        rho, loss = tilt.finite_rho, np.empty_like(ker)
     while True:
         if free and iterations:
             tilt.move(beta)
@@ -876,13 +890,12 @@ def _saddle_point(
         "gap %.3e, slack %.3e, residual %.3e",
         iterations, beta, abs(miss), gap, slack, residual,
     )
-    return _answer(tilt, law, c, iterations, residual, done), gap, failure
+    return law, c, iterations, residual, done, gap, failure
 
 
 def _priced_rounds(
-    mu: ProbabilityVector, dist: DistortionMatrix, beta: float, eps: float, max_iter: int,
-    cols: np.ndarray | None = None, target: float | None = None, band: float = 0.0,
-    spread: float = 0.0,
+    tilt: _Tilt, eps: float, max_iter: int, cols: np.ndarray | None = None,
+    target: float | None = None, band: float = 0.0, spread: float = 0.0,
 ) -> tuple[RDPoint, float, str, str]:
     """Every second-order solve: rounds on a column set S, pricing the columns off S.
 
@@ -894,50 +907,54 @@ def _priced_rounds(
     would hold more than half of the reachable columns it holds all of
     them.  A round solves on rho[:, S]: with beta fixed (no ``target``) by
     ``_two_columns`` on at most two columns, and by ``_saddle_point``
-    otherwise, from ``beta`` and with the remaining budget.  Unless S is
-    the whole alphabet, one ``_Tilt`` at the round's beta evaluates the
-    law with x_j = 0 off S on every column, and each column with
-    c_j > 1 + eps enters S, as in vertex-exchange methods for this mixture
-    likelihood (Lindsay 1983).  The solve ends when none enters.  Off S,
-    x_j = 0 zeroes the residual, the gap and min(x_j, s_j), and the
-    pricing bounds the slack, so the answer meets the stop rule on the
-    full alphabet.  ``iterations`` sums the rounds' iterations, and
-    ``max_iter`` bounds that sum.  One DEBUG record per round gives the
-    columns in play, those entering and the round's iterations.
+    otherwise, from the tilt's beta and with the remaining budget.  A round
+    on the whole alphabet runs on ``tilt`` itself, moved back to that beta
+    if an earlier round moved it; a round on a column subset runs on a tilt
+    of its own, and ``tilt``, moved to the round's beta, evaluates the law
+    with x_j = 0 off S on every column.  Each column with c_j > 1 + eps
+    enters S, as in vertex-exchange methods for this mixture likelihood
+    (Lindsay 1983).  The solve ends when none enters.  Off S, x_j = 0
+    zeroes the residual, the gap and min(x_j, s_j), and the pricing bounds
+    the slack, so the answer meets the stop rule on the full alphabet.
+    Each round's point is certified once, on ``tilt``.  ``iterations``
+    sums the rounds' iterations, and ``max_iter`` bounds that sum.  One
+    DEBUG record per round gives the columns in play, those entering and
+    the round's iterations.
 
     Returns (point, gap, failure, how): the last round's point on the full
     alphabet, its complementarity gap (0 on the two-column solve), the
     Newton system failure of ``_saddle_point`` and the last round's method.
     """
-    n = dist.shape[1]
-    reached = np.isfinite(dist.rho[mu.weights > 0]).any(axis=0)
-    reach = np.flatnonzero(reached) if reached.any() else np.arange(n)
+    n, beta, reach = tilt.ker.shape[1], tilt.beta, tilt.reach
     cols = reach if cols is None else np.intersect1d(cols, reach)
     iterations = rounds = 0
     while True:
         if 2 * len(cols) > len(reach):
             cols = reach
         whole = len(cols) == n
-        part = dist if whole else DistortionMatrix(dist.rho[:, cols])
+        if whole and tilt.beta != beta:
+            tilt.move(beta)
+        part = tilt if whole else _Tilt(tilt.source, DistortionMatrix(tilt.dist.rho[:, cols]), beta)
         if target is None and len(cols) <= 2:
             how, gap, failure = "the two-column solve", 0.0, ""
-            point = _two_columns(mu, part, beta, eps, max_iter - iterations)
+            law, c, spent, residual, solved = _two_columns(part, eps, max_iter - iterations)
         else:
             how = "the interior point"
-            point, gap, failure = _saddle_point(
-                mu, part, beta, eps, max_iter - iterations, target, band, spread
+            law, c, spent, residual, solved, gap, failure = _saddle_point(
+                part, eps, max_iter - iterations, target, band, spread
             )
-        solved, spent = point.converged, point.iterations
         iterations += spent
         rounds += 1
         enter = ()
         if not whole:
-            tilt, law, c = _Tilt(mu, dist, point.beta), np.zeros(n), np.empty(n)
-            law[cols] = point.nu_star.weights
+            if tilt.beta != part.beta:
+                tilt.move(part.beta)
+            lifted, c = np.zeros(n), np.empty(n)
+            lifted[cols] = law
+            law = lifted
             _, residual = _stop_values(tilt, law, c)
             enter = np.setdiff1d(np.flatnonzero(c > 1.0 + eps), cols)
-            point = _answer(tilt, law, c, iterations, residual, solved)
-        point.iterations, point.converged = iterations, solved and not len(enter)
+        point = _answer(tilt, law, c, iterations, residual, solved and not len(enter))
         logger.debug(
             "round %d: %d of %d columns in play, %d enter, %d iterations",
             rounds, len(cols), n, len(enter), spent,
@@ -988,12 +1005,13 @@ def solve_point_for_distortion(
     D_max column and START_COLUMNS columns evenly spaced by index, plus
     each live row's cheapest column when the target is not above S's
     distortion floor.  With every column reachable, an alphabet of at most
-    2 START_COLUMNS - 1 columns takes one round, on all of them.  D, R and
-    the slack come from ``_Tilt.certificate`` on the full alphabet;
-    ``iterations`` sums the interior-point iterations of every round, and
-    ``max_iter`` bounds that sum.  A target inside a jump of D(beta) gets
-    the mixture of the optima at the critical slope (the search over beta
-    before this solve raised ConvergenceError there).
+    2 START_COLUMNS - 1 columns takes one round, on all of them.  One
+    full-alphabet ``_Tilt`` serves every round, and D, R and the slack come
+    from its ``certificate``; ``iterations`` sums the interior-point
+    iterations of every round, and ``max_iter`` bounds that sum.  A target
+    inside a jump of D(beta) gets the mixture of the optima at the critical
+    slope (the search over beta before this solve raised ConvergenceError
+    there).
 
     Raises:
         InvalidInputError: target outside (d_floor, d_max), tol <= 0, or
@@ -1017,7 +1035,7 @@ def solve_point_for_distortion(
     if not target > d_floor(mu, DistortionMatrix(dist.rho[:, cols])):
         cols = np.union1d(cols, dist.rho[mu.weights > 0].argmin(axis=1))
     point, gap, failure, _ = _priced_rounds(
-        mu, dist, 1.0 / spread, min(tol, IP_TOL), max_iter, cols, target, band, spread
+        _Tilt(mu, dist, 1.0 / spread), min(tol, IP_TOL), max_iter, cols, target, band, spread
     )
     if not point.converged:
         raise ConvergenceError(

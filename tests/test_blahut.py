@@ -21,6 +21,7 @@ from rdbridge.blahut import (
     RDPoint,
     _blahut_arimoto,
     _log_kernel,
+    _log_weights,
     _logsumexp,
     _Tilt,
     ba_fixed_point,
@@ -234,7 +235,7 @@ def test_fixpoint_residual_decreases_along_the_iteration():
     for mu, dist, beta, nu0 in instances:
         residuals = []
         for k in range(1, 41):
-            point = _blahut_arimoto(mu, dist, beta, nu0, 1e-300, k)
+            point = _blahut_arimoto(_Tilt(mu, dist, beta), nu0, 1e-300, k)
             residuals.append(point.fixpoint_residual)
         diffs = np.diff(residuals)
         assert np.all(diffs <= 1e-15), residuals
@@ -282,7 +283,7 @@ def test_objective_never_increases_along_the_iteration():
     candidate = x0 - 2.0 * alpha * r + alpha**2 * v
     assert alpha < -1.0 and candidate.min() >= 0.0
     assert objective(mu3, hamming(2), 4.0, candidate) > objective(mu3, hamming(2), 4.0, x2) + 1e-3
-    partial = _blahut_arimoto(mu3, hamming(2), 4.0, nu4, 1e-300, 5)
+    partial = _blahut_arimoto(_Tilt(mu3, hamming(2), 4.0), nu4, 1e-300, 5)
     assert not partial.converged
     np.testing.assert_allclose(partial.nu_star.weights, plain_map(plain_map(x2)), rtol=1e-12)
 
@@ -295,7 +296,7 @@ def test_objective_never_increases_along_the_iteration():
         start = np.full(n, 1.0 / n) if nu0 is None else nu0.weights
         values = [objective(mu, dist, beta, start)]
         for k in range(1, 41):
-            point = _blahut_arimoto(mu, dist, beta, nu0, tol, k)
+            point = _blahut_arimoto(_Tilt(mu, dist, beta), nu0, tol, k)
             values.append(objective(mu, dist, beta, point.nu_star.weights))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-15), values
@@ -818,6 +819,44 @@ def test_certificate_matches_the_explicit_tilted_coupling(problem):
     assert dual_certificate(mu, dist, beta, point.nu_star)[1] == point.certificate_slack
 
 
+def log_domain_problem():
+    """Row 1's sum over the kernel is nu_1 = 1e-305, below ROW_SUM_FLOOR, so
+    the certificate takes the log domain; row 0 forbids column 1."""
+    rho = np.array([[0.5, math.inf], [711.5, 0.0]])
+    nu = ProbabilityVector([1.0 - 1e-305, 1e-305])
+    return ProbabilityVector([0.5, 0.5]), DistortionMatrix(rho), nu, 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(tilted_problems())
+@example(log_domain_problem())
+def test_the_tilts_per_problem_facts_match_their_formulas(problem):
+    # reach is the set of columns some row of positive mass reaches at a
+    # finite loss (every column when none is), and finite_rho is rho on
+    # those rows with +inf read as 0: rho itself when that is finite.  The
+    # certificate's D equals D from the product K o rho guarded entry by
+    # entry, where the kernel (or the log-domain coupling) is positive.
+    mu, dist, nu, beta = problem
+    live = mu.weights > 0
+    tilt = _Tilt(mu, dist, beta, nu)
+    reached = np.isfinite(dist.rho[live]).any(axis=0)
+    reach = np.flatnonzero(reached) if reached.any() else np.arange(dist.shape[1])
+    assert np.array_equal(tilt.reach, reach)
+    assert np.array_equal(tilt.finite_rho, np.where(np.isinf(dist.rho), 0.0, dist.rho)[live])
+    assert (tilt.finite_rho is tilt.rho) == bool(np.isfinite(dist.rho[live]).all())
+    x = nu.weights
+    if tilt.scaled:
+        loss = np.zeros_like(tilt.ker)
+        np.multiply(tilt.ker, tilt.rho, out=loss, where=tilt.ker > 0.0)
+        distortion = float(tilt.w @ (loss @ x))
+    else:
+        pi = np.exp(tilt.log_phi() + _log_weights(x) - (tilt.log_z + tilt.shift)[:, None])
+        loss = np.zeros_like(pi)
+        np.multiply(pi, tilt.rho, out=loss, where=pi > 0.0)
+        distortion = float(tilt.mu @ loss.sum(axis=1))
+    assert tilt.certificate(x, tilt.c)[0] == distortion
+
+
 def test_a_row_sum_below_the_floor_is_taken_in_the_log_domain():
     # Row 1's sum over the cached kernel is nu_1: positive, but below
     # ROW_SUM_FLOOR.  Its entry e^-rho_10 in column 0 lies below
@@ -990,9 +1029,10 @@ def test_rd_value_from_nu_validates_length():
 # --- curve sweeps -----------------------------------------------------------
 
 
-def test_rd_curve_schedule_validation():
+def test_rd_curve_schedule_validation(monkeypatch):
     mu = ProbabilityVector([0.7, 0.3])
     dist = hamming(2)
+    tilts = counted_tilts(monkeypatch)
     with pytest.raises(InvalidInputError):
         rd_curve(mu, dist, [])
     with pytest.raises(InvalidInputError):
@@ -1001,6 +1041,98 @@ def test_rd_curve_schedule_validation():
         rd_curve(mu, dist, [-1.0, 0.5])
     with pytest.raises(InvalidInputError):
         rd_curve(mu, dist, [[0.5, 1.0]])
+    # A NaN or +inf slope is refused before beta = 1 is solved.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match=f"beta must be a finite nonnegative real, got {bad}"):
+            rd_curve(mu, dist, [1.0, bad])
+    assert tilts == []
+
+
+def counted_tilts(monkeypatch) -> list[int]:
+    """The column count of each ``_Tilt`` built from now on, in order."""
+    columns, init = [], _Tilt.__init__
+
+    def counted(self, mu, dist, *args):
+        columns.append(dist.shape[1])
+        init(self, mu, dist, *args)
+
+    monkeypatch.setattr(_Tilt, "__init__", counted)
+    return columns
+
+
+def mixed_instance():
+    """(mu, rho): a zero-mass row, a +inf loss, and column 3, which only the
+    zero-mass row reaches."""
+    inf = math.inf
+    rho = np.array([
+        [0.0, 1.0, 2.0, inf],
+        [1.0, inf, 0.5, inf],
+        [2.0, 1.0, 0.0, inf],
+        [1.0, 1.0, 1.0, 0.0],
+    ])
+    return ProbabilityVector([0.4, 0.3, 0.3, 0.0]), DistortionMatrix(rho)
+
+
+def one_slope_at_a_time(mu, dist, betas, tol, warm_start):
+    """The points of rd_curve(mu, dist, betas, tol, warm_start=...), each
+    from a ba_fixed_point call of its own, warm-started as the sweep does."""
+    points, start = [], None
+    for beta in betas:
+        try:
+            point = ba_fixed_point(mu, dist, float(beta), start, tol=tol)
+        except ConvergenceError as err:
+            point = err.partial
+        points.append(point)
+        if warm_start:
+            mix = blahut.WARM_START_MIX
+            mixed = (1.0 - mix) * point.nu_star.weights + mix / dist.shape[1]
+            start = ProbabilityVector(mixed / mixed.sum())
+    return points
+
+
+def sweep_problem(name):
+    if name == "gaussian":
+        src = discretize_gaussian(1.0, points=33)
+        return src.weights, squared_error(src.grid, src.grid)
+    if name == "bernoulli":
+        return ProbabilityVector([0.3, 0.7]), hamming(2)
+    return mixed_instance()
+
+
+@pytest.mark.parametrize(
+    "problem, betas, tol, warm_start",
+    [
+        ("gaussian", np.geomspace(0.5, 20.0, 6), 5e-4, True),  # Blahut-Arimoto
+        ("gaussian", np.geomspace(0.5, 20.0, 6), 5e-4, False),
+        ("bernoulli", np.geomspace(0.1, 20.0, 30), 1e-11, False),  # the two-column solve
+        ("gaussian", np.geomspace(0.5, 20.0, 4), 1e-9, True),  # the fixed-slope interior point
+        ("bernoulli", [0.0, 0.5, 2.0, 8.0], 1e-11, True),  # the beta = 0 endpoint first
+        ("mixed", [0.0, 0.3, 1.0, 4.0], 1e-9, True),  # a round on the reachable columns
+        ("mixed", [0.0, 0.3, 1.0, 4.0], 5e-4, True),
+    ],
+)
+def test_a_sweep_equals_its_slopes_solved_one_at_a_time(monkeypatch, problem, betas, tol, warm_start):
+    # Bit for bit: one tilt moved across the slopes forms the kernel each
+    # fresh ba_fixed_point call forms.  On every column reachable the sweep
+    # builds that one tilt and no other.
+    mu, dist = sweep_problem(problem)
+
+    def fields(point):
+        return (
+            point.beta, point.distortion, point.rate, point.certificate_slack,
+            point.fixpoint_residual, point.iterations, point.converged, point.nu_star.weights.tobytes(),
+        )
+
+    expected = [fields(p) for p in one_slope_at_a_time(mu, dist, betas, tol, warm_start)]
+    tilts = counted_tilts(monkeypatch)
+    curve = rd_curve(mu, dist, betas, tol=tol, warm_start=warm_start)
+    assert [fields(p) for p in curve.points] == expected
+    if problem != "mixed" or tol > SECOND_ORDER_TOL:
+        assert tilts == [dist.shape[1]]
+    else:
+        # Each slope after the beta = 0 endpoint runs its round on the
+        # three reachable columns, on a tilt of its own.
+        assert tilts == [4] + [3] * (len(betas) - 1)
 
 
 def test_rd_curve_keeps_degraded_points():
@@ -1016,10 +1148,10 @@ def test_rd_curve_keeps_degraded_points():
 def test_rd_curve_warns_when_its_points_break_monotonicity(monkeypatch, caplog):
     # A stubbed solver whose distortion rises with beta: the sweep keeps
     # the points and logs the shape report.
-    def rising(mu, dist, beta, *args, **kwargs):
-        return RDPoint(beta, 0.1 * beta, 1.0, ProbabilityVector([0.5, 0.5]), 1, 0.0, 0.0)
+    def rising(tilt, *args):
+        return RDPoint(tilt.beta, 0.1 * tilt.beta, 1.0, ProbabilityVector([0.5, 0.5]), 1, 0.0, 0.0)
 
-    monkeypatch.setattr(blahut, "ba_fixed_point", rising)
+    monkeypatch.setattr(blahut, "_fixed_slope", rising)
     with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
         curve = rd_curve(ProbabilityVector([0.7, 0.3]), hamming(2), [0.5, 1.0, 2.0])
     assert curve.distortions().tolist() == [0.05, 0.1, 0.2]
@@ -1431,8 +1563,8 @@ def test_target_solves_on_the_201_point_uniform_source_keep_their_iterations(mon
         for k in range(8)
     ]
     assert counts == [15, 14, 15, 15, 17, 15, 15, 17]
-    # D is certified only at each round's answer and at its law lifted to
-    # the whole alphabet, never at an iterate.
+    # D is certified once per round, at its law lifted to the whole
+    # alphabet, and never at an iterate: two rounds, two certificates.
     certificate, calls = _Tilt.certificate, []
 
     def counted(self, x, c):
@@ -1441,7 +1573,44 @@ def test_target_solves_on_the_201_point_uniform_source_keep_their_iterations(mon
 
     monkeypatch.setattr(_Tilt, "certificate", counted)
     solve_point_for_distortion(mu, dist, 0.4 * ceiling, tol=1e-3)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_a_target_solve_builds_one_full_tilt_and_one_per_subset_round(monkeypatch, caplog):
+    # The 201-point uniform target prices its columns in two subset rounds.
+    # The 71-point Gaussian one takes a subset round, then a round on every
+    # column, on the full tilt moved back to the start slope: every round
+    # starts from the same beta.  The Bernoulli target next to the
+    # D = D_max plateau solves on both columns in one round.
+    uniform = uniform_mse(201)
+    spec = discretize_gaussian(1.0, points=71)
+    gaussian = (spec.weights, squared_error(spec.grid, spec.grid))
+    bernoulli = (ProbabilityVector([0.9, 0.1]), hamming(2))
+    cases = [
+        # (problem, target, tol, (rounds, subset rounds))
+        (uniform, 0.4 * d_max(*uniform)[0], 1e-3, (2, 2)),
+        (gaussian, 0.4 * d_max(*gaussian)[0], 1e-9, (2, 1)),
+        (bernoulli, 0.0999, 1e-3, (1, 0)),
+    ]
+    tilts, starts, saddle_point = counted_tilts(monkeypatch), [], blahut._saddle_point
+
+    def recorded(tilt, *args):
+        starts.append(tilt.beta)
+        return saddle_point(tilt, *args)
+
+    monkeypatch.setattr(blahut, "_saddle_point", recorded)
+    for (mu, dist), target, tol, expected in cases:
+        caplog.clear()
+        tilts.clear()
+        starts.clear()
+        with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+            solve_point_for_distortion(mu, dist, target, tol=tol)
+        n = dist.shape[1]
+        rounds = round_records(caplog)
+        subsets = [r[1] for r in rounds if r[1] < n]
+        assert tilts == [n] + subsets
+        assert (len(rounds), len(subsets)) == expected
+        assert starts == [starts[0]] * len(rounds)
 
 
 def test_a_full_support_target_ends_within_three_rounds(caplog):
