@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,14 +172,19 @@ def _log_kernel(dist: DistortionMatrix, beta: float) -> np.ndarray:
     return -beta * dist.rho
 
 
+def _check_beta(beta: float | None) -> None:
+    """Refuse a negative, NaN or +inf beta; None, the slope of a tilt not yet moved, passes."""
+    if beta is not None and (beta < 0 or not math.isfinite(beta)):
+        raise InvalidInputError(f"beta must be a finite nonnegative real, got {beta}")
+
+
 def _check_compat(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
-    beta: float,
+    beta: float | None,
     nu: ProbabilityVector | None = None,
 ):
-    if beta < 0 or not np.isfinite(beta):
-        raise InvalidInputError(f"beta must be a finite nonnegative real, got {beta}")
+    _check_beta(beta)
     _check_rows(mu, dist)
     if nu is not None and len(nu) != dist.shape[1]:
         raise InvalidInputError(f"nu has {len(nu)} atoms but rho has {dist.shape[1]} columns")
@@ -227,7 +233,8 @@ class _Tilt:
     rho on them, the row minima and the rows that forbid every column do
     not depend on beta and are found once; so are ``reach`` and
     ``finite_rho``, on first use.  ``move`` takes the tilt to another beta
-    in its own buffers.  ``evaluate`` gives Z = K x (ln Z - s in
+    in its own buffers; a tilt built without a beta forms its kernel at
+    its first move.  ``evaluate`` gives Z = K x (ln Z - s in
     ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
     D = (mu / Z) . ((K o rho) x), R, the slack and the dual value.  Kernel
     entries below KERNEL_FLOOR are zero, so no product of two kept entries
@@ -237,7 +244,7 @@ class _Tilt:
     ``nu``, the tilt is evaluated at nu at once, with c at nu in ``c``.
     """
 
-    def __init__(self, mu: ProbabilityVector, dist: DistortionMatrix, beta: float, nu=None):
+    def __init__(self, mu: ProbabilityVector, dist: DistortionMatrix, beta: float | None, nu=None):
         _check_compat(mu, dist, beta, nu)
         self.source, self.dist = mu, dist
         self.live = mu.weights > 0
@@ -252,13 +259,16 @@ class _Tilt:
         self._low[self._dead] = 0.0
         self.ker = np.empty_like(self.rho)
         self.shift, self.z, self.log_z, self.w = (np.empty(len(self.mu)) for _ in range(4))
+        self.beta = None
         self.move(beta)
         if nu is not None:
             self.c = np.empty(len(nu))
             self.evaluate(nu.weights, self.c)
 
     def move(self, beta: float) -> None:
-        """Move the tilt to slope beta, in its own kernel and shift buffers."""
+        """Move the tilt to slope beta, in its own kernel and shift buffers; a no-op where it is."""
+        if beta == self.beta:
+            return
         self.beta, self._log_phi = beta, None
         ker = self.ker
         np.multiply(self._low, -beta, out=self.shift)
@@ -583,6 +593,11 @@ def _two_columns(
     return x, c, iterations, residual, done
 
 
+# The tilt of an ``rd_curve`` sweep, set in the context its slopes run in:
+# ``ba_fixed_point`` moves it to its slope instead of building its own.
+_SWEEP: ContextVar[_Tilt | None] = ContextVar("sweep", default=None)
+
+
 def ba_fixed_point(
     mu: ProbabilityVector,
     dist: DistortionMatrix,
@@ -632,10 +647,10 @@ def ba_fixed_point(
     and 0 iterations.  Otherwise the solve iterates as at any slope.
 
     Every evaluation, the final certificate included, is one ``_Tilt``'s:
-    two matrix products with a kernel cached once per problem (``rd_curve``
-    moves one tilt across its slopes), whose entries below KERNEL_FLOOR
-    are zero, or per-row logsumexp in the rare event a row sum falls below
-    ROW_SUM_FLOOR.
+    two matrix products with a kernel cached once per problem (inside
+    ``rd_curve``, each call moves the sweep's tilt to its slope), whose
+    entries below KERNEL_FLOOR are zero, or per-row logsumexp in the rare
+    event a row sum falls below ROW_SUM_FLOOR.
 
     Args:
         nu0: initial reconstruction law of a Blahut-Arimoto solve
@@ -651,13 +666,12 @@ def ba_fixed_point(
     """
     _check_compat(mu, dist, beta, nu0)
     _check_budget(tol, max_iter)
-    return _fixed_slope(_Tilt(mu, dist, beta), nu0, tol, max_iter)
-
-
-def _fixed_slope(tilt: _Tilt, nu0: ProbabilityVector | None, tol: float, max_iter: int) -> RDPoint:
-    """``ba_fixed_point`` at the tilt's beta, on inputs already validated."""
-    beta, n, failure = tilt.beta, tilt.ker.shape[1], ""
-    ceiling, col = d_max(tilt.source, tilt.dist) if beta == 0 else (math.inf, 0)
+    tilt = _SWEEP.get()
+    if tilt is None or tilt.source is not mu or tilt.dist is not dist:
+        tilt = _Tilt(mu, dist, beta)
+    tilt.move(beta)
+    n, failure = dist.shape[1], ""
+    ceiling, col = d_max(mu, dist) if beta == 0 else (math.inf, 0)
     if ceiling < math.inf:
         law, c = (np.arange(n) == col).astype(float), np.empty(n)
         tilt.evaluate(law, c)
@@ -666,7 +680,7 @@ def _fixed_slope(tilt: _Tilt, nu0: ProbabilityVector | None, tol: float, max_ite
         how = "Blahut-Arimoto"
         point = _blahut_arimoto(tilt, nu0, tol, max_iter)
     else:
-        point, _, failure, how = _priced_rounds(tilt, min(tol, IP_TOL), max_iter)
+        point, _, failure, how = _priced_rounds(tilt, beta, min(tol, IP_TOL), max_iter)
         logger.debug(
             "fixed slope %.17g: %s ends after %d iterations, slack %.3e, residual %.3e",
             beta, how, point.iterations, point.certificate_slack, point.fixpoint_residual,
@@ -699,10 +713,11 @@ def rd_curve(
     starts from ``nu0``.  Solves with ``tol <= SECOND_ORDER_TOL`` start
     from the uniform law either way (``ba_fixed_point``).  A beta of 0
     gives ``ba_fixed_point``'s beta -> 0+ limit.  Each point is the
-    ``ba_fixed_point`` answer at its slope, bit for bit, but the inputs
-    are validated once, before any slope is solved (so a NaN or +inf slope
-    is refused up front), and one ``_Tilt``, built at the first slope, is
-    moved to each later one.
+    ``ba_fixed_point`` answer at its slope, bit for bit: the whole schedule
+    is checked before any slope is solved (so a NaN or +inf slope is
+    refused up front), and each slope is one ``ba_fixed_point`` call, which
+    moves the one ``_Tilt`` of the sweep, built at the first slope, to its
+    own slope.
 
     Points whose solve exhausts its budget are kept with
     ``converged=False`` rather than aborting the sweep.
@@ -715,17 +730,17 @@ def rd_curve(
     if np.any(np.diff(betas) <= 0):
         raise InvalidInputError("betas must be strictly increasing")
     # The largest slope is NaN or +inf if any is.
-    _check_compat(mu, dist, float(betas.max()), nu0)
-    _check_budget(tol, max_iter)
+    _check_beta(float(betas.max()))
 
-    points: list[RDPoint] = []
-    start = nu0
-    tilt = _Tilt(mu, dist, float(betas[0]))
+    points, start = [], nu0
+    # Each slope is a ba_fixed_point call of its own, which perfbench's
+    # tracer counts, run in a context of the sweep's own that holds the
+    # sweep's tilt; the caller's context never sees it.
+    sweep = copy_context()
+    sweep.run(_SWEEP.set, _Tilt(mu, dist, float(betas[0])))
     for beta in betas:
-        if beta != tilt.beta:
-            tilt.move(float(beta))
         try:
-            point = _fixed_slope(tilt, start, tol, max_iter)
+            point = sweep.run(ba_fixed_point, mu, dist, float(beta), start, tol=tol, max_iter=max_iter)
         except ConvergenceError as err:
             logger.warning("degraded point at beta=%g: %s", beta, err)
             point = err.partial
@@ -894,7 +909,7 @@ def _saddle_point(
 
 
 def _priced_rounds(
-    tilt: _Tilt, eps: float, max_iter: int, cols: np.ndarray | None = None,
+    tilt: _Tilt, beta: float, eps: float, max_iter: int, cols: np.ndarray | None = None,
     target: float | None = None, band: float = 0.0, spread: float = 0.0,
 ) -> tuple[RDPoint, float, str, str]:
     """Every second-order solve: rounds on a column set S, pricing the columns off S.
@@ -907,13 +922,13 @@ def _priced_rounds(
     would hold more than half of the reachable columns it holds all of
     them.  A round solves on rho[:, S]: with beta fixed (no ``target``) by
     ``_two_columns`` on at most two columns, and by ``_saddle_point``
-    otherwise, from the tilt's beta and with the remaining budget.  A round
-    on the whole alphabet runs on ``tilt`` itself, moved back to that beta
-    if an earlier round moved it; a round on a column subset runs on a tilt
-    of its own, and ``tilt``, moved to the round's beta, evaluates the law
-    with x_j = 0 off S on every column.  Each column with c_j > 1 + eps
-    enters S, as in vertex-exchange methods for this mixture likelihood
-    (Lindsay 1983).  The solve ends when none enters.  Off S, x_j = 0
+    otherwise, from slope ``beta`` and with the remaining budget.  A round
+    on the whole alphabet runs on ``tilt`` itself, moved to that beta; a
+    round on a column subset runs on a tilt of its own, and ``tilt``, moved
+    to the round's final beta, evaluates the law with x_j = 0 off S on
+    every column, so ``tilt`` forms no kernel that no round reads.  Each
+    column with c_j > 1 + eps enters S, as in vertex-exchange methods for
+    this mixture likelihood (Lindsay 1983).  The solve ends when none enters.  Off S, x_j = 0
     zeroes the residual, the gap and min(x_j, s_j), and the pricing bounds
     the slack, so the answer meets the stop rule on the full alphabet.
     Each round's point is certified once, on ``tilt``.  ``iterations``
@@ -925,14 +940,14 @@ def _priced_rounds(
     alphabet, its complementarity gap (0 on the two-column solve), the
     Newton system failure of ``_saddle_point`` and the last round's method.
     """
-    n, beta, reach = tilt.ker.shape[1], tilt.beta, tilt.reach
+    n, reach = tilt.ker.shape[1], tilt.reach
     cols = reach if cols is None else np.intersect1d(cols, reach)
     iterations = rounds = 0
     while True:
         if 2 * len(cols) > len(reach):
             cols = reach
         whole = len(cols) == n
-        if whole and tilt.beta != beta:
+        if whole:
             tilt.move(beta)
         part = tilt if whole else _Tilt(tilt.source, DistortionMatrix(tilt.dist.rho[:, cols]), beta)
         if target is None and len(cols) <= 2:
@@ -947,8 +962,7 @@ def _priced_rounds(
         rounds += 1
         enter = ()
         if not whole:
-            if tilt.beta != part.beta:
-                tilt.move(part.beta)
+            tilt.move(part.beta)
             lifted, c = np.zeros(n), np.empty(n)
             lifted[cols] = law
             law = lifted
@@ -1006,8 +1020,9 @@ def solve_point_for_distortion(
     each live row's cheapest column when the target is not above S's
     distortion floor.  With every column reachable, an alphabet of at most
     2 START_COLUMNS - 1 columns takes one round, on all of them.  One
-    full-alphabet ``_Tilt`` serves every round, and D, R and the slack come
-    from its ``certificate``; ``iterations`` sums the interior-point
+    full-alphabet ``_Tilt`` serves every round, its kernel formed at the
+    first round that reads it, and D, R and the slack come from its
+    ``certificate``; ``iterations`` sums the interior-point
     iterations of every round, and ``max_iter`` bounds that sum.  A target
     inside a jump of D(beta) gets the mixture of the optima at the critical
     slope (the search over beta before this solve raised ConvergenceError
@@ -1035,7 +1050,7 @@ def solve_point_for_distortion(
     if not target > d_floor(mu, DistortionMatrix(dist.rho[:, cols])):
         cols = np.union1d(cols, dist.rho[mu.weights > 0].argmin(axis=1))
     point, gap, failure, _ = _priced_rounds(
-        _Tilt(mu, dist, 1.0 / spread), min(tol, IP_TOL), max_iter, cols, target, band, spread
+        _Tilt(mu, dist, None), 1.0 / spread, min(tol, IP_TOL), max_iter, cols, target, band, spread
     )
     if not point.converged:
         raise ConvergenceError(

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import warnings
+from contextvars import copy_context
 
 import numpy as np
 import pytest
@@ -1135,6 +1136,31 @@ def test_a_sweep_equals_its_slopes_solved_one_at_a_time(monkeypatch, problem, be
         assert tilts == [4] + [3] * (len(betas) - 1)
 
 
+def test_a_sweep_moves_its_tilt_through_ba_fixed_point_and_keeps_it_to_itself(monkeypatch):
+    # Each slope is a ba_fixed_point call (the benchmark's tracer counts
+    # them), and every call sees the sweep's one tilt.  The caller's context
+    # never holds it, and a call on another problem builds its own.
+    mu, dist = ProbabilityVector([0.7, 0.3]), hamming(2)
+    seen, solve = [], blahut.ba_fixed_point
+
+    def recorded(*args, **kwargs):
+        seen.append(blahut._SWEEP.get())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(blahut, "ba_fixed_point", recorded)
+    rd_curve(mu, dist, [0.5, 1.0, 2.0])
+    assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
+    assert seen[0].beta == 2.0 and blahut._SWEEP.get() is None
+
+    other = copy_context()
+    other.run(blahut._SWEEP.set, seen[0])
+    tilts = counted_tilts(monkeypatch)
+    expected = solve(ProbabilityVector([0.2, 0.8]), dist, 1.0)
+    point = other.run(solve, ProbabilityVector([0.2, 0.8]), dist, 1.0)
+    assert tilts == [2, 2] and seen[0].beta == 2.0
+    assert (point.distortion, point.rate) == (expected.distortion, expected.rate)
+
+
 def test_rd_curve_keeps_degraded_points():
     # Blahut-Arimoto runs out of a budget of 3 at both slopes.  (At a tol
     # below SECOND_ORDER_TOL the two-column solve ends each in one step.)
@@ -1148,10 +1174,10 @@ def test_rd_curve_keeps_degraded_points():
 def test_rd_curve_warns_when_its_points_break_monotonicity(monkeypatch, caplog):
     # A stubbed solver whose distortion rises with beta: the sweep keeps
     # the points and logs the shape report.
-    def rising(tilt, *args):
-        return RDPoint(tilt.beta, 0.1 * tilt.beta, 1.0, ProbabilityVector([0.5, 0.5]), 1, 0.0, 0.0)
+    def rising(mu, dist, beta, *args, **kwargs):
+        return RDPoint(beta, 0.1 * beta, 1.0, ProbabilityVector([0.5, 0.5]), 1, 0.0, 0.0)
 
-    monkeypatch.setattr(blahut, "_fixed_slope", rising)
+    monkeypatch.setattr(blahut, "ba_fixed_point", rising)
     with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
         curve = rd_curve(ProbabilityVector([0.7, 0.3]), hamming(2), [0.5, 1.0, 2.0])
     assert curve.distortions().tolist() == [0.05, 0.1, 0.2]
@@ -1581,7 +1607,9 @@ def test_a_target_solve_builds_one_full_tilt_and_one_per_subset_round(monkeypatc
     # The 71-point Gaussian one takes a subset round, then a round on every
     # column, on the full tilt moved back to the start slope: every round
     # starts from the same beta.  The Bernoulli target next to the
-    # D = D_max plateau solves on both columns in one round.
+    # D = D_max plateau solves on both columns in one round.  The full tilt
+    # forms a kernel at the start slope only for a round on every column:
+    # a subset round's law is first lifted at the round's final beta.
     uniform = uniform_mse(201)
     spec = discretize_gaussian(1.0, points=71)
     gaussian = (spec.weights, squared_error(spec.grid, spec.grid))
@@ -1593,16 +1621,24 @@ def test_a_target_solve_builds_one_full_tilt_and_one_per_subset_round(monkeypatc
         (bernoulli, 0.0999, 1e-3, (1, 0)),
     ]
     tilts, starts, saddle_point = counted_tilts(monkeypatch), [], blahut._saddle_point
+    formed, move = [], _Tilt.move
 
     def recorded(tilt, *args):
         starts.append(tilt.beta)
         return saddle_point(tilt, *args)
 
+    def moved(tilt, beta):
+        if beta != tilt.beta:
+            formed.append((tilt.ker.shape[1], beta))
+        move(tilt, beta)
+
     monkeypatch.setattr(blahut, "_saddle_point", recorded)
+    monkeypatch.setattr(_Tilt, "move", moved)
     for (mu, dist), target, tol, expected in cases:
         caplog.clear()
         tilts.clear()
         starts.clear()
+        formed.clear()
         with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
             solve_point_for_distortion(mu, dist, target, tol=tol)
         n = dist.shape[1]
@@ -1611,6 +1647,7 @@ def test_a_target_solve_builds_one_full_tilt_and_one_per_subset_round(monkeypatc
         assert tilts == [n] + subsets
         assert (len(rounds), len(subsets)) == expected
         assert starts == [starts[0]] * len(rounds)
+        assert formed.count((n, starts[0])) == len(rounds) - len(subsets)
 
 
 def test_a_full_support_target_ends_within_three_rounds(caplog):

@@ -22,17 +22,15 @@ def _load_spans():
 def test_tracer_wraps_and_restores_the_traced_functions():
     # Entering the tracer looks up every function it traces by name, so a
     # renamed or deleted one fails here and not only in a traced benchmark
-    # run.  Leaving it puts the library's own functions back.  rd_curve
-    # solves its slopes on one tilt, not through ba_fixed_point, so its
-    # slopes open no span of their own.
+    # run.  Leaving it puts the library's own functions back.
     spans = _load_spans()
     solve = rdbridge.blahut.ba_fixed_point
-    mu, dist = ProbabilityVector([0.7, 0.3]), hamming(2)
     with spans.Tracer() as tracer:
         assert rdbridge.blahut.ba_fixed_point is not solve
         assert rdbridge.io_cli.ba_fixed_point is rdbridge.blahut.ba_fixed_point
-        rdbridge.blahut.rd_curve(mu, dist, np.array([1.0, 2.0]))
-        rdbridge.io_cli.ba_fixed_point(mu, dist, 1.0)
+        rdbridge.blahut.rd_curve(ProbabilityVector([0.7, 0.3]), hamming(2), np.array([1.0, 2.0]))
     assert rdbridge.blahut.ba_fixed_point is solve
     assert rdbridge.io_cli.ba_fixed_point is solve
-    assert [span["name"] for span in tracer.spans] == ["blahut.rd_curve", "blahut.ba_fixed_point"]
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("blahut.ba_fixed_point") == 2
+    assert names[0] == "blahut.rd_curve"
