@@ -10,16 +10,19 @@ whose fixed point gives one point of the rate-distortion curve with
 R = -sum_i mu_i ln(sum_j nu_j exp(-beta rho_ij)) - beta D.  All rates are
 in nats; dR/dD = -beta under this sign convention.
 
-The plain map G is accelerated by squared extrapolation (SQUAREM cycle
-S3; Varadhan & Roland, Scand. J. Statist. 2008): from x0, x1 = G(x0) and
-x2 = G(x1), with r = x1 - x0 and v = x2 - 2 x1 + x0, it tries
-x' = x0 - 2 a r + a^2 v with a = -max(1, |r| / |v|), and backtracks a to
-(a - 1) / 2 until it reaches -1 (x' = x2) while x' has a negative entry
-or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x2).  A kept x' holds
-no mass on an atom that x2 leaves empty, and is followed by one plain
-map, kept unless it raises F; on two atoms x' itself starts the next
+The plain map G is accelerated by squared extrapolation (SQUAREM scheme
+S3; Varadhan & Roland, Scand. J. Statist. 2008) in cycles of three
+evaluations.  A cycle evaluates x0 and x1 = G(x0); x1's update factor
+gives x2 = G(x1) without another.  With r = x1 - x0 and
+v = x2 - 2 x1 + x0 it tries x' = x0 - 2 a r + a^2 v with
+a = -max(1, |r| / |v|), and backtracks a to (a - 1) / 2 while x' has a
+negative entry or raises F(nu) = -sum_x mu(x) ln Z(x) above F(x1).  A
+kept x' holds no mass on an atom that x2 leaves empty, and its
+evaluation gives G(x'), the next cycle's x0.  Once a reaches -1 with no
+x' kept, x2 is evaluated as an ordinary plain map and starts the next
 cycle.  The plain map never raises F, so F is nonincreasing along the
-iteration.
+laws kept.  The stop rule of ``ba_fixed_point`` is tested at every
+evaluated law, candidates included.
 
 The optimal law at a fixed slope minimises f(x) = F(x) + sum_j x_j over
 x >= 0, whose minimiser sums to 1: the mixture likelihood of the
@@ -425,21 +428,31 @@ def _blahut_arimoto(
     n = tilt.ker.shape[1]
     nu = np.full(n, 1.0 / n) if nu0 is None else nu0.weights.copy()
     start = nu > 0
-    c = np.empty(n)
-    # The laws of the current cycle, x0 first and nu last.  Until the
-    # stabilizing map of a kept candidate is known, ``kept`` holds the law
-    # x2 the candidate was extrapolated from, with its F and c.
-    cycle, kept = [nu], None
-    accepted = backtracks = rejected = 0
+    c, c_trial = np.empty(n), np.empty(n)
+    # The evaluated laws of the current cycle: x0, then x1 = G(x0).
+    cycle = [nu]
+    iterations = accepted = backtracks = 0
+
+    def evaluate(law: np.ndarray, c: np.ndarray, strict: bool = True) -> float:
+        """F at the law, its c to ``c``, once its atoms below SUPPORT_FLOOR are pinned to zero."""
+        dying = (law < SUPPORT_FLOOR) & (law > 0)
+        if dying.any():
+            logger.debug(
+                "iteration %d: pinned %d reconstruction atoms below %.0e",
+                iterations, np.count_nonzero(dying), SUPPORT_FLOOR,
+            )
+            law[dying] = 0.0
+        return tilt.evaluate(law, c, strict)
 
     # Every overflow, underflow and 0 * inf in the loop is either masked
     # out (empty columns) or lands in a candidate whose F is not finite,
     # which is never kept.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = tilt.evaluate(nu, c)
-        iterations = 1
+        f = evaluate(nu, c)
+        iterations += 1
         while True:
-            # c and f belong to nu, and ``iterations`` evaluations are spent.
+            # c and f belong to nu, the law evaluated last, and
+            # ``iterations`` evaluations are spent.
             slack = float(c.max()) - 1.0
             plain = nu * c
             total = plain.sum()
@@ -451,91 +464,67 @@ def _blahut_arimoto(
                 total = plain.sum()
             plain /= total
             final = False
-            if (slack <= tol and kept is None) or iterations >= max_iter:
+            if slack <= tol or iterations >= max_iter:
                 # The residual only matters when the stop rule can fire or
                 # the budget ends.
                 residual = float(np.abs(plain - nu).max())
                 final = residual <= tol or iterations >= max_iter
-            candidate = None
-            if final:
+            if final or len(cycle) < 2:
+                # The plain map of nu: the answer once its own slack meets
+                # tol, and otherwise the next law of the cycle, or the
+                # start of a new one after x1 or a kept candidate.
                 nu = plain
-            elif len(cycle) == 3:
-                # Squared extrapolation from x0, x1 = G(x0) and nu = G(x1);
-                # nu starts the next cycle unless a candidate is kept.
-                x0, x1, _ = cycle
-                cycle = [nu]
-                r = x1 - x0
-                v = nu - x1 - r
-                ratio = math.sqrt((r @ r) / (v @ v))
-                alpha = -ratio if 1.0 < ratio < math.inf else -1.0
-                c_trial = np.empty(n)
-                while alpha < -1.0 and iterations + 2 <= max_iter:
-                    trial = v * (alpha * alpha) + x0 + r * (-2.0 * alpha)
-                    # Never clipped: an atom set to zero never comes back.
-                    if trial.min() >= 0.0:
-                        f_trial = tilt.evaluate(trial, c_trial, strict=False)
-                        iterations += 1
-                        if f_trial <= f:
-                            candidate = trial
-                            break
-                    backtracks += 1
-                    alpha = 0.5 * (alpha - 1.0)
-            if candidate is not None:
-                # Its stabilizing map starts the next cycle.  On two atoms the
-                # law has one degree of freedom and no other mode to amplify:
-                # the candidate itself starts it.  An atom the plain maps
-                # emptied since x0 stays empty: the candidate's (1 + alpha)^2
-                # x0_j there is an artefact of the extrapolation.
-                accepted += 1
-                candidate[nu == 0] = 0.0
-                cycle = [candidate] if np.count_nonzero(nu > 0) == 2 else []
-                kept, nu, f, c = (nu, f, c), candidate, f_trial, c_trial
-            elif not final:
-                # Written in place: ``kept`` holds a c of its own.
-                f_plain = tilt.evaluate(plain, c)
-                iterations += 1
-                if kept is not None and f_plain > kept[1]:
-                    # The stabilizing map raised F (by rounding): keep the
-                    # law the candidate was extrapolated from.
-                    rejected += 1
-                    nu, f, c = kept
-                    cycle = [nu]
-                else:
-                    nu, f = plain, f_plain
-                    cycle.append(nu)
-                kept = None
-
-            if nu.min() < SUPPORT_FLOOR:
-                dying = (nu < SUPPORT_FLOOR) & (nu > 0)
-                pinned = np.count_nonzero(dying)
-                if pinned:
-                    logger.debug(
-                        "iteration %d: pinned %d reconstruction atoms below %.0e",
-                        iterations, pinned, SUPPORT_FLOOR,
-                    )
-                    nu[dying] = 0.0
-                    cycle = [nu]
-                    if not final:
-                        f = tilt.evaluate(nu, c)
-            if final:
-                law = nu / nu.sum()
-                tilt.evaluate(law, c)
+                cycle = cycle + [nu] if len(cycle) < 2 else [nu]
+                f = evaluate(nu, c)
                 slack = float(c.max()) - 1.0
-                if slack <= tol or iterations >= max_iter:
+                if final and (slack <= tol or iterations >= max_iter):
                     break
-                # The law to be returned misses tol: it stands as a plain map.
-                f = tilt.evaluate(nu, c)
                 iterations += 1
-                cycle = [nu]
+                continue
+            # Squared extrapolation from x0, x1 = nu and x2 = plain, which is
+            # evaluated only if no candidate is kept.
+            x0 = cycle[0]
+            r = nu - x0
+            v = plain - nu - r
+            ratio = math.sqrt((r @ r) / (v @ v))
+            alpha = -ratio if 1.0 < ratio < math.inf else -1.0
+            while alpha < -1.0 and iterations < max_iter:
+                trial = v * (alpha * alpha) + x0 + r * (-2.0 * alpha)
+                # Never clipped: an atom set to zero never comes back.
+                if trial.min() >= 0.0:
+                    # An atom the plain maps empty by x2 stays empty: the
+                    # candidate's (1 + alpha)^2 x0_j there is an artefact of
+                    # the extrapolation.
+                    trial[plain == 0] = 0.0
+                    f_trial = evaluate(trial, c_trial, strict=False)
+                    iterations += 1
+                    if f_trial <= f:
+                        break
+                backtracks += 1
+                alpha = 0.5 * (alpha - 1.0)
+            else:
+                # No candidate is kept: x2 starts the next cycle, unless the
+                # budget ended and x2 is the answer.
+                if iterations < max_iter:
+                    nu = plain
+                    cycle = [nu]
+                    f = evaluate(nu, c)
+                    iterations += 1
+                continue
+            # The candidate's evaluation gives its plain map, the next
+            # cycle's x0.
+            accepted += 1
+            nu, f, c, c_trial = trial, f_trial, c_trial, c
+            cycle = []
     logger.debug(
-        "iteration %d: Blahut-Arimoto stops; %d extrapolations accepted, %d backtracks, "
-        "%d stabilizing maps rejected", iterations, accepted, backtracks, rejected
+        "iteration %d: Blahut-Arimoto stops; %d extrapolations accepted, %d backtracks",
+        iterations, accepted, backtracks,
     )
     # Pinned atoms, and atoms that a plain map sent straight to zero.
-    shrunk = np.count_nonzero(start & (law == 0.0))
+    shrunk = np.count_nonzero(start & (nu == 0.0))
     if shrunk:
         logger.debug("support shrank by %d atoms in total", shrunk)
-    return _answer(tilt, law, c, iterations, residual, residual <= tol and slack <= tol)
+    return _answer(tilt, nu, c, iterations, residual, residual <= tol and slack <= tol)
 
 
 def _two_columns(
@@ -612,17 +601,17 @@ def ba_fixed_point(
     the extrapolation cycles of the module docstring around the plain
     update nu <- nu * c (renormalized).  ``iterations`` counts
     update-factor evaluations (two matrix-vector products each: the start
-    law, every plain update and every candidate tried; not the
-    re-evaluation after support pinning), and ``max_iter`` bounds that
-    count.  The stop rule is that of the plain iteration, tested at every
-    law reached by a plain update, never at a candidate: the fixed-point
-    residual (the sup-norm change the plain update makes to nu) and the
-    dual certificate slack, both at the current nu, must fall to ``tol``;
-    the returned law is then the plain update of that nu, as it is when
-    the budget runs out, and its own slack must be at most ``tol`` too, or
-    the update stands as an ordinary one.  Where no candidate is kept the
-    solve ends exactly where the plain iteration would.  Atoms that decay
-    below ``SUPPORT_FLOOR`` are pinned to exact zero and never revived.
+    law, every plain update evaluated and every candidate tried), and
+    ``max_iter`` bounds that count.  The stop rule is that of the plain
+    iteration, tested at every evaluated law, candidates included: the
+    fixed-point residual (the sup-norm change the plain update makes to
+    the law) and the dual certificate slack, both at that law, must fall
+    to ``tol``; the returned law is then the plain update of that law, as
+    it is of the last law kept when the budget runs out, and its own slack
+    must be at most ``tol`` too, or the update stands as an ordinary one.
+    Where no candidate is kept the solve ends at the law the plain
+    iteration ends at.  Atoms below ``SUPPORT_FLOOR`` are pinned to exact
+    zero before a law is evaluated, and never revived.
 
     With ``tol <= SECOND_ORDER_TOL`` the solve takes second-order steps
     from the uniform law, whatever ``nu0`` (which then gives only the
@@ -931,10 +920,10 @@ def _priced_rounds(
     this mixture likelihood (Lindsay 1983).  The solve ends when none enters.  Off S, x_j = 0
     zeroes the residual, the gap and min(x_j, s_j), and the pricing bounds
     the slack, so the answer meets the stop rule on the full alphabet.
-    Each round's point is certified once, on ``tilt``.  ``iterations``
-    sums the rounds' iterations, and ``max_iter`` bounds that sum.  One
-    DEBUG record per round gives the columns in play, those entering and
-    the round's iterations.
+    Only the returned round's point is certified, once, on ``tilt``.
+    ``iterations`` sums the rounds' iterations, and ``max_iter`` bounds
+    that sum.  One DEBUG record per round gives the columns in play, those
+    entering and the round's iterations.
 
     Returns (point, gap, failure, how): the last round's point on the full
     alphabet, its complementarity gap (0 on the two-column solve), the
@@ -968,12 +957,12 @@ def _priced_rounds(
             law = lifted
             _, residual = _stop_values(tilt, law, c)
             enter = np.setdiff1d(np.flatnonzero(c > 1.0 + eps), cols)
-        point = _answer(tilt, law, c, iterations, residual, solved and not len(enter))
         logger.debug(
             "round %d: %d of %d columns in play, %d enter, %d iterations",
             rounds, len(cols), n, len(enter), spent,
         )
         if not (solved and len(enter)) or iterations >= max_iter:
+            point = _answer(tilt, law, c, iterations, residual, solved and not len(enter))
             return point, gap, failure, how
         cols = np.union1d(cols, enter)
 
