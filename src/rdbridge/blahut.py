@@ -164,15 +164,15 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_kernel(dist: DistortionMatrix, beta: float) -> np.ndarray:
+def _log_kernel(rho: np.ndarray, beta: float) -> np.ndarray:
     """log of exp(-beta rho).
 
     At beta = 0 this is the beta -> 0+ limit: 0 on finite losses and
     -inf on +inf ones, so forbidden pairs stay forbidden at every slope.
     """
     if beta == 0:
-        return np.where(np.isposinf(dist.rho), -np.inf, 0.0)
-    return -beta * dist.rho
+        return np.where(np.isposinf(rho), -np.inf, 0.0)
+    return -beta * rho
 
 
 def _check_beta(beta: float | None) -> None:
@@ -306,8 +306,7 @@ class _Tilt:
     def log_phi(self) -> np.ndarray:
         """-beta rho on the rows of positive mass, formed on first use."""
         if self._log_phi is None:
-            log_phi = _log_kernel(self.dist, self.beta)
-            self._log_phi = log_phi if self.full else log_phi[self.live]
+            self._log_phi = _log_kernel(self.rho, self.beta)
         return self._log_phi
 
     def evaluate(self, x: np.ndarray, c: np.ndarray, strict: bool = True) -> float:
@@ -413,7 +412,7 @@ def dual_certificate(
     log_z[tilt.live] = tilt.log_z + tilt.shift
     if not tilt.full:
         dead = ~tilt.live
-        log_z[dead] = _logsumexp(_log_kernel(dist, beta)[dead] + _log_weights(nu.weights), axis=1)
+        log_z[dead] = _logsumexp(_log_kernel(dist.rho[dead], beta) + _log_weights(nu.weights), axis=1)
     with np.errstate(over="ignore"):
         return np.exp(-log_z), slack, dual_value
 

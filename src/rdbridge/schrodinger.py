@@ -6,24 +6,25 @@ D_KL(pi || gamma) over couplings of (mu, nu) has density f(x) g(y) with
 respect to gamma.  The log-potentials solve the Schrodinger system and
 are computed by Sinkhorn iteration in the scaling domain, on a cached
 kernel into which large scalings are absorbed in the log domain
-(Schmitzer, SIAM J. Sci. Comput. 2019).  nu enters the iteration as a
-vector, never as a kernel column, so a half-step is taken in the log
-domain only where the nu-free kernel itself underflows, not because nu
-has a tiny atom.  The iteration starts from g = 1, where the first
-F-update gives the tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij)
-/ Z_i of the rate-distortion parametrization: that half-step is read
-off the Blahut-Arimoto solver's evaluator, whose kernel the iteration
-then takes over.
+(Schmitzer, SIAM J. Sci. Comput. 2019).  mu and nu enter the iteration
+as vectors, never as kernel rows or columns, so a half-step is taken in
+the log domain only where the marginal-free kernel itself underflows,
+not because mu or nu has a tiny atom.  The iteration starts from g = 1,
+where the first F-update gives the tilted coupling pi_ij = mu_i nu_j
+exp(-beta rho_ij) / Z_i of the rate-distortion parametrization: that
+half-step is read off the Blahut-Arimoto solver's evaluator, whose
+kernel the iteration then takes over.
 
 The iteration is over-relaxed once it has reached its linear tail
 (Thibault, Chizat, Dossal & Papadakis, Algorithms 2021; Lehmann, von
-Renesse, Sambale & Uschmajew, Optim. Lett. 2022): a half-step becomes
-u <- u^(1-omega) (mu / K(nu v))^omega.  omega = 2 / (1 + sqrt(1 - lambda)) is
-estimated from the contraction lambda of the plain iterations once their
-residual ratios have settled, and is at most OMEGA_MAX.  A relaxed
-half-step is kept only if it does not lower the Sinkhorn dual
-mu . ln u + nu . ln v - u^T K (nu v), an O(n) test; otherwise the
-plain half-step is taken.
+Renesse, Sambale & Uschmajew, Optim. Lett. 2022): a scaling-domain
+half-step becomes u <- u^(1-omega) (1 / K(nu v))^omega.  omega = 2 / (1 +
+sqrt(1 - lambda)) is estimated from the contraction lambda of the plain
+iterations once their residual ratios have settled, and is at most
+OMEGA_MAX.  A relaxed half-step is kept only if it does not lower the
+Sinkhorn dual mu . ln u + nu . ln v - (mu u)^T K (nu v), an O(n) test;
+otherwise the plain half-step is taken.  A log-domain half-step is
+always plain.
 
 The dual quantities J(nu, beta) and L(nu, beta) derived from the
 potentials measure how far a candidate reconstruction law nu sits from
@@ -156,7 +157,7 @@ def _keeps_dual(mass: np.ndarray, log_r: np.ndarray, omega: float) -> bool:
 
     The half-step moves a log-scaling by omega L from where it is, where
     L = log_r is the plain half-step's move.  It changes the dual
-    mu . ln u + nu . ln v - u^T K (nu v) by
+    mu . ln u + nu . ln v - (mu u)^T K (nu v) by
 
         sum_i mass_i (omega L_i - expm1((omega - 1) L_i) + expm1(-L_i)),
 
@@ -180,21 +181,17 @@ def _relaxed_scaling(mass, plain, current, omega):
     """
     if omega == 1.0:
         return plain
+    # plain is at most 1 / ROW_SUM_FLOOR and current lies within
+    # e^(+-ABSORB_LOG_SCALE), past which scalings are absorbed, so the
+    # ratio cannot overflow and the safe test needs no error state.
+    ratio = plain / current
+    if RELAX_SAFE_LO <= _min(ratio) and _max(ratio) <= RELAX_SAFE_HI:
+        return plain * ratio ** (omega - 1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = plain / current
-        if RELAX_SAFE_LO <= _min(ratio) and _max(ratio) <= RELAX_SAFE_HI:
-            return plain * ratio ** (omega - 1.0)
         if _keeps_dual(mass, np.log(ratio), omega):
             relaxed = plain * ratio ** (omega - 1.0)
             if _normal(relaxed):
                 return relaxed
-    return plain
-
-
-def _relaxed_log(mass, plain, current, omega):
-    """``_relaxed_scaling`` on log-scalings, for the log-domain half-steps."""
-    if omega > 1.0 and _keeps_dual(mass, plain - current, omega):
-        return current + omega * (plain - current)
     return plain
 
 
@@ -215,21 +212,21 @@ def sinkhorn(
 
     until the coupling marginals match (mu, nu) to ``tol`` in sup norm.
     Each update is one matrix-vector product with a cached kernel M that
-    holds no factor of nu (u <- mu / (M (nu v)), v <- 1 / (M^T u)), and
-    the same products give the marginal residuals.  Scalings are absorbed
-    into the kernel before they grow large, and an update whose product
-    leaves the normal floating point range, which happens only where the
-    nu-free kernel underflows, is taken in the log domain instead.  Atoms
-    with zero mass take no part in the updates.
+    holds no factor of mu or nu (u <- 1 / (M (nu v)), v <- 1 / (M^T (mu u))),
+    and the same products give the marginal residuals.  Scalings are
+    absorbed into the kernel before they grow large, and an update whose
+    product leaves the normal floating point range, which happens only
+    where the marginal-free kernel underflows, is taken in the log domain
+    instead.  Atoms with zero mass take no part in the updates.
 
     Once RELAX_CALM successive ratios of the residual have settled at a
-    contraction lambda <= RELAX_LAMBDA_MAX, both half-steps are
-    over-relaxed, u <- u (mu / (u M (nu v)))^omega with
-    omega = 2 / (1 + sqrt(1 - lambda)) <= OMEGA_MAX, in the scaling or the
-    log domain alike.  A relaxed half-step that would lower the Sinkhorn
-    dual mu . ln u + nu . ln v - u^T M (nu v) falls back to the plain
-    one.  The stop rule reads the iterate that is returned, relaxed or
-    not.
+    contraction lambda <= RELAX_LAMBDA_MAX, the scaling-domain half-steps
+    are over-relaxed, u <- u (1 / (u M (nu v)))^omega with
+    omega = 2 / (1 + sqrt(1 - lambda)) <= OMEGA_MAX; log-domain half-steps
+    stay plain.  A relaxed half-step that would lower the Sinkhorn dual
+    mu . ln u + nu . ln v - (mu u)^T M (nu v) falls back to the plain one.
+    The stop rule reads the iterate that is returned, relaxed or not.
+    The returned coupling is scaled to mass 1.
 
     The iteration starts from logG = 0, so its first F-update is the
     tilted coupling pi_ij = mu_i nu_j exp(-beta rho_ij) / Z_i, read off
@@ -275,22 +272,22 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
             "supp(mu) can reach it: reference is infeasible"
         )
 
-    # Sinkhorn scalings pi = diag(e^a u) e^{-beta rho} diag(nu e^b v), with
-    # a = ln mu + logK + logF and b = logG: nu enters as a vector, never as
-    # a kernel column.  The log-scalings (a, b) are absorbed into the
-    # cached kernel; u and v are folded into them when they grow past
+    # Sinkhorn scalings pi = diag(mu e^a u) e^{-beta rho} diag(nu e^b v),
+    # with a = logK + logF and b = logG: mu and nu enter as vectors, never
+    # as kernel rows or columns.  The log-scalings (a, b) are absorbed into
+    # the cached kernel; u and v are folded into them when they grow past
     # ABSORB_LOG_SCALE or a kernel product leaves the normal range, which
-    # happens only where the nu-free kernel itself underflows.  Iteration
-    # 1's F-update, from logG = 0, gives the tilted coupling: a = ln mu -
-    # ln Z and b = 0.
+    # happens only where the marginal-free kernel itself underflows.
+    # Iteration 1's F-update, from logG = 0, gives the tilted coupling:
+    # a = -ln Z and b = 0.
     row_reach = tilt.log_z + tilt.shift
     logK = float(-_logsumexp(log_mu_s + row_reach, axis=0))
-    a = log_mu_s - row_reach
+    a = -row_reach
     b = np.zeros(len(cols))
     kernel = tilt.ker if every_col else tilt.ker[:, cols]
     if tilt.scaled:
-        # w_i K_ij, with w = mu / (K nu) and K the tilt's shifted kernel.
-        kernel *= tilt.w[:, None]
+        # K_ij / z_i, with z = K nu and K the tilt's shifted kernel.
+        kernel /= tilt.z[:, None]
         _flush_kernel(kernel)
     else:
         _absorbed_kernel(kernel, log_phi_s(), a, b)
@@ -300,37 +297,39 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
     u, v = uv[: len(rows)], uv[len(rows) :]
 
     # omega = 1 until RELAX_CALM settled residual ratios, then relaxed to
-    # the end, each half-step guarded by the dual test.
+    # the end, each scaled half-step guarded by the dual test.
     omega = 1.0
     calm = 0
     last_res, last_ratio = math.inf, math.nan
     for iterations in range(1, max_iter + 1):
-        col_sum = kernel.T @ u
+        # mu u and nu v each serve a product and a residual.
+        mu_u = mu_w * u
+        col_sum = kernel.T @ mu_u
         if _normal(col_sum):
             v[:] = _relaxed_scaling(nu_w, 1.0 / col_sum, v, omega)
-            col_res = _sup_residual(v, nu_w * col_sum, nu_w)
+            nu_v = nu_w * v
+            col_res = _sup_residual(nu_v, col_sum, nu_w)
         else:
-            # A plain log-domain G-update matches the columns by
-            # construction; a relaxed one misses them by its own step.
+            # A log-domain G-update matches the columns by construction.
             a += np.log(u)
             u[:] = 1.0
-            b_plain = -_logsumexp(log_phi_s() + a[:, None], axis=0)
-            b = _relaxed_log(nu_w, b_plain, b + np.log(v), omega)
+            b = -_logsumexp(log_phi_s() + (a + log_mu_s)[:, None], axis=0)
             v[:] = 1.0
+            mu_u, nu_v = mu_w, nu_w
             _absorbed_kernel(kernel, log_phi_s(), a, b)
-            col_res = np.abs(nu_w * np.expm1(b - b_plain)).max()
+            col_res = 0.0
 
-        # The row marginals u * (kernel (nu v)) come from the product the
+        # The row marginals mu u (kernel (nu v)) come from the product the
         # next F-update needs anyway.
-        row_sum = kernel @ (nu_w * v)
+        row_sum = kernel @ nu_v
         scaled = _normal(row_sum)
         if scaled:
-            row_res = _sup_residual(u, row_sum, mu_w)
+            row_res = _sup_residual(mu_u, row_sum, mu_w)
         else:
             b += np.log(v)
             v[:] = 1.0
-            a_next = log_mu_s - _logsumexp(log_phi_s() + (b + log_nu_s), axis=1)
-            row_res = np.abs(np.exp(log_mu_s + a + np.log(u) - a_next) - mu_w).max()
+            a_next = -_logsumexp(log_phi_s() + (b + log_nu_s), axis=1)
+            row_res = np.abs(mu_w * np.expm1(a + np.log(u) - a_next)).max()
         residual = float(max(row_res, col_res))
         if residual <= tol or iterations == max_iter:
             break
@@ -344,9 +343,9 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
             last_res, last_ratio = residual, ratio
 
         if scaled:
-            u[:] = _relaxed_scaling(mu_w, mu_w / row_sum, u, omega)
+            u[:] = _relaxed_scaling(mu_w, 1.0 / row_sum, u, omega)
         else:
-            a = _relaxed_log(mu_w, a_next, a + np.log(u), omega)
+            a = a_next
             u[:] = 1.0
             _absorbed_kernel(kernel, log_phi_s(), a, b)
         if _max(uv) > ABSORB_HI or _min(uv) < ABSORB_LO:
@@ -365,15 +364,15 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
         log_zg[rows] = np.log(row_sum) - a
         col_sum = kernel.T @ (mu_w / row_sum)
     else:
-        log_zg[rows] = log_mu_s - a_next
+        log_zg[rows] = -a_next
     if scaled and _normal(col_sum):
         eq8 = v * col_sum
     else:
-        a_next = log_mu_s - log_zg[rows]
-        eq8 = np.exp(b + np.log(v) + _logsumexp(log_phi_s() + a_next[:, None], axis=0))
+        a_next = -log_zg[rows]
+        eq8 = np.exp(b + np.log(v) + _logsumexp(log_phi_s() + (a_next + log_mu_s)[:, None], axis=0))
 
     logG = np.zeros(len(nu))
-    logF[rows] = a + np.log(u) - log_mu_s - logK
+    logF[rows] = a + np.log(u) - logK
     logG[cols] = b + np.log(v)
 
     # Gauge fix: shift the shared constant so sum_j nu_j logG_j = 0.
@@ -381,18 +380,21 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
     logG[cols] -= shift
     logF[rows] += shift
     log_zg[rows] -= shift
-    # The coupling of the final iterate, diag(u) kernel diag(nu v), formed
-    # in the kernel's buffer.  A final log-domain F-update folded v into b
-    # without rebuilding the kernel.
+    # The coupling of the final iterate, diag(mu u) kernel diag(nu v),
+    # formed in the kernel's buffer.  A final log-domain F-update folded v
+    # into b without rebuilding the kernel.
     if not scaled:
         _absorbed_kernel(kernel, log_phi_s(), a, b)
-    kernel *= u[:, None]
+    kernel *= (mu_w * u)[:, None]
     kernel *= nu_w * v
     if tilt.full and every_col:
         pi = kernel
     else:
         pi = np.zeros(tilt.dist.shape)
         pi[np.ix_(rows, cols)] = kernel
+    # The iterate matches the marginals, and so has mass 1, only up to its
+    # residual; scaled to mass 1, it is always a valid Coupling.
+    pi /= pi.sum()
 
     pair = ScalingPair(
         logF=logF,
@@ -407,10 +409,6 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
         converged=residual <= tol,
     )
     if not pair.converged:
-        # An unconverged iterate matches the marginals, and so has mass 1,
-        # only up to its residual; scaled to mass 1, the partial coupling
-        # is always a valid Coupling.
-        pi /= pi.sum()
         raise ConvergenceError(
             f"Sinkhorn did not reach residual {tol:g} within {max_iter} "
             f"iterations (residual {residual:.3e})",

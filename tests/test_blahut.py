@@ -992,7 +992,7 @@ def test_a_moved_tilt_equals_a_fresh_one():
                 assert np.array_equal(c, c_fresh)
             # Against exp(-beta rho - s), s the row maximum of -beta rho:
             # bitwise on the row that attains zero, to rounding elsewhere.
-            log_phi = _log_kernel(dist, beta)[mu.weights > 0]
+            log_phi = _log_kernel(dist.rho, beta)[mu.weights > 0]
             shift = log_phi.max(axis=1)
             assert np.array_equal(tilt.shift, shift)
             with np.errstate(invalid="ignore"):

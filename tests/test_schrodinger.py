@@ -81,7 +81,7 @@ def log_domain_sinkhorn(mu, nu, dist, beta, tol, max_iter, relaxed=True):
     gives the plain loop.  Returns (logF, logG, logK, iterations,
     residual); raises InvalidInputError where ``sinkhorn`` does.
     """
-    log_phi = _log_kernel(dist, beta)
+    log_phi = _log_kernel(dist.rho, beta)
     log_mu = _log_weights(mu.weights)
     log_nu = _log_weights(nu.weights)
     rows, cols = mu.support, nu.support
@@ -137,7 +137,7 @@ def log_domain_evaluators(mu, nu, dist, beta, D, scal):
     the coupling rebuilt out of (logF, logG, logK).  Returns (J, L,
     (row_res, col_res, eq8_res)).
     """
-    log_phi = _log_kernel(dist, beta)
+    log_phi = _log_kernel(dist.rho, beta)
     log_mu = _log_weights(mu.weights)
     log_nu = _log_weights(nu.weights)
     rows, cols = mu.support, nu.support
@@ -283,13 +283,12 @@ STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0
 @pytest.mark.parametrize(
     "mu, nu, dist, beta",
     [
-        # nu_0 and mu_1 are subnormal.  nu enters as a vector, so column 0
-        # of the kernel is normal and the G-update is scaled; row 1, which
-        # carries mu_1, is flushed, so the F-update is taken in the log
-        # domain.
+        # nu_0 and mu_1 are subnormal.  mu and nu enter as vectors, so
+        # row 1 and column 0 of the kernel are normal and every half-step
+        # is scaled.
         (ProbabilityVector([1.0, 1e-310]), ProbabilityVector([1e-310, 1.0]), hamming(2), 1.0),
-        # Row 2 of the kernel is flushed to zero, so every F-update is
-        # taken in the log domain.
+        # mu_2 is subnormal.  mu enters as a vector, not as a kernel row,
+        # so row 2 of the kernel is normal and every half-step is scaled.
         (ProbabilityVector([0.5, 0.5, 1e-320]), ProbabilityVector([0.3, 0.3, 0.4]), STEPPED, 1.0),
         # Entry (1, 1) starts near 1e-311 and is flushed, though it is
         # only e^-23 below entry (0, 1).  The first G-update scales column
@@ -329,10 +328,22 @@ STEPPED = DistortionMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0
             DistortionMatrix(np.array([[0.0, 400.0], [1.0, 400.0]])),
             1.0,
         ),
+        # nu_1 is 2.2e-296, and rows 0 and 2 reach column 0 only at
+        # e^-1200.  The first G-update scales column 1 by about 1e-295,
+        # so nu_1 v_1 underflows, those rows' products are zero and the
+        # first F-update is taken in the log domain.
+        (
+            ProbabilityVector(
+                [0.2904713938826075, 0.6113109592665209, 0.02626401089713801, 0.07195363595373352]
+            ),
+            ProbabilityVector([1.0, 2.2000125667718897e-296]),
+            DistortionMatrix(np.array([[400.0, 50.0], [5.0, 0.0], [400.0, 1.0], [0.0, 5.0]])),
+            3.0,
+        ),
     ],
     ids=[
         "subnormal-column", "flushed-row", "absorbed-entry", "short-column",
-        "partly-flushed-column", "far-column",
+        "partly-flushed-column", "far-column", "tiny-column",
     ],
 )
 def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
@@ -346,13 +357,23 @@ def test_extreme_kernels_match_the_log_domain_reference(mu, nu, dist, beta):
     assert pair.iterations == ref_iterations
     assert np.abs(pair.logF - ref_logF).max() <= 1e-12
     assert np.abs(pair.logG - ref_logG).max() <= 1e-12
-    # The flushed-row solve ends on a log-domain F-update, so the pair's
-    # g-weighted row sums and eq. 8 sums come from that half-step.
     d = expected_loss(coupling.joint, dist)
     ref_j, ref_l, ref_residuals = log_domain_evaluators(mu, nu, dist, beta, d, pair)
     assert eval_J(mu, nu, dist, beta, d, pair) == pytest.approx(ref_j, rel=1e-12, abs=1e-12)
     assert eval_L(mu, nu, dist, beta, pair) == pytest.approx(ref_l, rel=1e-12, abs=1e-12)
     assert np.allclose(schrodinger_residual(mu, nu, dist, pair), ref_residuals, rtol=0, atol=1e-12)
+    # The tiny-column iterate after one iteration ends on a log-domain
+    # F-update, so its g-weighted row sums and eq. 8 sums come from that
+    # half-step.
+    try:
+        partial, coupling = sinkhorn(mu, nu, dist, beta, tol=1e-12, max_iter=1)
+    except ConvergenceError as err:
+        partial, coupling = err.partial
+    d = expected_loss(coupling.joint, dist)
+    *_, ref_residuals = log_domain_evaluators(mu, nu, dist, beta, d, partial)
+    assert np.allclose(
+        schrodinger_residual(mu, nu, dist, partial), ref_residuals, rtol=1e-12, atol=1e-12
+    )
 
 
 def gaussian_problem():
@@ -399,7 +420,7 @@ def test_no_kernel_entry_lies_between_zero_and_the_floor(beta, monkeypatch):
     pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
     assert pair.converged and len(kernels) > 1
     absorbed = np.empty(dist.shape)
-    a = np.log(mu.weights) + pair.logK + pair.logF
+    a = pair.logK + pair.logF
     _absorbed_kernel(absorbed, -beta * dist.rho, a, pair.logG)
     for kernel in kernels:
         low = kernel[kernel > 0.0].min()
@@ -425,16 +446,8 @@ def test_near_optimal_law_takes_the_log_domain_iteration_count():
     assert np.abs(pair.logG - ref_logG).max() <= 1e-12
 
 
-def test_a_tiny_atom_takes_no_log_domain_step(monkeypatch):
-    # An atom of mass 1e-200 lies far below ROW_SUM_FLOOR.  nu enters as a
-    # vector, not as a kernel column, so every kernel product stays in the
-    # normal range and no half-step is taken in the log domain.
-    mu, dist, grid = gaussian_problem()
-    beta = 4.0
-    law = np.exp(-(grid**2) / (2.0 * (1.0 - 1.0 / (2.0 * beta))))
-    law /= law.sum()
-    law[100] = 1e-200
-    nu = ProbabilityVector(law / law.sum())
+def assert_no_log_domain_step(mu, nu, dist, beta, monkeypatch):
+    """A solve at tol 1e-12 passes every ``_normal`` test and matches the log-domain reference."""
     normal, calls = schrodinger._normal, []
 
     def recorded(x):
@@ -451,6 +464,32 @@ def test_a_tiny_atom_takes_no_log_domain_step(monkeypatch):
     assert pair.iterations == ref_iterations
     assert np.abs(pair.logF - ref_logF).max() <= 1e-12
     assert np.abs(pair.logG - ref_logG).max() <= 1e-12
+
+
+def optimal_gaussian_law(grid, beta):
+    """The unit Gaussian's optimal reconstruction law at slope beta, on ``grid``."""
+    law = np.exp(-(grid**2) / (2.0 * (1.0 - 1.0 / (2.0 * beta))))
+    return law / law.sum()
+
+
+def test_a_tiny_atom_takes_no_log_domain_step(monkeypatch):
+    # An atom of mass 1e-200 lies far below ROW_SUM_FLOOR.  nu enters as a
+    # vector, not as a kernel column, so every kernel product stays in the
+    # normal range and no half-step is taken in the log domain.
+    mu, dist, grid = gaussian_problem()
+    law = optimal_gaussian_law(grid, 4.0)
+    law[100] = 1e-200
+    assert_no_log_domain_step(mu, ProbabilityVector(law / law.sum()), dist, 4.0, monkeypatch)
+
+
+def test_a_tiny_source_atom_takes_no_log_domain_step(monkeypatch):
+    # The same for a source atom: mu enters as a vector, not as a kernel
+    # row, so the atom's row of the kernel is normal.
+    mu, dist, grid = gaussian_problem()
+    weights = mu.weights.copy()
+    weights[100] = 1e-200
+    nu = ProbabilityVector(optimal_gaussian_law(grid, 4.0))
+    assert_no_log_domain_step(ProbabilityVector(weights / weights.sum()), nu, dist, 4.0, monkeypatch)
 
 
 def test_relaxed_half_steps_that_lower_the_dual_fall_back_to_plain():
@@ -681,6 +720,27 @@ def test_unconverged_partial_coupling_has_unit_mass():
     assert not pair.converged
     assert coupling.joint.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(coupling.joint[np.isinf(dist.rho)] == 0.0)
+
+
+def test_converged_coupling_has_unit_mass():
+    # Marginal residuals within tol bound the mass only to a few times tol,
+    # more than Coupling's 1e-12 allows, so the returned coupling is scaled
+    # to mass 1.
+    inf = float("inf")
+    mu = ProbabilityVector([1.732996462486101e-256, 0.16660828225898683, 0.8333917177410132])
+    nu = ProbabilityVector(
+        [
+            0.07441109593080476,
+            0.19293850993297926,
+            0.013055912515110466,
+            0.597814588520614,
+            0.12177989310049153,
+        ]
+    )
+    rho = np.array([[400, 800, 1, 5, 0], [1, 0, 50, 800, 50], [inf, 0, 50, 800, 1]], dtype=float)
+    pair, coupling = sinkhorn(mu, nu, DistortionMatrix(rho), 50.0, tol=1e-12)
+    assert pair.converged
+    assert coupling.joint.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_infeasible_reference_is_rejected():
