@@ -239,7 +239,7 @@ class _Tilt:
     in its own buffers; a tilt built without a beta forms its kernel at
     its first move.  ``evaluate`` gives Z = K x (ln Z - s in
     ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
-    D = (mu / Z) . ((K o rho) x), R, the slack and the dual value.  Kernel
+    D = (mu / Z) . ((K o rho) x), R and the slack.  Kernel
     entries below KERNEL_FLOOR are zero, so no product of two kept entries
     is subnormal; a row sum below ROW_SUM_FLOOR, where the flushed entries
     could pass its rounding error, sends the pass to per-row logsumexp over
@@ -342,8 +342,8 @@ class _Tilt:
             np.exp(log_c, out=c)
         return -float(self.mu @ self.log_z)
 
-    def certificate(self, x: np.ndarray, c: np.ndarray) -> tuple[float, float, float, float]:
-        """(D, R, slack, dual_value) of the law x that ``evaluate`` saw last, with its c.
+    def certificate(self, x: np.ndarray, c: np.ndarray) -> tuple[float, float, float]:
+        """(D, R, slack) of the law x that ``evaluate`` saw last, with its c.
 
         These are the values ``rd_value_from_nu`` and ``dual_certificate``
         document.
@@ -355,12 +355,9 @@ class _Tilt:
         else:
             pi = np.exp(self.log_phi() + _log_weights(x) - log_z[:, None])
             distortion = float(self.mu @ (pi * self.finite_rho).sum(axis=1))
-        neg_log_z = -(self.mu @ log_z)
-        tilt = self.beta * distortion
         # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
-        rate = float(neg_log_z - tilt) + 0.0
-        dual_value = float(neg_log_z - np.log1p(max(slack, 0.0)) - tilt)
-        return distortion, rate, slack, dual_value
+        rate = float(-(self.mu @ log_z) - self.beta * distortion) + 0.0
+        return distortion, rate, slack
 
 
 def rd_value_from_nu(
@@ -376,7 +373,7 @@ def rd_value_from_nu(
     bounds R(D) for any nu and matches it at the optimum.
     """
     tilt = _Tilt(mu, dist, beta, nu)
-    distortion, rate, _, _ = tilt.certificate(nu.weights, tilt.c)
+    distortion, rate, _ = tilt.certificate(nu.weights, tilt.c)
     return distortion, rate
 
 
@@ -393,8 +390,10 @@ def dual_certificate(
     (1 + slack)+ the pair is feasible, so
 
         dual_value = sum_i mu_i ln alpha_i - ln(1 + max(slack, 0)) - beta D
+                   = R - ln(1 + max(slack, 0))
 
-    lower-bounds the optimal rate at the distortion D induced by nu.
+    lower-bounds the optimal rate at the distortion D induced by nu; R is
+    the parametric rate at nu (``rd_value_from_nu``).
 
     Rows of rho need not attain zero: adding m_i to row i scales alpha_i
     by exp(beta m_i) and leaves every c_j, the slack and the dual value.
@@ -407,14 +406,14 @@ def dual_certificate(
         (alpha, slack, dual_value) with slack = max_j c_j - 1.
     """
     tilt = _Tilt(mu, dist, beta, nu)
-    _, _, slack, dual_value = tilt.certificate(nu.weights, tilt.c)
+    _, rate, slack = tilt.certificate(nu.weights, tilt.c)
     log_z = np.empty(len(mu))
     log_z[tilt.live] = tilt.log_z + tilt.shift
     if not tilt.full:
         dead = ~tilt.live
         log_z[dead] = _logsumexp(_log_kernel(dist.rho[dead], beta) + _log_weights(nu.weights), axis=1)
     with np.errstate(over="ignore"):
-        return np.exp(-log_z), slack, dual_value
+        return np.exp(-log_z), slack, rate - math.log1p(max(slack, 0.0))
 
 
 def _blahut_arimoto(
@@ -713,11 +712,10 @@ def rd_curve(
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
         raise InvalidInputError("betas must be a non-empty 1-D array")
-    if np.any(betas < 0):
-        raise InvalidInputError("betas must be nonnegative")
     if np.any(np.diff(betas) <= 0):
         raise InvalidInputError("betas must be strictly increasing")
-    # The largest slope is NaN or +inf if any is.
+    # The smallest slope is negative if any is; the largest is NaN or +inf if any is.
+    _check_beta(float(betas.min()))
     _check_beta(float(betas.max()))
 
     points, start = [], nu0
@@ -769,7 +767,7 @@ def _answer(
     Every solve returns through here, the beta = 0 endpoint included: D,
     R and the slack are certified once, at the returned law.
     """
-    distortion, rate, slack, _ = tilt.certificate(law, c)
+    distortion, rate, slack = tilt.certificate(law, c)
     return RDPoint(
         float(tilt.beta), distortion, rate, ProbabilityVector(law), iterations, residual, slack,
         converged,
@@ -1013,8 +1011,7 @@ def solve_point_for_distortion(
     ``certificate``; ``iterations`` sums the interior-point
     iterations of every round, and ``max_iter`` bounds that sum.  A target
     inside a jump of D(beta) gets the mixture of the optima at the critical
-    slope (the search over beta before this solve raised ConvergenceError
-    there).
+    slope.
 
     Raises:
         InvalidInputError: target outside (d_floor, d_max), tol <= 0, or

@@ -109,12 +109,6 @@ def normalize_loss(dist: DistortionMatrix) -> tuple[DistortionMatrix, np.ndarray
     return DistortionMatrix(shifted), finite_min
 
 
-def _column_expectations(mu: ProbabilityVector, dist: DistortionMatrix) -> np.ndarray:
-    """E_mu[rho(X, y_j)] for each column j, guarding 0 * inf."""
-    live = mu.weights > 0
-    return mu.weights[live] @ dist.rho[live, :]
-
-
 def _check_rows(mu: ProbabilityVector, dist: DistortionMatrix) -> None:
     if len(mu) != dist.shape[0]:
         raise InvalidInputError(f"mu has {len(mu)} atoms but rho has {dist.shape[0]} rows")
@@ -129,7 +123,9 @@ def d_max(mu: ProbabilityVector, dist: DistortionMatrix) -> tuple[float, int]:
         column index.
     """
     _check_rows(mu, dist)
-    expect = _column_expectations(mu, dist)
+    # E_mu[rho(X, y_j)] per column, on the rows of positive mass (no 0 * inf).
+    live = mu.weights > 0
+    expect = mu.weights[live] @ dist.rho[live, :]
     j = int(np.argmin(expect))
     return float(expect[j]), j
 

@@ -59,6 +59,8 @@ SOURCE_KINDS = ("bernoulli", "uniform", "gaussian", "custom")
 DISTORTION_KINDS = ("hamming", "mse", "custom")
 UNITS = ("nats", "bits")
 LOG_LEVELS = ("debug", "info", "warning", "error")
+# The config keys whose value must be one of a fixed set of names.
+_CHOICES = {"source.kind": SOURCE_KINDS, "distortion.kind": DISTORTION_KINDS, "units": UNITS}
 
 # Every config key, its parser, and its default.  The config file is a
 # flat key=value document; '#' starts a comment.  All keys double as
@@ -150,17 +152,9 @@ def resolve_config(
         raise InvalidInputError(
             f"tol out of range: need 0 < tol <= 1e-2, got {values['tol']}"
         )
-    if values["source.kind"] not in SOURCE_KINDS:
-        raise InvalidInputError(
-            f"source.kind must be one of {SOURCE_KINDS}, got {values['source.kind']!r}"
-        )
-    if values["distortion.kind"] not in DISTORTION_KINDS:
-        raise InvalidInputError(
-            f"distortion.kind must be one of {DISTORTION_KINDS}, "
-            f"got {values['distortion.kind']!r}"
-        )
-    if values["units"] not in UNITS:
-        raise InvalidInputError(f"units must be one of {UNITS}, got {values['units']!r}")
+    for key, choices in _CHOICES.items():
+        if values[key] not in choices:
+            raise InvalidInputError(f"{key} must be one of {choices}, got {values[key]!r}")
     if values["max_iter"] < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {values['max_iter']}")
     if values["betas.list"] is None:
@@ -247,23 +241,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one line per row: floats through ``_fmt``, strings as they are."""
+    lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
 def _curve_csv(curve: RDCurve, units: str) -> str:
     scale = _rate_scale(units)
-    lines = ["beta,distortion,rate,iterations,certificate_slack,converged"]
-    for p in curve.points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(p.beta),
-                    _fmt(p.distortion),
-                    _fmt(p.rate * scale),
-                    str(p.iterations),
-                    _fmt(p.certificate_slack),
-                    "1" if p.converged else "0",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        "beta,distortion,rate,iterations,certificate_slack,converged",
+        (
+            (p.beta, p.distortion, p.rate * scale, str(p.iterations), p.certificate_slack,
+             "1" if p.converged else "0")
+            for p in curve.points
+        ),
+    )
 
 
 def _report_json(report) -> dict:
@@ -377,7 +370,7 @@ def _cmd_curve(cfg: dict, args) -> int:
 def _cmd_point(cfg: dict, args) -> int:
     """Solve one point by --beta or --distortion; exit 0 if it converged, else 2.
 
-    A --distortion inside a jump of D(beta) now converges and exits 0 (2 before).
+    A --distortion inside a jump of D(beta) converges and exits 0.
     """
     if (args.beta is None) == (args.distortion is None):
         raise InvalidInputError("point needs exactly one of --beta or --distortion")
@@ -463,41 +456,28 @@ def _cmd_sinkhorn(cfg: dict, args) -> int:
     return exit_code
 
 
+# Each --oracle: the source and loss kinds it holds for, the config key
+# of its parameter, and its closed form R(parameter, D) in nats.
+_ORACLES = {
+    "bernoulli": ("bernoulli", "hamming", "source.p", oracle_bernoulli_hamming),
+    "gaussian": ("gaussian", "mse", "source.sigma", oracle_gaussian_mse),
+}
+
+
 def _cmd_compare(cfg: dict, args) -> int:
     mu, dist, _, _ = build_problem(cfg)
-    if args.oracle == "bernoulli":
-        if cfg["source.kind"] != "bernoulli" or cfg["distortion.kind"] != "hamming":
-            raise InvalidInputError(
-                "bernoulli oracle needs source.kind=bernoulli and "
-                "distortion.kind=hamming"
-            )
-        p = cfg["source.p"]
-        oracle = lambda d: oracle_bernoulli_hamming(p, d)
-    else:  # "gaussian": the parser's choices admit no other oracle
-        if cfg["source.kind"] != "gaussian" or cfg["distortion.kind"] != "mse":
-            raise InvalidInputError(
-                "gaussian oracle needs source.kind=gaussian and distortion.kind=mse"
-            )
-        sigma = cfg["source.sigma"]
-        oracle = lambda d: oracle_gaussian_mse(sigma, d)
-
+    source, loss, param, closed_form = _ORACLES[args.oracle]
+    if (cfg["source.kind"], cfg["distortion.kind"]) != (source, loss):
+        raise InvalidInputError(
+            f"{args.oracle} oracle needs source.kind={source} and distortion.kind={loss}"
+        )
+    oracle = functools.partial(closed_form, cfg[param])
     curve = _sweep(cfg, mu, dist)
     max_err, table = compare_curve(curve, oracle, cfg["compare.d_lo"], cfg["compare.d_hi"])
     scale = _rate_scale(cfg["units"])
-    lines = ["distortion,rate,rate_oracle,abs_err"]
-    for d_val, rate, r_oracle in table:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(d_val),
-                    _fmt(rate * scale),
-                    _fmt(r_oracle * scale),
-                    _fmt(abs(rate - r_oracle) * scale),
-                ]
-            )
-        )
-    lines.append(f"max_abs_err={_fmt(max_err * scale)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = ((d, r * scale, r_oracle * scale, abs(r - r_oracle) * scale) for d, r, r_oracle in table)
+    text = _csv_text("distortion,rate,rate_oracle,abs_err", rows)
+    _emit(text + f"max_abs_err={_fmt(max_err * scale)}\n", args.out)
     return 0 if max_err * scale <= cfg["compare.bound"] else 2
 
 
@@ -541,9 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--beta", type=float, help="trade-off slope")
             cmd.add_argument("--nu", help="reconstruction law file (JSON or text)")
         if name == "compare":
-            cmd.add_argument(
-                "--oracle", choices=("bernoulli", "gaussian"), required=True
-            )
+            cmd.add_argument("--oracle", choices=tuple(_ORACLES), required=True)
     return parser
 
 

@@ -262,10 +262,11 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
         return tilt.log_phi() if every_col else tilt.log_phi()[:, cols]
 
     # A column no row reaches has c = 0, but so may one whose kernel
-    # entries were all flushed; -beta rho tells them apart.
+    # entries were all flushed; the tilt's reachable columns tell them
+    # apart.  Most solves have no column with c = 0 and skip the lookup.
     dead = cols[tilt.c[cols] == 0.0]
     if dead.size:
-        dead = dead[np.isneginf(tilt.log_phi()[:, dead]).all(axis=0)]
+        dead = np.setdiff1d(dead, tilt.reach)
     if dead.size:
         raise InvalidInputError(
             f"reconstruction atom {int(dead[0])} carries mass but no source in "

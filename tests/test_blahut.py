@@ -45,6 +45,7 @@ from rdbridge.distortion import (
 from rdbridge.errors import ConvergenceError, InvalidInputError
 from rdbridge.io_cli import main
 from rdbridge.measures import Coupling, ProbabilityVector, kl_divergence, mutual_information
+from rdbridge.verify import check_optimality
 
 
 def binary_entropy(q: float) -> float:
@@ -825,7 +826,7 @@ def test_dual_certificate_gives_an_infinite_alpha_without_a_warning():
 # Small problems with the hard cases: zero-mass source and reconstruction
 # atoms, forbidden (+inf) pairs, and slopes deep in the log domain.
 @st.composite
-def tilted_problems(draw):
+def tilted_problems(draw, betas=st.floats(0.0, 50.0)):
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 5))
     mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -840,7 +841,7 @@ def tilted_problems(draw):
     reach = np.isfinite(rho[mu > 0]) & (nu > 0)
     if not reach.any(axis=1).all():
         nu[np.argmin(rho[mu > 0], axis=1)] = 0.5
-    beta = draw(st.floats(0.0, 50.0))
+    beta = draw(betas)
     return (
         ProbabilityVector(mu / mu.sum()),
         DistortionMatrix(rho),
@@ -877,6 +878,24 @@ def test_certificate_matches_the_explicit_tilted_coupling(problem):
     assert not any(math.isnan(v) for v in (point.distortion, point.rate, point.certificate_slack))
     assert rd_value_from_nu(mu, dist, beta, point.nu_star) == (point.distortion, point.rate)
     assert dual_certificate(mu, dist, beta, point.nu_star)[1] == point.certificate_slack
+
+
+@settings(max_examples=150, deadline=None)
+@given(tilted_problems(betas=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)))
+def test_the_dual_gap_is_log1p_of_the_positive_slack(problem):
+    # The dual value is the parametric rate less ln(1 + slack+), so the
+    # verdict's dual gap is a function of the slack alone, bit for bit.
+    mu, dist, nu, beta = problem
+    # Sinkhorn refuses a reconstruction atom that no source atom of
+    # positive mass reaches.
+    assume(np.isfinite(dist.rho[np.ix_(mu.weights > 0, nu.weights > 0)]).any(axis=0).all())
+    report = check_optimality(mu, dist, beta, nu)
+    assert report.dual_gap == math.log1p(max(report.certificate_slack, 0.0))
+    assert report.dual_gap >= 0.0
+    _, rate = rd_value_from_nu(mu, dist, beta, nu)
+    _, slack, dual_value = dual_certificate(mu, dist, beta, nu)
+    assert slack == report.certificate_slack
+    assert dual_value == rate - math.log1p(max(slack, 0.0))
 
 
 def log_domain_problem():
@@ -1101,6 +1120,9 @@ def test_rd_curve_schedule_validation(monkeypatch):
         rd_curve(mu, dist, [-1.0, 0.5])
     with pytest.raises(InvalidInputError):
         rd_curve(mu, dist, [[0.5, 1.0]])
+    # A negative slope gets the same message as a single solve's.
+    with pytest.raises(InvalidInputError, match="beta must be a finite nonnegative real, got -0.5"):
+        rd_curve(mu, dist, [-0.5, 1.0])
     # A NaN or +inf slope is refused before beta = 1 is solved.
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidInputError, match=f"beta must be a finite nonnegative real, got {bad}"):
@@ -1549,8 +1571,7 @@ def test_target_solve_agrees_with_the_fixed_point_at_its_slope(instance):
     unreachable = ~np.isfinite(dist.rho[mu.weights > 0]).any(axis=0)
     assert not point.nu_star.weights[unreachable].any()
     assert abs(point.distortion - target) <= 10.0 * tol * d_max(mu, dist)[0]
-    tilt = _Tilt(mu, dist, point.beta, point.nu_star)
-    assert tilt.certificate(point.nu_star.weights, tilt.c)[3] <= point.rate
+    assert dual_certificate(mu, dist, point.beta, point.nu_star)[2] <= point.rate
     fixed = ba_fixed_point(mu, dist, point.beta, tol=1e-11, max_iter=1000000)
     value = point.rate + point.beta * point.distortion
     assert abs(value - (fixed.rate + fixed.beta * fixed.distortion)) <= 1e-8

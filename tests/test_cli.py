@@ -663,6 +663,16 @@ def test_compare_within_bound(capsys):
     assert len(lines) == 5
     assert lines[-1].startswith("max_abs_err=")
     assert float(lines[-1].split("=")[1]) <= 1e-6
+    errors = []
+    for line in lines[1:-1]:
+        cells = line.split(",")
+        # 17 significant digits round-trip doubles exactly.
+        for cell in cells:
+            assert f"{float(cell):.17g}" == cell
+        _, rate, rate_oracle, abs_err = map(float, cells)
+        assert abs_err == abs(rate - rate_oracle)
+        errors.append(abs_err)
+    assert float(lines[-1].split("=")[1]) == max(errors)
 
 
 def test_compare_bound_violation_exit_2(capsys):

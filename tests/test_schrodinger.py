@@ -751,6 +751,10 @@ def test_infeasible_reference_is_rejected():
         sinkhorn(mu, nu, DistortionMatrix(np.array([[inf, inf], [0.0, 1.0]])), 1.0)
     with pytest.raises(InvalidInputError):
         sinkhorn(mu, nu, DistortionMatrix(np.array([[inf, 0.0], [inf, 1.0]])), 1.0)
+    # Only the zero-mass source atom reaches reconstruction atom 1.
+    mu_first = ProbabilityVector([1.0, 0.0])
+    with pytest.raises(InvalidInputError, match="reconstruction atom 1 carries mass"):
+        sinkhorn(mu_first, nu, DistortionMatrix(np.array([[0.0, inf], [inf, 0.0]])), 1.0)
     # Zero-mass atoms may sit on infinite loss without harm.
     nu_dead = ProbabilityVector([0.0, 1.0])
     pair, _ = sinkhorn(
