@@ -43,11 +43,14 @@ reconstruction columns (``_priced_rounds``).
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -233,12 +236,14 @@ class _Tilt:
     rho~_ij = rho_ij - min_j rho_ij, with row shift s = -beta min_j rho_ij:
     rows of zero source mass take no part in F, c, D or R.  Where every row
     attains a zero loss, K is exp(-beta rho) itself.  The live rows, mu and
-    rho on them, the row minima and the rows that forbid every column do
-    not depend on beta and are found once; so are ``reach`` and
-    ``finite_rho``, on first use.  ``move`` takes the tilt to another beta
-    in its own buffers; a tilt built without a beta forms its kernel at
-    its first move.  ``evaluate`` gives Z = K x (ln Z - s in
-    ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
+    rho on them, the row minima, the rows that forbid every column, rho~
+    and its largest finite entry do not depend on beta and are found once;
+    so are ``reach`` and ``finite_rho``, on first use.  ``move`` takes the
+    tilt to another beta in its own buffers; a tilt built without a beta
+    forms its kernel at its first move.  beta times the largest finite
+    entry of rho~ says whether any kernel entry can fall below
+    KERNEL_FLOOR, and so whether ``move`` flushes.  ``evaluate`` gives
+    Z = K x (ln Z - s in ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
     D = (mu / Z) . ((K o rho) x), R and the slack.  Kernel
     entries below KERNEL_FLOOR are zero, so no product of two kept entries
     is subnormal; a row sum below ROW_SUM_FLOOR, where the flushed entries
@@ -260,6 +265,13 @@ class _Tilt:
         # and s = -inf.
         self._dead = np.flatnonzero(np.isinf(self._low))
         self._low[self._dead] = 0.0
+        # rho~, which is rho itself when every row attains zero, and its
+        # largest finite entry: beta times it bounds how far any kernel
+        # entry falls below its row maximum.
+        self._rel = self.rho - self._low[:, None] if self._low.any() else self.rho
+        self._top = float(self._rel.max())
+        if self._top == math.inf:
+            self._top = float(self._rel.max(where=np.isfinite(self._rel), initial=0.0))
         self.ker = np.empty_like(self.rho)
         self.shift, self.z, self.log_z, self.w = (np.empty(len(self.mu)) for _ in range(4))
         self.beta = None
@@ -276,21 +288,24 @@ class _Tilt:
         ker = self.ker
         np.multiply(self._low, -beta, out=self.shift)
         self.shift[self._dead] = -np.inf
-        # rho~ is formed in the kernel's buffer; when every row attains
-        # zero it is rho itself.
-        rel = np.subtract(self.rho, self._low[:, None], out=ker) if self._low.any() else self.rho
         if beta == 0:
             # The beta -> 0+ limit of ``_log_kernel``: 1 on finite losses
             # and 0 on +inf ones.
-            np.isfinite(rel, out=ker)
+            np.isfinite(self._rel, out=ker)
             return
-        np.multiply(rel, -beta, out=ker)
+        np.multiply(self._rel, -beta, out=ker)
+        depth = beta * self._top
+        if depth > 700.0:
+            # exp leaves its vector path where results underflow; entries
+            # this far down are flushed anyway.
+            np.maximum(ker, -700.0, out=ker)
         np.exp(ker, out=ker)
-        # Entries more than 354 nats below the row maximum (below
-        # KERNEL_FLOOR) are flushed: each moves a row sum of at least
-        # ROW_SUM_FLOOR by less than its rounding error, and a smaller row
-        # sum falls back to logsumexp.
-        _flush_kernel(ker)
+        if depth > 350.0:
+            # Entries more than 354 nats below the row maximum (below
+            # KERNEL_FLOOR) are flushed: each moves a row sum of at least
+            # ROW_SUM_FLOOR by less than its rounding error, and a smaller
+            # row sum falls back to logsumexp.  Within 350 nats none is.
+            _flush_kernel(ker)
 
     @cached_property
     def reach(self) -> np.ndarray:
@@ -743,10 +758,20 @@ def rd_curve(
 
 
 def _boundary(u: np.ndarray, du: np.ndarray, v: float = 0.0, dv: float = 0.0) -> float:
-    """The step t at which u + t du, or the scalar v + t dv, first reaches zero; inf if never."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = float(np.minimum.reduce(u / -du, where=du < 0.0, initial=math.inf))
+    """The step t at which u + t du, or the scalar v + t dv, first reaches zero; inf if never.
+
+    The minimum of u / -du over du < 0 is formed as -max(u / du) over the
+    same entries, which divides by no zero.
+    """
+    neg = du < 0.0
+    t = -float(np.maximum.reduce(np.divide(u, du, out=None, where=neg), where=neg, initial=-math.inf))
     return min(t, v / -dv) if dv < 0.0 else t
+
+
+def _residual(law: np.ndarray, c: np.ndarray) -> float:
+    """The fixed-point residual of the law, given its c: the sup-norm change of its plain map."""
+    plain = law * c
+    return float(np.abs(plain / plain.sum() - law).max())
 
 
 def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, float]:
@@ -755,8 +780,7 @@ def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, fl
     The slack is the certificate's own, max_j c_j - 1.
     """
     tilt.evaluate(law, c)
-    plain = law * c
-    return float(c.max()) - 1.0, float(np.abs(plain / plain.sum() - law).max())
+    return float(c.max()) - 1.0, _residual(law, c)
 
 
 def _answer(
@@ -803,6 +827,9 @@ def _saddle_point(
     iterations = 0
     failure = ""
     last_gap = math.inf
+    # A and M = A'A are written in place, and the diagonal of M through a view.
+    a, m = np.empty_like(ker), np.empty((n, n))
+    diagonal = m.reshape(-1)[:: n + 1]
     if free:
         rho, loss = tilt.finite_rho, np.empty_like(ker)
     while True:
@@ -810,7 +837,8 @@ def _saddle_point(
             tilt.move(beta)
         mass = x.sum()
         law = x / mass
-        slack, residual = _stop_values(tilt, law, c)
+        tilt.evaluate(law, c)
+        slack = float(c.max()) - 1.0
         # K x and c at x, whose mass is not 1 before the solve ends.
         z, c_x = tilt.z * mass, c / mass
         if free:
@@ -824,24 +852,27 @@ def _saddle_point(
             if free:
                 lam = max(-miss, 0.0) + 1e-2 * spread
         gap = float(x @ s) + beta * lam
-        worst = max(gap, slack, residual, np.minimum(law, s).max())
-        done = bool(abs(miss) <= band and worst <= eps)
+        # The residual is formed only where it decides the stop.
+        done = bool(abs(miss) <= band and max(gap, slack, np.minimum(law, s).max()) <= eps)
         if done or iterations >= max_iter:
-            break
+            residual = _residual(law, c)
+            done = done and residual <= eps
+            if done or iterations >= max_iter:
+                break
         # The Hessian H = A'A of F at x, with A = diag(sqrt(mu) / K x) K.
-        a = ker * (root_mu / z)[:, None]
-        m = a.T @ a
+        np.multiply(ker, (root_mu / z)[:, None], out=a)
+        np.matmul(a.T, a, out=m)
         if free:
             w = tilt.mu / z
             g = (w * d) @ ker - w @ loss
             # v = sum_i w_i ((K o rho o rho) x)_i - sum_i mu_i d_i^2.
             loss *= rho
             v = float(w @ (loss @ x)) - float(tilt.mu @ (d * d))
-        m.flat[:: n + 1] += s / x
-        m.flat[:: n + 1] *= 1.0 + RIDGE
+        diagonal += s / x
+        diagonal *= 1.0 + RIDGE
         # M >= 0 entrywise: entries this far below its largest diagonal
         # entry only make the factor's products underflow.
-        m[m < KERNEL_FLOOR * m.diagonal().max()] = 0.0
+        m[m < KERNEL_FLOOR * diagonal.max()] = 0.0
         factor, info = lapack.dpotrf(m)
         if free:
             m_g = lapack.dpotrs(factor, g)[0]
@@ -860,7 +891,8 @@ def _saddle_point(
         # A fixed beta takes its (beta, lambda) pair out of the gap.
         pairs = n + free
         mean = gap / pairs
-        dx, ds, d_beta, d_lam = newton(-x * s, -beta * lam)
+        xs = x * s
+        dx, ds, d_beta, d_lam = newton(-xs, -beta * lam)
         primal = min(1.0, _boundary(x, dx, beta, d_beta))
         dual = min(1.0, _boundary(s, ds, lam, d_lam))
         affine = (x + primal * dx) @ (s + dual * ds)
@@ -870,10 +902,11 @@ def _saddle_point(
             sigma = max(sigma, STALL_SIGMA)
         last_gap = gap
         dx, ds, d_beta, d_lam = newton(
-            sigma * mean - x * s - dx * ds, sigma * mean - beta * lam - d_beta * d_lam
+            sigma * mean - xs - dx * ds, sigma * mean - beta * lam - d_beta * d_lam
         )
         if info or not (np.isfinite(dx).all() and np.isfinite(ds).all() and math.isfinite(d_beta)):
             failure = "the Newton system is singular; "
+            residual = _residual(law, c)
             break
         cap = math.inf
         if d_beta:
@@ -892,6 +925,53 @@ def _saddle_point(
         iterations, beta, abs(miss), gap, slack, residual,
     )
     return law, c, iterations, residual, done, gap, failure
+
+
+@functools.cache
+def _blas_threads() -> tuple:
+    """The (get, set) thread-count functions of the OpenBLAS copies that numpy and scipy bundle.
+
+    Looked up once, at the first interior-point solve, so that importing
+    the package costs nothing; a copy that is not found is left out.
+    """
+    import ctypes
+
+    import scipy
+    from scipy.linalg import lapack  # noqa: F401  (loads scipy's copy)
+
+    found = []
+    for package, pattern, suffix in (
+        (np, "libscipy_openblas64_-*.so", "64_"), (scipy, "libscipy_openblas-*.so", "")
+    ):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob(pattern)):
+            lib = ctypes.CDLL(str(path))
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, and give each OpenBLAS copy its thread count back after.
+
+    An interior-point iterate's products and factor are small: on more
+    threads they run several times slower, and their last digits depend
+    on the count.  Where no copy is found the block runs as it is.
+    """
+    threads = _blas_threads()
+    counts = [get() for get, _ in threads]
+    for _, put in threads:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(threads, counts):
+            put(count)
 
 
 def _priced_rounds(
@@ -941,9 +1021,10 @@ def _priced_rounds(
             law, c, spent, residual, solved = _two_columns(part, eps, max_iter - iterations)
         else:
             how = "the interior point"
-            law, c, spent, residual, solved, gap, failure = _saddle_point(
-                part, eps, max_iter - iterations, target, band, spread
-            )
+            with _one_blas_thread():
+                law, c, spent, residual, solved, gap, failure = _saddle_point(
+                    part, eps, max_iter - iterations, target, band, spread
+                )
         iterations += spent
         rounds += 1
         enter = ()
@@ -953,7 +1034,9 @@ def _priced_rounds(
             lifted[cols] = law
             law = lifted
             _, residual = _stop_values(tilt, law, c)
-            enter = np.setdiff1d(np.flatnonzero(c > 1.0 + eps), cols)
+            priced = c > 1.0 + eps
+            priced[cols] = False
+            enter = np.flatnonzero(priced)
         logger.debug(
             "round %d: %d of %d columns in play, %d enter, %d iterations",
             rounds, len(cols), n, len(enter), spent,

@@ -268,28 +268,38 @@ def _report_json(report) -> dict:
 
 
 def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` and a newline, byte for byte.
+    """``json.dumps(doc, indent=2)`` and a newline, byte for byte."""
+    return _json(doc, "\n") + "\n"
 
-    A top-level list of finite floats, such as the potentials ``sinkhorn``
-    writes, is joined in one pass: the indenting encoder is pure Python
-    and spends about a microsecond on each number.
+
+def _json(value, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` nested where ``newline`` starts each of its lines.
+
+    Finite floats go through ``float.__repr__``, as in ``json``, and a list
+    of them is joined in one pass, at any depth: the indenting encoder is
+    pure Python and spends about a microsecond on each number.  Strings,
+    string-keyed objects and other lists are written here.  Every other
+    value (an integer, None, inf, nan, a numpy scalar, a non-string key)
+    goes through ``json.dumps`` and is indented.
     """
-    if not doc or not all(type(key) is str for key in doc):
-        return json.dumps(doc, indent=2) + "\n"
-    items = []
-    for key, value in doc.items():
-        text = None
-        if value and type(value) is list:
-            try:
-                text = ",\n    ".join(map(float.__repr__, value))
-            except TypeError:  # an entry that is not a float
-                pass
-        if text is not None and "n" not in text:  # no inf or nan
-            text = "[\n    " + text + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is str:
+        return json.dumps(value)
+    inner = newline + "  "
+    if kind is list and value:
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an entry that is not a float
+            text = "n"
+        if "n" in text:  # an entry that is not a finite float
+            text = ("," + inner).join(_json(item, inner) for item in value)
+        return "[" + inner + text + newline + "]"
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = (f"{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _emit(text: str, out: str | None):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,11 +243,33 @@ def sinkhorn(
         ConvergenceError: iteration budget exhausted; ``.partial`` holds
             the (ScalingPair, Coupling) of the final iterate.
     """
-    return _sinkhorn(_Tilt(mu, dist, beta, nu), mu, nu, tol, max_iter)
+    pair, joint = _sinkhorn(_Tilt(mu, dist, beta, nu), mu, nu, tol, max_iter)
+    pi = joint()
+    # The iterate matches the marginals, and so has mass 1, only up to its
+    # residual; scaled to mass 1, it is always a valid Coupling.
+    pi /= pi.sum()
+    if not pair.converged:
+        raise ConvergenceError(_shortfall(pair), partial=(pair, Coupling(pi)))
+    return pair, Coupling(pi)
 
 
-def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPair, Coupling]:
-    """``sinkhorn`` from a ``_Tilt`` evaluated at nu, whose kernel it takes over."""
+def _shortfall(pair: ScalingPair) -> str:
+    """What an unconverged pair missed, which spent its whole budget."""
+    return (
+        f"Sinkhorn did not reach residual {pair.tol:g} within {pair.iterations} "
+        f"iterations (residual {pair.marginal_residual:.3e})"
+    )
+
+
+def _sinkhorn(
+    tilt: _Tilt, mu, nu, tol: float, max_iter: int
+) -> tuple[ScalingPair, Callable[[], np.ndarray]]:
+    """``sinkhorn`` from a ``_Tilt`` evaluated at nu, whose kernel it takes over.
+
+    Returns the pair, converged or not, and a function that forms the
+    final iterate's coupling, not yet scaled to mass 1, in the kernel's
+    buffer; only a caller that reads the coupling calls it, once.
+    """
     _check_budget(tol, max_iter)
 
     rows = mu.support
@@ -381,21 +404,22 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
     logG[cols] -= shift
     logF[rows] += shift
     log_zg[rows] -= shift
-    # The coupling of the final iterate, diag(mu u) kernel diag(nu v),
-    # formed in the kernel's buffer.  A final log-domain F-update folded v
-    # into b without rebuilding the kernel.
-    if not scaled:
-        _absorbed_kernel(kernel, log_phi_s(), a, b)
-    kernel *= (mu_w * u)[:, None]
-    kernel *= nu_w * v
-    if tilt.full and every_col:
-        pi = kernel
-    else:
+
+    def joint() -> np.ndarray:
+        """The coupling of the final iterate, diag(mu u) kernel diag(nu v).
+
+        A final log-domain F-update folded v into b without rebuilding the
+        kernel.
+        """
+        if not scaled:
+            _absorbed_kernel(kernel, log_phi_s(), a, b)
+        np.multiply(kernel, (mu_w * u)[:, None], out=kernel)
+        np.multiply(kernel, nu_w * v, out=kernel)
+        if tilt.full and every_col:
+            return kernel
         pi = np.zeros(tilt.dist.shape)
         pi[np.ix_(rows, cols)] = kernel
-    # The iterate matches the marginals, and so has mass 1, only up to its
-    # residual; scaled to mass 1, it is always a valid Coupling.
-    pi /= pi.sum()
+        return pi
 
     pair = ScalingPair(
         logF=logF,
@@ -409,13 +433,7 @@ def _sinkhorn(tilt: _Tilt, mu, nu, tol: float, max_iter: int) -> tuple[ScalingPa
         iterations=iterations,
         converged=residual <= tol,
     )
-    if not pair.converged:
-        raise ConvergenceError(
-            f"Sinkhorn did not reach residual {tol:g} within {max_iter} "
-            f"iterations (residual {residual:.3e})",
-            partial=(pair, Coupling(pi)),
-        )
-    return pair, Coupling(pi)
+    return pair, joint
 
 
 def _check_pair(mu, nu, dist, beta, scal: ScalingPair, fresh: bool = True):

@@ -18,9 +18,9 @@ import numpy as np
 
 from .blahut import RDCurve, RDPoint, _Tilt
 from .distortion import DistortionMatrix, SourceSpec, slb_mse
-from .errors import ConvergenceError, EmptyComparisonError, InvalidInputError
+from .errors import EmptyComparisonError, InvalidInputError
 from .measures import ProbabilityVector, entropy
-from .schrodinger import DEFAULT_MAX_ITER, DEFAULT_TOL, _sinkhorn, eval_L
+from .schrodinger import DEFAULT_MAX_ITER, DEFAULT_TOL, _shortfall, _sinkhorn, eval_L
 
 logger = logging.getLogger(__name__)
 
@@ -151,11 +151,10 @@ def check_optimality(
     dual_gap = math.log1p(max(slack, 0.0))
 
     detail = ""
-    try:
-        pair, _ = _sinkhorn(tilt, mu, nu, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    except ConvergenceError as err:
-        pair, _ = err.partial
-        detail = str(err)
+    # The verdict reads the pair only; the coupling is never formed.
+    pair, _ = _sinkhorn(tilt, mu, nu, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    if not pair.converged:
+        detail = _shortfall(pair)
         if not _couplable(mu, nu, dist):
             detail = f"marginals cannot be coupled on finite-loss pairs; {detail}"
         logger.warning("optimality check at beta=%g is inconclusive: %s", beta, detail)

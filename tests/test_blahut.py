@@ -1776,3 +1776,103 @@ def test_the_tilt_kernel_zeroes_all_forbidden_rows():
     assert np.array_equal(tilt.ker[1], np.zeros(3))
     # exp(-719.5) is subnormal and is flushed.
     assert np.array_equal(tilt.ker[2], [np.exp(-1.5), 0.0, 1.0])
+
+
+# --- bit-identical kernels ---------------------------------------------------
+
+
+@st.composite
+def tilt_moves(draw):
+    """A problem with +inf losses, rows that do not attain zero and zero-mass rows,
+    and two slopes in [1e-3, 1e3]: far enough down to clamp the exponent and
+    close enough to skip the flush."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    mu = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+    if mu.sum() == 0:
+        mu[0] = 1.0
+    loss = st.one_of(st.just(math.inf), st.floats(0.0, 8.0))
+    rho = np.array(draw(st.lists(st.lists(loss, min_size=m, max_size=m), min_size=n, max_size=n)))
+    rho += np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))[:, None]
+    slopes = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+    return ProbabilityVector(mu / mu.sum()), DistortionMatrix(rho), draw(slopes), draw(slopes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tilt_moves())
+@example((ProbabilityVector([0.5, 0.5]), DistortionMatrix([[1.0, 9.0, math.inf], [2.0, 2.5, 600.0]]), 1e3, 1.0))
+def test_a_moved_kernel_is_exactly_the_flushed_exponential(problem):
+    # K = exp(-beta (rho - min_j rho)) on the live rows, bit for bit, with
+    # every entry below KERNEL_FLOOR set to zero and the rows that forbid
+    # every column all zero, at the first slope and after a move.
+    mu, dist, first, second = problem
+    rho = dist.rho[mu.weights > 0]
+    low = rho.min(axis=1)
+    low[np.isinf(low)] = 0.0
+    tilt = _Tilt(mu, dist, first)
+    for beta in (first, second):
+        tilt.move(beta)
+        with np.errstate(under="ignore"):
+            reference = np.exp(-beta * (rho - low[:, None]))
+        reference[reference < KERNEL_FLOOR] = 0.0
+        assert np.array_equal(tilt.ker, reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 1e6),
+            st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, -1e-6), st.floats(1e-6, 1e6)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.floats(0.0, 1e6),
+    st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6)),
+)
+def test_the_boundary_step_is_the_least_ratio_over_falling_entries(pairs, v, dv):
+    # min over du < 0 of u / -du, and v / -dv when dv < 0; +inf when
+    # nothing falls.  A step of -0.0 does not fall.
+    u, du = (np.array(column) for column in zip(*pairs))
+    ratios = [a / -b for a, b in pairs if b < 0.0]
+    assert blahut._boundary(u, du) == min(ratios, default=math.inf)
+    if dv < 0.0:
+        ratios.append(v / -dv)
+    assert blahut._boundary(u, du, v, dv) == min(ratios, default=math.inf)
+
+
+# --- one BLAS thread in the interior point -----------------------------------
+
+
+def test_the_interior_point_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    threads = blahut._blas_threads()
+    if not threads:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    saddle_point, inside = blahut._saddle_point, []
+
+    def recorded(*args):
+        inside.append([get() for get, _ in threads])
+        return saddle_point(*args)
+
+    monkeypatch.setattr(blahut, "_saddle_point", recorded)
+    before = [get() for get, _ in threads]
+    try:
+        for _, put in threads:
+            put(2)
+        mu, dist = uniform_mse(21)
+        solve_point_for_distortion(mu, dist, 0.4 * d_max(mu, dist)[0])
+        assert inside and all(counts == [1] * len(threads) for counts in inside)
+        assert [get() for get, _ in threads] == [2] * len(threads)
+    finally:
+        for (_, put), count in zip(threads, before):
+            put(count)
+
+
+def test_a_tight_solve_without_a_bundled_openblas_runs_as_it_is(monkeypatch):
+    mu, dist = uniform_mse(21)
+    pinned = ba_fixed_point(mu, dist, 6.0, tol=1e-9)
+    monkeypatch.setattr(blahut, "_blas_threads", lambda: ())
+    bare = ba_fixed_point(mu, dist, 6.0, tol=1e-9)
+    assert bare.iterations == pinned.iterations and bare.rate == pinned.rate
+    assert np.array_equal(bare.nu_star.weights, pinned.nu_star.weights)

@@ -2,12 +2,15 @@
 import json
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdbridge.distortion import d_max
 from rdbridge.errors import InvalidInputError
@@ -607,9 +610,45 @@ def test_sinkhorn_unconverged_exits_2_without_dual_values(tmp_path, capsys):
         {"x": {"y": [1.0, {"z": None}], "w": "q\u00e9\n"}, "b": True, "s": "str"},
         {"n": None, "i": 3, "f": float("inf")},
         {1: [1.0]},
+        # A point-shaped document: nested weights and labels.
+        {
+            "config": {"tol": 1e-3, "source.kind": "uniform", "betas.list": None, "units": "nats"},
+            "beta": 4.5,
+            "iterations": 15,
+            "converged": True,
+            "nu_star": {"weights": [0.25, 0.0, 0.75, 1e-300], "labels": [-1.0, -0.5, 0.5, 1.0]},
+            "report": {"l_value": None, "verdict": "optimal", "detail": ""},
+        },
+        {"nu_star": {"weights": [0.5, 0.5], "labels": None}},
+        {"a": {1: [1.0], "b": 2}, "c": [{2.5: "x"}, {"d": {None: [0.5]}}]},
+        {"a": {"b": [np.float64(0.5), 1.0], "c": np.float64(2.0)}, "d": [[np.float64(1e-5)]]},
+        {"a": {"b": [1.0, float("inf")], "c": [[float("nan")], [float("-inf"), 2.0]]}},
+        {"a": [[], {}, [[]], [1.0, [2.0, [3.0]]], ("t", 1.0)]},
     ],
 )
 def test_json_text_is_indented_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+json_leaves = st.one_of(
+    st.floats(), st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(), st.booleans(), st.none(), st.text(max_size=5),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.floats(), max_size=6),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), json_values, max_size=5))
+def test_json_text_is_indented_json_dumps_on_any_nested_document(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
@@ -864,6 +903,22 @@ def test_module_entry_runs_as_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("beta,distortion,rate")
+
+
+def test_a_tight_point_writes_the_same_bytes_on_one_and_two_blas_threads():
+    # The interior point pins one BLAS thread, so the host's thread count
+    # does not reach the last digits of the artifact.
+    argv = [
+        sys.executable, "-m", "rdbridge.io_cli", "point", "--source.kind", "gaussian",
+        "--source.points", "257", "--distortion.kind", "mse", "--beta", "4",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 PLATEAU_POINT = ["point", "--source.p", "0.1", "--distortion", "0.0999"]

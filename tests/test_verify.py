@@ -13,10 +13,10 @@ from rdbridge.distortion import (
     hamming,
     squared_error,
 )
-from rdbridge.errors import EmptyComparisonError, InvalidInputError
-from rdbridge.measures import ProbabilityVector
+from rdbridge.errors import ConvergenceError, EmptyComparisonError, InvalidInputError
+from rdbridge.measures import Coupling, ProbabilityVector
 import rdbridge.verify as verify
-from rdbridge.schrodinger import DEFAULT_MAX_ITER, DEFAULT_TOL
+from rdbridge.schrodinger import DEFAULT_MAX_ITER, DEFAULT_TOL, sinkhorn
 from rdbridge.verify import (
     OptimalityReport,
     SupportReport,
@@ -156,6 +156,30 @@ def test_failed_inner_solve_gives_inconclusive(monkeypatch):
     assert report.detail != ""
     # Every pair has finite loss, so the marginals can be coupled.
     assert UNCOUPLABLE not in report.detail
+
+
+def test_a_check_forms_no_coupling(monkeypatch):
+    # The verdict reads the scaling pair only, converged or not; an
+    # unconverged check names the shortfall in the words of sinkhorn's
+    # ConvergenceError.
+    made = []
+    init = Coupling.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coupling, "__init__", counted)
+    mu, nu = ProbabilityVector([0.7, 0.3]), ProbabilityVector([0.2, 0.8])
+    assert check_optimality(mu, hamming(2), 1.5, nu).verdict == "suboptimal"
+    assert made == []
+    monkeypatch.setattr(verify, "DEFAULT_MAX_ITER", 1)
+    report = check_optimality(mu, hamming(2), 1.5, nu)
+    assert made == []
+    with pytest.raises(ConvergenceError) as err:
+        sinkhorn(mu, nu, hamming(2), 1.5, DEFAULT_TOL, 1)
+    assert report.detail == str(err.value)
+    assert len(made) == 1 and isinstance(err.value.partial[1], Coupling)
 
 
 UNCOUPLABLE = "marginals cannot be coupled on finite-loss pairs"
