@@ -56,7 +56,7 @@ import numpy as np
 
 from .distortion import DistortionMatrix, _check_rows, d_floor, d_max
 from .errors import ConvergenceError, InvalidInputError
-from .measures import ProbabilityVector
+from .measures import ProbabilityVector, _max, _min
 
 logger = logging.getLogger(__name__)
 
@@ -287,7 +287,8 @@ class _Tilt:
         self.beta, self._log_phi = beta, None
         ker = self.ker
         np.multiply(self._low, -beta, out=self.shift)
-        self.shift[self._dead] = -np.inf
+        if self._dead.size:
+            self.shift[self._dead] = -np.inf
         if beta == 0:
             # The beta -> 0+ limit of ``_log_kernel``: 1 on finite losses
             # and 0 on +inf ones.
@@ -363,7 +364,7 @@ class _Tilt:
         These are the values ``rd_value_from_nu`` and ``dual_certificate``
         document.
         """
-        slack = float(c.max()) - 1.0
+        slack = float(_max(c)) - 1.0
         log_z = self.log_z + self.shift
         if self.scaled:
             distortion = float(self.w @ ((self.ker * self.finite_rho) @ x))
@@ -553,9 +554,11 @@ def _two_columns(
     t = 1 or t = 0 it passed, once, if every row sum is positive there,
     and to the bracket's midpoint otherwise.  A Newton step longer than
     half the step before it goes to the midpoint too: next to an end whose
-    row sum is tiny, Newton steps only double.  Steps stop once the slack
-    and the residual at the law are at most ``eps``, or after
-    ``max_iter`` of them.  One column is the trivial law, with no step.
+    row sum is tiny, Newton steps only double.  Each step makes one
+    evaluation, and the residual is formed only where it can decide the
+    stop.  Steps stop once the slack and the residual at the law are at
+    most ``eps``, or after ``max_iter`` of them.  One column is the
+    trivial law, with no step.
     Returns (law, c at the law, iterations, residual, converged), whether
     or not it converged; the law is not certified here.
     """
@@ -564,18 +567,22 @@ def _two_columns(
     lo, hi, last = 0.0, 1.0, 1.0
     a, b = tilt.ker[:, 0], tilt.ker[:, -1]
     d = a - b
-    # The ends that may still be tried.
-    ends = {0.0: b.min() > 0.0, 1.0: a.min() > 0.0}
+    # The ends that may still be tried, with the column that is Z there.
+    ends = {0.0: b, 1.0: a}
     iterations = 0
     while True:
-        slack, residual = _stop_values(tilt, x, c)
+        final = n == 1 or iterations >= max_iter
+        tilt.evaluate(x, c)
+        slack = float(_max(c)) - 1.0
+        residual = _residual(x, c) if slack <= eps or final else math.inf
         done = slack <= eps and residual <= eps
-        if done or n == 1 or iterations >= max_iter:
+        if done or final:
             break
         t = float(x[0])
-        # Z is formed as t a + (1 - t) b: b + t (a - b) rounds to 0 at
-        # t = 1 when a << b.  Where a row sum is tiny the curvature
-        # overflows, and a step that is not finite goes to the bracket.
+        # Z is formed as t a + (1 - t) b, not read off K x, which BLAS may
+        # round otherwise.  b + t (a - b) would round to 0 at t = 1 when
+        # a << b.  Where a row sum is tiny the curvature overflows, and a
+        # step that is not finite goes to the bracket.
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = d / (t * a + (1.0 - t) * b)
             slope = float(tilt.mu @ ratio)
@@ -586,7 +593,8 @@ def _two_columns(
             hi = t
         if not lo < step < hi:
             end = hi if step >= hi else lo
-            step = end if ends.pop(end, False) else 0.5 * (lo + hi)
+            col = ends.pop(end, None)
+            step = end if col is not None and _min(col) > 0.0 else 0.5 * (lo + hi)
         elif abs(step - t) > 0.5 * last:
             step = 0.5 * (lo + hi)
         last = abs(step - t)
@@ -771,7 +779,7 @@ def _boundary(u: np.ndarray, du: np.ndarray, v: float = 0.0, dv: float = 0.0) ->
 def _residual(law: np.ndarray, c: np.ndarray) -> float:
     """The fixed-point residual of the law, given its c: the sup-norm change of its plain map."""
     plain = law * c
-    return float(np.abs(plain / plain.sum() - law).max())
+    return float(_max(np.abs(plain / np.add.reduce(plain) - law)))
 
 
 def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, float]:

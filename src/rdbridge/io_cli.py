@@ -485,7 +485,9 @@ def _cmd_compare(cfg: dict, args) -> int:
     curve = _sweep(cfg, mu, dist)
     max_err, table = compare_curve(curve, oracle, cfg["compare.d_lo"], cfg["compare.d_hi"])
     scale = _rate_scale(cfg["units"])
-    rows = ((d, r * scale, r_oracle * scale, abs(r - r_oracle) * scale) for d, r, r_oracle in table)
+    rows = (
+        (d, r * scale, r_oracle * scale, abs(r - r_oracle) * scale) for d, r, r_oracle in table.tolist()
+    )
     text = _csv_text("distortion,rate,rate_oracle,abs_err", rows)
     _emit(text + f"max_abs_err={_fmt(max_err * scale)}\n", args.out)
     return 0 if max_err * scale <= cfg["compare.bound"] else 2

@@ -46,7 +46,7 @@ import numpy as np
 from .blahut import ROW_SUM_FLOOR, _Tilt, _check_budget, _check_compat, _flush_kernel, _logsumexp
 from .distortion import DistortionMatrix
 from .errors import ConvergenceError, InvalidInputError, StaleCertificateError
-from .measures import Coupling, ProbabilityVector
+from .measures import Coupling, ProbabilityVector, _max, _min
 
 logger = logging.getLogger(__name__)
 
@@ -126,12 +126,6 @@ def _absorbed_kernel(kernel: np.ndarray, log_phi_s: np.ndarray, a: np.ndarray, b
     kernel += b
     np.exp(kernel, out=kernel)
     _flush_kernel(kernel)
-
-
-# The reductions of the per-iteration tests, without the ndarray-method
-# wrappers: at n = 257 the wrapper is a tenth of the call.
-_min = np.minimum.reduce
-_max = np.maximum.reduce
 
 
 def _normal(x: np.ndarray) -> bool:

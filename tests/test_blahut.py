@@ -558,13 +558,14 @@ def bernoulli_hamming(p, beta):
 
 
 @st.composite
-def two_column_problems(draw):
+def two_column_problems(draw, betas=(1e-3, 1e3)):
     """(mu, rho, beta, F*): m x 2 losses, m <= 6, with +inf entries and zero-mass rows.
 
-    Every row of positive mass has a finite loss.  F* is known in closed
-    form for Bernoulli(p) under Hamming loss, and None otherwise.
+    beta is log-uniform between ``betas``.  Every row of positive mass has
+    a finite loss.  F* is known in closed form for Bernoulli(p) under
+    Hamming loss, and None otherwise.
     """
-    beta = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    beta = math.exp(draw(st.floats(*map(math.log, betas))))
     if draw(st.booleans()):
         return bernoulli_hamming(draw(st.floats(0.01, 0.5)), beta)
     m = draw(st.integers(1, 6))
@@ -613,6 +614,54 @@ def test_two_column_solve_agrees_with_plain_blahut_arimoto(problem):
     assert value <= value_ref + 1e-9
     if converged:
         assert abs(value - value_ref) <= 1e-9
+
+
+def test_a_two_column_step_is_one_evaluation_and_one_residual_ends_it(monkeypatch):
+    # Above its critical slope ln 4, Bernoulli(0.2) under Hamming loss
+    # takes one Newton step from the uniform law.  Each law is evaluated
+    # once, and the fixed-point residual is formed only where it decides
+    # the stop: at the last law, whose slack is within tol.
+    residuals, evaluations = [], []
+    residual, evaluate = blahut._residual, _Tilt.evaluate
+
+    def counted_residual(*args):
+        residuals.append(None)
+        return residual(*args)
+
+    def counted_evaluate(*args, **kwargs):
+        evaluations.append(None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(blahut, "_residual", counted_residual)
+    monkeypatch.setattr(_Tilt, "evaluate", counted_evaluate)
+    point = ba_fixed_point(ProbabilityVector([0.8, 0.2]), hamming(2), 3.0, tol=1e-11)
+    assert point.converged and point.iterations == 1
+    assert len(residuals) == 1
+    assert len(evaluations) == point.iterations + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_column_problems(betas=(1e-2, 50.0)))
+def test_a_fixed_slope_and_a_target_solve_at_its_distortion_agree(problem):
+    # The target solve at the distortion a fixed slope reached finds the
+    # same point: the same rate, within what its distortion band of
+    # 10 tol D_max moves it at slope beta, and beta back within a relative
+    # 1e-5, beyond what its own distortion error explains: where D hardly
+    # moves with beta (measured by fixed slopes at beta (1 +- 1e-3)), a D
+    # within the band lies at quite another beta.  Only distortions inside
+    # (d_floor, D_max) by a relative 1e-6 are targets.
+    mu, dist, beta, _ = problem
+    tol = 1e-10
+    fixed = ba_fixed_point(mu, dist, beta, tol=tol, max_iter=200)
+    floor, ceiling = d_floor(mu, dist), d_max(mu, dist)[0]
+    margin = 1e-6 * ceiling
+    assume(math.isfinite(ceiling) and floor + margin < fixed.distortion < ceiling - margin)
+    point = solve_point_for_distortion(mu, dist, fixed.distortion, tol=tol)
+    assert abs(point.rate - fixed.rate) <= 1e-8 + beta * 10 * tol * ceiling
+    lower, upper = (ba_fixed_point(mu, dist, beta * f, tol=tol, max_iter=200) for f in (0.999, 1.001))
+    slope = abs(lower.distortion - upper.distortion) / (0.002 * beta)
+    miss = 2 * abs(point.distortion - fixed.distortion)
+    assert abs(point.beta - beta) * slope <= 1e-5 * beta * slope + miss
 
 
 def plain_blahut_arimoto(mu, dist, beta, tol, max_iter):
