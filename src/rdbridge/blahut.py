@@ -243,8 +243,9 @@ class _Tilt:
     forms its kernel at its first move.  beta times the largest finite
     entry of rho~ says whether any kernel entry can fall below
     KERNEL_FLOOR, and so whether ``move`` flushes.  ``evaluate`` gives
-    Z = K x (ln Z - s in ``log_z``), F and c = (mu / Z) K; ``certificate`` adds
-    D = (mu / Z) . ((K o rho) x), R and the slack.  Kernel
+    Z = K x in ``z`` (ln Z - s in ``log_z``), c = (mu / Z) K and the slack
+    max_j c_j - 1 in ``slack``, the one place the slack is formed;
+    ``certificate`` adds D = (mu / Z) . ((K o rho) x) and R.  Kernel
     entries below KERNEL_FLOOR are zero, so no product of two kept entries
     is subnormal; a row sum below ROW_SUM_FLOOR, where the flushed entries
     could pass its rounding error, sends the pass to per-row logsumexp over
@@ -326,45 +327,50 @@ class _Tilt:
         return self._log_phi
 
     def evaluate(self, x: np.ndarray, c: np.ndarray, strict: bool = True) -> float:
-        """F(x) = -sum_i mu_i ln Z_i, less the constant sum_i mu_i s_i; c at x goes to ``c``.
+        """The slack max_j c_j - 1 at x, also kept in ``slack``; c at x goes to ``c``.
 
-        When a row partition mass is zero a strict call raises, naming the
-        row; otherwise F is +inf and c is left undefined.
+        ``z`` then holds K x and ``log_z`` holds ln Z - s, so that
+        F(x) = -sum_i mu_i ln Z_i, less the constant sum_i mu_i s_i, is
+        -mu . ``log_z``.  When a row partition mass is zero a strict call
+        raises, naming the row; otherwise the slack is +inf, ``log_z`` is
+        -inf (F is +inf) and c is left undefined.
         """
         z = self.z
         np.matmul(self.ker, x, out=z)
         # argmin, not a min reduction: at n = 201 it costs a third as much.
         self.scaled = z[z.argmin()] >= ROW_SUM_FLOOR
         if self.scaled:
-            f = -float(self.mu @ np.log(z, out=self.log_z))
+            np.log(z, out=self.log_z)
             np.divide(self.mu, z, out=self.w)
             np.matmul(self.w, self.ker, out=c)
-            return f
-        log_phi = self.log_phi()
-        log_z = _logsumexp(log_phi + _log_weights(x), axis=1)
-        zero = np.isneginf(log_z)
-        if zero.any():
-            if not strict:
-                return math.inf
-            bad = int(np.flatnonzero(self.live)[zero][0])
-            raise InvalidInputError(
-                f"source row {bad} has zero partition mass: every reconstruction "
-                "with positive nu weight is forbidden for it"
-            )
-        np.subtract(log_z, self.shift, out=self.log_z)
-        log_c = _logsumexp(np.log(self.mu)[:, None] + log_phi - log_z[:, None], axis=0)
-        # Columns of zero mass can carry an unbounded c.
-        with np.errstate(over="ignore"):
-            np.exp(log_c, out=c)
-        return -float(self.mu @ self.log_z)
+        else:
+            log_phi = self.log_phi()
+            log_z = _logsumexp(log_phi + _log_weights(x), axis=1)
+            zero = np.isneginf(log_z)
+            if zero.any():
+                if not strict:
+                    self.log_z.fill(-math.inf)
+                    self.slack = math.inf
+                    return self.slack
+                bad = int(np.flatnonzero(self.live)[zero][0])
+                raise InvalidInputError(
+                    f"source row {bad} has zero partition mass: every reconstruction "
+                    "with positive nu weight is forbidden for it"
+                )
+            np.subtract(log_z, self.shift, out=self.log_z)
+            log_c = _logsumexp(np.log(self.mu)[:, None] + log_phi - log_z[:, None], axis=0)
+            # Columns of zero mass can carry an unbounded c.
+            with np.errstate(over="ignore"):
+                np.exp(log_c, out=c)
+        self.slack = float(_max(c)) - 1.0
+        return self.slack
 
-    def certificate(self, x: np.ndarray, c: np.ndarray) -> tuple[float, float, float]:
-        """(D, R, slack) of the law x that ``evaluate`` saw last, with its c.
+    def certificate(self, x: np.ndarray) -> tuple[float, float, float]:
+        """(D, R, slack) of the law x that ``evaluate`` saw last.
 
         These are the values ``rd_value_from_nu`` and ``dual_certificate``
         document.
         """
-        slack = float(_max(c)) - 1.0
         log_z = self.log_z + self.shift
         if self.scaled:
             distortion = float(self.w @ ((self.ker * self.finite_rho) @ x))
@@ -373,7 +379,7 @@ class _Tilt:
             distortion = float(self.mu @ (pi * self.finite_rho).sum(axis=1))
         # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
         rate = float(-(self.mu @ log_z) - self.beta * distortion) + 0.0
-        return distortion, rate, slack
+        return distortion, rate, self.slack
 
 
 def rd_value_from_nu(
@@ -389,7 +395,7 @@ def rd_value_from_nu(
     bounds R(D) for any nu and matches it at the optimum.
     """
     tilt = _Tilt(mu, dist, beta, nu)
-    distortion, rate, _ = tilt.certificate(nu.weights, tilt.c)
+    distortion, rate, _ = tilt.certificate(nu.weights)
     return distortion, rate
 
 
@@ -422,7 +428,7 @@ def dual_certificate(
         (alpha, slack, dual_value) with slack = max_j c_j - 1.
     """
     tilt = _Tilt(mu, dist, beta, nu)
-    _, rate, slack = tilt.certificate(nu.weights, tilt.c)
+    _, rate, slack = tilt.certificate(nu.weights)
     log_z = np.empty(len(mu))
     log_z[tilt.live] = tilt.log_z + tilt.shift
     if not tilt.full:
@@ -447,8 +453,8 @@ def _blahut_arimoto(
     cycle = [nu]
     iterations = accepted = backtracks = 0
 
-    def evaluate(law: np.ndarray, c: np.ndarray, strict: bool = True) -> float:
-        """F at the law, its c to ``c``, once its atoms below SUPPORT_FLOOR are pinned to zero."""
+    def evaluate(law: np.ndarray, c: np.ndarray, strict: bool = True) -> tuple[float, float]:
+        """(F, slack) at the law, its c to ``c``, once its atoms below SUPPORT_FLOOR are pinned to zero."""
         dying = (law < SUPPORT_FLOOR) & (law > 0)
         if dying.any():
             logger.debug(
@@ -456,18 +462,18 @@ def _blahut_arimoto(
                 iterations, np.count_nonzero(dying), SUPPORT_FLOOR,
             )
             law[dying] = 0.0
-        return tilt.evaluate(law, c, strict)
+        slack = tilt.evaluate(law, c, strict)
+        return -float(tilt.mu @ tilt.log_z), slack
 
     # Every overflow, underflow and 0 * inf in the loop is either masked
     # out (empty columns) or lands in a candidate whose F is not finite,
     # which is never kept.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = evaluate(nu, c)
+        f, slack = evaluate(nu, c)
         iterations += 1
         while True:
-            # c and f belong to nu, the law evaluated last, and
-            # ``iterations`` evaluations are spent.
-            slack = float(c.max()) - 1.0
+            # c, f and slack belong to nu, and ``iterations`` evaluations
+            # are spent.
             plain = nu * c
             total = plain.sum()
             if not math.isfinite(total):
@@ -489,8 +495,7 @@ def _blahut_arimoto(
                 # start of a new one after x1 or a kept candidate.
                 nu = plain
                 cycle = cycle + [nu] if len(cycle) < 2 else [nu]
-                f = evaluate(nu, c)
-                slack = float(c.max()) - 1.0
+                f, slack = evaluate(nu, c)
                 if final and (slack <= tol or iterations >= max_iter):
                     break
                 iterations += 1
@@ -510,7 +515,7 @@ def _blahut_arimoto(
                     # candidate's (1 + alpha)^2 x0_j there is an artefact of
                     # the extrapolation.
                     trial[plain == 0] = 0.0
-                    f_trial = evaluate(trial, c_trial, strict=False)
+                    f_trial, slack_trial = evaluate(trial, c_trial, strict=False)
                     iterations += 1
                     if f_trial <= f:
                         break
@@ -522,13 +527,13 @@ def _blahut_arimoto(
                 if iterations < max_iter:
                     nu = plain
                     cycle = [nu]
-                    f = evaluate(nu, c)
+                    f, slack = evaluate(nu, c)
                     iterations += 1
                 continue
             # The candidate's evaluation gives its plain map, the next
             # cycle's x0.
             accepted += 1
-            nu, f, c, c_trial = trial, f_trial, c_trial, c
+            nu, f, slack, c, c_trial = trial, f_trial, slack_trial, c_trial, c
             cycle = []
     logger.debug(
         "iteration %d: Blahut-Arimoto stops; %d extrapolations accepted, %d backtracks",
@@ -538,19 +543,18 @@ def _blahut_arimoto(
     shrunk = np.count_nonzero(start & (nu == 0.0))
     if shrunk:
         logger.debug("support shrank by %d atoms in total", shrunk)
-    return _answer(tilt, nu, c, iterations, residual, residual <= tol and slack <= tol)
+    return _answer(tilt, nu, iterations, residual, residual <= tol and slack <= tol)
 
 
-def _two_columns(
-    tilt: _Tilt, eps: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
+def _two_columns(tilt: _Tilt, eps: float, max_iter: int) -> tuple[np.ndarray, int, float, bool]:
     """The fixed-slope solve of ``ba_fixed_point`` on the tilt's one or two columns.
 
     On two columns the law is (t, 1 - t), and t maximises
     g(t) = sum_i mu_i ln(t a_i + (1 - t) b_i), where a and b are the
     columns of the ``_Tilt`` kernel.  g is concave, and the signs of g'
     seen so far bracket its maximiser.  From t = 1/2 each step is the
-    Newton step on g' = 0; one that leaves the bracket goes to the end
+    Newton step on g' = 0, whose row sums t a + (1 - t) b are the
+    evaluation's K x; one that leaves the bracket goes to the end
     t = 1 or t = 0 it passed, once, if every row sum is positive there,
     and to the bracket's midpoint otherwise.  A Newton step longer than
     half the step before it goes to the midpoint too: next to an end whose
@@ -559,8 +563,9 @@ def _two_columns(
     stop.  Steps stop once the slack and the residual at the law are at
     most ``eps``, or after ``max_iter`` of them.  One column is the
     trivial law, with no step.
-    Returns (law, c at the law, iterations, residual, converged), whether
-    or not it converged; the law is not certified here.
+    Returns (law, iterations, residual, converged), whether or not it
+    converged; the law, which the tilt evaluated last, is not certified
+    here.
     """
     n = tilt.ker.shape[1]
     x, c = np.full(n, 1.0 / n), np.empty(n)
@@ -572,19 +577,16 @@ def _two_columns(
     iterations = 0
     while True:
         final = n == 1 or iterations >= max_iter
-        tilt.evaluate(x, c)
-        slack = float(_max(c)) - 1.0
+        slack = tilt.evaluate(x, c)
         residual = _residual(x, c) if slack <= eps or final else math.inf
         done = slack <= eps and residual <= eps
         if done or final:
             break
         t = float(x[0])
-        # Z is formed as t a + (1 - t) b, not read off K x, which BLAS may
-        # round otherwise.  b + t (a - b) would round to 0 at t = 1 when
-        # a << b.  Where a row sum is tiny the curvature overflows, and a
-        # step that is not finite goes to the bracket.
+        # Where a row sum is tiny the curvature overflows, and a step that
+        # is not finite goes to the bracket.
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = d / (t * a + (1.0 - t) * b)
+            ratio = d / tilt.z
             slope = float(tilt.mu @ ratio)
             step = t + slope / float(tilt.mu @ (ratio * ratio))
         if slope > 0.0:
@@ -600,7 +602,7 @@ def _two_columns(
         last = abs(step - t)
         x = np.array([step, 1.0 - step])
         iterations += 1
-    return x, c, iterations, residual, done
+    return x, iterations, residual, done
 
 
 # The tilt of an ``rd_curve`` sweep, set in the context its slopes run in:
@@ -683,9 +685,9 @@ def ba_fixed_point(
     n, failure = dist.shape[1], ""
     ceiling, col = d_max(mu, dist) if beta == 0 else (math.inf, 0)
     if ceiling < math.inf:
-        law, c = (np.arange(n) == col).astype(float), np.empty(n)
-        tilt.evaluate(law, c)
-        point = _answer(tilt, law, c, 0, 0.0, True)
+        law = (np.arange(n) == col).astype(float)
+        tilt.evaluate(law, np.empty(n))
+        point = _answer(tilt, law, 0, 0.0, True)
     elif tol > SECOND_ORDER_TOL:
         how = "Blahut-Arimoto"
         point = _blahut_arimoto(tilt, nu0, tol, max_iter)
@@ -782,24 +784,14 @@ def _residual(law: np.ndarray, c: np.ndarray) -> float:
     return float(_max(np.abs(plain / np.add.reduce(plain) - law)))
 
 
-def _stop_values(tilt: _Tilt, law: np.ndarray, c: np.ndarray) -> tuple[float, float]:
-    """(slack, fixed-point residual) of the law at the tilt's beta; c goes to ``c``.
+def _answer(tilt: _Tilt, law: np.ndarray, iterations: int, residual: float, converged: bool) -> RDPoint:
+    """The unlabelled point of the law that ``tilt`` evaluated last.
 
-    The slack is the certificate's own, max_j c_j - 1.
+    Every solve returns through here, the beta = 0 endpoint included: D
+    and R are certified once, at the returned law, beside the slack its
+    evaluation formed.
     """
-    tilt.evaluate(law, c)
-    return float(c.max()) - 1.0, _residual(law, c)
-
-
-def _answer(
-    tilt: _Tilt, law: np.ndarray, c: np.ndarray, iterations: int, residual: float, converged: bool
-) -> RDPoint:
-    """The unlabelled point of the law that ``tilt`` evaluated last, with its c.
-
-    Every solve returns through here, the beta = 0 endpoint included: D,
-    R and the slack are certified once, at the returned law.
-    """
-    distortion, rate, slack = tilt.certificate(law, c)
+    distortion, rate, slack = tilt.certificate(law)
     return RDPoint(
         float(tilt.beta), distortion, rate, ProbabilityVector(law), iterations, residual, slack,
         converged,
@@ -809,18 +801,18 @@ def _answer(
 def _saddle_point(
     tilt: _Tilt, eps: float, max_iter: int, target: float | None = None, band: float = 0.0,
     spread: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, int, float, bool, float, str]:
+) -> tuple[np.ndarray, int, float, bool, float, str]:
     """The interior-point solve on the tilt's columns, from the uniform law at the tilt's beta.
 
     With a ``target`` it is the saddle-point solve of
     ``solve_point_for_distortion``, and beta moves: the tilt is moved to
     each iterate's beta and ends at the returned one.  Without one, beta
     stays fixed: the beta row is left out and lambda = 0, so that the solve
-    is the fixed-slope one of ``ba_fixed_point``.  Returns (law, c at the
-    law, iterations, residual, converged, complementarity gap, failure),
-    uncertified: ``converged`` says whether the stop rule was met within
-    ``max_iter`` iterations, and ``failure`` names a Newton system that
-    could not be solved.
+    is the fixed-slope one of ``ba_fixed_point``.  Returns (law,
+    iterations, residual, converged, complementarity gap, failure),
+    uncertified, with the law the tilt evaluated last: ``converged`` says
+    whether the stop rule was met within ``max_iter`` iterations, and
+    ``failure`` names a Newton system that could not be solved.
     """
     # scipy.linalg takes about 60 ms to import; only a solve loads it.
     from scipy.linalg import lapack
@@ -845,8 +837,7 @@ def _saddle_point(
             tilt.move(beta)
         mass = x.sum()
         law = x / mass
-        tilt.evaluate(law, c)
-        slack = float(c.max()) - 1.0
+        slack = tilt.evaluate(law, c)
         # K x and c at x, whose mass is not 1 before the solve ends.
         z, c_x = tilt.z * mass, c / mass
         if free:
@@ -932,7 +923,7 @@ def _saddle_point(
         "gap %.3e, slack %.3e, residual %.3e",
         iterations, beta, abs(miss), gap, slack, residual,
     )
-    return law, c, iterations, residual, done, gap, failure
+    return law, iterations, residual, done, gap, failure
 
 
 @functools.cache
@@ -1026,11 +1017,11 @@ def _priced_rounds(
         part = tilt if whole else _Tilt(tilt.source, DistortionMatrix(tilt.dist.rho[:, cols]), beta)
         if target is None and len(cols) <= 2:
             how, gap, failure = "the two-column solve", 0.0, ""
-            law, c, spent, residual, solved = _two_columns(part, eps, max_iter - iterations)
+            law, spent, residual, solved = _two_columns(part, eps, max_iter - iterations)
         else:
             how = "the interior point"
             with _one_blas_thread():
-                law, c, spent, residual, solved, gap, failure = _saddle_point(
+                law, spent, residual, solved, gap, failure = _saddle_point(
                     part, eps, max_iter - iterations, target, band, spread
                 )
         iterations += spent
@@ -1041,7 +1032,8 @@ def _priced_rounds(
             lifted, c = np.zeros(n), np.empty(n)
             lifted[cols] = law
             law = lifted
-            _, residual = _stop_values(tilt, law, c)
+            tilt.evaluate(law, c)
+            residual = _residual(law, c)
             priced = c > 1.0 + eps
             priced[cols] = False
             enter = np.flatnonzero(priced)
@@ -1050,7 +1042,7 @@ def _priced_rounds(
             rounds, len(cols), n, len(enter), spent,
         )
         if not (solved and len(enter)) or iterations >= max_iter:
-            point = _answer(tilt, law, c, iterations, residual, solved and not len(enter))
+            point = _answer(tilt, law, iterations, residual, solved and not len(enter))
             return point, gap, failure, how
         cols = np.union1d(cols, enter)
 

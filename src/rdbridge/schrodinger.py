@@ -304,9 +304,9 @@ def _sinkhorn(
     b = np.zeros(len(cols))
     kernel = tilt.ker if every_col else tilt.ker[:, cols]
     if tilt.scaled:
-        # K_ij / z_i, with z = K nu and K the tilt's shifted kernel.
+        # K_ij / z_i, with z = K nu and K the tilt's shifted kernel: z <= 1,
+        # so the division only raises entries, and none falls below the floor.
         kernel /= tilt.z[:, None]
-        _flush_kernel(kernel)
     else:
         _absorbed_kernel(kernel, log_phi_s(), a, b)
 

@@ -147,7 +147,7 @@ def check_optimality(
     # One kernel serves the slack and then Sinkhorn, whose first F-update
     # is the same tilted coupling.
     tilt = _Tilt(mu, dist, beta, nu)
-    slack = float(tilt.c.max()) - 1.0
+    slack = tilt.slack
     dual_gap = math.log1p(max(slack, 0.0))
 
     detail = ""

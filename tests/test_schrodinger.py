@@ -399,30 +399,25 @@ def test_underflowing_kernel_rows_converge_without_warnings():
 
 
 @pytest.mark.parametrize("beta", [5.85, 10.0, 21.6, 50.0])
-def test_no_kernel_entry_lies_between_zero_and_the_floor(beta, monkeypatch):
+def test_no_kernel_entry_lies_between_zero_and_the_floor(beta):
     # Any two kept entries multiply to a normal number, so no matrix
     # product with the kernel meets a subnormal product of two entries.
     # At these slopes the Gaussian's kernel has entries just above the
     # smallest normal number before the flush.  Checked: the solver's
-    # kernel, and each kernel Sinkhorn's flush records: those of the
-    # certificate of the Blahut-Arimoto answer and the kernel with the
-    # answer's scalings absorbed.
+    # kernel; the kernel Sinkhorn iterates on, read off the tilt of the
+    # Blahut-Arimoto answer after the solve (the answer holds every atom,
+    # so Sinkhorn takes over the tilt's own kernel, K / Z); and the kernel
+    # with the answer's scalings absorbed.
     mu, dist, _ = gaussian_problem()
-    kernels = [_Tilt(mu, dist, beta).ker]
-    flush = schrodinger._flush_kernel
-
-    def keep(kernel):
-        flush(kernel)
-        kernels.append(kernel.copy())
-
-    monkeypatch.setattr(schrodinger, "_flush_kernel", keep)
     nu = ba_fixed_point(mu, dist, beta, tol=5e-4, max_iter=300000).nu_star
-    pair, _ = sinkhorn(mu, nu, dist, beta, tol=1e-12)
-    assert pair.converged and len(kernels) > 1
+    assert len(nu.support) == len(nu)
+    tilt = _Tilt(mu, dist, beta, nu)
+    pair, _ = schrodinger._sinkhorn(tilt, mu, nu, 1e-12, DEFAULT_MAX_ITER)
+    assert pair.converged
     absorbed = np.empty(dist.shape)
     a = pair.logK + pair.logF
     _absorbed_kernel(absorbed, -beta * dist.rho, a, pair.logG)
-    for kernel in kernels:
+    for kernel in (_Tilt(mu, dist, beta).ker, tilt.ker, absorbed):
         low = kernel[kernel > 0.0].min()
         assert low >= KERNEL_FLOOR
         assert low * low >= np.finfo(float).tiny
@@ -658,6 +653,52 @@ def test_defect_matches_brute_force_decomposition():
     brute = best + float(mu.weights @ log_z)
     assert value == pytest.approx(brute, abs=1e-9)
     assert 0.09 < value < 0.10
+
+
+@st.composite
+def couplable_problems(draw):
+    """(mu, nu, rho, beta): m, n in [2, 6], losses in {0, 0.3, 1, 2.5, 5, +inf}.
+
+    Every row has a zero loss.  nu is mu times a row-stochastic matrix that
+    is positive on every finite loss, so (mu, nu) is coupled on the finite
+    losses by a coupling that uses all of them; a column no row reaches
+    gets zero mass.  beta is log-uniform in [0.05, 20].
+    """
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    loss = st.sampled_from([0.0, 0.3, 1.0, 2.5, 5.0, math.inf])
+    rho = np.array(draw(st.lists(st.lists(loss, min_size=n, max_size=n), min_size=m, max_size=m)))
+    rho[np.arange(m), draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))] = 0.0
+    weight = st.floats(0.05, 1.0)
+    mu = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
+    moves = np.array(draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=m, max_size=m)))
+    moves[np.isinf(rho)] = 0.0
+    mu /= mu.sum()
+    nu = mu @ (moves / moves.sum(axis=1, keepdims=True))
+    beta = math.exp(draw(st.floats(math.log(0.05), math.log(20.0))))
+    return ProbabilityVector(mu), ProbabilityVector(nu / nu.sum()), DistortionMatrix(rho), beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(couplable_problems())
+def test_the_defect_is_the_divergence_of_sinkhorns_coupling_from_the_tilted_one(problem):
+    # Sinkhorn's coupling pi_S is the I-projection of the tilted coupling
+    # pi_t = mu_i nu_j e^{-beta rho_ij} / Z_i onto the couplings of
+    # (mu, nu), so L = KL(pi_S || pi_t); by data processing
+    # L >= KL(nu || nu o c) >= 0, where nu o c is pi_t's second marginal.
+    # pi_t is built here from its formula, apart from the solver's tilt.
+    mu, nu, dist, beta = problem
+    pair, coupling = sinkhorn(mu, nu, dist, beta, tol=1e-13)
+    tilted = nu.weights * np.exp(-beta * dist.rho)
+    tilted *= (mu.weights / tilted.sum(axis=1))[:, None]
+    pi = coupling.joint
+    kept = pi > 0.0
+    divergence = float(np.sum(pi[kept] * np.log(pi[kept] / tilted[kept])))
+    defect = eval_L(mu, nu, dist, beta, pair)
+    assert abs(defect - divergence) <= 1e-10
+    live = nu.weights > 0.0
+    marginal = tilted.sum(axis=0)[live]
+    bound = float(nu.weights[live] @ np.log(nu.weights[live] / marginal))
+    assert defect >= bound - 1e-10 and bound >= -1e-10
 
 
 def test_dual_objective_equals_coupling_information():
