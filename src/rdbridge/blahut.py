@@ -560,9 +560,10 @@ def _two_columns(tilt: _Tilt, eps: float, max_iter: int) -> tuple[np.ndarray, in
     half the step before it goes to the midpoint too: next to an end whose
     row sum is tiny, Newton steps only double.  Each step makes one
     evaluation, and the residual is formed only where it can decide the
-    stop.  Steps stop once the slack and the residual at the law are at
-    most ``eps``, or after ``max_iter`` of them.  One column is the
-    trivial law, with no step.
+    stop.  Steps stop once the slack, the residual and every
+    min(x_j, 1 - c_j) at the law are at most ``eps`` (without the last, a
+    small atom's c_j may sit below 1 by ``eps`` over its mass), or after
+    ``max_iter`` of them.  One column is the trivial law, with no step.
     Returns (law, iterations, residual, converged), whether or not it
     converged; the law, which the tilt evaluated last, is not certified
     here.
@@ -579,7 +580,9 @@ def _two_columns(tilt: _Tilt, eps: float, max_iter: int) -> tuple[np.ndarray, in
         final = n == 1 or iterations >= max_iter
         slack = tilt.evaluate(x, c)
         residual = _residual(x, c) if slack <= eps or final else math.inf
-        done = slack <= eps and residual <= eps
+        done = slack <= eps and residual <= eps and all(
+            xj <= eps or cj >= 1.0 - eps for xj, cj in zip(x.tolist(), c.tolist())
+        )
         if done or final:
             break
         t = float(x[0])
@@ -645,8 +648,9 @@ def ba_fixed_point(
     ``_two_columns``, and on three or more the interior-point core of
     ``solve_point_for_distortion`` with beta held fixed (no beta row, and
     lambda = 0).  Both stop once the slack and the fixed-point residual of
-    the law are at most min(tol, IP_TOL), the interior point once its gap
-    x.s and every min(x_j / sum(x), s_j) are too.  ``iterations`` counts
+    the law are at most min(tol, IP_TOL), the two-column solve once every
+    min(x_j, 1 - c_j) is too, and the interior point once its gap x.s and
+    every min(x_j / sum(x), s_j) are.  ``iterations`` counts
     the steps (factorizations, on the interior point), and ``max_iter``
     bounds them.  An interior-point Newton system that cannot be solved
     ends the solve at the iterate it would have moved.  One DEBUG record

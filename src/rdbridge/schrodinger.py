@@ -304,8 +304,9 @@ def _sinkhorn(
     b = np.zeros(len(cols))
     kernel = tilt.ker if every_col else tilt.ker[:, cols]
     if tilt.scaled:
-        # K_ij / z_i, with z = K nu and K the tilt's shifted kernel: z <= 1,
-        # so the division only raises entries, and none falls below the floor.
+        # K_ij / z_i, with z = K nu and K the tilt's shifted kernel.  z <= 1 to
+        # rounding, so an entry falls below the floor by an ulp at most, which
+        # is harmless: Sinkhorn multiplies entries by scalings, never each other.
         kernel /= tilt.z[:, None]
     else:
         _absorbed_kernel(kernel, log_phi_s(), a, b)

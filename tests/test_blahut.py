@@ -653,12 +653,9 @@ def two_column_interiors(draw):
     c_k(beta) = sum_i mu_i exp(-beta (rho_ik - rho_ij)): convex, at most
     1 at beta = 0, and unbounded, so it passes 1, and k enters the
     optimum, past one critical slope beta_c (ln((1 - p) / p) on
-    Bernoulli), found by bisection.  beta is beta_c times a factor
-    log-uniform in [e^0.05, e^2]: next to beta_c the second atom of the
-    optimum is small, and the two-column stop rule, on the slack and the
-    residual only, lets its c_j sit below 1 by the residual over its mass,
-    which leaves the fixed slope's law and D looser than the referee's
-    beta check allows.
+    Bernoulli), found by bisection.  beta is log-uniform from
+    max(beta_c e^0.001, 0.01) to max(50, beta_c e^2): next to beta_c the
+    second atom of the optimum is small, and at the top D nears d_floor.
     """
     if draw(st.booleans()):
         p = draw(st.floats(0.01, 0.5))
@@ -689,11 +686,19 @@ def two_column_interiors(draw):
         for _ in range(60):
             mid = 0.5 * (low + critical)
             low, critical = (low, mid) if excess(mid) > 0.0 else (mid, critical)
-    return mu, dist, critical * math.exp(draw(st.floats(0.05, 2.0)))
+    bottom, top = max(critical * math.exp(1e-3), 1e-2), max(50.0, critical * math.exp(2.0))
+    return mu, dist, math.exp(draw(st.floats(math.log(bottom), math.log(top))))
 
 
 @settings(max_examples=200, deadline=None)
 @given(two_column_interiors())
+@example(
+    (
+        ProbabilityVector([0.000999, 0.999001]),
+        DistortionMatrix(np.array([[0.0, math.inf], [0.0625, 0.0]])),
+        0.01605459626849382,
+    )
+)
 def test_a_fixed_slope_and_a_target_solve_at_its_distortion_agree(problem):
     # The target solve at the distortion a fixed slope reached finds the
     # same point: the same rate, within what its distortion band of
@@ -702,7 +707,9 @@ def test_a_fixed_slope_and_a_target_solve_at_its_distortion_agree(problem):
     # moves with beta (measured by fixed slopes at beta (1 +- 1e-3)), a D
     # within the band lies at quite another beta.  Only distortions inside
     # (d_floor, D_max) by a relative 1e-6 are targets; the draws' slopes
-    # lie above the critical one, so nearly all of them are.
+    # lie above the critical one, so most of them are.  The example lies
+    # 0.4% above its critical slope: its second atom is small, so a stop
+    # on x_j |c_j - 1| alone leaves the law 2.3e-5 off, beyond the beta check.
     mu, dist, beta = problem
     tol = 1e-10
     fixed = ba_fixed_point(mu, dist, beta, tol=tol, max_iter=200)
