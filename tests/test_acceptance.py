@@ -263,11 +263,21 @@ def test_criterion_6_curves_have_the_right_shape(
 ):
     mu_b, dist_b, curve_b, _ = bernoulli_fixture
     src_g, dist_g, curve_g, _ = gaussian_fixture
-    for curve in (curve_b, curve_g):
-        report = curve.shape_report()
-        assert report["max_distortion_increase"] <= 1e-9
-        assert report["max_rate_decrease"] <= 1e-9
-        assert report["max_chord_violation"] <= 1e-8
+    excesses = []
+    for dist, curve in ((dist_b, curve_b), (dist_g, curve_g)):
+        d, r = curve.distortions(), curve.rates()
+        assert np.diff(d).max() <= 1e-9
+        assert -np.diff(r).min() <= 1e-9
+        # Chord slopes of R(D) rise as D falls; a chord over a distortion
+        # step below 1e-9 (zero-rate points at D_max) carries no slope.
+        step = np.diff(d)
+        kept = np.abs(step) >= 1e-9
+        slopes = np.diff(r)[kept] / step[kept]
+        assert np.diff(slopes).max(initial=0.0) <= 1e-8
+        # No point's supporting line passes another point's rate by more
+        # than rounding.
+        assert curve.excess(terms=sum(dist.shape)) <= 0.0
+        excesses.append(curve.excess())
 
     # Past the maximal distortion the rate is pinned at zero: build laws
     # whose induced distortion overshoots d_max by 0.1% and evaluate.
@@ -292,6 +302,7 @@ def test_criterion_6_curves_have_the_right_shape(
     assert corner.rate <= 1e-6
     print(
         "criterion 6: PASS (both curves monotone and convex to tolerance; "
+        f"certificate excesses {excesses[0]:.1e} and {excesses[1]:.1e}; "
         f"rates at 1.001 d_max are {overshoots[0]:.1e} and {overshoots[1]:.1e})"
     )
 

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 from contextvars import copy_context
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 import rdbridge.blahut as blahut
@@ -122,6 +124,30 @@ def test_support_total_counts_an_atom_that_underflows_to_zero(caplog):
     assert not any("pinned" in m for m in messages)
     assert "support shrank by 1 atoms in total" in messages
     assert point.converged and point.nu_star.weights[2] == 0.0
+
+
+@pytest.mark.parametrize("mass", [1e-280, 1e-299, 1e-300, 1e-305, 1e-310, 1e-320])
+def test_a_source_atom_of_tiny_mass_keeps_its_private_column(mass):
+    # Row 2 reaches only column 2, and the first plain map puts exactly its
+    # mass there.  A pin at a floor above that mass would leave row 2 with
+    # zero partition mass, and the solve would raise InvalidInputError;
+    # the floor stays below mu_min / n.
+    mu = ProbabilityVector([0.5, 0.5, mass])
+    dist = DistortionMatrix([[0.0, 1.0, math.inf], [1.0, 0.0, math.inf], [math.inf, math.inf, 0.0]])
+    curve = rd_curve(mu, dist, [0.5, 1.0, 2.0], tol=1e-3)
+    point = ba_fixed_point(mu, dist, 2.0, tol=1e-3)
+    assert point.converged and all(p.converged for p in curve.points)
+    # F = R + beta D is least at the optimal law F*, and a law's slack
+    # bounds its excess: F* >= F - ln(1 + slack).
+    tight = ba_fixed_point(mu, dist, 2.0, tol=1e-10)
+
+    def f(p):
+        return p.rate + 2.0 * p.distortion, math.log1p(max(p.certificate_slack, 0.0))
+
+    f_tight, gap_tight = f(tight)
+    for answer in (point, curve.points[-1]):
+        f_loose, gap = f(answer)
+        assert f_tight - gap_tight - 1e-15 <= f_loose <= f_tight + gap + 1e-15
 
 
 @pytest.mark.parametrize(
@@ -724,6 +750,103 @@ def test_a_fixed_slope_and_a_target_solve_at_its_distortion_agree(problem):
     assert abs(point.beta - beta) * slope <= 1e-5 * beta * slope + miss
 
 
+def coupling_information(pi: np.ndarray, mu: np.ndarray) -> float:
+    """I(pi) = sum_ij pi_ij ln(pi_ij / (mu_i q_j)), with q the second marginal of pi."""
+    kept = pi > 0.0
+    return float(np.sum(pi[kept] * np.log(pi[kept] / np.outer(mu, pi.sum(axis=0))[kept])))
+
+
+def reference_rate(mu: np.ndarray, rho: np.ndarray, level: float, rng, restarts: int = 3) -> float:
+    """min I(pi) over couplings with first marginal mu and E_pi rho <= level, by SLSQP.
+
+    SLSQP runs on the entries of finite loss from ``restarts`` random
+    couplings, and once more from the best answer.  Each answer is made
+    exactly feasible before its I is taken: its rows are scaled to mu, and
+    where E_pi rho passes ``level`` it is mixed with the least-loss
+    coupling.  So the value is I of a feasible coupling, never below
+    R(level).
+    """
+    m, n = rho.shape
+    free = np.isfinite(rho)
+    loss, rows = rho[free], np.nonzero(free)[0]
+    least = np.zeros((m, n))
+    least[np.arange(m), np.where(free, rho, np.inf).argmin(axis=1)] = mu
+    floor = float(np.sum(least[free] * loss))
+
+    def coupling(x):
+        pi = np.zeros((m, n))
+        pi[free] = np.maximum(x, 0.0)
+        return pi
+
+    def objective(x):
+        pi = coupling(x)
+        q = pi.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(pi / np.outer(mu, q))
+        # At pi_ij = 0 the derivative is -inf in a column with mass (-50
+        # stands in for it), and -ln mu_i in an empty one.
+        edge = np.where(q > 0.0, -50.0, -np.log(mu)[:, None])
+        return coupling_information(pi, mu), np.where(pi > 0.0, logs, edge)[free]
+
+    constraints = [
+        {"type": "eq", "fun": lambda x: np.bincount(rows, x, m) - mu, "jac": lambda x: (rows == np.arange(m)[:, None]) * 1.0},
+        {"type": "ineq", "fun": lambda x: level - loss @ x, "jac": lambda x: -loss[None, :]},
+    ]
+    starts = []
+    for _ in range(restarts):
+        w = rng.uniform(0.1, 1.0, (m, n)) * free
+        starts.append((mu[:, None] * w / w.sum(axis=1, keepdims=True))[free])
+    best, best_x = math.inf, None
+    for start in starts + [None]:
+        found = minimize(
+            objective, best_x if start is None else start, jac=True, method="SLSQP",
+            bounds=[(0.0, 1.0)] * len(loss), constraints=constraints, options={"ftol": 1e-14, "maxiter": 1000},
+        )
+        pi = coupling(found.x)
+        pi *= (mu / pi.sum(axis=1))[:, None]
+        over = float(np.sum(pi[free] * loss)) - level
+        if over > 0.0:
+            t = over / (over + level - floor)
+            pi = (1.0 - t) * pi + t * least
+        value = coupling_information(pi, mu)
+        if value < best:
+            best, best_x = value, pi[free]
+    return best
+
+
+def test_fixed_slope_and_target_solves_bracket_an_slsqp_reference():
+    # An independent R(D): SLSQP over couplings on 50 random problems with
+    # m, n in [2, 4], losses in {0, 0.3, 1, 2.5, 5, +inf} and beta
+    # log-uniform in [0.2, 10].  The point's dual value lies below
+    # R_ref(D) <= R(D) up to rounding, and where D lies above d_floor by
+    # 1e-3 of (d_floor, D_max), where SLSQP resolves R(D) to about 2e-9,
+    # R_ref(D) is within 1e-8 below its rate.  Each fixed slope at tol
+    # 1e-10 (the two-column solve or the interior point) and the target
+    # solve at its distortion is checked.
+    rng = np.random.default_rng(0)
+    upper = 0
+    for _ in range(50):
+        m, n = rng.integers(2, 5, 2)
+        rho = rng.choice([0.0, 0.3, 1.0, 2.5, 5.0, math.inf], size=(m, n))
+        rho[np.arange(m), rng.integers(0, n, m)] = 0.0
+        weights = rng.uniform(0.05, 1.0, m)
+        mu, dist = ProbabilityVector(weights / weights.sum()), DistortionMatrix(rho)
+        beta = math.exp(rng.uniform(math.log(0.2), math.log(10.0)))
+        low, high = d_floor(mu, dist), d_max(mu, dist)[0]
+        fixed = ba_fixed_point(mu, dist, beta, tol=1e-10)
+        points = [fixed]
+        if low < fixed.distortion < high:
+            points.append(solve_point_for_distortion(mu, dist, fixed.distortion, tol=1e-10))
+        for point in points:
+            reference = reference_rate(mu.weights, rho, point.distortion, rng)
+            dual = point.rate - math.log1p(max(point.certificate_slack, 0.0))
+            assert dual <= reference + 1e-12
+            if point.distortion >= low + 1e-3 * (high - low):
+                upper += 1
+                assert reference <= point.rate + 1e-8
+    assert upper >= 40
+
+
 def plain_blahut_arimoto(mu, dist, beta, tol, max_iter):
     """Reference: the plain update nu <- nu * c from the uniform law.
 
@@ -1307,10 +1430,12 @@ def sweep_problem(name):
         ("mixed", [0.0, 0.3, 1.0, 4.0], 5e-4, True),
     ],
 )
-def test_a_sweep_equals_its_slopes_solved_one_at_a_time(monkeypatch, problem, betas, tol, warm_start):
+def test_a_sweep_equals_its_slopes_solved_one_at_a_time(
+    monkeypatch, caplog, problem, betas, tol, warm_start
+):
     # Bit for bit: one tilt moved across the slopes forms the kernel each
     # fresh ba_fixed_point call forms.  On every column reachable the sweep
-    # builds that one tilt and no other.
+    # builds that one tilt and no other, and its points' certificates agree.
     mu, dist = sweep_problem(problem)
 
     def fields(point):
@@ -1321,8 +1446,12 @@ def test_a_sweep_equals_its_slopes_solved_one_at_a_time(monkeypatch, problem, be
 
     expected = [fields(p) for p in one_slope_at_a_time(mu, dist, betas, tol, warm_start)]
     tilts = counted_tilts(monkeypatch)
-    curve = rd_curve(mu, dist, betas, tol=tol, warm_start=warm_start)
+    with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
+        curve = rd_curve(mu, dist, betas, tol=tol, warm_start=warm_start)
     assert [fields(p) for p in curve.points] == expected
+    # A degraded point (the warm-started Gaussian at tol 5e-4 has one)
+    # keeps a certificate that agrees with the others too.
+    assert not [r for r in caplog.records if "supporting line" in r.getMessage()]
     if problem != "mixed" or tol > SECOND_ORDER_TOL:
         assert tilts == [dist.shape[1]]
     else:
@@ -1367,8 +1496,9 @@ def test_rd_curve_keeps_degraded_points():
 
 
 def test_rd_curve_warns_when_its_points_break_monotonicity(monkeypatch, caplog):
-    # A stubbed solver whose distortion rises with beta: the sweep keeps
-    # the points and logs the shape report.
+    # A stubbed solver whose distortion rises with beta, at rate 1 and zero
+    # slack: the sweep keeps the points and warns, since the line of slope
+    # -2 through (0.2, 1) passes the rate at D = 0.05 by 0.3.
     def rising(mu, dist, beta, *args, **kwargs):
         return RDPoint(beta, 0.1 * beta, 1.0, ProbabilityVector([0.5, 0.5]), 1, 0.0, 0.0)
 
@@ -1376,9 +1506,9 @@ def test_rd_curve_warns_when_its_points_break_monotonicity(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
         curve = rd_curve(ProbabilityVector([0.7, 0.3]), hamming(2), [0.5, 1.0, 2.0])
     assert curve.distortions().tolist() == [0.05, 0.1, 0.2]
+    assert curve.excess() == pytest.approx(0.3, rel=1e-12)
     [record] = caplog.records
-    assert record.getMessage().startswith("curve shape violates monotonicity")
-    assert "'max_distortion_increase': 0.1" in record.getMessage()
+    assert record.getMessage() == "curve points break a supporting line: excess 0.3 nats"
 
 
 # Evaluations the sweep below needs today (17 + 14 + 27 + 17), plus 15%.
@@ -1476,29 +1606,52 @@ def test_each_solve_logs_its_blahut_arimoto_phase_once(caplog):
         assert len(ends) == (path == "the interior point")
 
 
-def test_shape_report_skips_degenerate_chords(monkeypatch):
-    # Two nearly coincident low-distortion points create a junk chord whose
-    # slope ratio would look like a convexity violation; the step filter
-    # drops it, while a zero filter exposes it.
-    mk = lambda b, d, r: RDPoint(
-        beta=b,
-        distortion=d,
-        rate=r,
-        nu_star=ProbabilityVector([1.0]),
-        iterations=1,
-        fixpoint_residual=0.0,
-        certificate_slack=0.0,
-        converged=True,
-    )
-    curve = RDCurve(
-        [mk(0.5, 0.2, 0.1), mk(1.0, 0.1, 0.3), mk(1.5, 0.1 - 1e-10, 0.3 + 1e-10)]
-    )
-    clean = curve.shape_report()
-    assert clean["max_chord_violation"] == 0.0
-    assert clean["max_distortion_increase"] == 0.0
-    assert clean["max_rate_decrease"] == 0.0
-    monkeypatch.setattr(blahut, "DEGENERATE_STEP", 0.0)
-    assert curve.shape_report()["max_chord_violation"] > 0.9
+def test_nearly_coincident_certified_points_show_no_excess(caplog):
+    # Bernoulli(0.3) under Hamming loss at slopes 1e-12 apart around the
+    # critical slope, where D jumps from D_max: chords between such points
+    # have no meaningful slope, but each point's supporting line still
+    # stays below every other point's rate, as it does with a beta = 0
+    # endpoint first.
+    mu, dist = ProbabilityVector([0.7, 0.3]), hamming(2)
+    critical = math.log(0.7 / 0.3)
+    schedules = (critical + 1e-12 * np.arange(-5, 6), np.r_[0.0, np.geomspace(0.1, 20.0, 10)])
+    for betas in schedules:
+        with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
+            curve = rd_curve(mu, dist, betas, tol=1e-11)
+        assert curve.excess(terms=4) <= 0.0
+        assert curve.excess() <= 1e-15
+    assert not caplog.records
+
+
+def gaussian_points(count: int) -> list[RDPoint]:
+    """Points of the Gaussian R(D) = ln(1 / D) / 2 at beta = 1 / 2D, exact up to rounding."""
+    law = ProbabilityVector([1.0])
+    return [
+        RDPoint(b, 0.5 / b, 0.5 * math.log(2.0 * b), law, 1, 0.0, 0.0)
+        for b in np.geomspace(0.5, 500.0, count).tolist()
+    ]
+
+
+def test_the_excess_check_needs_memory_linear_in_the_points():
+    # A K x K array of 20,000 points would take 3.2 GB.
+    points = gaussian_points(20000)
+    tracemalloc.start()
+    try:
+        within = RDCurve(points).excess(terms=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert within <= 0.0
+    assert peak < 200e6
+
+
+def test_a_rate_below_a_supporting_line_shows_as_its_excess():
+    points = gaussian_points(2000)
+    assert RDCurve(points).excess(terms=2) <= 0.0
+    # A rate lowered by 1e-4 nats falls below its neighbours' lines by
+    # that less their gap to the curve, about 3e-6 nats.
+    points[700].rate -= 1e-4
+    assert 0.9e-4 < RDCurve(points).excess(terms=2) <= RDCurve(points).excess() <= 1e-4
 
 
 # --- target-distortion solve ------------------------------------------------

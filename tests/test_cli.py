@@ -386,6 +386,22 @@ def test_point_by_distortion_leaves_unreachable_columns_empty(tmp_path, capsys):
     assert doc["report"]["verdict"] == "optimal"
 
 
+def test_a_source_atom_of_tiny_mass_is_solved_by_point_and_curve(tmp_path, capsys):
+    # Row 2 (mass 1e-305) reaches only column 2.  Blahut-Arimoto once
+    # pinned that column below 1e-300 and exited 1 on "source row 2 has
+    # zero partition mass".
+    loss = tmp_path / "loss.txt"
+    loss.write_text("0 1 inf\n1 0 inf\ninf inf 0\n")
+    problem = ["--source.kind", "custom", "--source.weights", "0.5 0.5 1e-305"]
+    problem += ["--distortion.kind", "custom", "--distortion.file", str(loss), "--tol", "1e-3"]
+    code, out, _ = run_cli(capsys, ["point", "--beta", "2", *problem])
+    assert code == 0
+    assert json.loads(out)["converged"] is True
+    code, out, _ = run_cli(capsys, ["curve", "--betas.list", "0.5,1,2", *problem])
+    assert code == 0
+    assert [row.split(",")[5] for row in out.strip().splitlines()[1:]] == ["1", "1", "1"]
+
+
 def test_point_beta_zero_endpoint(capsys):
     code, out, _ = run_cli(capsys, ["point", "--source.p", "0.3", "--beta", "0"])
     assert code == 0

@@ -51,6 +51,34 @@ def test_line_census_lists_the_lines_a_script_never_runs(tmp_path):
     assert newton in missed_lines and two_columns not in missed_lines
 
 
+def test_line_census_fails_a_clean_exit_that_left_lines_unrun(tmp_path):
+    # The script imports the CLI and exits 0; most lines never run, so the
+    # census exits 1.  The body of io_cli's __main__ guard, which only a
+    # subprocess runs, is not an executable line and is never listed.
+    script = tmp_path / "import_only.py"
+    script.write_text("import rdbridge.io_cli\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_census.py"), str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "lines never run (exit code 0):" in proc.stdout
+    source = (ROOT / "src" / "rdbridge" / "io_cli.py").read_text().splitlines()
+    guard = 1 + source.index('if __name__ == "__main__":')
+    assert source[guard].strip() == "sys.exit(main())"
+    row = next(line for line in proc.stdout.splitlines() if line.startswith("io_cli.py"))
+    missed_lines = set()
+    for run in row.split(None, 4)[4].split(", "):
+        first, _, last = run.partition("-")
+        missed_lines.update(range(int(first), int(last or first) + 1))
+    # The guard's own test runs on import; its body is left out.
+    assert missed_lines and guard not in missed_lines and guard + 1 not in missed_lines
+
+
 def _load_src_lines():
     spec = importlib.util.spec_from_file_location("tools_src_lines", ROOT / "tools" / "src_lines.py")
     module = importlib.util.module_from_spec(spec)

@@ -7,7 +7,12 @@ modules under src/rdbridge only.  It then prints, per module, the
 executable lines that never ran: the line numbers that ``co_lines()``
 reports for the module's compiled code objects, less those seen.  Child
 processes (a test that runs the CLI in a subprocess, say) are not traced;
-they find the package through PYTHONPATH.
+they find the package through PYTHONPATH.  So the body of a module's
+``if __name__ == "__main__":`` block, which only such a process runs, is
+not counted as executable.
+
+The exit status is the command's exit code when that is nonzero, else 1
+when some line never ran, else 0.
 
     python3 tools/line_census.py -m pytest -q
     python3 tools/line_census.py demos/uniform_atoms.py
@@ -18,6 +23,7 @@ exits, before the interpreter tears down.
 """
 from __future__ import annotations
 
+import ast
 import os
 import runpy
 import sys
@@ -35,6 +41,16 @@ def code_lines(code: types.CodeType) -> set[int]:
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
             lines |= code_lines(const)
+    return lines
+
+
+def guarded(tree: ast.Module) -> set[int]:
+    """Line numbers of the bodies of the module's top-level ``if __name__ == "__main__":`` blocks."""
+    lines: set[int] = set()
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            for statement in node.body:
+                lines.update(range(statement.lineno, statement.end_lineno + 1))
     return lines
 
 
@@ -97,11 +113,14 @@ def main() -> int:
         return 2
     seen, code = run(sys.argv[1:])
     print(f"\nlines never run (exit code {code}):")
+    never = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        executable = code_lines(compile(path.read_text(), str(path), "exec"))
+        text = path.read_text()
+        executable = code_lines(compile(text, str(path), "exec")) - guarded(ast.parse(text))
         missed = sorted(executable - seen.get(str(path), set()))
+        never += len(missed)
         print(f"{path.name:<16}{len(missed):>5} of {len(executable):<5} {ranges(missed)}")
-    return code
+    return code or int(never > 0)
 
 
 if __name__ == "__main__":
