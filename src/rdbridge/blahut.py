@@ -31,9 +31,10 @@ slows down without bound at critical slopes and on sparse optimal laws,
 so a solve with a tight tolerance (tol <= SECOND_ORDER_TOL) takes
 second-order steps instead.  On two reconstruction columns f depends on
 one weight and is minimised exactly, by safeguarded Newton steps in a
-bisection bracket.  On three or more it runs the primal-dual
-interior-point method of the target solve below with beta held fixed, as
-Koenker & Mizera (JASA 2014) solve the NPMLE.
+bisection bracket; a tight curve sweep on two columns steps all its
+slopes in lockstep, on a stack of kernels.  On three or more it runs the
+primal-dual interior-point method of the target solve below with beta
+held fixed, as Koenker & Mizera (JASA 2014) solve the NPMLE.
 
 A point at a target distortion is a saddle point over the law and beta
 together, solved by the same interior-point method with beta free
@@ -161,13 +162,13 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_kernel(rho: np.ndarray, beta: float) -> np.ndarray:
-    """log of exp(-beta rho).
+def _log_kernel(rho: np.ndarray, beta) -> np.ndarray:
+    """log of exp(-beta rho); an array of positive slopes broadcasts against rho.
 
     At beta = 0 this is the beta -> 0+ limit: 0 on finite losses and
     -inf on +inf ones, so forbidden pairs stay forbidden at every slope.
     """
-    if beta == 0:
+    if np.ndim(beta) == 0 and beta == 0:
         return np.where(np.isposinf(rho), -np.inf, 0.0)
     return -beta * rho
 
@@ -245,6 +246,14 @@ class _Tilt:
     could pass its rounding error, sends the pass to per-row logsumexp over
     -beta rho, formed on first use (``scaled`` is then False).  Given
     ``nu``, the tilt is evaluated at nu at once, with c at nu in ``c``.
+
+    Moved to a stack of K slopes, the tilt is K tilts side by side: the
+    kernel is (K, m, n), every per-row buffer gains a leading slope axis,
+    and ``evaluate`` and ``certificate`` broadcast over it, one law per
+    slope.  Their contractions are batched matmuls, whose rows have the
+    bits of the same product at each slope alone (a 2-D product over the
+    stack would not), and each slope is scaled or taken in the log domain
+    on its own.  A one-slope tilt keeps its 2-D arrays.
     """
 
     def __init__(self, mu: ProbabilityVector, dist: DistortionMatrix, beta: float | None, nu=None):
@@ -275,22 +284,37 @@ class _Tilt:
             self.c = np.empty(len(nu))
             self.evaluate(nu.weights, self.c)
 
-    def move(self, beta: float) -> None:
-        """Move the tilt to slope beta, in its own kernel and shift buffers; a no-op where it is."""
-        if beta == self.beta:
+    def move(self, beta) -> None:
+        """Move the tilt to slope beta, in its own buffers; a no-op where it is.
+
+        A 1-D array of positive slopes moves it to that stack of slopes: its
+        kernel, shift, ``z``, ``log_z`` and ``w`` then take a leading axis
+        with one entry per slope.
+        """
+        stack = np.ndim(beta) == 1
+        if not stack and self.ker.ndim == 2 and beta == self.beta:
             return
+        shape = np.shape(beta) + self.rho.shape
+        if self.ker.shape != shape:
+            self.ker = np.empty(shape)
+            self.shift, self.z, self.log_z, self.w = (np.empty(shape[:-1]) for _ in range(4))
         self.beta, self._log_phi = beta, None
         ker = self.ker
-        np.multiply(self._low, -beta, out=self.shift)
+        # beta against the rows and against the kernel; on one slope it
+        # stays a scalar, the cheaper operand.
+        rows, cells = (beta[:, None], beta[:, None, None]) if stack else (beta, beta)
+        np.multiply(self._low, -rows, out=self.shift)
         if self._dead.size:
-            self.shift[self._dead] = -np.inf
-        if beta == 0:
+            self.shift[..., self._dead] = -np.inf
+        if not stack and beta == 0:
             # The beta -> 0+ limit of ``_log_kernel``: 1 on finite losses
             # and 0 on +inf ones.
             np.isfinite(self._rel, out=ker)
             return
-        np.multiply(self._rel, -beta, out=ker)
-        depth = beta * self._top
+        np.multiply(self._rel, -cells, out=ker)
+        # On a stack the deepest slope decides: each step below leaves
+        # every entry of the other slopes as it is.
+        depth = (float(beta.max()) if stack else beta) * self._top
         if depth > 700.0:
             # exp leaves its vector path where results underflow; entries
             # this far down are flushed anyway.
@@ -315,31 +339,49 @@ class _Tilt:
         return self.rho if self.rho.max() < math.inf else np.where(np.isinf(self.rho), 0.0, self.rho)
 
     def log_phi(self) -> np.ndarray:
-        """-beta rho on the rows of positive mass, formed on first use."""
+        """-beta rho on the rows of positive mass, per slope on a stack, formed on first use."""
         if self._log_phi is None:
-            self._log_phi = _log_kernel(self.rho, self.beta)
+            beta = self.beta if self.ker.ndim == 2 else self.beta[:, None, None]
+            self._log_phi = _log_kernel(self.rho, beta)
         return self._log_phi
 
-    def evaluate(self, x: np.ndarray, c: np.ndarray, strict: bool = True) -> float:
+    def evaluate(self, x: np.ndarray, c: np.ndarray, strict: bool = True):
         """The slack max_j c_j - 1 at x, also kept in ``slack``; c at x goes to ``c``.
 
         ``z`` then holds K x and ``log_z`` holds ln Z - s, so that
         F(x) = -sum_i mu_i ln Z_i, less the constant sum_i mu_i s_i, is
         -mu . ``log_z``.  When a row partition mass is zero a strict call
         raises, naming the row; otherwise the slack is +inf, ``log_z`` is
-        -inf (F is +inf) and c is left undefined.
+        -inf (F is +inf) and c is left undefined.  ``logged`` lists the
+        slopes taken in the log domain: () for a one-slope tilt, (k,) for
+        slope k of a stack.  On a stack x and c hold one law per slope,
+        ``scaled`` and the slack are arrays over the slopes, and every
+        product is a batched matmul, whose rows have the bits of the same
+        product on a tilt at that slope alone.
         """
         z = self.z
-        np.matmul(self.ker, x, out=z)
-        # argmin, not a min reduction: at n = 201 it costs a third as much.
-        self.scaled = z[z.argmin()] >= ROW_SUM_FLOOR
-        if self.scaled:
-            np.log(z, out=self.log_z)
-            np.divide(self.mu, z, out=self.w)
-            np.matmul(self.w, self.ker, out=c)
+        if z.ndim == 1:
+            np.matmul(self.ker, x, out=z)
+            # argmin, not a min reduction: at n = 201 it costs a third as much.
+            self.scaled = z[z.argmin()] >= ROW_SUM_FLOOR
+            self.logged = [] if self.scaled else [()]
+            if self.scaled:
+                np.log(z, out=self.log_z)
+                np.divide(self.mu, z, out=self.w)
+                np.matmul(self.w, self.ker, out=c)
         else:
-            log_phi = self.log_phi()
-            log_z = _logsumexp(log_phi + _log_weights(x), axis=1)
+            np.matmul(self.ker, x[:, :, None], out=z[:, :, None])
+            self.scaled = z.min(axis=1) >= ROW_SUM_FLOOR
+            self.logged = [] if self.scaled.all() else [(k,) for k in np.flatnonzero(~self.scaled)]
+            # A slope taken in the log domain below gets its values there;
+            # row sums of 1 here keep its scaled ones finite until then.
+            scale = np.where(self.scaled[:, None], z, 1.0) if self.logged else z
+            np.log(scale, out=self.log_z)
+            np.divide(self.mu, scale, out=self.w)
+            np.matmul(self.w[:, None, :], self.ker, out=c[:, None, :])
+        for k in self.logged:
+            log_phi = self.log_phi()[k]
+            log_z = _logsumexp(log_phi + _log_weights(x[k]), axis=1)
             zero = np.isneginf(log_z)
             if zero.any():
                 if not strict:
@@ -351,29 +393,40 @@ class _Tilt:
                     f"source row {bad} has zero partition mass: every reconstruction "
                     "with positive nu weight is forbidden for it"
                 )
-            np.subtract(log_z, self.shift, out=self.log_z)
+            np.subtract(log_z, self.shift[k], out=self.log_z[k])
             log_c = _logsumexp(np.log(self.mu)[:, None] + log_phi - log_z[:, None], axis=0)
             # Columns of zero mass can carry an unbounded c.
             with np.errstate(over="ignore"):
-                np.exp(log_c, out=c)
-        self.slack = float(_max(c)) - 1.0
+                np.exp(log_c, out=c[k])
+        self.slack = float(_max(c)) - 1.0 if c.ndim == 1 else _max(c, axis=1) - 1.0
         return self.slack
 
-    def certificate(self, x: np.ndarray) -> tuple[float, float, float]:
+    def _log_distortion(self, k: tuple, x: np.ndarray, log_z: np.ndarray) -> float:
+        """D at slope k (() on one slope) of a law taken in the log domain; log_z is ln Z there."""
+        pi = np.exp(self.log_phi()[k] + _log_weights(x[k]) - log_z[k][:, None])
+        return self.mu @ (pi * self.finite_rho).sum(axis=1)
+
+    def certificate(self, x: np.ndarray) -> tuple:
         """(D, R, slack) of the law x that ``evaluate`` saw last.
 
         These are the values ``rd_value_from_nu`` and ``dual_certificate``
-        document.
+        document: floats on one slope, and lists with one per slope on a
+        stack, whose x holds one law per slope.
         """
         log_z = self.log_z + self.shift
-        if self.scaled:
-            distortion = float(self.w @ ((self.ker * self.finite_rho) @ x))
-        else:
-            pi = np.exp(self.log_phi() + _log_weights(x) - log_z[:, None])
-            distortion = float(self.mu @ (pi * self.finite_rho).sum(axis=1))
-        # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
-        rate = float(-(self.mu @ log_z) - self.beta * distortion) + 0.0
-        return distortion, rate, self.slack
+        if self.z.ndim == 1:
+            if self.scaled:
+                distortion = float(self.w @ ((self.ker * self.finite_rho) @ x))
+            else:
+                distortion = float(self._log_distortion((), x, log_z))
+            # The + 0.0 turns a -0.0 at the zero-rate endpoint into plain 0.0.
+            rate = float(-(self.mu @ log_z) - self.beta * distortion) + 0.0
+            return distortion, rate, self.slack
+        distortion = (self.w[:, None, :] @ ((self.ker * self.finite_rho) @ x[:, :, None]))[:, 0, 0]
+        for k in self.logged:
+            distortion[k] = self._log_distortion(k, x, log_z)
+        rate = -(self.mu @ log_z[:, :, None])[:, 0] - self.beta * distortion + 0.0
+        return distortion.tolist(), rate.tolist(), self.slack.tolist()
 
 
 def rd_value_from_nu(
@@ -543,8 +596,8 @@ def _blahut_arimoto(
     return _answer(tilt, nu, iterations, residual, residual <= tol and slack <= tol)
 
 
-def _two_columns(tilt: _Tilt, eps: float, max_iter: int) -> tuple[np.ndarray, int, float, bool]:
-    """The fixed-slope solve of ``ba_fixed_point`` on the tilt's one or two columns.
+def _two_columns(tilt: _Tilt, eps: float, max_iter: int) -> tuple:
+    """The fixed-slope solve of ``ba_fixed_point`` on one or two columns, at each of the tilt's slopes.
 
     On two columns the law is (t, 1 - t), and t maximises
     g(t) = sum_i mu_i ln(t a_i + (1 - t) b_i), where a and b are the
@@ -561,52 +614,73 @@ def _two_columns(tilt: _Tilt, eps: float, max_iter: int) -> tuple[np.ndarray, in
     min(x_j, 1 - c_j) at the law are at most ``eps`` (without the last, a
     small atom's c_j may sit below 1 by ``eps`` over its mass), or after
     ``max_iter`` of them.  One column is the trivial law, with no step.
-    Returns (law, iterations, residual, converged), whether or not it
-    converged; the law, which the tilt evaluated last, is not certified
-    here.
+
+    On a stack of slopes every slope keeps its own bracket, ends and last
+    step, and the slopes step in lockstep, each until its own rule stops
+    it: one evaluation of the stack serves every slope still stepping, and
+    a stopped slope's law, and so its values, stay as they are.  A tilt at
+    one slope is a stack with no slope axis.  Returns (law, iterations,
+    residual, converged), whether or not it converged: Python scalars on
+    one slope, lists over the slopes on a stack.  The law, which the tilt
+    evaluated last, is not certified here.
     """
-    n = tilt.ker.shape[1]
-    x, c = np.full(n, 1.0 / n), np.empty(n)
-    lo, hi, last = 0.0, 1.0, 1.0
-    a, b = tilt.ker[:, 0], tilt.ker[:, -1]
+    n = tilt.ker.shape[-1]
+    slopes = tilt.z.shape[:-1]
+    x, c = np.full(slopes + (n,), 1.0 / n), np.empty(slopes + (n,))
+    lo, hi, last = np.zeros(slopes), np.ones(slopes), np.ones(slopes)
+    a, b = tilt.ker[..., 0], tilt.ker[..., -1]
     d = a - b
-    # The ends that may still be tried, with the column that is Z there.
-    ends = {0.0: b, 1.0: a}
-    iterations = 0
+    # The ends t = 0 and t = 1 that may still be tried, and whether every
+    # row sum is positive there (the ends' row sums are columns b and a).
+    untried = np.ones(slopes + (2,), bool)
+    positive = np.stack([_min(b, axis=-1) > 0.0, _min(a, axis=-1) > 0.0], axis=-1)
+    iterations, residual = np.zeros(slopes, int), np.full(slopes, math.inf)
+    stepping, done = np.ones(slopes, bool), np.zeros(slopes, bool)
     while True:
-        final = n == 1 or iterations >= max_iter
+        final = stepping & ((n == 1) | (iterations >= max_iter))
         slack = tilt.evaluate(x, c)
-        residual = _residual(x, c) if slack <= eps or final else math.inf
-        done = slack <= eps and residual <= eps and all(
-            xj <= eps or cj >= 1.0 - eps for xj, cj in zip(x.tolist(), c.tolist())
-        )
-        if done or final:
+        near = stepping & ((slack <= eps) | final)
+        residual = np.where(stepping, math.inf, residual)
+        if near.any():
+            residual[near] = _residual(x[near], c[near])
+        stop = stepping & (slack <= eps) & (residual <= eps)
+        stop &= ((x <= eps) | (c >= 1.0 - eps)).all(axis=-1)
+        done |= stop
+        stepping &= ~(stop | final)
+        if not stepping.any():
             break
-        t = float(x[0])
+        t = x[..., 0]
         # Where a row sum is tiny the curvature overflows, and a step that
         # is not finite goes to the bracket.
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = d / tilt.z
-            slope = float(tilt.mu @ ratio)
-            step = t + slope / float(tilt.mu @ (ratio * ratio))
-        if slope > 0.0:
-            lo = t
-        else:
-            hi = t
-        if not lo < step < hi:
-            end = hi if step >= hi else lo
-            col = ends.pop(end, None)
-            step = end if col is not None and _min(col) > 0.0 else 0.5 * (lo + hi)
-        elif abs(step - t) > 0.5 * last:
-            step = 0.5 * (lo + hi)
-        last = abs(step - t)
-        x = np.array([step, 1.0 - step])
-        iterations += 1
-    return x, iterations, residual, done
+            # Batched, so that each slope's sums have the bits of its own
+            # dot products.
+            slope = (tilt.mu @ ratio[..., None])[..., 0]
+            step = t + slope / (tilt.mu @ (ratio * ratio)[..., None])[..., 0]
+        rising = slope > 0.0
+        lo = np.where(stepping & rising, t, lo)
+        hi = np.where(stepping & ~rising, t, hi)
+        inside = (lo < step) & (step < hi)
+        end = np.where(step >= hi, hi, lo)
+        tried = (stepping & ~inside)[..., None] & untried & (end[..., None] == (0.0, 1.0))
+        untried &= ~tried
+        mid = 0.5 * (lo + hi)
+        step = np.where(
+            inside,
+            np.where(np.abs(step - t) > 0.5 * last, mid, step),
+            np.where((tried & positive).any(axis=-1), end, mid),
+        )
+        last = np.where(stepping, np.abs(step - t), last)
+        x = np.where(stepping[..., None], np.stack([step, 1.0 - step], axis=-1), x)
+        iterations += stepping
+    return x, iterations.tolist(), residual.tolist(), done.tolist()
 
 
-# The tilt of an ``rd_curve`` sweep, set in the context its slopes run in:
-# ``ba_fixed_point`` moves it to its slope instead of building its own.
+# The tilt of an ``rd_curve`` sweep, set in the context its per-slope
+# calls run in (Blahut-Arimoto and interior-point sweeps, and a beta = 0
+# endpoint): ``ba_fixed_point`` moves it to its slope instead of building
+# its own.
 _SWEEP: ContextVar[_Tilt | None] = ContextVar("sweep", default=None)
 
 
@@ -663,7 +737,8 @@ def ba_fixed_point(
     two matrix products with a kernel cached once per problem (inside
     ``rd_curve``, each call moves the sweep's tilt to its slope), whose
     entries below KERNEL_FLOOR are zero, or per-row logsumexp in the rare
-    event a row sum falls below ROW_SUM_FLOOR.
+    event a row sum falls below ROW_SUM_FLOOR.  The two-column solve is
+    the stacked one of ``rd_curve``'s tight sweeps, run on one slope.
 
     Args:
         nu0: initial reconstruction law of a Blahut-Arimoto solve
@@ -694,19 +769,29 @@ def ba_fixed_point(
         point = _blahut_arimoto(tilt, nu0, tol, max_iter)
     else:
         point, _, failure, how = _priced_rounds(tilt, beta, min(tol, IP_TOL), max_iter)
-        logger.debug(
-            "fixed slope %.17g: %s ends after %d iterations, slack %.3e, residual %.3e",
-            beta, how, point.iterations, point.certificate_slack, point.fixpoint_residual,
-        )
+        _log_fixed_slope(point, how)
     point.nu_star.labels = None if nu0 is None else nu0.labels  # validated with nu0
     if not point.converged:
-        raise ConvergenceError(
-            f"{failure}{how} did not converge at beta={beta:g} within {max_iter} "
-            f"iterations (residual {point.fixpoint_residual:.3e}, "
-            f"slack {point.certificate_slack:.3e})",
-            partial=point,
-        )
+        raise _unconverged(point, failure + how, max_iter)
     return point
+
+
+def _log_fixed_slope(point: RDPoint, how: str) -> None:
+    """The DEBUG record of a second-order fixed-slope solve, after its round's own."""
+    logger.debug(
+        "fixed slope %.17g: %s ends after %d iterations, slack %.3e, residual %.3e",
+        point.beta, how, point.iterations, point.certificate_slack, point.fixpoint_residual,
+    )
+
+
+def _unconverged(point: RDPoint, how: str, max_iter: int) -> ConvergenceError:
+    """The error of a fixed-slope solve that missed its stop rule, the point attached."""
+    return ConvergenceError(
+        f"{how} did not converge at beta={point.beta:g} within {max_iter} "
+        f"iterations (residual {point.fixpoint_residual:.3e}, "
+        f"slack {point.certificate_slack:.3e})",
+        partial=point,
+    )
 
 
 def rd_curve(
@@ -726,16 +811,24 @@ def rd_curve(
     starts from ``nu0``.  Solves with ``tol <= SECOND_ORDER_TOL`` start
     from the uniform law either way (``ba_fixed_point``).  A beta of 0
     gives ``ba_fixed_point``'s beta -> 0+ limit.  Each point is the
-    ``ba_fixed_point`` answer at its slope, bit for bit: the whole schedule
-    is checked before any slope is solved (so a NaN or +inf slope is
-    refused up front), and each slope is one ``ba_fixed_point`` call, which
-    moves the one ``_Tilt`` of the sweep, built at the first slope, to its
-    own slope.
+    ``ba_fixed_point`` answer at its slope, bit for bit, and the whole
+    schedule is checked before any slope is solved (so a NaN or +inf slope
+    is refused up front).  The sweep builds one ``_Tilt``, whose kernel is
+    formed at the first slope it is moved to.  A tight sweep (``tol <= SECOND_ORDER_TOL``) on at most two
+    columns, all reachable, moves it to the stack of its positive slopes
+    and solves them in one ``_two_columns`` call, in lockstep; it checks
+    ``nu0``, ``tol`` and ``max_iter`` as ``ba_fixed_point`` does, labels
+    each point with ``nu0``'s labels, and logs each slope's round and
+    fixed-slope DEBUG records in schedule order.  Every other slope, a
+    beta = 0 endpoint included, is one ``ba_fixed_point`` call, which moves
+    the tilt to its own slope.
 
     Points whose solve exhausts its budget are kept with
-    ``converged=False`` rather than aborting the sweep.  The sweep logs a
-    WARNING when some point's supporting line passes another point's rate
-    by more than their rounding allowance (``RDCurve.excess``).
+    ``converged=False`` rather than aborting the sweep, each with a
+    WARNING that quotes the error ``ba_fixed_point`` would raise.  The
+    sweep logs a WARNING when some point's supporting line passes another
+    point's rate by more than their rounding allowance
+    (``RDCurve.excess``).
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
@@ -746,13 +839,16 @@ def rd_curve(
     _check_beta(float(betas.min()))
     _check_beta(float(betas.max()))
 
+    n = dist.shape[1]
     points, start = [], nu0
-    # Each slope is a ba_fixed_point call of its own, which perfbench's
-    # tracer counts, run in a context of the sweep's own that holds the
-    # sweep's tilt; the caller's context never sees it.
-    sweep = copy_context()
-    sweep.run(_SWEEP.set, _Tilt(mu, dist, float(betas[0])))
-    for beta in betas:
+    # A slope outside the stack is a ba_fixed_point call of its own, which
+    # perfbench's tracer counts, run in a context of the sweep's own that
+    # holds the sweep's tilt; the caller's context never sees it.
+    sweep, tilt = copy_context(), _Tilt(mu, dist, None)
+    sweep.run(_SWEEP.set, tilt)
+    tight = tol <= SECOND_ORDER_TOL and n <= 2 and len(tilt.reach) == n
+    stack = betas[betas > 0] if tight else betas[:0]
+    for beta in betas[: len(betas) - len(stack)]:
         try:
             point = sweep.run(ba_fixed_point, mu, dist, float(beta), start, tol=tol, max_iter=max_iter)
         except ConvergenceError as err:
@@ -760,8 +856,27 @@ def rd_curve(
             point = err.partial
         points.append(point)
         if warm_start:
-            mixed = (1.0 - WARM_START_MIX) * point.nu_star.weights + WARM_START_MIX / dist.shape[1]
+            mixed = (1.0 - WARM_START_MIX) * point.nu_star.weights + WARM_START_MIX / n
             start = ProbabilityVector(mixed / mixed.sum(), labels=point.nu_star.labels)
+    if len(stack):
+        _check_compat(mu, dist, None, nu0)
+        _check_budget(tol, max_iter)
+        how = "the two-column solve"
+        tilt.move(stack)
+        law, *solve = _two_columns(tilt, min(tol, IP_TOL), max_iter)
+        for k, (beta, distortion, rate, slack, spent, residual, solved) in enumerate(
+            zip(stack.tolist(), *tilt.certificate(law), *solve)
+        ):
+            point = RDPoint(
+                beta, distortion, rate, ProbabilityVector(law[k]), spent, residual, slack, solved
+            )
+            point.nu_star.labels = None if nu0 is None else nu0.labels
+            # The records of the one round that a ba_fixed_point call logs.
+            logger.debug(_ROUND, 1, n, n, 0, spent)
+            _log_fixed_slope(point, how)
+            if not solved:
+                logger.warning("degraded point at beta=%g: %s", beta, _unconverged(point, how, max_iter))
+            points.append(point)
 
     curve = RDCurve(points)
     # Every D, R and slack is formed by sums over the rows and columns.
@@ -781,10 +896,14 @@ def _boundary(u: np.ndarray, du: np.ndarray, v: float = 0.0, dv: float = 0.0) ->
     return min(t, v / -dv) if dv < 0.0 else t
 
 
-def _residual(law: np.ndarray, c: np.ndarray) -> float:
-    """The fixed-point residual of the law, given its c: the sup-norm change of its plain map."""
+def _residual(law: np.ndarray, c: np.ndarray):
+    """The fixed-point residual of the law, given its c: the sup-norm change of its plain map.
+
+    Given a stack of laws (one per row), one residual per law.
+    """
     plain = law * c
-    return float(_max(np.abs(plain / np.add.reduce(plain) - law)))
+    residual = _max(np.abs(plain / np.add.reduce(plain, axis=-1, keepdims=True) - law), axis=-1)
+    return residual if law.ndim > 1 else float(residual)
 
 
 def _answer(tilt: _Tilt, law: np.ndarray, iterations: int, residual: float, converged: bool) -> RDPoint:
@@ -976,6 +1095,10 @@ def _one_blas_thread():
             put(count)
 
 
+# The DEBUG record of one round of ``_priced_rounds``.
+_ROUND = "round %d: %d of %d columns in play, %d enter, %d iterations"
+
+
 def _priced_rounds(
     tilt: _Tilt, beta: float, eps: float, max_iter: int, cols: np.ndarray | None = None,
     target: float | None = None, band: float = 0.0, spread: float = 0.0,
@@ -1040,10 +1163,7 @@ def _priced_rounds(
             priced = c > 1.0 + eps
             priced[cols] = False
             enter = np.flatnonzero(priced)
-        logger.debug(
-            "round %d: %d of %d columns in play, %d enter, %d iterations",
-            rounds, len(cols), n, len(enter), spent,
-        )
+        logger.debug(_ROUND, rounds, len(cols), n, len(enter), spent)
         if not (solved and len(enter)) or iterations >= max_iter:
             point = _answer(tilt, law, iterations, residual, solved and not len(enter))
             return point, gap, failure, how

@@ -583,6 +583,12 @@ def bernoulli_hamming(p, beta):
     return ProbabilityVector([1.0 - p, p]), hamming(2), beta, value
 
 
+def zero_mass_rows_instance():
+    """(mu, rho): 4 x 2 with two zero-mass rows and +inf losses, whose slopes take 1 to 15 steps."""
+    rho = np.array([[0.0, 3.0], [0.0, math.inf], [0.125, 0.0], [0.0, math.inf]])
+    return ProbabilityVector([0.000999, 0.0, 0.999001, 0.0]), DistortionMatrix(rho)
+
+
 @st.composite
 def two_column_problems(draw):
     """(mu, rho, beta, F*): m x 2 losses, m <= 6, with +inf entries and zero-mass rows.
@@ -609,14 +615,7 @@ def two_column_problems(draw):
 @given(two_column_problems())
 @example(bernoulli_hamming(0.362832, 8.02233))
 @example(bernoulli_hamming(0.15384094587729213, 2.2329533632507323))
-@example(
-    (
-        ProbabilityVector([0.000999, 0.0, 0.999001, 0.0]),
-        DistortionMatrix(np.array([[0.0, 3.0], [0.0, math.inf], [0.125, 0.0], [0.0, math.inf]])),
-        54.598150033144236,
-        None,
-    )
-)
+@example((*zero_mass_rows_instance(), 54.598150033144236, None))
 def test_two_column_solve_agrees_with_plain_blahut_arimoto(problem):
     # The referee of the exact two-column solve: F = R + beta D of its law
     # is within 1e-9 of the closed form, or of the plain iteration's where
@@ -1392,30 +1391,48 @@ def mixed_instance():
     return ProbabilityVector([0.4, 0.3, 0.3, 0.0]), DistortionMatrix(rho)
 
 
-def one_slope_at_a_time(mu, dist, betas, tol, warm_start):
-    """The points of rd_curve(mu, dist, betas, tol, warm_start=...), each
-    from a ba_fixed_point call of its own, warm-started as the sweep does."""
-    points, start = [], None
+def one_slope_at_a_time(mu, dist, betas, tol, warm_start, max_iter=5000):
+    """The points of rd_curve(mu, dist, betas, tol, max_iter, warm_start=...),
+    each from a ba_fixed_point call of its own, warm-started as the sweep
+    does, and the WARNING text the sweep gives each degraded one."""
+    points, degraded, start = [], [], None
     for beta in betas:
         try:
-            point = ba_fixed_point(mu, dist, float(beta), start, tol=tol)
+            point = ba_fixed_point(mu, dist, float(beta), start, tol=tol, max_iter=max_iter)
         except ConvergenceError as err:
             point = err.partial
+            degraded.append(f"degraded point at beta={beta:g}: {err}")
         points.append(point)
         if warm_start:
             mix = blahut.WARM_START_MIX
             mixed = (1.0 - mix) * point.nu_star.weights + mix / dist.shape[1]
             start = ProbabilityVector(mixed / mixed.sum())
-    return points
+    return points, degraded
+
+
+def fields(point):
+    """Every field of a point, its law as bytes."""
+    return (
+        point.beta, point.distortion, point.rate, point.certificate_slack,
+        point.fixpoint_residual, point.iterations, point.converged, point.nu_star.weights.tobytes(),
+    )
 
 
 def sweep_problem(name):
+    """(mu, rho, max_iter) of a named sweep."""
     if name == "gaussian":
         src = discretize_gaussian(1.0, points=33)
-        return src.weights, squared_error(src.grid, src.grid)
+        return src.weights, squared_error(src.grid, src.grid), 5000
     if name == "bernoulli":
-        return ProbabilityVector([0.3, 0.7]), hamming(2)
-    return mixed_instance()
+        return ProbabilityVector([0.3, 0.7]), hamming(2), 5000
+    if name == "one-step budget":
+        # Under Hamming loss every slope takes one step; under this loss
+        # the slopes above the critical one take 2 to 5, and so run out
+        # of a budget of one.
+        return ProbabilityVector([0.3, 0.7]), DistortionMatrix([[0.0, 1.0], [3.0, 0.0]]), 1
+    if name == "zero-mass rows":
+        return *zero_mass_rows_instance(), 5000
+    return *mixed_instance(), 5000
 
 
 @pytest.mark.parametrize(
@@ -1428,6 +1445,10 @@ def sweep_problem(name):
         ("bernoulli", [0.0, 0.5, 2.0, 8.0], 1e-11, True),  # the beta = 0 endpoint first
         ("mixed", [0.0, 0.3, 1.0, 4.0], 1e-9, True),  # a round on the reachable columns
         ("mixed", [0.0, 0.3, 1.0, 4.0], 5e-4, True),
+        # Slopes of one stack that stop at different steps.
+        ("zero-mass rows", np.geomspace(1e-3, 1e3, 25), 1e-11, True),
+        # Degraded slopes of one stack, next to converged ones.
+        ("one-step budget", np.geomspace(0.1, 20.0, 30), 1e-11, True),
     ],
 )
 def test_a_sweep_equals_its_slopes_solved_one_at_a_time(
@@ -1436,19 +1457,27 @@ def test_a_sweep_equals_its_slopes_solved_one_at_a_time(
     # Bit for bit: one tilt moved across the slopes forms the kernel each
     # fresh ba_fixed_point call forms.  On every column reachable the sweep
     # builds that one tilt and no other, and its points' certificates agree.
-    mu, dist = sweep_problem(problem)
+    # Each degraded point gets the WARNING its ba_fixed_point call's error
+    # would give, and the sweep logs the calls' DEBUG records, in schedule
+    # order.
+    mu, dist, max_iter = sweep_problem(problem)
 
-    def fields(point):
-        return (
-            point.beta, point.distortion, point.rate, point.certificate_slack,
-            point.fixpoint_residual, point.iterations, point.converged, point.nu_star.weights.tobytes(),
-        )
+    def messages(level):
+        return [r.getMessage() for r in caplog.records if r.levelno == level]
 
-    expected = [fields(p) for p in one_slope_at_a_time(mu, dist, betas, tol, warm_start)]
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        points, degraded = one_slope_at_a_time(mu, dist, betas, tol, warm_start, max_iter)
+    expected, records = [fields(p) for p in points], messages(logging.DEBUG)
+    caplog.clear()
     tilts = counted_tilts(monkeypatch)
-    with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
-        curve = rd_curve(mu, dist, betas, tol=tol, warm_start=warm_start)
+    with caplog.at_level(logging.DEBUG, logger="rdbridge.blahut"):
+        curve = rd_curve(mu, dist, betas, tol=tol, warm_start=warm_start, max_iter=max_iter)
     assert [fields(p) for p in curve.points] == expected
+    assert messages(logging.DEBUG) == records
+    assert [m for m in messages(logging.WARNING) if "degraded" in m] == degraded
+    if max_iter == 1:
+        # 19 of the 30 slopes need more than one step.
+        assert len(degraded) == 19
     # A degraded point (the warm-started Gaussian at tol 5e-4 has one)
     # keeps a certificate that agrees with the others too.
     assert not [r for r in caplog.records if "supporting line" in r.getMessage()]
@@ -1460,10 +1489,99 @@ def test_a_sweep_equals_its_slopes_solved_one_at_a_time(
         assert tilts == [4] + [3] * (len(betas) - 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    two_column_problems(),
+    st.lists(st.floats(math.log(1e-3), math.log(1e3)), min_size=2, max_size=12, unique=True),
+    st.booleans(),
+)
+def test_a_tight_two_column_sweep_equals_its_slopes_solved_one_at_a_time(problem, logs, endpoint):
+    # The stacked solve against one ba_fixed_point call per slope, bit for
+    # bit, on m x 2 problems with +inf losses and zero-mass rows, and with
+    # the beta = 0 endpoint, which stays a call of its own, first or not.
+    mu, dist, _, _ = problem
+    betas = np.exp(sorted(logs))
+    assume(np.all(np.diff(betas) > 0))
+    if endpoint:
+        betas = np.concatenate([[0.0], betas])
+    points, _ = one_slope_at_a_time(mu, dist, betas, 1e-11, True)
+    curve = rd_curve(mu, dist, betas, tol=1e-11)
+    assert [fields(p) for p in curve.points] == [fields(p) for p in points]
+
+
+@pytest.mark.parametrize("max_iter", [5000, 1])
+def test_a_stacked_slope_below_the_row_sum_floor_is_taken_in_the_log_domain(monkeypatch, max_iter):
+    # At beta = 1e3 the first Newton step overshoots to the end t = 1, where
+    # row 1's sum exp(-330) is below ROW_SUM_FLOOR: that slope of the stack
+    # is evaluated in the log domain while the others stay scaled, and every
+    # point still equals its own ba_fixed_point answer.  On a budget of one
+    # step that slope ends there, so its D is certified in the log domain.
+    mu, dist = ProbabilityVector([0.999, 0.001]), DistortionMatrix([[0.0, 1e-3], [0.33, 0.0]])
+    betas = np.geomspace(1e-3, 1e3, 13)
+    scaled, evaluate = [], _Tilt.evaluate
+
+    def recorded(self, *args, **kwargs):
+        slack = evaluate(self, *args, **kwargs)
+        scaled.append(np.array(self.scaled).tolist())
+        return slack
+
+    points, _ = one_slope_at_a_time(mu, dist, betas, 1e-11, True, max_iter)
+    monkeypatch.setattr(_Tilt, "evaluate", recorded)
+    curve = rd_curve(mu, dist, betas, tol=1e-11, max_iter=max_iter)
+    assert [fields(p) for p in curve.points] == [fields(p) for p in points]
+    assert [True] * 12 + [False] in scaled
+    assert scaled[-1][-1] is (max_iter > 1)
+
+
+def test_a_tight_two_column_sweep_is_one_stacked_solve(monkeypatch):
+    # Criterion 1's sweep: its 30 slopes are solved in lockstep, so it
+    # builds one tilt, makes no ba_fixed_point call and evaluates the
+    # stack once per step plus once at the start.
+    calls, shapes = [], []
+    solve, evaluate = blahut.ba_fixed_point, _Tilt.evaluate
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    def counted_evaluate(self, x, *args, **kwargs):
+        shapes.append(x.shape)
+        return evaluate(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(blahut, "ba_fixed_point", counted_solve)
+    monkeypatch.setattr(_Tilt, "evaluate", counted_evaluate)
+    tilts = counted_tilts(monkeypatch)
+    mu = ProbabilityVector([0.7, 0.3], labels=[0.0, 1.0])
+    curve = rd_curve(mu, hamming(2), np.geomspace(0.1, 20.0, 30), tol=1e-11, max_iter=200000)
+    assert tilts == [2] and calls == []
+    assert shapes == [(30, 2)] * (max(p.iterations for p in curve.points) + 1)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3, 5e-4])
+def test_a_loose_sweep_is_refereed_by_the_tight_solve_at_each_slope(tol):
+    # F = R + beta D is least at the optimal law, and a law's dual gap
+    # ln(1 + max(slack, 0)) bounds how far its F lies above that least
+    # value (Csiszar 1974).  So at each slope the loose Blahut-Arimoto
+    # point lies above the tight solve's by at most its own gap; 1e-12
+    # allows for rounding on either side.
+    gaussian = discretize_gaussian(1.0, points=65)
+    uniform = discretize_uniform(-1.0, 1.0, 41)
+    problems = [(src.weights, squared_error(src.grid, src.grid)) for src in (gaussian, uniform)]
+    problems += [(ProbabilityVector([1.0 - p, p]), hamming(2)) for p in (0.1, 0.3, 0.45)]
+    betas = np.geomspace(0.3, 30.0, 9)
+    for mu, dist in problems:
+        loose = rd_curve(mu, dist, betas, tol=tol, max_iter=200000)
+        tight = rd_curve(mu, dist, betas, tol=1e-9)
+        for a, b in zip(loose.points, tight.points):
+            excess = (a.rate + a.beta * a.distortion) - (b.rate + b.beta * b.distortion)
+            assert -1e-12 <= excess <= math.log1p(max(a.certificate_slack, 0.0)) + 1e-12
+
+
 def test_a_sweep_moves_its_tilt_through_ba_fixed_point_and_keeps_it_to_itself(monkeypatch):
-    # Each slope is a ba_fixed_point call (the benchmark's tracer counts
-    # them), and every call sees the sweep's one tilt.  The caller's context
-    # never holds it, and a call on another problem builds its own.
+    # Each Blahut-Arimoto slope is a ba_fixed_point call (the benchmark's
+    # tracer counts them), and every call sees the sweep's one tilt.  The
+    # caller's context never holds it, and a call on another problem builds
+    # its own.
     mu, dist = ProbabilityVector([0.7, 0.3]), hamming(2)
     seen, solve = [], blahut.ba_fixed_point
 
@@ -1472,7 +1590,7 @@ def test_a_sweep_moves_its_tilt_through_ba_fixed_point_and_keeps_it_to_itself(mo
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(blahut, "ba_fixed_point", recorded)
-    rd_curve(mu, dist, [0.5, 1.0, 2.0])
+    rd_curve(mu, dist, [0.5, 1.0, 2.0], tol=1e-3)
     assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
     assert seen[0].beta == 2.0 and blahut._SWEEP.get() is None
 
@@ -1498,13 +1616,14 @@ def test_rd_curve_keeps_degraded_points():
 def test_rd_curve_warns_when_its_points_break_monotonicity(monkeypatch, caplog):
     # A stubbed solver whose distortion rises with beta, at rate 1 and zero
     # slack: the sweep keeps the points and warns, since the line of slope
-    # -2 through (0.2, 1) passes the rate at D = 0.05 by 0.3.
+    # -2 through (0.2, 1) passes the rate at D = 0.05 by 0.3.  (At tol 1e-3
+    # each slope is a ba_fixed_point call.)
     def rising(mu, dist, beta, *args, **kwargs):
         return RDPoint(beta, 0.1 * beta, 1.0, ProbabilityVector([0.5, 0.5]), 1, 0.0, 0.0)
 
     monkeypatch.setattr(blahut, "ba_fixed_point", rising)
     with caplog.at_level(logging.WARNING, logger="rdbridge.blahut"):
-        curve = rd_curve(ProbabilityVector([0.7, 0.3]), hamming(2), [0.5, 1.0, 2.0])
+        curve = rd_curve(ProbabilityVector([0.7, 0.3]), hamming(2), [0.5, 1.0, 2.0], tol=1e-3)
     assert curve.distortions().tolist() == [0.05, 0.1, 0.2]
     assert curve.excess() == pytest.approx(0.3, rel=1e-12)
     [record] = caplog.records

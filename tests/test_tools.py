@@ -41,7 +41,7 @@ def test_line_census_lists_the_lines_a_script_never_runs(tmp_path):
     source = (ROOT / "src" / "rdbridge" / "blahut.py").read_text().splitlines()
     newton, two_columns = (
         1 + next(i for i, line in enumerate(source) if text in line)
-        for text in ("lapack.dpotrf(m)", "slope = float(tilt.mu @ ratio)")
+        for text in ("lapack.dpotrf(m)", "slope = (tilt.mu @ ratio[..., None])[..., 0]")
     )
     row = next(line for line in proc.stdout.splitlines() if line.startswith("blahut.py"))
     missed_lines = set()
