@@ -303,7 +303,7 @@ def _sinkhorn(
     a = -row_reach
     b = np.zeros(len(cols))
     kernel = tilt.ker if every_col else tilt.ker[:, cols]
-    if tilt.scaled:
+    if not tilt.logged:
         # K_ij / z_i, with z = K nu and K the tilt's shifted kernel.  z <= 1 to
         # rounding, so an entry falls below the floor by an ulp at most, which
         # is harmless: Sinkhorn multiplies entries by scalings, never each other.

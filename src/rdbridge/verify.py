@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blahut import RDCurve, RDPoint, _Tilt
+from .blahut import RDCurve, RDPoint, _dual_gap, _Tilt
 from .distortion import DistortionMatrix, SourceSpec, slb_mse
 from .errors import EmptyComparisonError, InvalidInputError
 from .measures import ProbabilityVector, entropy
@@ -148,7 +148,7 @@ def check_optimality(
     # is the same tilted coupling.
     tilt = _Tilt(mu, dist, beta, nu)
     slack = tilt.slack
-    dual_gap = math.log1p(max(slack, 0.0))
+    dual_gap = _dual_gap(slack)
 
     detail = ""
     # The verdict reads the pair only; the coupling is never formed.

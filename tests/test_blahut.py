@@ -1155,7 +1155,7 @@ def test_the_tilts_per_problem_facts_match_their_formulas(problem):
     assert np.array_equal(tilt.finite_rho, np.where(np.isinf(dist.rho), 0.0, dist.rho)[live])
     assert (tilt.finite_rho is tilt.rho) == bool(np.isfinite(dist.rho[live]).all())
     x = nu.weights
-    if tilt.scaled:
+    if not tilt.logged:
         loss = np.zeros_like(tilt.ker)
         np.multiply(tilt.ker, tilt.rho, out=loss, where=tilt.ker > 0.0)
         distortion = float(tilt.w @ (loss @ x))
@@ -1189,7 +1189,7 @@ def test_a_row_sum_below_the_floor_is_taken_in_the_log_domain():
         tilt = _Tilt(mu, dist, beta)
         c = np.empty(2)
         slack = tilt.evaluate(nu.weights, c)
-        assert 0.0 < (tilt.ker @ nu.weights).min() < ROW_SUM_FLOOR and not tilt.scaled
+        assert 0.0 < (tilt.ker @ nu.weights).min() < ROW_SUM_FLOOR and tilt.logged
         # The evaluator's ln Z, and so F = -mu . ln Z, leaves out the row
         # shifts of its kernel.
         f = -(mu.weights @ tilt.log_z)
@@ -1522,7 +1522,7 @@ def test_a_stacked_slope_below_the_row_sum_floor_is_taken_in_the_log_domain(monk
 
     def recorded(self, *args, **kwargs):
         slack = evaluate(self, *args, **kwargs)
-        scaled.append(np.array(self.scaled).tolist())
+        scaled.append([(k,) not in self.logged for k in range(len(self.z))])
         return slack
 
     points, _ = one_slope_at_a_time(mu, dist, betas, 1e-11, True, max_iter)
